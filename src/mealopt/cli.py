@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .envelope import (
+    _VARIANTS,
     DirectQP,
     InnerProxGradient,
     Paper72FastPath,
@@ -31,7 +32,7 @@ from .errors import MealoptError, SchemaError
 from .experiments import ExperimentSpec, run_experiment
 from .fileio import load_problem, save_trace
 from .problem import MCP, SCAD, BoxIndicator, L1, Zero
-from .solvers import EpsilonSchedule, SolverConfig, StopRule, run
+from .solvers import ALGORITHMS, EpsilonSchedule, SolverConfig, StopRule, run
 
 _SUBPROBLEMS = {
     "direct": DirectQP,
@@ -65,17 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one solver on a problem file")
     solve.add_argument("--input", required=True, help="problem JSON path")
-    solve.add_argument("--algorithm", required=True,
-                       choices=("meal", "imeal", "limeal", "alm", "prox_ialm"))
+    solve.add_argument("--algorithm", required=True, choices=tuple(ALGORITHMS))
     solve.add_argument("--beta", type=_positive("--beta"))
     solve.add_argument("--gamma", type=_positive("--gamma"), default=0.5)
     solve.add_argument("--eta", type=_eta, default=1.0)
     solve.add_argument("--horizon-K", type=int, dest="horizon_k")
     solve.add_argument("--alpha-target", type=_positive("--alpha-target"),
                        dest="alpha_target")
-    solve.add_argument("--cap-variant", default=None,
-                       choices=("meal-a", "meal-b", "imeal-a", "imeal-b",
-                                "limeal-a", "limeal-b"),
+    solve.add_argument("--cap-variant", default=None, choices=_VARIANTS,
                        help="with --alpha-target 'auto': derive the target "
                             "from this admissible cap")
     solve.add_argument("--epsilon0", type=_positive("--epsilon0"), default=1e-2)

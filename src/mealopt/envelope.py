@@ -8,10 +8,14 @@ and its Moreau envelope in x (for fixed lam) is
 
     phi_beta(z, lam) = min_x { L_beta(x, lam) + ||x - z||^2 / (2 gamma) }.
 
-This module evaluates both, solves the strongly convex inner problem by
-three interchangeable paths, and implements the penalty-parameter calculus
+This module evaluates both and implements the penalty-parameter calculus
 (alpha from beta, beta for a target alpha, per-variant admissible caps) plus
 the potential and Lyapunov functions used as runtime descent monitors.
+
+The strongly convex inner problem is solved by the context's subproblem
+spec (DirectQP, InnerProxGradient or Paper72FastPath). Each spec checks
+that it applies to the problem when the EnvelopeContext is built, and its
+`solve` method is what `solve_subproblem` calls.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .errors import (
 from .problem import (
     BoxIndicator,
     Problem,
-    QuadraticForm,
     Zero,
     _vec,
     smallest_positive_eigenvalue,
@@ -108,13 +111,51 @@ class PenaltyPlan:
 # ---------------------------------------------------------------------------
 
 
+class SubproblemSpec:
+    """How the envelope subproblem is solved: one of the three specs below.
+
+    EnvelopeContext calls `check(ctx)` once; it raises InvalidSubproblemPath
+    unless the path applies to ctx.problem, and a direct path factors its
+    SPD system there. `solve(ctx, z, lam, beta, linearize_at, tol,
+    warm_start)` is what solve_subproblem returns.
+    """
+
+    def check(self, ctx) -> None:
+        pass
+
+
 @dataclass(frozen=True)
-class DirectQP:
+class DirectQP(SubproblemSpec):
     """Dense SPD solve; valid when the subproblem objective is quadratic."""
 
+    @staticmethod
+    def fits(problem: Problem) -> bool:
+        """Quadratic objective with no nonsmooth part."""
+        return problem.quadratic_terms() is not None and (
+            not problem.composite or isinstance(problem.prox_part, Zero))
+
+    def check(self, ctx) -> None:
+        if not self.fits(ctx.problem):
+            raise InvalidSubproblemPath(
+                "DirectQP needs a quadratic objective with no nonsmooth part"
+            )
+        ctx._factor(ctx.beta_at(0), include_Q=True)
+
+    def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
+              warm_start=None) -> "SubproblemResult":
+        p = ctx.problem
+        if linearize_at is None:
+            factor = ctx._factor(beta, include_Q=True)
+            grad0 = p.quadratic_terms()[1]
+        else:
+            factor = ctx._factor(beta, include_Q=False)
+            grad0 = p.smooth_gradient(_vec(linearize_at))
+        rhs = z / ctx.plan.gamma + beta * ctx.Atb - grad0 - p.constraint.A.T @ lam
+        return SubproblemResult(cho_solve(factor, rhs), np.zeros(z.shape[0]), 0.0, 0)
+
 
 @dataclass(frozen=True)
-class InnerProxGradient:
+class InnerProxGradient(SubproblemSpec):
     """Proximal gradient on the strongly convex subproblem.
 
     Stops when the constructed stationarity residual drops below tol; the
@@ -125,9 +166,47 @@ class InnerProxGradient:
     tol: float = 1e-10
     max_inner: int = 50000
 
+    def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
+              warm_start=None) -> "SubproblemResult":
+        p = ctx.problem
+        gamma = ctx.plan.gamma
+        stop_tol = self.tol if tol is None else tol
+        g = p.prox_part
+        A = p.constraint.A
+        x = _vec(warm_start).copy() if warm_start is not None else z.copy()
+        if isinstance(g, BoxIndicator):
+            x = np.clip(x, g.lower, g.upper)
+
+        lin_grad = p.smooth_gradient(_vec(linearize_at)) if linearize_at is not None else None
+
+        def smooth_grad(xx):
+            out = beta * (ctx.AtA @ xx - ctx.Atb) + A.T @ lam + (xx - z) / gamma
+            if p.composite:
+                out = out + (lin_grad if lin_grad is not None else p.smooth_gradient(xx))
+            return out
+
+        L_smooth = beta * ctx.A_norm2 + 1.0 / gamma
+        if p.composite and linearize_at is None:
+            L_smooth += p.L_h
+        t = 1.0 / L_smooth
+
+        s_vec = None
+        grad_prev = smooth_grad(x)
+        for it in range(1, self.max_inner + 1):
+            x_new = g.prox(t, x - t * grad_prev)
+            grad_new = smooth_grad(x_new)
+            # s = (x - x+)/t - grad(x) + grad(x+) lies in the subdifferential at x+
+            s_vec = (x - x_new) / t - grad_prev + grad_new
+            s_norm = float(np.linalg.norm(s_vec))
+            x, grad_prev = x_new, grad_new
+            if s_norm <= stop_tol:
+                return SubproblemResult(x, s_vec, s_norm, it)
+        return SubproblemResult(x, s_vec, float(np.linalg.norm(s_vec)), self.max_inner,
+                                budget_exhausted=True)
+
 
 @dataclass(frozen=True)
-class Paper72FastPath:
+class Paper72FastPath(SubproblemSpec):
     """Unconstrained linearized solve followed by box projection.
 
     Replicates the quadratic-program recipe: x_tilde from the SPD system,
@@ -135,8 +214,30 @@ class Paper72FastPath:
     residual is therefore not certified (None).
     """
 
+    def check(self, ctx) -> None:
+        p = ctx.problem
+        if not (p.composite and p.quadratic_terms() is not None):
+            raise InvalidSubproblemPath("fast path needs a quadratic smooth part")
+        if not isinstance(p.prox_part, (BoxIndicator, Zero)):
+            raise InvalidSubproblemPath("fast path needs a box (or absent) prox part")
+        ctx._factor(ctx.beta_at(0), include_Q=False)
 
-SubproblemSpec = object  # one of the three dataclasses above
+    def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
+              warm_start=None) -> "SubproblemResult":
+        if linearize_at is None:
+            raise InvalidSubproblemPath("fast path is a linearized-update scheme")
+        p = ctx.problem
+        factor = ctx._factor(beta, include_Q=False)
+        x0 = _vec(linearize_at)
+        Q, r, _ = p.quadratic_terms()
+        rhs = z / ctx.plan.gamma + beta * ctx.Atb - r - Q @ x0 - p.constraint.A.T @ lam
+        x = cho_solve(factor, rhs)
+        if isinstance(p.prox_part, BoxIndicator):
+            x = np.clip(x, p.prox_part.lower, p.prox_part.upper)
+        return SubproblemResult(x, None, None, 0)
+
+
+SUBPROBLEM_PATHS = (DirectQP, InnerProxGradient, Paper72FastPath)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +357,9 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 class EnvelopeContext:
     """Problem + penalty plan + inner-solver choice, with cached factors.
 
-    Immutable after construction and safe to share; the factorization cache
-    is built eagerly for the plan's beta when a direct path is selected.
+    The derived matrices are fixed at construction. The Cholesky cache is
+    not: a direct path factors the plan's first beta when the context is
+    built, and adds one factor per new (beta, with-Q) pair on later solves.
     """
 
     problem: Problem
@@ -272,10 +374,7 @@ class EnvelopeContext:
         self.A_norm2 = float(np.linalg.eigvalsh(self.AtA).max())  # ||A||_2^2
         self.c_gamma_A = self.plan.gamma ** 2 * self.sigma_min_pos
         self._chol_cache: dict = {}
-
-        if isinstance(self.subproblem, (DirectQP, Paper72FastPath)):
-            self._validate_direct_paths()
-            self._factor(self.beta_at(0), include_Q=isinstance(self.subproblem, DirectQP))
+        self.subproblem.check(self)
 
     # -- plan-derived quantities ------------------------------------------
 
@@ -291,29 +390,7 @@ class EnvelopeContext:
         b0, b1 = self.beta_at(k), self.beta_at(k + 1)
         return alpha_from_beta(b0, b1, self.plan.gamma, self.plan.eta, self.c_gamma_A)
 
-    # -- quadratic structure helpers --------------------------------------
-
-    def _quad_smooth_terms(self):
-        if not self.problem.composite:
-            return None
-        return self.problem.smooth.quadratic_terms()
-
-    def _validate_direct_paths(self):
-        p = self.problem
-        if isinstance(self.subproblem, DirectQP):
-            quad_ok = (
-                p.composite and p.smooth.quadratic_terms() is not None
-                and isinstance(p.prox_part, Zero)
-            ) or (not p.composite and isinstance(p.prox_part, QuadraticForm))
-            if not quad_ok:
-                raise InvalidSubproblemPath(
-                    "DirectQP needs a quadratic objective with no nonsmooth part"
-                )
-        else:  # Paper72FastPath
-            if not (p.composite and p.smooth.quadratic_terms() is not None):
-                raise InvalidSubproblemPath("fast path needs a quadratic smooth part")
-            if not isinstance(p.prox_part, (BoxIndicator, Zero)):
-                raise InvalidSubproblemPath("fast path needs a box (or absent) prox part")
+    # -- factor cache ---------------------------------------------------
 
     def _factor(self, beta: float, include_Q: bool):
         key = (beta, include_Q)
@@ -321,19 +398,9 @@ class EnvelopeContext:
             n = self.problem.n
             M = beta * self.AtA + np.eye(n) / self.plan.gamma
             if include_Q:
-                Q = self._subproblem_hessian()
-                M = M + Q
+                M = M + self.problem.quadratic_terms()[0]
             self._chol_cache[key] = cho_factor(M)
         return self._chol_cache[key]
-
-    def _subproblem_hessian(self) -> np.ndarray:
-        """Hessian of the smooth objective part entering a DirectQP solve."""
-        p = self.problem
-        if p.composite:
-            Q, _, _ = p.smooth.quadratic_terms()
-            return Q
-        quad = p.prox_part
-        return quad.Q
 
 
 # ---------------------------------------------------------------------------
@@ -401,81 +468,8 @@ def solve_subproblem(ctx: EnvelopeContext, z, lam, beta: float,
     the returned point (exact paths give zero up to solve accuracy); the fast
     path returns an uncertified None residual.
     """
-    z, lam = _vec(z), _vec(lam)
-    spec = ctx.subproblem
-    p = ctx.problem
-    gamma = ctx.plan.gamma
-
-    if isinstance(spec, DirectQP):
-        if linearize_at is None:
-            factor = ctx._factor(beta, include_Q=True)
-            Q, r, _ = _objective_quad_terms(p)
-            rhs = z / gamma + beta * ctx.Atb - r - p.constraint.A.T @ lam
-        else:
-            factor = ctx._factor(beta, include_Q=False)
-            x0 = _vec(linearize_at)
-            grad0 = p.smooth_gradient(x0)
-            rhs = z / gamma + beta * ctx.Atb - grad0 - p.constraint.A.T @ lam
-        x = cho_solve(factor, rhs)
-        n = z.shape[0]
-        return SubproblemResult(x, np.zeros(n), 0.0, 0)
-
-    if isinstance(spec, Paper72FastPath):
-        if linearize_at is None:
-            raise InvalidSubproblemPath("fast path is a linearized-update scheme")
-        factor = ctx._factor(beta, include_Q=False)
-        x0 = _vec(linearize_at)
-        Q, r, _ = p.smooth.quadratic_terms()
-        rhs = z / gamma + beta * ctx.Atb - r - Q @ x0 - p.constraint.A.T @ lam
-        x_tilde = cho_solve(factor, rhs)
-        if isinstance(p.prox_part, BoxIndicator):
-            x = np.clip(x_tilde, p.prox_part.lower, p.prox_part.upper)
-        else:
-            x = x_tilde
-        return SubproblemResult(x, None, None, 0)
-
-    # inner proximal gradient
-    assert isinstance(spec, InnerProxGradient)
-    stop_tol = spec.tol if tol is None else tol
-    g = p.prox_part
-    A, b = p.constraint.A, p.constraint.b
-    x = _vec(warm_start).copy() if warm_start is not None else z.copy()
-    if isinstance(g, BoxIndicator):
-        x = np.clip(x, g.lower, g.upper)
-
-    lin_grad = p.smooth_gradient(_vec(linearize_at)) if linearize_at is not None else None
-
-    def smooth_grad(xx):
-        out = beta * (ctx.AtA @ xx - ctx.Atb) + A.T @ lam + (xx - z) / gamma
-        if p.composite:
-            out = out + (lin_grad if lin_grad is not None else p.smooth_gradient(xx))
-        return out
-
-    L_smooth = beta * ctx.A_norm2 + 1.0 / gamma
-    if p.composite and linearize_at is None:
-        L_smooth += p.L_h
-    t = 1.0 / L_smooth
-
-    s_vec = None
-    grad_prev = smooth_grad(x)
-    for it in range(1, spec.max_inner + 1):
-        x_new = g.prox(t, x - t * grad_prev)
-        grad_new = smooth_grad(x_new)
-        # s = (x - x+)/t - grad(x) + grad(x+) lies in the subdifferential at x+
-        s_vec = (x - x_new) / t - grad_prev + grad_new
-        s_norm = float(np.linalg.norm(s_vec))
-        x, grad_prev = x_new, grad_new
-        if s_norm <= stop_tol:
-            return SubproblemResult(x, s_vec, s_norm, it)
-    return SubproblemResult(x, s_vec, float(np.linalg.norm(s_vec)), spec.max_inner,
-                            budget_exhausted=True)
-
-
-def _objective_quad_terms(p: Problem):
-    if p.composite:
-        return p.smooth.quadratic_terms()
-    quad = p.prox_part
-    return quad.Q, quad.r, quad.c
+    return ctx.subproblem.solve(ctx, _vec(z), _vec(lam), beta, linearize_at, tol,
+                                warm_start)
 
 
 # ---------------------------------------------------------------------------

@@ -61,21 +61,23 @@ def grid_prox_oracle(g_1d: Callable[[float], float], gamma: float, v: float,
     return float(0.5 * (lo + hi))
 
 
-def _pattern_states(lower, upper):
-    """Per-coordinate candidate states: 0=at lower, 1=at upper, 2=free.
+def _faces(lower, upper):
+    """Every lower/upper/free pattern, in lexicographic order.
 
-    Infinite bounds cannot be active, so those states are dropped.
+    Yields (pattern, free, clamped, x) with per-coordinate states 0 = at
+    lower, 1 = at upper, 2 = free, and x filled in on the clamped
+    coordinates. Infinite bounds cannot be active, so those states are
+    dropped.
     """
-    states = []
-    for lo, hi in zip(lower, upper):
-        s = []
-        if np.isfinite(lo):
-            s.append(0)
-        if np.isfinite(hi):
-            s.append(1)
-        s.append(2)
-        states.append(s)
-    return states
+    states = [[s for s, bound in ((0, lo), (1, hi)) if np.isfinite(bound)] + [2]
+              for lo, hi in zip(lower, upper)]
+    for pattern in itertools.product(*states):
+        free = [i for i, s in enumerate(pattern) if s == 2]
+        clamped = [i for i, s in enumerate(pattern) if s != 2]
+        x = np.empty(len(pattern))
+        for i in clamped:
+            x[i] = lower[i] if pattern[i] == 0 else upper[i]
+        yield pattern, free, clamped, x
 
 
 def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
@@ -105,13 +107,7 @@ def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
 
     points, multipliers = [], []
     n_singular = 0
-    for pattern in itertools.product(*_pattern_states(lower, upper)):
-        free = [i for i, s in enumerate(pattern) if s == 2]
-        clamped = [i for i, s in enumerate(pattern) if s != 2]
-        x = np.empty(n)
-        for i in clamped:
-            x[i] = lower[i] if pattern[i] == 0 else upper[i]
-
+    for pattern, free, clamped, x in _faces(lower, upper):
         nf = len(free)
         if m > 0:
             K = np.zeros((nf + m, nf + m))
@@ -187,12 +183,7 @@ def box_qp_global_min(H, c, lower, upper):
             )
 
     best_val, best_x = np.inf, None
-    for pattern in itertools.product(*_pattern_states(lower, upper)):
-        free = [i for i, s in enumerate(pattern) if s == 2]
-        clamped = [i for i, s in enumerate(pattern) if s != 2]
-        x = np.empty(n)
-        for i in clamped:
-            x[i] = lower[i] if pattern[i] == 0 else upper[i]
+    for _, free, clamped, x in _faces(lower, upper):
         if free:
             rhs = -c[free] - (H[np.ix_(free, clamped)] @ x[clamped] if clamped else 0.0)
             try:
@@ -204,7 +195,7 @@ def box_qp_global_min(H, c, lower, upper):
         if np.any(x < lower - 1e-9) or np.any(x > upper + 1e-9):
             continue
         val = float(0.5 * x @ H @ x + c @ x)
-        if val < best_val - 0.0:  # strict: first pattern wins exact ties
+        if val < best_val:  # strict: first pattern wins exact ties
             best_val, best_x = val, np.clip(x, lower, upper)
     if best_x is None:
         raise SubproblemNonconvexUnsupported("no feasible stationary point found")
@@ -241,25 +232,7 @@ def kkt_residual(problem: Problem, x, lam, active_tol: float = 1e-9) -> KKTRepor
     complementarity: dict = {}
     flag = False
 
-    if isinstance(g, BoxIndicator):
-        res = np.empty_like(x)
-        scale = max(1.0, float(np.abs(x).max()))
-        for i in range(x.shape[0]):
-            at_lo = np.isfinite(g.lower[i]) and x[i] <= g.lower[i] + active_tol * scale
-            at_hi = np.isfinite(g.upper[i]) and x[i] >= g.upper[i] - active_tol * scale
-            if at_lo and at_hi:
-                res[i] = 0.0
-                complementarity[i] = ("fixed", float(grad[i]))
-            elif at_lo:
-                res[i] = max(0.0, -grad[i])
-                complementarity[i] = ("lower", float(grad[i]))
-            elif at_hi:
-                res[i] = max(0.0, grad[i])
-                complementarity[i] = ("upper", float(grad[i]))
-            else:
-                res[i] = abs(grad[i])
-        stat = float(np.linalg.norm(res))
-    elif isinstance(g, PointwiseMin):
+    if isinstance(g, PointwiseMin):
         vals = [g.piece_value(i, x) for i in range(len(g.pieces))]
         best = min(vals)
         active = [i for i, v in enumerate(vals) if v <= best + 1e-9 * max(1.0, abs(best))]
@@ -274,19 +247,19 @@ def kkt_residual(problem: Problem, x, lam, active_tol: float = 1e-9) -> KKTRepor
                                                        active_tol))
         stat = float(best_res)
     else:
-        interval = g.subgradient_interval(x)
-        if interval is None:
-            raise NotImplementedError(f"no subdifferential description for {type(g)}")
-        lo, hi = interval
-        target = -grad
-        res = np.maximum(lo - target, 0.0) + np.maximum(target - hi, 0.0)
-        stat = float(np.linalg.norm(res))
+        stat = _residual_against(g, x, grad, active_tol, complementarity)
 
     return KKTReport(stat, feas, complementarity, flag)
 
 
-def _residual_against(g, x, grad, active_tol):
-    """Residual of -grad against the subdifferential of g at x."""
+def _residual_against(g, x, grad, active_tol, complementarity=None) -> float:
+    """Norm of the residual of -grad against the subdifferential of g at x.
+
+    A box indicator goes through its normal cone, with active bounds
+    detected within active_tol, and records each active coordinate in
+    `complementarity` when one is given; other kinds go through their
+    per-coordinate subgradient intervals.
+    """
     if isinstance(g, BoxIndicator):
         res = np.empty_like(x)
         scale = max(1.0, float(np.abs(x).max()))
@@ -294,15 +267,20 @@ def _residual_against(g, x, grad, active_tol):
             at_lo = np.isfinite(g.lower[i]) and x[i] <= g.lower[i] + active_tol * scale
             at_hi = np.isfinite(g.upper[i]) and x[i] >= g.upper[i] - active_tol * scale
             if at_lo and at_hi:
-                res[i] = 0.0
+                res[i], side = 0.0, "fixed"
             elif at_lo:
-                res[i] = max(0.0, -grad[i])
+                res[i], side = max(0.0, -grad[i]), "lower"
             elif at_hi:
-                res[i] = max(0.0, grad[i])
+                res[i], side = max(0.0, grad[i]), "upper"
             else:
                 res[i] = abs(grad[i])
+                continue
+            if complementarity is not None:
+                complementarity[i] = (side, float(grad[i]))
         return float(np.linalg.norm(res))
     interval = g.subgradient_interval(x)
+    if interval is None:
+        raise NotImplementedError(f"no subdifferential description for {type(g)}")
     lo, hi = interval
     target = -grad
     res = np.maximum(lo - target, 0.0) + np.maximum(target - hi, 0.0)

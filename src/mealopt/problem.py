@@ -577,6 +577,14 @@ class Problem:
             )
         return cls.constant + self.L_h
 
+    def quadratic_terms(self) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
+        """(Q, r, c) of a quadratic smooth part h, or of g when g is a
+        QuadraticForm and there is no smooth part; None otherwise."""
+        if self.composite:
+            return self.smooth.quadratic_terms()
+        g = self.prox_part
+        return (g.Q, g.r, g.c) if isinstance(g, QuadraticForm) else None
+
     def objective_value(self, x) -> float:
         x = _vec(x)
         val = self.prox_part.value(x)

@@ -1,11 +1,19 @@
 """The five iterative algorithms and the trace-producing driver.
 
-meal_step solves the proximal subproblem exactly, imeal_step to a certified
-residual, limeal_step with the smooth part linearized at the current iterate.
-alm_step is the classic method with a global subproblem oracle, and
+meal_step solves the proximal subproblem exactly (imeal_step to a certified
+residual), limeal_step with the smooth part linearized at the current
+iterate. alm_step is the classic method with a global subproblem oracle, and
 prox_ialm_step is the projected prox-linear baseline. All share the updates
 
     z' = (1 - eta) z + eta x',      lam' = lam + beta (A x' - b).
+
+ALGORITHMS is the one table of algorithms: the only place an algorithm name
+is looked up. An entry holds the step call, the weak-convexity modulus that
+gamma must stay below the inverse of, whether the stationarity column is a
+running minimum, the energy recorded in the `lyapunov` column (a Lyapunov
+family, the augmented Lagrangian or the potential P), and the algorithm's
+own requirements on the problem and config. `SolverConfig.validate`,
+`SolverConfig.resolve_subproblem` and `run` read the entry.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .envelope import (
+    SUBPROBLEM_PATHS,
     DirectQP,
     EnvelopeContext,
     InnerProxGradient,
@@ -29,11 +38,11 @@ from .envelope import (
 )
 from .errors import (
     GammaTooLarge,
-    MissingMetadata,
+    InvalidSubproblemPath,
     NotComposite,
     SubproblemNonconvexUnsupported,
 )
-from .problem import BoxIndicator, Problem, QuadraticForm, Zero, _vec
+from .problem import BoxIndicator, Problem, Zero, _vec
 from .oracle import box_qp_global_min
 
 __all__ = [
@@ -55,8 +64,6 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-
-ALGORITHMS = ("meal", "imeal", "limeal", "alm", "prox_ialm")
 
 TRACE_COLUMNS = (
     "k", "objective", "feasibility", "stationarity", "lyapunov",
@@ -150,52 +157,30 @@ class SolverConfig:
     monitors: MonitorFlags = field(default_factory=MonitorFlags)
 
     def validate(self, problem: Problem) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        modulus = self._gamma_modulus(problem)
+        algo = ALGORITHMS.get(self.algorithm)
+        if algo is None:
+            raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
+        if self.subproblem != "auto" and not isinstance(self.subproblem, SUBPROBLEM_PATHS):
+            names = ", ".join(cls.__name__ for cls in SUBPROBLEM_PATHS)
+            raise InvalidSubproblemPath(f'subproblem must be "auto" or one of {names}, '
+                                        f'got {self.subproblem!r}')
+        modulus = algo.modulus(problem)
         if modulus > 0 and self.plan.gamma >= 1.0 / modulus:
             raise GammaTooLarge(
                 f"gamma={self.plan.gamma} >= 1/{modulus:.6g}, the "
                 f"{self.algorithm} subproblem is not strongly convex"
             )
-        if self.algorithm == "limeal" and not problem.composite:
-            raise NotComposite("limeal needs a composite objective")
-        if self.algorithm == "prox_ialm":
-            if self.prox_ialm_params is None:
-                raise ValueError("prox_ialm needs prox_ialm_params")
-            if not problem.composite or problem.smooth.quadratic_terms() is None:
-                raise NotComposite("prox_ialm needs a quadratic smooth part")
-            if not isinstance(problem.prox_part, (BoxIndicator, Zero)):
-                raise ValueError("prox_ialm needs a box (or absent) prox part")
-            if abs(self.plan.gamma * self.prox_ialm_params.p - 1.0) > 1e-9:
-                raise ValueError("prox_ialm requires plan.gamma == 1/p")
-        if self.monitors.one_step_progress:
-            if self.algorithm != "meal" or self.plan.mode != "fixed":
-                raise ValueError(
-                    "one_step_progress monitor applies to meal with fixed beta"
-                )
+        algo.check(self, problem)
+        if self.monitors.one_step_progress and not (
+                algo.progress_monitor and self.plan.mode == "fixed"):
+            raise ValueError("one_step_progress monitor applies to meal with fixed beta")
         if self.monitors.dual_by_primal:
             problem.implicit_lipschitz_constant()  # raises MissingMetadata
-
-    def _gamma_modulus(self, problem: Problem) -> float:
-        # linearized updates only see g's curvature; the others see h + g
-        if self.algorithm in ("limeal", "prox_ialm"):
-            return problem.rho_g
-        if self.algorithm == "alm":
-            return 0.0  # no proximal term; subproblem handled by the oracle
-        return problem.rho_total
 
     def resolve_subproblem(self, problem: Problem):
         if self.subproblem != "auto":
             return self.subproblem
-        if self.algorithm in ("alm", "prox_ialm"):
-            # neither touches the envelope subproblem machinery
-            return InnerProxGradient()
-        quad_smooth = problem.composite and problem.smooth.quadratic_terms() is not None
-        pure_quad = not problem.composite and isinstance(problem.prox_part, QuadraticForm)
-        if isinstance(problem.prox_part, Zero) and (quad_smooth or pure_quad):
-            return DirectQP()
-        if pure_quad:
+        if ALGORITHMS[self.algorithm].envelope and DirectQP.fits(problem):
             return DirectQP()
         return InnerProxGradient()
 
@@ -205,42 +190,48 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def _advance(state: IterateState, x_new: np.ndarray, eta: float, beta: float,
-             A: np.ndarray, b: np.ndarray) -> IterateState:
-    z_new = (1.0 - eta) * state.z + eta * x_new
-    lam_new = state.lam + beta * (A @ x_new - b)
-    return IterateState(x_new, z_new, lam_new, state.k + 1)
+def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
+             grad_z: Optional[np.ndarray], dual: float, eta: Optional[float] = None,
+             sub=None) -> tuple[IterateState, StepReport]:
+    """The shared z and lam updates to x_new (dual step `dual`, eta the plan's
+    unless given) and the step's report. grad_z is the z-block of the
+    envelope gradient; None means zero, so the stationarity norm is the
+    feasibility. The report carries the subproblem result's inexactness.
+    """
+    p = ctx.problem
+    eta = ctx.plan.eta if eta is None else eta
+    gl = p.constraint.A @ x_new - p.constraint.b
+    new = IterateState(x_new, (1.0 - eta) * state.z + eta * x_new,
+                       state.lam + dual * gl, state.k + 1)
+    feas = float(np.linalg.norm(gl))
+    if grad_z is None:
+        grad_z, norm = np.zeros(p.n), feas
+    else:
+        norm = float(np.sqrt(np.sum(grad_z ** 2) + np.sum(gl ** 2)))
+    return new, StepReport(
+        grad_z, gl, norm, feas,
+        inexact_residual_norm=None if sub is None else sub.residual_norm,
+        inner_budget_exhausted=sub is not None and sub.budget_exhausted)
 
 
-def meal_step(ctx: EnvelopeContext, state: IterateState,
-              warm_start=None) -> tuple[IterateState, StepReport]:
-    """One exact proximal step on the envelope of the augmented Lagrangian."""
+def meal_step(ctx: EnvelopeContext, state: IterateState, warm_start=None,
+              tol: Optional[float] = None) -> tuple[IterateState, StepReport]:
+    """One proximal step on the envelope of the augmented Lagrangian.
+
+    Exact up to the inner solver's own tolerance; with `tol` the subproblem
+    residual is certified below it instead (the iMEAL step).
+    """
     beta = ctx.beta_at(state.k)
-    sub = solve_subproblem(ctx, state.z, state.lam, beta, warm_start=warm_start)
-    return _finish_meal_family(ctx, state, beta, sub)
+    sub = solve_subproblem(ctx, state.z, state.lam, beta, tol=tol,
+                           warm_start=warm_start)
+    return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.plan.gamma, beta,
+                    sub=sub)
 
 
 def imeal_step(ctx: EnvelopeContext, state: IterateState, eps_k: float,
                warm_start=None) -> tuple[IterateState, StepReport]:
     """Inexact step: the subproblem residual is certified below eps_k."""
-    beta = ctx.beta_at(state.k)
-    sub = solve_subproblem(ctx, state.z, state.lam, beta, tol=eps_k,
-                           warm_start=warm_start)
-    return _finish_meal_family(ctx, state, beta, sub)
-
-
-def _finish_meal_family(ctx, state, beta, sub):
-    p = ctx.problem
-    A, b = p.constraint.A, p.constraint.b
-    gamma, eta = ctx.plan.gamma, ctx.plan.eta
-    new = _advance(state, sub.x, eta, beta, A, b)
-    gz = (state.z - sub.x) / gamma
-    gl = A @ sub.x - b
-    feas = float(np.linalg.norm(gl))
-    norm = float(np.sqrt(np.sum(gz ** 2) + np.sum(gl ** 2)))
-    return new, StepReport(gz, gl, norm, feas,
-                           inexact_residual_norm=sub.residual_norm,
-                           inner_budget_exhausted=sub.budget_exhausted)
+    return meal_step(ctx, state, warm_start=warm_start, tol=eps_k)
 
 
 def limeal_step(ctx: EnvelopeContext, state: IterateState,
@@ -252,16 +243,9 @@ def limeal_step(ctx: EnvelopeContext, state: IterateState,
     beta = ctx.beta_at(state.k)
     sub = solve_subproblem(ctx, state.z, state.lam, beta, linearize_at=state.x,
                            warm_start=warm_start)
-    A, b = p.constraint.A, p.constraint.b
-    gamma, eta = ctx.plan.gamma, ctx.plan.eta
-    new = _advance(state, sub.x, eta, beta, A, b)
-    gz = (state.z - sub.x) / gamma + (p.smooth_gradient(sub.x) - p.smooth_gradient(state.x))
-    gl = A @ sub.x - b
-    feas = float(np.linalg.norm(gl))
-    norm = float(np.sqrt(np.sum(gz ** 2) + np.sum(gl ** 2)))
-    return new, StepReport(gz, gl, norm, feas,
-                           inexact_residual_norm=sub.residual_norm,
-                           inner_budget_exhausted=sub.budget_exhausted)
+    gz = (state.z - sub.x) / ctx.plan.gamma \
+        + (p.smooth_gradient(sub.x) - p.smooth_gradient(state.x))
+    return _advance(ctx, state, sub.x, gz, beta, sub=sub)
 
 
 def alm_step(ctx: EnvelopeContext, state: IterateState,
@@ -286,30 +270,18 @@ def alm_step(ctx: EnvelopeContext, state: IterateState,
             "alm global minimization supports quadratic objectives over a box"
         )
     x_new, _ = box_qp_global_min(H, c, lower, upper)
-    A, b = p.constraint.A, p.constraint.b
-    lam_new = state.lam + beta * (A @ x_new - b)
-    new = IterateState(x_new, x_new.copy(), lam_new, state.k + 1)
-    gl = A @ x_new - b
-    feas = float(np.linalg.norm(gl))
-    # global minimization leaves zero dual residual at x'
-    return new, StepReport(np.zeros(p.n), gl, feas, feas)
+    # global minimization leaves zero dual residual at x'; eta = 1 sets z' = x'
+    return _advance(ctx, state, x_new, None, beta, eta=1.0)
 
 
 def _alm_quadratic(ctx, beta, lam):
     """Hessian and linear term of x -> L_beta(x, lam) for quadratic objectives."""
-    p = ctx.problem
-    if p.composite:
-        terms = p.smooth.quadratic_terms()
-        if terms is None:
-            raise SubproblemNonconvexUnsupported("alm needs a quadratic smooth part")
-        Q, r, _ = terms
-    elif isinstance(p.prox_part, QuadraticForm):
-        Q, r = p.prox_part.Q, p.prox_part.r
-    else:
+    terms = ctx.problem.quadratic_terms()
+    if terms is None:
         raise SubproblemNonconvexUnsupported("alm needs a quadratic objective")
-    A = p.constraint.A
+    Q, r, _ = terms
     H = Q + beta * ctx.AtA
-    c = r + A.T @ lam - beta * ctx.Atb
+    c = r + ctx.problem.constraint.A.T @ lam - beta * ctx.Atb
     return H, c
 
 
@@ -325,8 +297,8 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
     """
     p = ctx.problem
     beta = ctx.beta_at(state.k)
-    Q, r, _ = p.smooth.quadratic_terms()
-    A, b = p.constraint.A, p.constraint.b
+    Q, r, _ = p.quadratic_terms()
+    A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
 
     xbar = (beta * ctx.AtA + params.p * np.eye(p.n)) @ x + Q @ x + A.T @ lam \
@@ -337,19 +309,89 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
     else:
         x_new = stepped
 
-    eta = ctx.plan.eta
-    dual = beta if params.alpha_dual is None else params.alpha_dual
-    z_new = (1.0 - eta) * z + eta * x_new
-    lam_new = lam + dual * (A @ x_new - b)
-    new = IterateState(x_new, z_new, lam_new, state.k + 1)
-
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     v = (x - x_new) / params.s + Q @ (x_new - x) + beta * (ctx.AtA @ (x_new - x)) \
         - params.p * (x - z)
-    gl = A @ x_new - b
-    feas = float(np.linalg.norm(gl))
-    norm = float(np.sqrt(np.sum(v ** 2) + np.sum(gl ** 2)))
-    return new, StepReport(v, gl, norm, feas)
+    dual = beta if params.alpha_dual is None else params.alpha_dual
+    return _advance(ctx, state, x_new, v, dual)
+
+
+# ---------------------------------------------------------------------------
+# algorithm table
+# ---------------------------------------------------------------------------
+
+
+def _check_limeal(config, problem) -> None:
+    if not problem.composite:
+        raise NotComposite("limeal needs a composite objective")
+
+
+def _check_prox_ialm(config, problem) -> None:
+    if config.prox_ialm_params is None:
+        raise ValueError("prox_ialm needs prox_ialm_params")
+    if not problem.composite or problem.quadratic_terms() is None:
+        raise NotComposite("prox_ialm needs a quadratic smooth part")
+    if not isinstance(problem.prox_part, (BoxIndicator, Zero)):
+        raise ValueError("prox_ialm needs a box (or absent) prox part")
+    if abs(config.plan.gamma * config.prox_ialm_params.p - 1.0) > 1e-9:
+        raise ValueError("prox_ialm requires plan.gamma == 1/p")
+
+
+def _lyapunov_energy(family: str):
+    """The family's Lyapunov value at the new state (usable from k + 1 >= 1)."""
+    def energy(ctx, k, state, new):
+        bounded = ctx.problem.prox_part.implicit_class.kind == "bounded"
+        return lyapunov(ctx, f"{family}-{'s2' if bounded else 's1'}", new.x, new.z,
+                        new.lam, z_prev=state.z, x_prev=state.x,
+                        beta=ctx.beta_at(k + 1), alpha=ctx.alpha_at(k + 1))
+    return energy
+
+
+_DEFAULT_EPSILON = EpsilonSchedule()
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One entry of the algorithm table.
+
+    Its callables look the step and energy functions up as module globals
+    when called, so a wrapper set on this module sees every call.
+    """
+
+    step: Callable          # (ctx, state, config, k, warm) -> (IterateState, StepReport)
+    modulus: Callable       # Problem -> rho; gamma must stay below 1/rho
+    running_min: bool       # stationarity column is the running minimum
+    energy: Callable        # (ctx, k, state, new) -> the lyapunov column value
+    envelope: bool = True   # solves the envelope subproblem, so "auto" may pick DirectQP
+    check: Callable = lambda config, problem: None  # raises when a requirement is unmet
+    progress_monitor: bool = False  # the one-step progress monitor applies
+
+
+ALGORITHMS = {
+    "meal": Algorithm(
+        lambda ctx, st, cfg, k, warm: meal_step(ctx, st, warm_start=warm),
+        lambda p: p.rho_total, True, _lyapunov_energy("meal"), progress_monitor=True),
+    "imeal": Algorithm(
+        lambda ctx, st, cfg, k, warm: imeal_step(
+            ctx, st, (cfg.epsilon_schedule or _DEFAULT_EPSILON)(k), warm_start=warm),
+        lambda p: p.rho_total, True, _lyapunov_energy("imeal")),
+    # the linearized updates only see g's curvature
+    "limeal": Algorithm(
+        lambda ctx, st, cfg, k, warm: limeal_step(ctx, st, warm_start=warm),
+        lambda p: p.rho_g, False, _lyapunov_energy("limeal"), check=_check_limeal),
+    # no proximal term: the global-min oracle handles any curvature
+    "alm": Algorithm(
+        lambda ctx, st, cfg, k, warm: alm_step(ctx, st), lambda p: 0.0, False,
+        lambda ctx, k, st, new: augmented_lagrangian(ctx, new.x, new.lam,
+                                                     ctx.beta_at(k + 1)),
+        envelope=False),
+    "prox_ialm": Algorithm(
+        lambda ctx, st, cfg, k, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
+        lambda p: p.rho_g, False,
+        lambda ctx, k, st, new: potential_P(ctx, new.x, new.z, new.lam,
+                                            ctx.beta_at(k + 1)),
+        envelope=False, check=_check_prox_ialm),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +429,6 @@ class Trace:
         return [entry for entry in self.monitors.get(name, []) if not entry[-1]]
 
 
-def _lyapunov_variant(algorithm: str, problem: Problem) -> Optional[str]:
-    if algorithm not in ("meal", "imeal", "limeal"):
-        return None
-    family = {"meal": "meal", "imeal": "imeal", "limeal": "limeal"}[algorithm]
-    suffix = "s2" if problem.prox_part.implicit_class.kind == "bounded" else "s1"
-    return f"{family}-{suffix}"
-
-
 def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     """Iterate until both tolerances are met, or a budget/guard trips.
 
@@ -405,7 +439,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     """
     config.validate(problem)
     ctx = EnvelopeContext(problem, config.plan, config.resolve_subproblem(problem))
-    algo = config.algorithm
+    algo = ALGORITHMS[config.algorithm]
 
     if init is None:
         state = IterateState(np.zeros(problem.n), np.zeros(problem.n),
@@ -425,8 +459,6 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     if config.plan.mode == "horizon":
         budget = min(budget, config.plan.K)
 
-    eps = config.epsilon_schedule or EpsilonSchedule()
-    variant = _lyapunov_variant(algo, problem)
     L_f = None
     if config.monitors.dual_by_primal:
         L_f = problem.implicit_lipschitz_constant()
@@ -454,36 +486,16 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
 
     k = 0
     for k in range(budget):
-        if algo == "meal":
-            new_state, report = meal_step(ctx, state, warm_start=warm)
-        elif algo == "imeal":
-            new_state, report = imeal_step(ctx, state, eps(k), warm_start=warm)
-        elif algo == "limeal":
-            new_state, report = limeal_step(ctx, state, warm_start=warm)
-        elif algo == "alm":
-            new_state, report = alm_step(ctx, state)
-        else:
-            new_state, report = prox_ialm_step(ctx, state, config.prox_ialm_params)
+        new_state, report = algo.step(ctx, state, config, k, warm)
 
         raw = report.stationarity_norm
-        if algo in ("meal", "imeal"):
+        if algo.running_min:
             best_measure = min(best_measure, raw)
             stat_col = best_measure
         else:
             stat_col = raw
 
-        # Lyapunov at the new state (usable from k+1 >= 1)
-        if variant is not None:
-            beta_next = ctx.beta_at(k + 1)
-            E_next = lyapunov(ctx, variant, new_state.x, new_state.z, new_state.lam,
-                              z_prev=state.z, x_prev=state.x,
-                              beta=beta_next, alpha=ctx.alpha_at(k + 1))
-        elif algo == "alm":
-            E_next = augmented_lagrangian(ctx, new_state.x, new_state.lam,
-                                          ctx.beta_at(k + 1))
-        else:
-            E_next = potential_P(ctx, new_state.x, new_state.z, new_state.lam,
-                                 ctx.beta_at(k + 1))
+        E_next = algo.energy(ctx, k, state, new_state)
         report.lyapunov = E_next
 
         record_row(k, state, stat_col, E_curr, float(np.linalg.norm(new_state.x - state.z)))
@@ -550,5 +562,5 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
 
     columns = {name: np.asarray(vals, dtype=float if name != "k" else int)
                for name, vals in cols.items()}
-    return Trace(algo, columns, status, converged_at, oscillating,
+    return Trace(config.algorithm, columns, status, converged_at, oscillating,
                  monitors, state)

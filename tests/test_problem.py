@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ class TestProxInvariants:
     def test_against_grid_oracle(self, name, g, gamma):
         # coarse grid + ternary refinement keeps the 1000-draw sweep fast;
         # the 1e-4 grid is exercised on the frozen SCAD value above
-        rng = np.random.default_rng(hash(name) % 2 ** 32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         worst = 0.0
         for _ in range(150):
             v = rng.uniform(-6.0, 6.0)

@@ -367,6 +367,17 @@ class TestRun:
         with pytest.raises(InvalidSubproblemPath):
             meal_step(ctx, m.IterateState(np.zeros(4), np.zeros(4), np.zeros(2)))
 
+    @pytest.mark.parametrize("bad", ["direct", None, m.Paper72FastPath])
+    def test_bad_subproblem_value_rejected(self, bad):
+        from mealopt.errors import InvalidSubproblemPath
+
+        cfg = m.SolverConfig("limeal", m.PenaltyPlan.fixed(50.0, 0.5, 1.0),
+                             subproblem=bad)
+        with pytest.raises(InvalidSubproblemPath) as err:
+            cfg.validate(m.build_exp1())
+        for name in ('"auto"', "DirectQP", "InnerProxGradient", "Paper72FastPath"):
+            assert name in str(err.value)
+
     def test_init_dimension_mismatch_rejected(self):
         prob = identity_problem(2)
         cfg = m.SolverConfig("meal", m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
