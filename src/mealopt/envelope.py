@@ -139,7 +139,7 @@ class DirectQP(SubproblemSpec):
             raise InvalidSubproblemPath(
                 "DirectQP needs a quadratic objective with no nonsmooth part"
             )
-        ctx._factor(ctx.beta_at(0), include_Q=True)
+        ctx._factor(ctx.beta, include_Q=True)
 
     def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
               warm_start=None) -> "SubproblemResult":
@@ -218,9 +218,9 @@ class Paper72FastPath(SubproblemSpec):
         p = ctx.problem
         if not (p.composite and p.quadratic_terms() is not None):
             raise InvalidSubproblemPath("fast path needs a quadratic smooth part")
-        if not isinstance(p.prox_part, (BoxIndicator, Zero)):
+        if p.box_bounds() is None:
             raise InvalidSubproblemPath("fast path needs a box (or absent) prox part")
-        ctx._factor(ctx.beta_at(0), include_Q=False)
+        ctx._factor(ctx.beta, include_Q=False)
 
     def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
               warm_start=None) -> "SubproblemResult":
@@ -231,9 +231,7 @@ class Paper72FastPath(SubproblemSpec):
         x0 = _vec(linearize_at)
         Q, r, _ = p.quadratic_terms()
         rhs = z / ctx.plan.gamma + beta * ctx.Atb - r - Q @ x0 - p.constraint.A.T @ lam
-        x = cho_solve(factor, rhs)
-        if isinstance(p.prox_part, BoxIndicator):
-            x = np.clip(x, p.prox_part.lower, p.prox_part.upper)
+        x = np.clip(cho_solve(factor, rhs), *p.box_bounds())
         return SubproblemResult(x, None, None, 0)
 
 
@@ -357,9 +355,12 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 class EnvelopeContext:
     """Problem + penalty plan + inner-solver choice, with cached factors.
 
-    The derived matrices are fixed at construction. The Cholesky cache is
-    not: a direct path factors the plan's first beta when the context is
-    built, and adds one factor per new (beta, with-Q) pair on later solves.
+    The derived matrices and the penalty are fixed at construction: `beta`
+    is the plan's, or in horizon mode the constant that makes alpha equal
+    alpha_target / K, and `alpha = alpha_from_beta(beta, beta, ...)`. The
+    Cholesky cache is not fixed: it holds one factor per (beta, with-Q)
+    pair, so a direct path factors `beta` when the context is built and
+    adds a factor for each other beta a caller passes to solve_subproblem.
     """
 
     problem: Problem
@@ -368,27 +369,18 @@ class EnvelopeContext:
 
     def __post_init__(self):
         A = self.problem.constraint.A
+        plan = self.plan
         self.AtA = A.T @ A
         self.Atb = A.T @ self.problem.constraint.b
         self.sigma_min_pos = smallest_positive_eigenvalue(self.AtA)
         self.A_norm2 = float(np.linalg.eigvalsh(self.AtA).max())  # ||A||_2^2
-        self.c_gamma_A = self.plan.gamma ** 2 * self.sigma_min_pos
+        self.c_gamma_A = plan.gamma ** 2 * self.sigma_min_pos
+        self.beta = plan.beta if plan.mode == "fixed" else beta_for_target_alpha(
+            plan.alpha_target, plan.gamma, plan.eta, self.c_gamma_A, horizon_K=plan.K)
+        self.alpha = alpha_from_beta(self.beta, self.beta, plan.gamma, plan.eta,
+                                     self.c_gamma_A)
         self._chol_cache: dict = {}
         self.subproblem.check(self)
-
-    # -- plan-derived quantities ------------------------------------------
-
-    def beta_at(self, k: int) -> float:
-        plan = self.plan
-        if plan.mode == "fixed":
-            return plan.beta
-        return beta_for_target_alpha(
-            plan.alpha_target, plan.gamma, plan.eta, self.c_gamma_A, horizon_K=plan.K
-        )
-
-    def alpha_at(self, k: int) -> float:
-        b0, b1 = self.beta_at(k), self.beta_at(k + 1)
-        return alpha_from_beta(b0, b1, self.plan.gamma, self.plan.eta, self.c_gamma_A)
 
     # -- factor cache ---------------------------------------------------
 
@@ -507,14 +499,14 @@ def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,
           [+ gamma^2 L_h^2 ||x - x_prev||^2 for limeal variants]).
 
     Defined from k >= 1; callers without a predecessor must not ask
-    (WindowTooShort).
+    (WindowTooShort). beta and alpha default to the context's.
     """
     if variant not in LYAPUNOV_COEFFICIENTS:
         raise ValueError(f"unknown Lyapunov variant {variant!r}")
     if z_prev is None:
         raise WindowTooShort("Lyapunov needs z_prev (k >= 1)")
-    beta = ctx.beta_at(0) if beta is None else beta
-    alpha = ctx.alpha_at(0) if alpha is None else alpha
+    beta = ctx.beta if beta is None else beta
+    alpha = ctx.alpha if alpha is None else alpha
     coef = LYAPUNOV_COEFFICIENTS[variant]
     x, z, z_prev = _vec(x), _vec(z), _vec(z_prev)
     extra = float(np.sum((z - z_prev) ** 2))

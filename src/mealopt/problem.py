@@ -527,16 +527,13 @@ class Problem:
     constraint: LinearConstraint
     prox_part: ProxFunction
     smooth: Optional[SmoothFunction] = None
-    feas_probe_tol: float = 1e-8
-    validate: bool = True
 
     def __post_init__(self):
-        if self.validate:
-            ok, res = self.constraint.feasibility_probe(self.feas_probe_tol)
-            if not ok:
-                raise ValueError(
-                    f"constraint looks infeasible: least-squares residual {res:.3e}"
-                )
+        ok, res = self.constraint.feasibility_probe()
+        if not ok:
+            raise ValueError(
+                f"constraint looks infeasible: least-squares residual {res:.3e}"
+            )
         if not np.isfinite(self.rho_total):
             raise ValueError("total weak-convexity modulus must be finite")
 
@@ -584,6 +581,16 @@ class Problem:
             return self.smooth.quadratic_terms()
         g = self.prox_part
         return (g.Q, g.r, g.c) if isinstance(g, QuadraticForm) else None
+
+    def box_bounds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(lower, upper) of a box prox part, infinite bounds when the prox
+        part is Zero, None for any other prox part."""
+        g = self.prox_part
+        if isinstance(g, BoxIndicator):
+            return g.lower, g.upper
+        if isinstance(g, Zero):
+            return np.full(self.n, -_INF), np.full(self.n, _INF)
+        return None
 
     def objective_value(self, x) -> float:
         x = _vec(x)

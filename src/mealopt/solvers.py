@@ -11,9 +11,11 @@ ALGORITHMS is the one table of algorithms: the only place an algorithm name
 is looked up. An entry holds the step call, the weak-convexity modulus that
 gamma must stay below the inverse of, whether the stationarity column is a
 running minimum, the energy recorded in the `lyapunov` column (a Lyapunov
-family, the augmented Lagrangian or the potential P), and the algorithm's
-own requirements on the problem and config. `SolverConfig.validate`,
-`SolverConfig.resolve_subproblem` and `run` read the entry.
+family, the augmented Lagrangian or the potential P), the tuple of
+subproblem spec types it accepts (empty for the two algorithms that solve no
+envelope subproblem), and the algorithm's own requirements on the problem
+and config. `SolverConfig.validate`, `SolverConfig.resolve_subproblem` and
+`run` read the entry.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .envelope import (
     DirectQP,
     EnvelopeContext,
     InnerProxGradient,
+    Paper72FastPath,
     PenaltyPlan,
-    alpha_from_beta,
     augmented_lagrangian,
     lyapunov,
     potential_P,
@@ -42,7 +44,7 @@ from .errors import (
     NotComposite,
     SubproblemNonconvexUnsupported,
 )
-from .problem import BoxIndicator, Problem, Zero, _vec
+from .problem import Problem, _vec
 from .oracle import box_qp_global_min
 
 __all__ = [
@@ -97,7 +99,6 @@ class StepReport:
     grad_phi_lambda: np.ndarray
     stationarity_norm: float
     feasibility: float
-    lyapunov: Optional[float] = None
     inexact_residual_norm: Optional[float] = None
     inner_budget_exhausted: bool = False
 
@@ -114,17 +115,14 @@ class EpsilonSchedule:
 
 @dataclass(frozen=True)
 class ProxIALMParams:
-    """Prox coefficient p, primal step s, optional dual step (defaults to beta)."""
+    """Prox coefficient p and primal step s; the dual step is beta."""
 
     p: float
     s: float
-    alpha_dual: Optional[float] = None
 
     def __post_init__(self):
         if self.p <= 0 or self.s <= 0:
             raise ValueError("p and s must be positive")
-        if self.alpha_dual is not None and self.alpha_dual <= 0:
-            raise ValueError("alpha_dual must be positive")
 
 
 @dataclass(frozen=True)
@@ -160,10 +158,16 @@ class SolverConfig:
         algo = ALGORITHMS.get(self.algorithm)
         if algo is None:
             raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
-        if self.subproblem != "auto" and not isinstance(self.subproblem, SUBPROBLEM_PATHS):
-            names = ", ".join(cls.__name__ for cls in SUBPROBLEM_PATHS)
-            raise InvalidSubproblemPath(f'subproblem must be "auto" or one of {names}, '
-                                        f'got {self.subproblem!r}')
+        if self.subproblem != "auto":
+            if not isinstance(self.subproblem, SUBPROBLEM_PATHS):
+                names = ", ".join(cls.__name__ for cls in SUBPROBLEM_PATHS)
+                raise InvalidSubproblemPath(f'subproblem must be "auto" or one of '
+                                            f'{names}, got {self.subproblem!r}')
+            if not isinstance(self.subproblem, algo.accepts):
+                names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
+                raise InvalidSubproblemPath(
+                    f"{self.algorithm} does not take a {type(self.subproblem).__name__} "
+                    f'subproblem (it takes "auto" or: {names})')
         modulus = algo.modulus(problem)
         if modulus > 0 and self.plan.gamma >= 1.0 / modulus:
             raise GammaTooLarge(
@@ -180,7 +184,7 @@ class SolverConfig:
     def resolve_subproblem(self, problem: Problem):
         if self.subproblem != "auto":
             return self.subproblem
-        if ALGORITHMS[self.algorithm].envelope and DirectQP.fits(problem):
+        if DirectQP in ALGORITHMS[self.algorithm].accepts and DirectQP.fits(problem):
             return DirectQP()
         return InnerProxGradient()
 
@@ -191,9 +195,9 @@ class SolverConfig:
 
 
 def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
-             grad_z: Optional[np.ndarray], dual: float, eta: Optional[float] = None,
+             grad_z: Optional[np.ndarray], eta: Optional[float] = None,
              sub=None) -> tuple[IterateState, StepReport]:
-    """The shared z and lam updates to x_new (dual step `dual`, eta the plan's
+    """The shared z and lam updates to x_new (dual step beta, eta the plan's
     unless given) and the step's report. grad_z is the z-block of the
     envelope gradient; None means zero, so the stationarity norm is the
     feasibility. The report carries the subproblem result's inexactness.
@@ -202,7 +206,7 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
     eta = ctx.plan.eta if eta is None else eta
     gl = p.constraint.A @ x_new - p.constraint.b
     new = IterateState(x_new, (1.0 - eta) * state.z + eta * x_new,
-                       state.lam + dual * gl, state.k + 1)
+                       state.lam + ctx.beta * gl, state.k + 1)
     feas = float(np.linalg.norm(gl))
     if grad_z is None:
         grad_z, norm = np.zeros(p.n), feas
@@ -221,11 +225,9 @@ def meal_step(ctx: EnvelopeContext, state: IterateState, warm_start=None,
     Exact up to the inner solver's own tolerance; with `tol` the subproblem
     residual is certified below it instead (the iMEAL step).
     """
-    beta = ctx.beta_at(state.k)
-    sub = solve_subproblem(ctx, state.z, state.lam, beta, tol=tol,
+    sub = solve_subproblem(ctx, state.z, state.lam, ctx.beta, tol=tol,
                            warm_start=warm_start)
-    return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.plan.gamma, beta,
-                    sub=sub)
+    return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.plan.gamma, sub=sub)
 
 
 def imeal_step(ctx: EnvelopeContext, state: IterateState, eps_k: float,
@@ -240,12 +242,11 @@ def limeal_step(ctx: EnvelopeContext, state: IterateState,
     p = ctx.problem
     if not p.composite:
         raise NotComposite("limeal_step needs a composite objective")
-    beta = ctx.beta_at(state.k)
-    sub = solve_subproblem(ctx, state.z, state.lam, beta, linearize_at=state.x,
+    sub = solve_subproblem(ctx, state.z, state.lam, ctx.beta, linearize_at=state.x,
                            warm_start=warm_start)
     gz = (state.z - sub.x) / ctx.plan.gamma \
         + (p.smooth_gradient(sub.x) - p.smooth_gradient(state.x))
-    return _advance(ctx, state, sub.x, gz, beta, sub=sub)
+    return _advance(ctx, state, sub.x, gz, sub=sub)
 
 
 def alm_step(ctx: EnvelopeContext, state: IterateState,
@@ -256,22 +257,15 @@ def alm_step(ctx: EnvelopeContext, state: IterateState,
     an (optional) box, at enumeration scale. The subproblem may be nonconvex;
     the oracle enumerates all face-stationary candidates.
     """
-    p = ctx.problem
-    beta = ctx.beta_at(state.k)
-    H, c = _alm_quadratic(ctx, beta, state.lam)
-    g = p.prox_part
-    if isinstance(g, BoxIndicator):
-        lower, upper = g.lower, g.upper
-    elif isinstance(g, Zero):
-        lower = np.full(p.n, -np.inf)
-        upper = np.full(p.n, np.inf)
-    else:
+    H, c = _alm_quadratic(ctx, ctx.beta, state.lam)
+    bounds = ctx.problem.box_bounds()
+    if bounds is None:
         raise SubproblemNonconvexUnsupported(
             "alm global minimization supports quadratic objectives over a box"
         )
-    x_new, _ = box_qp_global_min(H, c, lower, upper)
+    x_new, _ = box_qp_global_min(H, c, *bounds)
     # global minimization leaves zero dual residual at x'; eta = 1 sets z' = x'
-    return _advance(ctx, state, x_new, None, beta, eta=1.0)
+    return _advance(ctx, state, x_new, None, eta=1.0)
 
 
 def _alm_quadratic(ctx, beta, lam):
@@ -292,28 +286,26 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
         xbar = (beta A'A + p I) x + Q x + A'lam - p z - (beta A'b - r)
         x'   = Proj_C(x - s xbar)
 
-    followed by the shared z and lambda updates (dual step alpha_dual,
-    defaulting to beta as in the printed scheme).
+    followed by the shared z and lambda updates (dual step beta, as in the
+    printed scheme). Proj_C is the identity when the prox part is Zero.
     """
     p = ctx.problem
-    beta = ctx.beta_at(state.k)
+    beta = ctx.beta
+    bounds = p.box_bounds()
+    if bounds is None:
+        raise ValueError("prox_ialm needs a box (or absent) prox part")
     Q, r, _ = p.quadratic_terms()
     A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
 
     xbar = (beta * ctx.AtA + params.p * np.eye(p.n)) @ x + Q @ x + A.T @ lam \
         - params.p * z - (beta * ctx.Atb - r)
-    stepped = x - params.s * xbar
-    if isinstance(p.prox_part, BoxIndicator):
-        x_new = np.clip(stepped, p.prox_part.lower, p.prox_part.upper)
-    else:
-        x_new = stepped
+    x_new = np.clip(x - params.s * xbar, *bounds)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     v = (x - x_new) / params.s + Q @ (x_new - x) + beta * (ctx.AtA @ (x_new - x)) \
         - params.p * (x - z)
-    dual = beta if params.alpha_dual is None else params.alpha_dual
-    return _advance(ctx, state, x_new, v, dual)
+    return _advance(ctx, state, x_new, v)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +323,7 @@ def _check_prox_ialm(config, problem) -> None:
         raise ValueError("prox_ialm needs prox_ialm_params")
     if not problem.composite or problem.quadratic_terms() is None:
         raise NotComposite("prox_ialm needs a quadratic smooth part")
-    if not isinstance(problem.prox_part, (BoxIndicator, Zero)):
+    if problem.box_bounds() is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
     if abs(config.plan.gamma * config.prox_ialm_params.p - 1.0) > 1e-9:
         raise ValueError("prox_ialm requires plan.gamma == 1/p")
@@ -339,11 +331,10 @@ def _check_prox_ialm(config, problem) -> None:
 
 def _lyapunov_energy(family: str):
     """The family's Lyapunov value at the new state (usable from k + 1 >= 1)."""
-    def energy(ctx, k, state, new):
+    def energy(ctx, state, new):
         bounded = ctx.problem.prox_part.implicit_class.kind == "bounded"
         return lyapunov(ctx, f"{family}-{'s2' if bounded else 's1'}", new.x, new.z,
-                        new.lam, z_prev=state.z, x_prev=state.x,
-                        beta=ctx.beta_at(k + 1), alpha=ctx.alpha_at(k + 1))
+                        new.lam, z_prev=state.z, x_prev=state.x)
     return energy
 
 
@@ -358,39 +349,39 @@ class Algorithm:
     when called, so a wrapper set on this module sees every call.
     """
 
-    step: Callable          # (ctx, state, config, k, warm) -> (IterateState, StepReport)
+    step: Callable          # (ctx, state, config, warm) -> (IterateState, StepReport)
     modulus: Callable       # Problem -> rho; gamma must stay below 1/rho
     running_min: bool       # stationarity column is the running minimum
-    energy: Callable        # (ctx, k, state, new) -> the lyapunov column value
-    envelope: bool = True   # solves the envelope subproblem, so "auto" may pick DirectQP
+    energy: Callable        # (ctx, state, new) -> the lyapunov column value
+    # subproblem spec types it takes; "auto" picks DirectQP if listed and it fits
+    accepts: tuple = (DirectQP, InnerProxGradient)
     check: Callable = lambda config, problem: None  # raises when a requirement is unmet
     progress_monitor: bool = False  # the one-step progress monitor applies
 
 
 ALGORITHMS = {
     "meal": Algorithm(
-        lambda ctx, st, cfg, k, warm: meal_step(ctx, st, warm_start=warm),
+        lambda ctx, st, cfg, warm: meal_step(ctx, st, warm_start=warm),
         lambda p: p.rho_total, True, _lyapunov_energy("meal"), progress_monitor=True),
     "imeal": Algorithm(
-        lambda ctx, st, cfg, k, warm: imeal_step(
-            ctx, st, (cfg.epsilon_schedule or _DEFAULT_EPSILON)(k), warm_start=warm),
+        lambda ctx, st, cfg, warm: imeal_step(
+            ctx, st, (cfg.epsilon_schedule or _DEFAULT_EPSILON)(st.k), warm_start=warm),
         lambda p: p.rho_total, True, _lyapunov_energy("imeal")),
     # the linearized updates only see g's curvature
     "limeal": Algorithm(
-        lambda ctx, st, cfg, k, warm: limeal_step(ctx, st, warm_start=warm),
-        lambda p: p.rho_g, False, _lyapunov_energy("limeal"), check=_check_limeal),
+        lambda ctx, st, cfg, warm: limeal_step(ctx, st, warm_start=warm),
+        lambda p: p.rho_g, False, _lyapunov_energy("limeal"),
+        accepts=(DirectQP, InnerProxGradient, Paper72FastPath), check=_check_limeal),
     # no proximal term: the global-min oracle handles any curvature
     "alm": Algorithm(
-        lambda ctx, st, cfg, k, warm: alm_step(ctx, st), lambda p: 0.0, False,
-        lambda ctx, k, st, new: augmented_lagrangian(ctx, new.x, new.lam,
-                                                     ctx.beta_at(k + 1)),
-        envelope=False),
+        lambda ctx, st, cfg, warm: alm_step(ctx, st), lambda p: 0.0, False,
+        lambda ctx, st, new: augmented_lagrangian(ctx, new.x, new.lam, ctx.beta),
+        accepts=()),
     "prox_ialm": Algorithm(
-        lambda ctx, st, cfg, k, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
+        lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
         lambda p: p.rho_g, False,
-        lambda ctx, k, st, new: potential_P(ctx, new.x, new.z, new.lam,
-                                            ctx.beta_at(k + 1)),
-        envelope=False, check=_check_prox_ialm),
+        lambda ctx, st, new: potential_P(ctx, new.x, new.z, new.lam, ctx.beta),
+        accepts=(), check=_check_prox_ialm),
 }
 
 
@@ -432,10 +423,16 @@ class Trace:
 def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     """Iterate until both tolerances are met, or a budget/guard trips.
 
-    Stops when the trace's stationarity measure and the current feasibility
-    are both below their tolerances (recording converged_at = that row), at
-    max_iters (or the horizon K), on inner-budget exhaustion, or when the
-    multiplier norm or objective magnitude passes the divergence limit.
+    Row k holds the objective, feasibility and multiplier norm of the state
+    after k steps; its stationarity, xz_gap and (from k >= 1) lyapunov
+    columns come from step k, which leaves that state. After each step the
+    first of these that holds sets the status: InnerBudgetExhausted when
+    the inner solver ran out of iterations, DivergenceDetected when the
+    new multiplier norm or objective magnitude passes DIVERGENCE_LIMIT,
+    Converged (converged_at = k) when the stationarity column and row k's
+    feasibility are both below their tolerances. With none of them the run
+    ends at max_iters (or the horizon K) as MaxIters. A terminal row holds
+    the final state.
     """
     config.validate(problem)
     ctx = EnvelopeContext(problem, config.plan, config.resolve_subproblem(problem))
@@ -459,34 +456,39 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     if config.plan.mode == "horizon":
         budget = min(budget, config.plan.K)
 
+    gamma, eta = ctx.plan.gamma, ctx.plan.eta
     L_f = None
     if config.monitors.dual_by_primal:
         L_f = problem.implicit_lipschitz_constant()
 
     cols = {name: [] for name in TRACE_COLUMNS}
     monitors: dict = {"one_step_progress": [], "dual_by_primal": []}
-    lam_history = [state.lam.copy()]
     osc_streak, oscillating = 0, False
     status, converged_at = "MaxIters", None
-    E_curr = None          # Lyapunov at the current state (from k >= 1)
+    E_curr = None          # energy column value at the current state (from k >= 1)
+    E_s1 = None            # s1 Lyapunov at the current state, for the progress monitor
     prev_state = None
     best_measure = np.inf
     warm = None
+    # the current state's objective, feasibility and multiplier norm; record_row
+    # writes them, and each step carries them over from its new state
+    f = problem.objective_value(state.x)
+    feas = problem.constraint.residual(state.x)
+    lam_norm = float(np.linalg.norm(state.lam))
     t0 = time.perf_counter()
 
-    def record_row(k, st, stat_col, lyap, gap):
+    def record_row(k, stat_col, lyap, gap):
         cols["k"].append(k)
-        cols["objective"].append(problem.objective_value(st.x))
-        cols["feasibility"].append(problem.constraint.residual(st.x))
+        cols["objective"].append(f)
+        cols["feasibility"].append(feas)
         cols["stationarity"].append(stat_col)
         cols["lyapunov"].append(np.nan if lyap is None else lyap)
-        cols["lambda_norm"].append(float(np.linalg.norm(st.lam)))
+        cols["lambda_norm"].append(lam_norm)
         cols["xz_gap"].append(gap)
         cols["wall_time"].append(time.perf_counter() - t0)
 
-    k = 0
     for k in range(budget):
-        new_state, report = algo.step(ctx, state, config, k, warm)
+        new_state, report = algo.step(ctx, state, config, warm)
 
         raw = report.stationarity_norm
         if algo.running_min:
@@ -495,70 +497,51 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         else:
             stat_col = raw
 
-        E_next = algo.energy(ctx, k, state, new_state)
-        report.lyapunov = E_next
+        E_next = algo.energy(ctx, state, new_state)
+        record_row(k, stat_col, E_curr, float(np.linalg.norm(new_state.x - state.z)))
 
-        record_row(k, state, stat_col, E_curr, float(np.linalg.norm(new_state.x - state.z)))
-
-        if k >= 1:
-            gamma, eta = ctx.plan.gamma, ctx.plan.eta
-            if config.monitors.one_step_progress:
-                # monitored with the s1 Lyapunov and alpha from the fixed beta
-                beta = ctx.beta_at(k)
-                alpha = alpha_from_beta(beta, beta, gamma, eta, ctx.c_gamma_A)
-                E_k = lyapunov(ctx, "meal-s1", state.x, state.z, state.lam,
-                               z_prev=prev_state.z, beta=beta, alpha=alpha)
-                E_k1 = lyapunov(ctx, "meal-s1", new_state.x, new_state.z,
-                                new_state.lam, z_prev=state.z, beta=beta, alpha=alpha)
-                lhs = E_k - E_k1
+        if config.monitors.one_step_progress:
+            # the s1 Lyapunov at the new state is step k + 1's E_k
+            E_s1_next = lyapunov(ctx, "meal-s1", new_state.x, new_state.z,
+                                 new_state.lam, z_prev=state.z)
+            if k >= 1:
+                lhs = E_s1 - E_s1_next
                 rhs = (gamma * eta * (2.0 - eta) / 4.0) * raw ** 2
                 monitors["one_step_progress"].append((k, lhs, rhs, lhs >= rhs - 1e-9))
-            if config.monitors.dual_by_primal:
-                dl = float(np.sum((new_state.lam - state.lam) ** 2))
-                bound = (2.0 / ctx.c_gamma_A) * (
-                    (gamma * L_f + 1.0) ** 2 * float(np.sum((new_state.x - state.x) ** 2))
-                    + float(np.sum((state.z - prev_state.z) ** 2))
-                )
-                monitors["dual_by_primal"].append((k, dl, bound, dl <= bound + 1e-9))
+            E_s1 = E_s1_next
+        if config.monitors.dual_by_primal and k >= 1:
+            dl = float(np.sum((new_state.lam - state.lam) ** 2))
+            bound = (2.0 / ctx.c_gamma_A) * (
+                (gamma * L_f + 1.0) ** 2 * float(np.sum((new_state.x - state.x) ** 2))
+                + float(np.sum((state.z - prev_state.z) ** 2))
+            )
+            monitors["dual_by_primal"].append((k, dl, bound, dl <= bound + 1e-9))
 
         # oscillation detector on the multiplier sequence
-        lam_history.append(new_state.lam.copy())
-        if len(lam_history) >= 3:
-            d2 = float(np.linalg.norm(lam_history[-1] - lam_history[-3]))
-            d1 = float(np.linalg.norm(lam_history[-1] - lam_history[-2]))
+        if k >= 1:
+            d2 = float(np.linalg.norm(new_state.lam - prev_state.lam))
+            d1 = float(np.linalg.norm(new_state.lam - state.lam))
             osc_streak = osc_streak + 1 if (d2 <= 1e-6 and d1 >= 1e-3) else 0
             if osc_streak >= 20:
                 oscillating = True
-        if len(lam_history) > 3:
-            lam_history.pop(0)
 
+        f_next = problem.objective_value(new_state.x)
+        lam_norm_next = float(np.linalg.norm(new_state.lam))
         if report.inner_budget_exhausted:
             status = "InnerBudgetExhausted"
-            prev_state, state, E_curr = state, new_state, E_next
-            k += 1
-            break
-        if (np.linalg.norm(new_state.lam) > DIVERGENCE_LIMIT
-                or abs(problem.objective_value(new_state.x)) > DIVERGENCE_LIMIT):
+        elif lam_norm_next > DIVERGENCE_LIMIT or abs(f_next) > DIVERGENCE_LIMIT:
             status = "DivergenceDetected"
-            prev_state, state, E_curr = state, new_state, E_next
-            k += 1
-            break
-        if stat_col <= config.stop.stat_tol and \
-                cols["feasibility"][-1] <= config.stop.feas_tol:
-            status = "Converged"
-            converged_at = k
-            prev_state, state, E_curr = state, new_state, E_next
-            k += 1
-            break
+        elif stat_col <= config.stop.stat_tol and feas <= config.stop.feas_tol:
+            status, converged_at = "Converged", k
 
         prev_state, state, E_curr = state, new_state, E_next
-        warm = new_state.x
-    else:
-        k = budget
+        f, feas, lam_norm = f_next, report.feasibility, lam_norm_next
+        warm = state.x
+        if status != "MaxIters":
+            break
 
     # terminal row for the final state; the measure column repeats
-    last_stat = cols["stationarity"][-1] if cols["stationarity"] else np.nan
-    record_row(k, state, last_stat, E_curr, np.nan)
+    record_row(k + 1, cols["stationarity"][-1], E_curr, np.nan)
 
     columns = {name: np.asarray(vals, dtype=float if name != "k" else int)
                for name, vals in cols.items()}

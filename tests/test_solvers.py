@@ -469,3 +469,93 @@ class TestRun:
             epsilon_schedule=m.EpsilonSchedule(1e-3), stop=stop))
         assert tr_meal.status == "Converged"
         assert np.linalg.norm(tr_meal.terminal.x - tr_imeal.terminal.x) <= 1e-6
+
+
+class TestAcceptedSubproblemSpecs:
+    @pytest.mark.parametrize("algo, spec", [
+        ("meal", m.Paper72FastPath()),
+        ("imeal", m.Paper72FastPath()),
+        ("alm", m.DirectQP()),
+        ("alm", m.InnerProxGradient()),
+        ("prox_ialm", m.Paper72FastPath()),
+        ("prox_ialm", m.InnerProxGradient()),
+    ])
+    def test_validate_rejects_a_spec_the_algorithm_does_not_take(self, algo, spec):
+        from mealopt.errors import InvalidSubproblemPath
+
+        cfg = m.SolverConfig(algo, m.PenaltyPlan.fixed(5.0, 0.02, 1.0), subproblem=spec)
+        with pytest.raises(InvalidSubproblemPath) as err:
+            cfg.validate(m.build_exp2(seed=6, m=2, n=4))
+        assert str(err.value).startswith(f"{algo} ")
+
+    @pytest.mark.parametrize("algo, spec", [
+        ("meal", m.InnerProxGradient()),
+        ("imeal", m.InnerProxGradient()),
+        ("limeal", m.InnerProxGradient()),
+        ("limeal", m.Paper72FastPath()),
+    ])
+    def test_validate_accepts_a_spec_the_algorithm_takes(self, algo, spec):
+        cfg = m.SolverConfig(algo, m.PenaltyPlan.fixed(5.0, 0.02, 1.0), subproblem=spec)
+        cfg.validate(m.build_exp2(seed=6, m=2, n=4))
+
+
+def _carried_value_cases():
+    from mealopt.experiments import EXP1_INIT
+
+    both = m.MonitorFlags(one_step_progress=True, dual_by_primal=True)
+    inner = m.InnerProxGradient(tol=1e-11, max_inner=300000)
+    return [
+        pytest.param(m.build_exp1(), m.SolverConfig(
+            "meal", m.PenaltyPlan.fixed(50.0, 0.25, 1.0), subproblem=inner,
+            monitors=both), EXP1_INIT, id="meal-exp1"),
+        pytest.param(make_convex_qp(1), m.SolverConfig(
+            "meal", m.PenaltyPlan.fixed(10.0, 0.5, 1.5), monitors=both),
+            (np.zeros(5), np.zeros(5), np.zeros(2)), id="meal-qp"),
+        pytest.param(m.build_exp1(), m.SolverConfig(
+            "limeal", m.PenaltyPlan.fixed(50.0, 0.5, 1.0), subproblem=inner),
+            EXP1_INIT, id="limeal-exp1"),
+        pytest.param(m.build_exp1(), m.SolverConfig(
+            "alm", m.PenaltyPlan.fixed(50.0, 0.5, 1.0)), EXP1_INIT, id="alm-exp1"),
+    ]
+
+
+class TestCarriedRowValues:
+    """Every row holds the values of its own state, and every one-step
+    progress entry is a difference of two Lyapunov values."""
+
+    STEPS = 8
+
+    @pytest.mark.parametrize("prob, cfg, init", _carried_value_cases())
+    def test_rows_and_monitor_hold_the_values_of_their_states(self, prob, cfg, init):
+        from dataclasses import replace
+
+        from mealopt.envelope import lyapunov
+
+        def capped(n):
+            return replace(cfg, stop=m.StopRule(max_iters=n, stat_tol=1e-14,
+                                                feas_tol=1e-14))
+
+        tr = m.run(prob, capped(self.STEPS), init=init)
+        # the state of row k is the terminal state of a run capped at k steps
+        states = [m.IterateState(*init)] + [
+            m.run(prob, capped(k), init=init).terminal
+            for k in range(1, self.STEPS + 1)]
+        assert tr.status == "MaxIters"
+        assert tr.n_rows == len(states)
+        for row, st in enumerate(states):
+            assert tr.column("objective")[row] == prob.objective_value(st.x)
+            assert tr.column("feasibility")[row] == prob.constraint.residual(st.x)
+            assert tr.column("lambda_norm")[row] == np.linalg.norm(st.lam)
+
+        if not cfg.monitors.one_step_progress:
+            return
+        ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem(prob))
+
+        def energy(k):
+            st = states[k]
+            return lyapunov(ctx, "meal-s1", st.x, st.z, st.lam, z_prev=states[k - 1].z)
+
+        entries = tr.monitors["one_step_progress"]
+        assert [entry[0] for entry in entries] == list(range(1, self.STEPS))
+        for k, lhs, _, _ in entries:
+            assert lhs == energy(k) - energy(k + 1)
