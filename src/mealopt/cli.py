@@ -64,7 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run one solver on a problem file")
+    solve = sub.add_parser(
+        "solve", help="run one solver on a problem file",
+        description="Run one solver on a problem file, write its trace CSV and "
+                    "print a summary: status, steps, total inner iterations and "
+                    "the trace path.")
     solve.add_argument("--input", required=True, help="problem JSON path")
     solve.add_argument("--algorithm", required=True, choices=tuple(ALGORITHMS))
     solve.add_argument("--beta", type=_positive("--beta"))
@@ -152,8 +156,8 @@ def _cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dest = out / f"{args.algorithm}_trace.csv"
     save_trace(trace, dest)
-    print(f"{args.algorithm}: {trace.status} after {trace.n_rows - 1} steps; "
-          f"trace written to {dest}")
+    print(f"{args.algorithm}: {trace.status} after {trace.n_rows - 1} steps, "
+          f"{sum(trace.inner_iterations)} inner iterations; trace written to {dest}")
     return 0 if trace.status == "Converged" else 3
 
 

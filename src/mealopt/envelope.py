@@ -20,6 +20,7 @@ that it applies to the problem when the EnvelopeContext is built, and its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -156,11 +157,31 @@ class DirectQP(SubproblemSpec):
 
 @dataclass(frozen=True)
 class InnerProxGradient(SubproblemSpec):
-    """Proximal gradient on the strongly convex subproblem.
+    """Accelerated proximal gradient on the strongly convex subproblem.
 
-    Stops when the constructed stationarity residual drops below tol; the
-    residual lives in the subproblem's subdifferential, so it certifies the
-    inexactness condition directly.
+    The subproblem splits into the prox part g and a smooth part S(x) =
+    beta/2 ||Ax - b||^2 + <lam, Ax> + ||x - z||^2/(2 gamma) [+ h(x), or h's
+    linear model at `linearize_at`]. Each iteration takes one prox step of
+    length t = 1/L from an extrapolated point y,
+
+        x+ = prox_{t g}(y - t grad S(y)),   y' = x+ + m (x+ - x),
+
+    with L = beta ||A||^2 + 1/gamma [+ L_h for the exact step]. The momentum
+    m = (1 - q)/(1 + q), q = sqrt(mu/L), uses the known strong-convexity
+    modulus of S: mu = 1/gamma - L_h for the exact step (h is L_h-weakly
+    convex at worst) and mu = 1/gamma for a linearized or non-composite step.
+    Momentum is used only when g is convex (weak_convexity_modulus == 0)
+    and mu > 0; otherwise m = 0 and the loop is plain proximal gradient.
+    Adaptive restart (O'Donoghue and Candes) drops the momentum, y' = x+,
+    whenever <y - x+, x+ - x> > 0.
+
+    Stops when the certified residual
+
+        s = (y - x+)/t - grad S(y) + grad S(x+),
+
+    an element of grad S(x+) + dg(x+), drops below tol (or the call's tol,
+    iMEAL's eps_k); it certifies the inexactness condition directly. After
+    max_inner iterations the last point is returned with budget_exhausted.
     """
 
     tol: float = 1e-10
@@ -172,37 +193,48 @@ class InnerProxGradient(SubproblemSpec):
         gamma = ctx.plan.gamma
         stop_tol = self.tol if tol is None else tol
         g = p.prox_part
-        A = p.constraint.A
         x = _vec(warm_start).copy() if warm_start is not None else z.copy()
         if isinstance(g, BoxIndicator):
             x = np.clip(x, g.lower, g.upper)
 
-        lin_grad = p.smooth_gradient(_vec(linearize_at)) if linearize_at is not None else None
+        # grad S(x) = H x + shift [+ grad h(x)] with H = beta A'A + I/gamma;
+        # H and the terms that do not depend on x are formed once per solve
+        exact_h = p.composite and linearize_at is None
+        H = beta * ctx.AtA + np.eye(p.n) / gamma
+        shift = p.constraint.A.T @ lam - beta * ctx.Atb - z / gamma
+        if linearize_at is not None:
+            shift = shift + p.smooth_gradient(_vec(linearize_at))
 
-        def smooth_grad(xx):
-            out = beta * (ctx.AtA @ xx - ctx.Atb) + A.T @ lam + (xx - z) / gamma
-            if p.composite:
-                out = out + (lin_grad if lin_grad is not None else p.smooth_gradient(xx))
-            return out
+        def grad(xx):
+            out = H @ xx + shift
+            return out + p.smooth_gradient(xx) if exact_h else out
 
-        L_smooth = beta * ctx.A_norm2 + 1.0 / gamma
-        if p.composite and linearize_at is None:
-            L_smooth += p.L_h
-        t = 1.0 / L_smooth
+        L_h = p.L_h if exact_h else 0.0
+        L = beta * ctx.A_norm2 + 1.0 / gamma + L_h
+        mu = 1.0 / gamma - L_h
+        t = 1.0 / L
+        momentum = 0.0
+        if g.weak_convexity_modulus == 0 and mu > 0:
+            q = math.sqrt(mu / L)
+            momentum = (1.0 - q) / (1.0 + q)
 
-        s_vec = None
-        grad_prev = smooth_grad(x)
+        y, grad_y = x, grad(x)
         for it in range(1, self.max_inner + 1):
-            x_new = g.prox(t, x - t * grad_prev)
-            grad_new = smooth_grad(x_new)
-            # s = (x - x+)/t - grad(x) + grad(x+) lies in the subdifferential at x+
-            s_vec = (x - x_new) / t - grad_prev + grad_new
-            s_norm = float(np.linalg.norm(s_vec))
-            x, grad_prev = x_new, grad_new
+            x_new = g.prox(t, y - t * grad_y)
+            grad_new = grad(x_new)
+            back = y - x_new
+            s_vec = back / t - grad_y + grad_new
+            s_norm = math.sqrt(s_vec @ s_vec)
             if s_norm <= stop_tol:
-                return SubproblemResult(x, s_vec, s_norm, it)
-        return SubproblemResult(x, s_vec, float(np.linalg.norm(s_vec)), self.max_inner,
-                                budget_exhausted=True)
+                return SubproblemResult(x_new, s_vec, s_norm, it)
+            step = x_new - x
+            if momentum and back @ step <= 0:     # else restart: y' = x+
+                y = x_new + momentum * step
+                grad_y = grad(y)
+            else:
+                y, grad_y = x_new, grad_new
+            x = x_new
+        return SubproblemResult(x, s_vec, s_norm, self.max_inner, budget_exhausted=True)
 
 
 @dataclass(frozen=True)
@@ -361,6 +393,7 @@ class EnvelopeContext:
     Cholesky cache is not fixed: it holds one factor per (beta, with-Q)
     pair, so a direct path factors `beta` when the context is built and
     adds a factor for each other beta a caller passes to solve_subproblem.
+    Prox-iALM's matrix `beta A'A + p I` is likewise formed once per p.
     """
 
     problem: Problem
@@ -380,6 +413,7 @@ class EnvelopeContext:
         self.alpha = alpha_from_beta(self.beta, self.beta, plan.gamma, plan.eta,
                                      self.c_gamma_A)
         self._chol_cache: dict = {}
+        self._prox_ialm_cache: dict = {}
         self.subproblem.check(self)
 
     # -- factor cache ---------------------------------------------------
@@ -393,6 +427,12 @@ class EnvelopeContext:
                 M = M + self.problem.quadratic_terms()[0]
             self._chol_cache[key] = cho_factor(M)
         return self._chol_cache[key]
+
+    def prox_ialm_matrix(self, p: float) -> np.ndarray:
+        """beta A'A + p I at the context's beta, for prox_ialm_step."""
+        if p not in self._prox_ialm_cache:
+            self._prox_ialm_cache[p] = self.beta * self.AtA + p * np.eye(self.problem.n)
+        return self._prox_ialm_cache[p]
 
 
 # ---------------------------------------------------------------------------

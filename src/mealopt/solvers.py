@@ -93,7 +93,8 @@ class IterateState:
 
 @dataclass
 class StepReport:
-    """Per-step byproducts: envelope gradient blocks and norms."""
+    """Per-step byproducts: envelope gradient blocks and norms, and the
+    subproblem solve's inner iterations (0 for steps with no inner loop)."""
 
     grad_phi_z: np.ndarray
     grad_phi_lambda: np.ndarray
@@ -101,6 +102,7 @@ class StepReport:
     feasibility: float
     inexact_residual_norm: Optional[float] = None
     inner_budget_exhausted: bool = False
+    inner_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,8 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
     """The shared z and lam updates to x_new (dual step beta, eta the plan's
     unless given) and the step's report. grad_z is the z-block of the
     envelope gradient; None means zero, so the stationarity norm is the
-    feasibility. The report carries the subproblem result's inexactness.
+    feasibility. The report carries the subproblem result's inexactness and
+    inner iterations.
     """
     p = ctx.problem
     eta = ctx.plan.eta if eta is None else eta
@@ -215,7 +218,8 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
     return new, StepReport(
         grad_z, gl, norm, feas,
         inexact_residual_norm=None if sub is None else sub.residual_norm,
-        inner_budget_exhausted=sub is not None and sub.budget_exhausted)
+        inner_budget_exhausted=sub is not None and sub.budget_exhausted,
+        inner_iterations=0 if sub is None else sub.inner_iterations)
 
 
 def meal_step(ctx: EnvelopeContext, state: IterateState, warm_start=None,
@@ -298,7 +302,7 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
     A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
 
-    xbar = (beta * ctx.AtA + params.p * np.eye(p.n)) @ x + Q @ x + A.T @ lam \
+    xbar = ctx.prox_ialm_matrix(params.p) @ x + Q @ x + A.T @ lam \
         - params.p * z - (beta * ctx.Atb - r)
     x_new = np.clip(x - params.s * xbar, *bounds)
 
@@ -392,7 +396,11 @@ ALGORITHMS = {
 
 @dataclass
 class Trace:
-    """Per-iteration record of a solver run."""
+    """Per-iteration record of a solver run.
+
+    `inner_iterations[k]` is step k's inner-iteration count; it is kept in
+    memory only, the CSV written by save_trace has the fixed columns.
+    """
 
     algorithm: str
     columns: dict
@@ -401,6 +409,7 @@ class Trace:
     oscillating: bool
     monitors: dict
     terminal: IterateState
+    inner_iterations: list = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -462,6 +471,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         L_f = problem.implicit_lipschitz_constant()
 
     cols = {name: [] for name in TRACE_COLUMNS}
+    inner = []             # inner iterations of each step
     monitors: dict = {"one_step_progress": [], "dual_by_primal": []}
     osc_streak, oscillating = 0, False
     status, converged_at = "MaxIters", None
@@ -489,6 +499,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
 
     for k in range(budget):
         new_state, report = algo.step(ctx, state, config, warm)
+        inner.append(report.inner_iterations)
 
         raw = report.stationarity_norm
         if algo.running_min:
@@ -546,4 +557,4 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     columns = {name: np.asarray(vals, dtype=float if name != "k" else int)
                for name, vals in cols.items()}
     return Trace(config.algorithm, columns, status, converged_at, oscillating,
-                 monitors, state)
+                 monitors, state, inner)

@@ -20,7 +20,7 @@ from mealopt.errors import (
     NotComposite,
     WindowTooShort,
 )
-from tests.conftest import make_convex_qp
+from tests.conftest import make_box_qp, make_convex_qp
 
 
 def zero_problem(n=2):
@@ -166,6 +166,125 @@ class TestSolveSubproblem:
         with pytest.raises(InvalidSubproblemPath):
             EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(1.0, 0.25, 1.0),
                             m.DirectQP())
+
+
+def _smooth_grad(prob, beta, gamma, z, lam):
+    """grad S for the exact subproblem, written out term by term."""
+    A, b = prob.constraint.A, prob.constraint.b
+    Q, r, _ = prob.smooth.quadratic_terms()
+    return lambda x: beta * A.T @ (A @ x - b) + A.T @ lam + (x - z) / gamma + Q @ x + r
+
+
+def _plain_prox_gradient(prob, beta, gamma, z, lam, tol):
+    """Reference loop: constant-step proximal gradient without momentum.
+
+    Returns the point and the iterations it took for the residual
+    (x - x+)/t - grad(x) + grad(x+) to drop below tol.
+    """
+    grad = _smooth_grad(prob, beta, gamma, z, lam)
+    A_norm2 = np.linalg.eigvalsh(prob.constraint.A.T @ prob.constraint.A).max()
+    t = 1.0 / (beta * A_norm2 + 1.0 / gamma + prob.L_h)
+    g = prob.prox_part
+    bounds = prob.box_bounds()
+    x = z.copy() if bounds is None else np.clip(z, *bounds)
+    for it in range(1, 10 ** 6):
+        x_new = g.prox(t, x - t * grad(x))
+        s = (x - x_new) / t - grad(x) + grad(x_new)
+        x = x_new
+        if np.linalg.norm(s) <= tol:
+            return x, it
+    raise AssertionError("reference loop did not converge")
+
+
+class TestAcceleratedInnerLoop:
+    BETA = 50.0
+
+    def _box_case(self, seed):
+        prob = make_box_qp(seed)
+        gamma = 0.5 / max(prob.rho_total, 1.0)
+        z = np.linspace(-0.5, 1.5, prob.n)      # pushes both bounds active
+        lam = np.array([0.4, -0.3])
+        return prob, gamma, z, lam
+
+    def test_residual_is_in_grad_plus_box_normal_cone(self):
+        prob, gamma, z, lam = self._box_case(2)
+        tol = 1e-9
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(self.BETA, gamma, 1.0),
+                              m.InnerProxGradient(tol=tol, max_inner=200000))
+        res = solve_subproblem(ctx, z, lam, self.BETA)
+        x = res.x
+        lo, hi = prob.prox_part.lower, prob.prox_part.upper
+        assert ((x == lo) | (x == hi)).any()
+        gS = _smooth_grad(prob, self.BETA, gamma, z, lam)(x)
+        # the element of N_box(x) nearest to s - grad S(x)
+        w = res.residual - gS
+        normal = np.where(x <= lo, np.minimum(w, 0.0),
+                          np.where(x >= hi, np.maximum(w, 0.0), 0.0))
+        np.testing.assert_allclose(res.residual, gS + normal, rtol=0, atol=1e-10)
+        assert res.residual_norm == pytest.approx(np.linalg.norm(res.residual))
+        assert res.residual_norm <= tol
+        assert not res.budget_exhausted
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_zero_prox_qp_matches_direct(self, linearized):
+        prob = make_convex_qp(17)
+        plan = m.PenaltyPlan.fixed(20.0, 0.4, 1.0)
+        z = np.linspace(-1, 1, prob.n)
+        lam = np.array([0.3, -0.2])
+        at = np.full(prob.n, 0.25) if linearized else None
+        direct = solve_subproblem(EnvelopeContext(prob, plan, m.DirectQP()),
+                                  z, lam, 20.0, linearize_at=at)
+        inner = solve_subproblem(
+            EnvelopeContext(prob, plan, m.InnerProxGradient(tol=1e-11)),
+            z, lam, 20.0, linearize_at=at)
+        np.testing.assert_allclose(inner.x, direct.x, rtol=0, atol=1e-8)
+        assert inner.residual_norm <= 1e-11
+
+    def test_momentum_cuts_iterations_on_boxqp4(self):
+        prob, gamma, z, lam = self._box_case(4)
+        tol = 1e-9
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(self.BETA, gamma, 1.0),
+                              m.InnerProxGradient(tol=tol, max_inner=200000))
+        res = solve_subproblem(ctx, z, lam, self.BETA)
+        x_ref, plain_iters = _plain_prox_gradient(prob, self.BETA, gamma, z, lam, tol)
+        assert 3 * res.inner_iterations <= plain_iters
+        np.testing.assert_allclose(res.x, x_ref, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("prox_part", [m.SCAD(lam=0.3, a=3.7), m.MCP(lam=0.3, a=3.0)])
+    def test_weakly_convex_prox_takes_the_plain_loop(self, prox_part):
+        base = make_convex_qp(19)
+        prob = m.Problem(base.constraint, prox_part, base.smooth)
+        gamma = 0.5 / prob.rho_total
+        z = np.linspace(-1, 1, prob.n)
+        lam = np.array([0.2, 0.1])
+        tol = 1e-10
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(10.0, gamma, 1.0),
+                              m.InnerProxGradient(tol=tol, max_inner=200000))
+        res = solve_subproblem(ctx, z, lam, 10.0)
+        assert not res.budget_exhausted and res.residual_norm <= tol
+        # s - grad S(x) is a subgradient of the prox part at x
+        sub = res.residual - _smooth_grad(prob, 10.0, gamma, z, lam)(res.x)
+        lo, hi = prox_part.subgradient_interval(res.x)
+        assert np.all(sub >= lo - 1e-9) and np.all(sub <= hi + 1e-9)
+        # momentum 0: the same iteration as the reference loop
+        x_ref, plain_iters = _plain_prox_gradient(prob, 10.0, gamma, z, lam, tol)
+        assert res.inner_iterations == plain_iters
+        np.testing.assert_allclose(res.x, x_ref, rtol=0, atol=1e-12)
+
+    def test_nan_gradient_raises_at_the_prox(self):
+        base = m.build_exp1()
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return np.full(2, np.nan) if len(calls) > 3 else base.smooth.gradient(x)
+
+        smooth = m.SmoothFunction(base.smooth.value, gradient, 2.0)
+        prob = m.Problem(base.constraint, base.prox_part, smooth)
+        cfg = m.SolverConfig("limeal", m.PenaltyPlan.fixed(50.0, 0.2, 1.0))
+        with pytest.raises(ValueError, match="prox input must be finite"):
+            m.run(prob, cfg, init=(np.array([1.0, -1.0]), np.array([1.0, -1.0]),
+                                   np.zeros(1)))
 
 
 class TestPenaltyCalculus:

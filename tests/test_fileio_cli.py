@@ -142,6 +142,20 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "meal_trace.csv").exists()
 
+    def test_solve_summary_counts_inner_iterations(self, tmp_path, capsys):
+        save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
+        code = main(["solve", "--input", str(tmp_path / "qp.json"),
+                     "--algorithm", "limeal", "--beta", "20", "--gamma", "0.05",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("limeal: Converged after ")
+        assert line.endswith(f"trace written to {tmp_path / 'limeal_trace.csv'}")
+        steps, inner = line.split(" after ")[1].split(";")[0].split(", ")
+        assert steps.endswith(" steps") and inner.endswith(" inner iterations")
+        # the inner loop (box prox part) runs at least once per step
+        assert int(inner.split()[0]) > int(steps.split()[0]) > 1
+
     def test_solve_nonconvergence_exits_3_trace_still_written(self, tmp_path):
         save_problem(m.build_exp1(), tmp_path / "exp1.json")
         code = main(["solve", "--input", str(tmp_path / "exp1.json"),

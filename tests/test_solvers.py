@@ -234,6 +234,24 @@ class TestProxIALMStep:
         np.testing.assert_allclose(new.x, x_next, atol=1e-12)
 
 
+    def test_matrix_cache_is_per_p(self):
+        # one context, two prox coefficients: each step uses its own p
+        prob, plan, params = self._setup(seed=29)
+        ctx = EnvelopeContext(prob, plan)
+        state = m.IterateState(np.full(prob.n, 0.3), np.full(prob.n, 0.6),
+                               np.array([0.5, -0.5]))
+        Q, r, _ = prob.smooth.quadratic_terms()
+        A, b = prob.constraint.A, prob.constraint.b
+        for p_coef in (params.p, 3.0 * params.p, params.p):
+            other = m.ProxIALMParams(p=p_coef, s=params.s)
+            new, _ = prox_ialm_step(ctx, state, other)
+            xbar = (50.0 * A.T @ A + p_coef * np.eye(prob.n)) @ state.x \
+                + Q @ state.x + A.T @ state.lam - p_coef * state.z \
+                - (50.0 * A.T @ b - r)
+            np.testing.assert_allclose(new.x, np.clip(state.x - params.s * xbar, 0, 1),
+                                       rtol=0, atol=1e-12)
+
+
 class TestRun:
     def test_trivial_converges_at_zero(self):
         prob = identity_problem(2)
@@ -559,3 +577,36 @@ class TestCarriedRowValues:
         assert [entry[0] for entry in entries] == list(range(1, self.STEPS))
         for k, lhs, _, _ in entries:
             assert lhs == energy(k) - energy(k + 1)
+
+
+class TestInnerIterationsInTrace:
+    """Trace.inner_iterations holds each step's subproblem inner iterations."""
+
+    @pytest.mark.parametrize("prob, cfg, init", _carried_value_cases() + [
+        pytest.param(make_box_qp(4), m.SolverConfig(
+            "meal", m.PenaltyPlan.fixed(50.0, 0.1, 1.0),
+            subproblem=m.InnerProxGradient(tol=1e-9, max_inner=200000),
+            stop=m.StopRule(max_iters=40)), None, id="meal-boxqp4"),
+        pytest.param(make_box_qp(3), m.SolverConfig(
+            "imeal", m.PenaltyPlan.fixed(50.0, 0.1, 1.0),
+            stop=m.StopRule(max_iters=40)), None, id="imeal-boxqp3"),
+    ])
+    def test_sum_equals_the_subproblem_results(self, prob, cfg, init, monkeypatch):
+        from mealopt import solvers
+
+        seen = []
+        original = solvers.solve_subproblem
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            seen.append(res.inner_iterations)
+            return res
+
+        monkeypatch.setattr(solvers, "solve_subproblem", recording)
+        tr = m.run(prob, cfg, init=init)
+        assert len(tr.inner_iterations) == tr.n_rows - 1
+        assert sum(tr.inner_iterations) == sum(seen)
+        # one subproblem solve per step, none for the algorithms without one
+        assert tr.inner_iterations == (seen or [0] * len(tr.inner_iterations))
+        if isinstance(cfg.subproblem, m.InnerProxGradient):
+            assert min(seen) > 0
