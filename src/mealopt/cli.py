@@ -28,9 +28,9 @@ from .envelope import (
     alpha_cap,
     beta_for_target_alpha,
 )
-from .errors import MealoptError, SchemaError
+from .errors import MealoptError
 from .experiments import ExperimentSpec, run_experiment
-from .fileio import load_problem, save_trace
+from .fileio import _prox_in, load_problem, save_trace
 from .problem import MCP, SCAD, BoxIndicator, L1, Zero
 from .solvers import ALGORITHMS, EpsilonSchedule, SolverConfig, StopRule, run
 
@@ -247,16 +247,8 @@ def _cmd_check(_args) -> int:
 
 
 def _cmd_prox_table(args) -> int:
-    if args.kind == "zero":
-        g = Zero()
-    elif args.kind == "box":
-        g = BoxIndicator(lower=[args.lower], upper=[args.upper])
-    elif args.kind == "l1":
-        g = L1(weight=args.weight)
-    elif args.kind == "scad":
-        g = SCAD(lam=args.lam, a=args.a)
-    else:
-        g = MCP(lam=args.lam, a=args.a)
+    g = _prox_in({"kind": args.kind, "lower": [args.lower], "upper": [args.upper],
+                  "weight": args.weight, "lam": args.lam, "a": args.a}, "prox-table")
     lines = [f"# kind={args.kind} gamma={args.gamma!r}"]
     v = args.lo
     while v <= args.hi + 1e-12:
@@ -286,9 +278,6 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_prox_table(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MealoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,16 +12,17 @@ This module evaluates both and implements the penalty-parameter calculus
 (alpha from beta, beta for a target alpha, per-variant admissible caps) plus
 the potential and Lyapunov functions used as runtime descent monitors.
 
-The strongly convex inner problem is solved by the context's subproblem
-spec (DirectQP, InnerProxGradient or Paper72FastPath). Each spec checks
-that it applies to the problem when the EnvelopeContext is built, and its
-`solve` method is what `solve_subproblem` calls.
+The strongly convex inner problem belongs to an EnvelopeContext, which
+fixes beta. Its spec (DirectQP, InnerProxGradient or Paper72FastPath) is
+checked when the context is built, and its `solve` is what
+`solve_subproblem` calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -117,8 +118,8 @@ class SubproblemSpec:
 
     EnvelopeContext calls `check(ctx)` once; it raises InvalidSubproblemPath
     unless the path applies to ctx.problem, and a direct path factors its
-    SPD system there. `solve(ctx, z, lam, beta, linearize_at, tol,
-    warm_start)` is what solve_subproblem returns.
+    system there. `solve(ctx, z, lam, linearize_at, tol, warm_start)` solves
+    at ctx.beta.
     """
 
     def check(self, ctx) -> None:
@@ -140,19 +141,12 @@ class DirectQP(SubproblemSpec):
             raise InvalidSubproblemPath(
                 "DirectQP needs a quadratic objective with no nonsmooth part"
             )
-        ctx._factor(ctx.beta, include_Q=True)
+        ctx._factor(include_Q=True)
 
-    def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
+    def solve(self, ctx, z, lam, linearize_at=None, tol=None,
               warm_start=None) -> "SubproblemResult":
-        p = ctx.problem
-        if linearize_at is None:
-            factor = ctx._factor(beta, include_Q=True)
-            grad0 = p.quadratic_terms()[1]
-        else:
-            factor = ctx._factor(beta, include_Q=False)
-            grad0 = p.smooth_gradient(_vec(linearize_at))
-        rhs = z / ctx.plan.gamma + beta * ctx.Atb - grad0 - p.constraint.A.T @ lam
-        return SubproblemResult(cho_solve(factor, rhs), np.zeros(z.shape[0]), 0.0, 0)
+        x = _cholesky_solve(ctx, z, lam, linearize_at)
+        return SubproblemResult(x, np.zeros(z.shape[0]), 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -187,20 +181,24 @@ class InnerProxGradient(SubproblemSpec):
     tol: float = 1e-10
     max_inner: int = 50000
 
-    def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_inner < 1:
+            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+
+    def solve(self, ctx, z, lam, linearize_at=None, tol=None,
               warm_start=None) -> "SubproblemResult":
         p = ctx.problem
-        gamma = ctx.plan.gamma
+        beta, gamma, H = ctx.beta, ctx.plan.gamma, ctx.H
         stop_tol = self.tol if tol is None else tol
         g = p.prox_part
         x = _vec(warm_start).copy() if warm_start is not None else z.copy()
         if isinstance(g, BoxIndicator):
             x = np.clip(x, g.lower, g.upper)
 
-        # grad S(x) = H x + shift [+ grad h(x)] with H = beta A'A + I/gamma;
-        # H and the terms that do not depend on x are formed once per solve
+        # grad S(x) = H x + shift [+ grad h(x)]; shift is formed once per solve
         exact_h = p.composite and linearize_at is None
-        H = beta * ctx.AtA + np.eye(p.n) / gamma
         shift = p.constraint.A.T @ lam - beta * ctx.Atb - z / gamma
         if linearize_at is not None:
             shift = shift + p.smooth_gradient(_vec(linearize_at))
@@ -252,19 +250,27 @@ class Paper72FastPath(SubproblemSpec):
             raise InvalidSubproblemPath("fast path needs a quadratic smooth part")
         if p.box_bounds() is None:
             raise InvalidSubproblemPath("fast path needs a box (or absent) prox part")
-        ctx._factor(ctx.beta, include_Q=False)
+        ctx._factor(include_Q=False)
 
-    def solve(self, ctx, z, lam, beta, linearize_at=None, tol=None,
+    def solve(self, ctx, z, lam, linearize_at=None, tol=None,
               warm_start=None) -> "SubproblemResult":
         if linearize_at is None:
             raise InvalidSubproblemPath("fast path is a linearized-update scheme")
-        p = ctx.problem
-        factor = ctx._factor(beta, include_Q=False)
-        x0 = _vec(linearize_at)
-        Q, r, _ = p.quadratic_terms()
-        rhs = z / ctx.plan.gamma + beta * ctx.Atb - r - Q @ x0 - p.constraint.A.T @ lam
-        x = np.clip(cho_solve(factor, rhs), *p.box_bounds())
+        x = np.clip(_cholesky_solve(ctx, z, lam, linearize_at), *ctx.problem.box_bounds())
         return SubproblemResult(x, None, None, 0)
+
+
+def _cholesky_solve(ctx, z, lam, linearize_at):
+    """The quadratic subproblem's minimizer: the exact step factors H + Q, a
+    linearized composite step H with h's gradient at x0 on the right."""
+    p = ctx.problem
+    Q, r, _ = p.quadratic_terms()
+    linearized = linearize_at is not None and p.composite
+    rhs = z / ctx.plan.gamma + ctx.beta * ctx.Atb - r
+    if linearized:
+        rhs = rhs - Q @ _vec(linearize_at)
+    rhs = rhs - p.constraint.A.T @ lam
+    return cho_solve(ctx._factor(include_Q=not linearized), rhs)
 
 
 SUBPROBLEM_PATHS = (DirectQP, InnerProxGradient, Paper72FastPath)
@@ -385,15 +391,14 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 
 @dataclass
 class EnvelopeContext:
-    """Problem + penalty plan + inner-solver choice, with cached factors.
+    """Problem + penalty plan + subproblem spec, with the derived matrices.
 
-    The derived matrices and the penalty are fixed at construction: `beta`
-    is the plan's, or in horizon mode the constant that makes alpha equal
-    alpha_target / K, and `alpha = alpha_from_beta(beta, beta, ...)`. The
-    Cholesky cache is not fixed: it holds one factor per (beta, with-Q)
-    pair, so a direct path factors `beta` when the context is built and
-    adds a factor for each other beta a caller passes to solve_subproblem.
-    Prox-iALM's matrix `beta A'A + p I` is likewise formed once per p.
+    Fixed at construction: `beta` is the plan's, or in horizon mode the
+    constant that makes alpha equal alpha_target / K, and `alpha =
+    alpha_from_beta(beta, beta, ...)`. The subproblem matrix `H = beta A'A +
+    I/gamma` is formed on first use, and `_factor(include_Q)` keeps one
+    Cholesky factor of H (or H + Q) per flag. Prox-iALM's matrix
+    `beta A'A + p I` is formed once per p.
     """
 
     problem: Problem
@@ -418,15 +423,16 @@ class EnvelopeContext:
 
     # -- factor cache ---------------------------------------------------
 
-    def _factor(self, beta: float, include_Q: bool):
-        key = (beta, include_Q)
-        if key not in self._chol_cache:
-            n = self.problem.n
-            M = beta * self.AtA + np.eye(n) / self.plan.gamma
-            if include_Q:
-                M = M + self.problem.quadratic_terms()[0]
-            self._chol_cache[key] = cho_factor(M)
-        return self._chol_cache[key]
+    @cached_property
+    def H(self) -> np.ndarray:
+        """beta A'A + I/gamma, the subproblem's Hessian apart from f."""
+        return self.beta * self.AtA + np.eye(self.problem.n) / self.plan.gamma
+
+    def _factor(self, include_Q: bool):
+        if include_Q not in self._chol_cache:
+            M = self.H + self.problem.quadratic_terms()[0] if include_Q else self.H
+            self._chol_cache[include_Q] = cho_factor(M)
+        return self._chol_cache[include_Q]
 
     def prox_ialm_matrix(self, p: float) -> np.ndarray:
         """beta A'A + p I at the context's beta, for prox_ialm_step."""
@@ -469,11 +475,11 @@ class SubproblemResult:
     inner_iterations: int
     budget_exhausted: bool = False
 
-    def objective(self, ctx, z, lam, beta, linearize_at=None) -> float:
-        return _subproblem_value(ctx, self.x, z, lam, beta, linearize_at)
+    def objective(self, ctx, z, lam, linearize_at=None) -> float:
+        return _subproblem_value(ctx, self.x, z, lam, linearize_at)
 
 
-def _subproblem_value(ctx, x, z, lam, beta, linearize_at=None) -> float:
+def _subproblem_value(ctx, x, z, lam, linearize_at=None) -> float:
     """Value of the inner objective at x (h linearized when requested)."""
     p = ctx.problem
     x, z = _vec(x), _vec(z)
@@ -485,23 +491,21 @@ def _subproblem_value(ctx, x, z, lam, beta, linearize_at=None) -> float:
         else:
             x0 = _vec(linearize_at)
             val += p.smooth.value(x0) + float(p.smooth.gradient(x0) @ (x - x0))
-    val += float(lam @ resid) + 0.5 * beta * float(resid @ resid)
+    val += float(lam @ resid) + 0.5 * ctx.beta * float(resid @ resid)
     val += float(np.sum((x - z) ** 2)) / (2.0 * ctx.plan.gamma)
     return val
 
 
-def solve_subproblem(ctx: EnvelopeContext, z, lam, beta: float,
-                     linearize_at=None, tol: Optional[float] = None,
-                     warm_start=None) -> SubproblemResult:
-    """Minimize L_beta(., lam) + ||. - z||^2/(2 gamma), optionally linearized.
+def solve_subproblem(ctx: EnvelopeContext, z, lam, linearize_at=None,
+                     tol: Optional[float] = None, warm_start=None) -> SubproblemResult:
+    """Minimize L_beta(., lam) + ||. - z||^2/(2 gamma) at ctx.beta.
 
     With `linearize_at` the smooth part is replaced by its first-order model
     there. The result's residual lies in the subproblem subdifferential at
     the returned point (exact paths give zero up to solve accuracy); the fast
     path returns an uncertified None residual.
     """
-    return ctx.subproblem.solve(ctx, _vec(z), _vec(lam), beta, linearize_at, tol,
-                                warm_start)
+    return ctx.subproblem.solve(ctx, _vec(z), _vec(lam), linearize_at, tol, warm_start)
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,10 @@ class ImplicitClass:
 class ProxFunction:
     """A weakly convex function with value and exact proximal map.
 
-    Subclasses set `weak_convexity_modulus` (rho >= 0, 0 for convex kinds)
-    and implement `value` and `_prox`. Prox queries with gamma >= 1/rho are
-    rejected: uniqueness of the minimizer is only guaranteed below that.
+    Kinds that may be nonconvex compute `weak_convexity_modulus` (rho >= 0);
+    convex kinds keep the class value 0. Subclasses implement `value` and
+    `_prox`. Prox queries with gamma >= 1/rho are rejected: uniqueness of
+    the minimizer is only guaranteed below that.
     """
 
     weak_convexity_modulus: float = 0.0
@@ -186,7 +187,6 @@ class Zero(ProxFunction):
     implicit_class: ImplicitClass = field(
         default_factory=lambda: ImplicitClass.lipschitz(0.0)
     )
-    weak_convexity_modulus: float = 0.0
 
     def value(self, x) -> float:
         return 0.0
@@ -258,7 +258,6 @@ class BoxIndicator(ProxFunction):
     lower: np.ndarray = None
     upper: np.ndarray = None
     implicit_class: ImplicitClass = field(default_factory=ImplicitClass.unknown)
-    weak_convexity_modulus: float = 0.0
 
     def __post_init__(self):
         self.lower = _vec(self.lower)
@@ -284,7 +283,6 @@ class L1(ProxFunction):
 
     weight: float = 1.0
     implicit_class: ImplicitClass = field(default_factory=ImplicitClass.unknown)
-    weak_convexity_modulus: float = 0.0
 
     def __post_init__(self):
         if self.weight < 0:

@@ -45,7 +45,7 @@ from .errors import (
     SubproblemNonconvexUnsupported,
 )
 from .problem import Problem, _vec
-from .oracle import box_qp_global_min
+from .oracle import ACTIVE_SET_MAX_N, box_qp_global_min
 
 __all__ = [
     "IterateState",
@@ -229,8 +229,7 @@ def meal_step(ctx: EnvelopeContext, state: IterateState, warm_start=None,
     Exact up to the inner solver's own tolerance; with `tol` the subproblem
     residual is certified below it instead (the iMEAL step).
     """
-    sub = solve_subproblem(ctx, state.z, state.lam, ctx.beta, tol=tol,
-                           warm_start=warm_start)
+    sub = solve_subproblem(ctx, state.z, state.lam, tol=tol, warm_start=warm_start)
     return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.plan.gamma, sub=sub)
 
 
@@ -246,7 +245,7 @@ def limeal_step(ctx: EnvelopeContext, state: IterateState,
     p = ctx.problem
     if not p.composite:
         raise NotComposite("limeal_step needs a composite objective")
-    sub = solve_subproblem(ctx, state.z, state.lam, ctx.beta, linearize_at=state.x,
+    sub = solve_subproblem(ctx, state.z, state.lam, linearize_at=state.x,
                            warm_start=warm_start)
     gz = (state.z - sub.x) / ctx.plan.gamma \
         + (p.smooth_gradient(sub.x) - p.smooth_gradient(state.x))
@@ -261,25 +260,18 @@ def alm_step(ctx: EnvelopeContext, state: IterateState,
     an (optional) box, at enumeration scale. The subproblem may be nonconvex;
     the oracle enumerates all face-stationary candidates.
     """
-    H, c = _alm_quadratic(ctx, ctx.beta, state.lam)
-    bounds = ctx.problem.box_bounds()
-    if bounds is None:
-        raise SubproblemNonconvexUnsupported(
-            "alm global minimization supports quadratic objectives over a box"
-        )
-    x_new, _ = box_qp_global_min(H, c, *bounds)
+    _check_alm(None, ctx.problem)     # the step may be called without validate
+    H, c = _alm_quadratic(ctx, state.lam)
+    x_new, _ = box_qp_global_min(H, c, *ctx.problem.box_bounds())
     # global minimization leaves zero dual residual at x'; eta = 1 sets z' = x'
     return _advance(ctx, state, x_new, None, eta=1.0)
 
 
-def _alm_quadratic(ctx, beta, lam):
+def _alm_quadratic(ctx, lam):
     """Hessian and linear term of x -> L_beta(x, lam) for quadratic objectives."""
-    terms = ctx.problem.quadratic_terms()
-    if terms is None:
-        raise SubproblemNonconvexUnsupported("alm needs a quadratic objective")
-    Q, r, _ = terms
-    H = Q + beta * ctx.AtA
-    c = r + ctx.problem.constraint.A.T @ lam - beta * ctx.Atb
+    Q, r, _ = ctx.problem.quadratic_terms()
+    H = Q + ctx.beta * ctx.AtA
+    c = r + ctx.problem.constraint.A.T @ lam - ctx.beta * ctx.Atb
     return H, c
 
 
@@ -320,6 +312,15 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
 def _check_limeal(config, problem) -> None:
     if not problem.composite:
         raise NotComposite("limeal needs a composite objective")
+
+
+def _check_alm(config, problem) -> None:
+    if problem.quadratic_terms() is None or problem.box_bounds() is None:
+        raise SubproblemNonconvexUnsupported(
+            "alm global minimization supports quadratic objectives over a box")
+    if problem.n > ACTIVE_SET_MAX_N:
+        raise SubproblemNonconvexUnsupported(
+            f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={problem.n}")
 
 
 def _check_prox_ialm(config, problem) -> None:
@@ -380,7 +381,7 @@ ALGORITHMS = {
     "alm": Algorithm(
         lambda ctx, st, cfg, warm: alm_step(ctx, st), lambda p: 0.0, False,
         lambda ctx, st, new: augmented_lagrangian(ctx, new.x, new.lam, ctx.beta),
-        accepts=()),
+        accepts=(), check=_check_alm),
     "prox_ialm": Algorithm(
         lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
         lambda p: p.rho_g, False,

@@ -1,7 +1,23 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import mealopt as m
+
+# the same examples on every run, and no example database
+settings.register_profile("mealopt", derandomize=True, database=None, deadline=None)
+settings.load_profile("mealopt")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it reads from the source while pytest
+    collects; keep that cache in a temporary directory, out of the checkout."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture

@@ -74,13 +74,13 @@ class TestPotential:
 class TestSolveSubproblem:
     def test_zero_fixed_point(self):
         ctx = EnvelopeContext(zero_problem(), m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
-        res = solve_subproblem(ctx, np.zeros(2), np.zeros(2), 1.0)
+        res = solve_subproblem(ctx, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(res.x, np.zeros(2), atol=1e-12)
 
     def test_one_dimensional_hand_solution(self):
         prob = m.Problem(m.LinearConstraint([[1.0]], [0.0]), m.QuadraticForm(Q=[[1.0]]))
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.5, 1.0), m.DirectQP())
-        res = solve_subproblem(ctx, [3.0], [0.0], 1.0)
+        res = solve_subproblem(ctx, [3.0], [0.0])
         # stationarity x + beta x + (x - z)/gamma = 0 with z=3: x = 6/4
         assert res.x[0] == pytest.approx(1.5, abs=1e-12)
         assert res.residual_norm == 0.0
@@ -93,8 +93,8 @@ class TestSolveSubproblem:
                                                                 max_inner=200000))
         z = np.linspace(-1, 1, prob.n)
         lam = np.array([0.3, -0.2])
-        xd = solve_subproblem(direct, z, lam, 20.0).x
-        xi = solve_subproblem(inner, z, lam, 20.0).x
+        xd = solve_subproblem(direct, z, lam).x
+        xi = solve_subproblem(inner, z, lam).x
         np.testing.assert_allclose(xi, xd, atol=1e-9)
 
     def test_fast_path_formula(self):
@@ -109,7 +109,7 @@ class TestSolveSubproblem:
         z = np.linspace(0, 1, 5)
         lam = np.array([0.5, -0.1])
         x0 = np.full(5, 0.4)
-        res = solve_subproblem(ctx, z, lam, 8.0, linearize_at=x0)
+        res = solve_subproblem(ctx, z, lam, linearize_at=x0)
         M = 8.0 * A.T @ A + np.eye(5) / gamma
         x_tilde = np.linalg.solve(M, z / gamma + 8.0 * A.T @ b - r - Q @ x0 - A.T @ lam)
         np.testing.assert_allclose(res.x, np.clip(x_tilde, 0.0, 1.0), atol=1e-10)
@@ -118,7 +118,7 @@ class TestSolveSubproblem:
     def test_residual_certifies_inexactness(self, exp1_problem):
         ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0),
                               m.InnerProxGradient(tol=1e-3, max_inner=100000))
-        res = solve_subproblem(ctx, [1.0, -1.0], [0.0], 50.0)
+        res = solve_subproblem(ctx, [1.0, -1.0], [0.0])
         assert res.residual_norm <= 1e-3
 
     def test_envelope_gradient_matches_finite_differences(self):
@@ -130,13 +130,13 @@ class TestSolveSubproblem:
         lam = np.array([0.2, -0.4])
 
         def phi(z):
-            res = solve_subproblem(ctx, z, lam, 10.0)
-            return res.objective(ctx, z, lam, 10.0)
+            res = solve_subproblem(ctx, z, lam)
+            return res.objective(ctx, z, lam)
 
         rng = np.random.default_rng(8)
         for _ in range(5):
             z = rng.uniform(-1, 1, prob.n)
-            x_star = solve_subproblem(ctx, z, lam, 10.0).x
+            x_star = solve_subproblem(ctx, z, lam).x
             grad = (z - x_star) / gamma
             err = m.finite_diff_check(phi, lambda _: grad, z, h=1e-5)
             assert err <= 1e-4
@@ -147,8 +147,8 @@ class TestSolveSubproblem:
                               m.InnerProxGradient(tol=1e-12, max_inner=300000))
         z = np.array([0.7, -0.4])
         lam = np.array([1.0])
-        res = solve_subproblem(ctx, z, lam, 50.0)
-        base = res.objective(ctx, z, lam, 50.0)
+        res = solve_subproblem(ctx, z, lam)
+        base = res.objective(ctx, z, lam)
         mu = 1.0 / gamma - exp1_problem.rho_total
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -159,8 +159,28 @@ class TestSolveSubproblem:
             if not np.isfinite(exp1_problem.objective_value(cand)):
                 continue
             from mealopt.envelope import _subproblem_value
-            val = _subproblem_value(ctx, cand, z, lam, 50.0)
+            val = _subproblem_value(ctx, cand, z, lam)
             assert val - base >= 0.5 * mu * delta ** 2 - 1e-9
+
+    def test_fast_path_equals_direct_on_zero_prox(self):
+        # with no box to clip to, the two paths make the same Cholesky solve
+        prob = make_convex_qp(17)
+        plan = m.PenaltyPlan.fixed(20.0, 0.4, 1.0)
+        z = np.linspace(-1, 1, prob.n)
+        lam = np.array([0.3, -0.2])
+        at = np.full(prob.n, 0.25)
+        fast = solve_subproblem(EnvelopeContext(prob, plan, m.Paper72FastPath()),
+                                z, lam, linearize_at=at)
+        direct = solve_subproblem(EnvelopeContext(prob, plan, m.DirectQP()),
+                                  z, lam, linearize_at=at)
+        assert np.array_equal(fast.x, direct.x)
+
+    def test_subproblem_matrix_formed_on_first_use(self):
+        prob = make_box_qp(1)
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(5.0, 0.1, 1.0))
+        assert "H" not in vars(ctx)
+        solve_subproblem(ctx, np.zeros(prob.n), np.zeros(prob.m))
+        np.testing.assert_array_equal(ctx.H, 5.0 * ctx.AtA + np.eye(prob.n) / 0.1)
 
     def test_direct_requires_quadratic(self, exp1_problem):
         with pytest.raises(InvalidSubproblemPath):
@@ -211,7 +231,7 @@ class TestAcceleratedInnerLoop:
         tol = 1e-9
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(self.BETA, gamma, 1.0),
                               m.InnerProxGradient(tol=tol, max_inner=200000))
-        res = solve_subproblem(ctx, z, lam, self.BETA)
+        res = solve_subproblem(ctx, z, lam)
         x = res.x
         lo, hi = prob.prox_part.lower, prob.prox_part.upper
         assert ((x == lo) | (x == hi)).any()
@@ -233,19 +253,24 @@ class TestAcceleratedInnerLoop:
         lam = np.array([0.3, -0.2])
         at = np.full(prob.n, 0.25) if linearized else None
         direct = solve_subproblem(EnvelopeContext(prob, plan, m.DirectQP()),
-                                  z, lam, 20.0, linearize_at=at)
+                                  z, lam, linearize_at=at)
         inner = solve_subproblem(
             EnvelopeContext(prob, plan, m.InnerProxGradient(tol=1e-11)),
-            z, lam, 20.0, linearize_at=at)
+            z, lam, linearize_at=at)
         np.testing.assert_allclose(inner.x, direct.x, rtol=0, atol=1e-8)
         assert inner.residual_norm <= 1e-11
+
+    @pytest.mark.parametrize("fields", [{"max_inner": 0}, {"tol": -1.0}, {"tol": 0.0}])
+    def test_fields_are_validated(self, fields):
+        with pytest.raises(ValueError):
+            m.InnerProxGradient(**fields)
 
     def test_momentum_cuts_iterations_on_boxqp4(self):
         prob, gamma, z, lam = self._box_case(4)
         tol = 1e-9
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(self.BETA, gamma, 1.0),
                               m.InnerProxGradient(tol=tol, max_inner=200000))
-        res = solve_subproblem(ctx, z, lam, self.BETA)
+        res = solve_subproblem(ctx, z, lam)
         x_ref, plain_iters = _plain_prox_gradient(prob, self.BETA, gamma, z, lam, tol)
         assert 3 * res.inner_iterations <= plain_iters
         np.testing.assert_allclose(res.x, x_ref, rtol=0, atol=1e-8)
@@ -260,7 +285,7 @@ class TestAcceleratedInnerLoop:
         tol = 1e-10
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(10.0, gamma, 1.0),
                               m.InnerProxGradient(tol=tol, max_inner=200000))
-        res = solve_subproblem(ctx, z, lam, 10.0)
+        res = solve_subproblem(ctx, z, lam)
         assert not res.budget_exhausted and res.residual_norm <= tol
         # s - grad S(x) is a subgradient of the prox part at x
         sub = res.residual - _smooth_grad(prob, 10.0, gamma, z, lam)(res.x)

@@ -214,3 +214,7 @@ class TestCLI:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("# kind=scad")
         assert len(lines) == 1 + 9
+
+    def test_prox_table_bad_parameter_exits_2(self, capsys):
+        assert main(["prox-table", "--kind", "scad", "--a", "1.5"]) == 2
+        assert "schema error" in capsys.readouterr().err

@@ -93,6 +93,13 @@ class TestProxExamples:
                                                          abs=1e-8)
 
 
+@pytest.mark.parametrize("cls", [m.Zero, m.BoxIndicator, m.L1])
+def test_convex_kinds_take_no_modulus(cls):
+    with pytest.raises(TypeError):
+        cls(weak_convexity_modulus=2.0)
+    assert cls.weak_convexity_modulus == 0.0
+
+
 class TestMoreauExamples:
     def test_zero_envelope(self):
         val, grad, p = moreau_value_grad(m.Zero(), 0.7, [3.0, -2.0])

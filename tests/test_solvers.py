@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mealopt as m
 from mealopt.envelope import EnvelopeContext
-from mealopt.errors import GammaTooLarge, NotComposite
-from mealopt.solvers import alm_step, imeal_step, limeal_step, meal_step, prox_ialm_step
+from mealopt.errors import (
+    GammaTooLarge,
+    MealoptError,
+    NotComposite,
+    SubproblemNonconvexUnsupported,
+)
+from mealopt.solvers import (
+    ALGORITHMS,
+    alm_step,
+    imeal_step,
+    limeal_step,
+    meal_step,
+    prox_ialm_step,
+)
 from tests.conftest import make_box_qp, make_convex_qp
 
 
@@ -169,7 +183,7 @@ class TestAlmStep:
         from mealopt.solvers import _alm_quadratic
 
         ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
-        H, _ = _alm_quadratic(ctx, 50.0, np.zeros(1))
+        H, _ = _alm_quadratic(ctx, np.zeros(1))
         assert np.linalg.det(H) < 0
 
     def test_exp1_lambda_cycle(self, exp1_problem):
@@ -375,6 +389,17 @@ class TestRun:
 
         with pytest.raises(SubproblemNonconvexUnsupported):
             alm_step(ctx, m.IterateState(np.zeros(2), np.zeros(2), np.zeros(1)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: m.Problem(m.LinearConstraint([[1.0, 0.0]], [0.0]), m.L1(weight=1.0)),
+        lambda: m.Problem(make_convex_qp(3).constraint, m.SCAD(lam=0.3, a=3.7),
+                          make_convex_qp(3).smooth),
+        lambda: make_box_qp(0, n=9),
+    ], ids=["l1", "scad-quadratic", "box-qp-n9"])
+    def test_alm_requirements_checked_by_validate(self, build):
+        cfg = m.SolverConfig("alm", m.PenaltyPlan.fixed(5.0, 0.5, 1.0))
+        with pytest.raises(SubproblemNonconvexUnsupported):
+            cfg.validate(build())
 
     def test_meal_rejects_fast_path(self):
         prob = m.build_exp2(seed=6, m=2, n=4)
@@ -610,3 +635,47 @@ class TestInnerIterationsInTrace:
         assert tr.inner_iterations == (seen or [0] * len(tr.inner_iterations))
         if isinstance(cfg.subproblem, m.InnerProxGradient):
             assert min(seen) > 0
+
+
+STATUSES = ("Converged", "MaxIters", "InnerBudgetExhausted", "DivergenceDetected")
+
+
+@st.composite
+def small_problems(draw):
+    """A random feasible problem with n <= 9 and a box, Zero or L1 prox part,
+    with or without a quadratic smooth part. Over the box the quadratic may
+    be indefinite; with an unbounded domain it is positive definite, so the
+    objective is bounded below on the feasible set."""
+    n = draw(st.integers(1, 9))
+    mcon = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(("box", "zero", "l1")))
+    composite = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-1, 1, size=(mcon, n))
+    b = A @ rng.uniform(0, 1, size=n)
+    prox_part = {"box": lambda: m.BoxIndicator(np.zeros(n), np.ones(n)),
+                 "zero": m.Zero, "l1": lambda: m.L1(weight=0.5)}[kind]()
+    smooth = None
+    if composite:
+        G = rng.uniform(-1, 1, size=(n, n))
+        Q = 0.5 * (G + G.T) if kind == "box" else G @ G.T / n + 0.1 * np.eye(n)
+        smooth = m.QuadraticSmooth(Q, rng.uniform(-1, 1, size=n))
+    return m.Problem(m.LinearConstraint(A, b), prox_part, smooth)
+
+
+@pytest.mark.parametrize("algorithm", tuple(ALGORITHMS))
+@settings(max_examples=25)
+@given(prob=small_problems())
+def test_validated_run_ends_in_a_status(algorithm, prob):
+    """Whatever validate accepts, run finishes with a status and a trace."""
+    gamma = 0.5 / max(ALGORITHMS[algorithm].modulus(prob), 1.0)
+    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(10.0, gamma, 1.0),
+                         prox_ialm_params=m.ProxIALMParams(p=1.0 / gamma, s=1e-3),
+                         stop=m.StopRule(max_iters=5))
+    try:
+        cfg.validate(prob)
+    except (MealoptError, ValueError):
+        return
+    tr = m.run(prob, cfg)
+    assert tr.status in STATUSES
+    assert tr.n_rows >= 2
