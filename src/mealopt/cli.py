@@ -41,9 +41,9 @@ _SUBPROBLEMS = {
 }
 
 
-def _positive(flag: str):
-    def parse(text: str) -> float:
-        val = float(text)
+def _positive(flag: str, kind=float):
+    def parse(text: str):
+        val = kind(text)
         if val <= 0:
             raise argparse.ArgumentTypeError(f"{flag} must be positive, got {text}")
         return val
@@ -74,14 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--beta", type=_positive("--beta"))
     solve.add_argument("--gamma", type=_positive("--gamma"), default=0.5)
     solve.add_argument("--eta", type=_eta, default=1.0)
-    solve.add_argument("--horizon-K", type=int, dest="horizon_k")
+    solve.add_argument("--horizon-K", type=_positive("--horizon-K", int), dest="horizon_k")
     solve.add_argument("--alpha-target", type=_positive("--alpha-target"),
                        dest="alpha_target")
     solve.add_argument("--cap-variant", default=None, choices=_VARIANTS,
-                       help="with --alpha-target 'auto': derive the target "
-                            "from this admissible cap")
+                       help="with --alpha-target and neither --beta nor "
+                            "--horizon-K: use the smaller of the target and "
+                            "this variant's admissible cap")
     solve.add_argument("--epsilon0", type=_positive("--epsilon0"), default=1e-2)
-    solve.add_argument("--max-iters", type=int, default=2000)
+    solve.add_argument("--max-iters", type=_positive("--max-iters", int), default=2000)
     solve.add_argument("--stat-tol", type=_positive("--stat-tol"), default=1e-6)
     solve.add_argument("--feas-tol", type=_positive("--feas-tol"), default=1e-6)
     solve.add_argument("--subproblem-path", choices=tuple(_SUBPROBLEMS), default=None)
@@ -90,11 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("exp1", "exp2"):
         p = sub.add_parser(name, help=f"reproduce benchmark {name}")
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--max-iters", type=int, default=2000 if name == "exp1" else 4000)
+        p.add_argument("--max-iters", type=_positive("--max-iters", int),
+                       default=2000 if name == "exp1" else 4000)
         if name == "exp2":
             p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--m", type=int, default=5)
-            p.add_argument("--n", type=int, default=20)
+            p.add_argument("--m", type=_positive("--m", int), default=5)
+            p.add_argument("--n", type=_positive("--n", int), default=20)
 
     sub.add_parser("check", help="run the oracle certification suite")
 
@@ -145,11 +147,15 @@ def _cmd_solve(args) -> int:
         plan = PenaltyPlan.fixed(beta, gamma=args.gamma, eta=args.eta)
 
     sub = "auto" if args.subproblem_path is None else _SUBPROBLEMS[args.subproblem_path]()
-    config = SolverConfig(
-        args.algorithm, plan, subproblem=sub,
-        epsilon_schedule=EpsilonSchedule(args.epsilon0),
-        stop=StopRule(args.max_iters, args.stat_tol, args.feas_tol),
-    )
+    try:
+        config = SolverConfig(
+            args.algorithm, plan, subproblem=sub,
+            epsilon_schedule=EpsilonSchedule(args.epsilon0),
+            stop=StopRule(args.max_iters, args.stat_tol, args.feas_tol),
+        )
+        config.validate(problem)
+    except ValueError as exc:
+        return _error(exc)
     trace = run(problem, config)
 
     out = _out_dir(args.output_dir)
@@ -163,10 +169,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_experiment(args, which: str) -> int:
     stop = StopRule(max_iters=args.max_iters, stat_tol=1e-6, feas_tol=1e-6)
-    if which == "exp2":
-        spec = ExperimentSpec("exp2", seed=args.seed, m=args.m, n=args.n, stop=stop)
-    else:
-        spec = ExperimentSpec("exp1", stop=stop)
+    try:
+        if which == "exp2":
+            spec = ExperimentSpec("exp2", seed=args.seed, m=args.m, n=args.n, stop=stop)
+        else:
+            spec = ExperimentSpec("exp1", stop=stop)
+    except ValueError as exc:
+        return _error(exc)
     out = _out_dir(args.output_dir)
     bundle = run_experiment(spec, out_dir=out)
     for row in bundle.summary:
@@ -263,6 +272,12 @@ def _cmd_prox_table(args) -> int:
     return 0
 
 
+def _error(exc) -> int:
+    """Report a usage or schema error: exit code 2, no traceback."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -279,8 +294,7 @@ def main(argv=None) -> int:
             return _cmd_check(args)
         return _cmd_prox_table(args)
     except MealoptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
 
 
 if __name__ == "__main__":

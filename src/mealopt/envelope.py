@@ -40,8 +40,8 @@ from .problem import (
     BoxIndicator,
     Problem,
     Zero,
+    _smallest_positive,
     _vec,
-    smallest_positive_eigenvalue,
 )
 
 __all__ = [
@@ -273,9 +273,6 @@ def _cholesky_solve(ctx, z, lam, linearize_at):
     return cho_solve(ctx._factor(include_Q=not linearized), rhs)
 
 
-SUBPROBLEM_PATHS = (DirectQP, InnerProxGradient, Paper72FastPath)
-
-
 # ---------------------------------------------------------------------------
 # penalty calculus
 # ---------------------------------------------------------------------------
@@ -317,26 +314,33 @@ def beta_for_target_alpha(alpha_bar: float, gamma: float, eta: float,
     return float(K * (1.0 + np.sqrt(1.0 + disc / K)) / (2.0 * c_gamma_A * alpha_bar))
 
 
-_VARIANTS = ("meal-a", "meal-b", "imeal-a", "imeal-b", "limeal-a", "limeal-b")
+# Lyapunov coefficient c of each family, for the (Lipschitz, bounded)
+# implicit class: the "-a"/"-s1" and "-b"/"-s2" variants
+_COEFFICIENTS = {"meal": (2, 3), "imeal": (3, 4), "limeal": (3, 4)}
+_VARIANTS = tuple(f"{family}-{cls}" for family in _COEFFICIENTS for cls in "ab")
 
 
 def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
-    """Admissible upper bound on alpha for the given algorithm variant.
-
-    The "-a" variants assume the implicit Lipschitz class (and need L_f or
-    L_g); the "-b" variants assume the bounded class and need only the
-    moduli. LiMEAL variants additionally require gamma below the root bound
+    """Admissible upper bound on alpha for the given algorithm variant:
+    min(primal / (2 c gamma K), (1 / (4 c gamma)) (2/eta - 1)), with c the
+    variant's Lyapunov coefficient. The "-a" variants assume the implicit
+    Lipschitz class, K = (1 + gamma L)^2 with L = L_f (L_g for LiMEAL); the
+    "-b" variants assume the bounded class, K = 1. MEAL and iMEAL need gamma
+    < 1/rho and have primal = 1 - gamma rho. LiMEAL's primal is its margin
+    1 - gamma (rho_g + L_h) - eta (1 - eta/2) gamma^2 L_h^2, its K gains
+    + gamma^2 L_h^2, and it needs gamma below the root bound
 
         gamma < 2 / ((rho_g + L_h) (1 + sqrt(1 + 2(2-eta) eta L_h^2 /
                                              (rho_g + L_h)^2)))
 
-    and raise GammaTooLarge otherwise.
+    A gamma past its bound raises GammaTooLarge, before MissingMetadata.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
+    family, cls = variant.split("-")
     g, eta = plan.gamma, plan.eta
 
-    if variant.startswith("limeal"):
+    if family == "limeal":
         if not problem.composite:
             raise NotComposite("LiMEAL caps need a composite objective")
         rho_g, L_h = problem.rho_g, problem.L_h
@@ -348,40 +352,22 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
                 raise GammaTooLarge(
                     f"gamma={g} >= {gamma_max:.6g}, the admissible LiMEAL bound"
                 )
-        margin = 1.0 - g * base - eta * (1.0 - eta / 2.0) * g ** 2 * L_h ** 2
-        if variant == "limeal-a":
-            cls = problem.prox_part.implicit_class
-            if cls.kind != "lipschitz":
+        primal = 1.0 - g * base - eta * (1.0 - eta / 2.0) * g ** 2 * L_h ** 2
+        K_h = g ** 2 * L_h ** 2
+        if cls == "a":
+            g_class = problem.prox_part.implicit_class
+            if g_class.kind != "lipschitz":
                 raise MissingMetadata("L_g", "limeal-a needs the Lipschitz class on g")
-            L_g = cls.constant
-            return min(
-                (1.0 / (12.0 * g)) * (2.0 / eta - 1.0),
-                margin / (6.0 * g * ((1.0 + g * L_g) ** 2 + g ** 2 * L_h ** 2)),
-            )
-        return min(
-            margin / (8.0 * g * (1.0 + g ** 2 * L_h ** 2)),
-            (1.0 / (16.0 * g)) * (2.0 / eta - 1.0),
-        )
-
-    rho = problem.rho_total
-    if rho > 0 and g >= 1.0 / rho:
-        raise GammaTooLarge(f"gamma={g} >= 1/rho={1.0 / rho:.6g}")
-    if variant == "meal-a":
-        L_f = problem.implicit_lipschitz_constant()
-        return min(
-            (1.0 - g * rho) / (4.0 * g * (1.0 + g * L_f) ** 2),
-            (1.0 / (8.0 * g)) * (2.0 / eta - 1.0),
-        )
-    if variant == "meal-b":
-        return min((1.0 - rho * g) / (6.0 * g), (1.0 / (12.0 * g)) * (2.0 / eta - 1.0))
-    if variant == "imeal-a":
-        L_f = problem.implicit_lipschitz_constant()
-        return min(
-            (1.0 - g * rho) / (6.0 * g * (1.0 + g * L_f) ** 2),
-            (1.0 / (12.0 * g)) * (2.0 / eta - 1.0),
-        )
-    # imeal-b
-    return min((1.0 - rho * g) / (8.0 * g), (1.0 / (16.0 * g)) * (2.0 / eta - 1.0))
+            L = g_class.constant
+    else:
+        rho = problem.rho_total
+        if rho > 0 and g >= 1.0 / rho:
+            raise GammaTooLarge(f"gamma={g} >= 1/rho={1.0 / rho:.6g}")
+        primal, K_h = 1.0 - g * rho, 0.0
+        L = problem.implicit_lipschitz_constant() if cls == "a" else None
+    K = ((1.0 + g * L) ** 2 if cls == "a" else 1.0) + K_h
+    c = _COEFFICIENTS[family][cls == "b"]
+    return min(primal / (2 * c * g * K), (1.0 / (4 * c * g)) * (2.0 / eta - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +379,10 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 class EnvelopeContext:
     """Problem + penalty plan + subproblem spec, with the derived matrices.
 
-    Fixed at construction: `beta` is the plan's, or in horizon mode the
-    constant that makes alpha equal alpha_target / K, and `alpha =
+    Fixed at construction: `A_norm2` and `sigma_min_pos` (by the rule of
+    `smallest_positive_eigenvalue`) from one eigendecomposition of A'A;
+    `beta`, the plan's or in horizon mode the constant that makes alpha
+    equal alpha_target / K; and `alpha =
     alpha_from_beta(beta, beta, ...)`. The subproblem matrix `H = beta A'A +
     I/gamma` is formed on first use, and `_factor(include_Q)` keeps one
     Cholesky factor of H (or H + Q) per flag. Prox-iALM's matrix
@@ -410,8 +398,9 @@ class EnvelopeContext:
         plan = self.plan
         self.AtA = A.T @ A
         self.Atb = A.T @ self.problem.constraint.b
-        self.sigma_min_pos = smallest_positive_eigenvalue(self.AtA)
-        self.A_norm2 = float(np.linalg.eigvalsh(self.AtA).max())  # ||A||_2^2
+        eigs = np.linalg.eigvalsh(self.AtA)
+        self.sigma_min_pos = _smallest_positive(eigs)
+        self.A_norm2 = float(eigs.max())  # ||A||_2^2
         self.c_gamma_A = plan.gamma ** 2 * self.sigma_min_pos
         self.beta = plan.beta if plan.mode == "fixed" else beta_for_target_alpha(
             plan.alpha_target, plan.gamma, plan.eta, self.c_gamma_A, horizon_K=plan.K)
@@ -522,16 +511,10 @@ def stationarity_stream(reports) -> np.ndarray:
     return np.minimum.accumulate(np.asarray(norms, dtype=float))
 
 
-# per-variant multiplier of alpha_k in the Lyapunov value; the limeal pair
-# also carries the gamma^2 L_h^2 ||x - x_prev||^2 term
-LYAPUNOV_COEFFICIENTS = {
-    "meal-s1": 2.0,
-    "meal-s2": 3.0,
-    "imeal-s1": 3.0,
-    "imeal-s2": 4.0,
-    "limeal-s1": 3.0,
-    "limeal-s2": 4.0,
-}
+# per-variant multiplier of alpha_k in the Lyapunov value (the caps' c); the
+# limeal pair also carries the gamma^2 L_h^2 ||x - x_prev||^2 term
+LYAPUNOV_COEFFICIENTS = {f"{family}-s{i}": float(c) for family, pair in _COEFFICIENTS.items()
+                         for i, c in enumerate(pair, 1)}
 
 
 def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,

@@ -57,7 +57,7 @@ EXP1_INIT = (np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(1))
 class ExperimentSpec:
     id: str                       # "exp1" | "exp2" | "custom"
     seed: int = DEFAULT_SEED
-    m: Optional[int] = None
+    m: Optional[int] = None       # exp2: resolved to 5 and 20 when not given
     n: Optional[int] = None
     grid: tuple = ()              # custom: (label, problem, SolverConfig[, init])
     stop: Optional[StopRule] = None
@@ -69,10 +69,10 @@ class ExperimentSpec:
             object.__setattr__(self, "stop",
                                EXP2_STOP if self.id == "exp2" else DEFAULT_STOP)
         if self.id == "exp2":
-            m = 5 if self.m is None else self.m
-            n = 20 if self.n is None else self.n
-            if not m < n:
-                raise ValueError("exp2 requires m < n")
+            object.__setattr__(self, "m", 5 if self.m is None else self.m)
+            object.__setattr__(self, "n", 20 if self.n is None else self.n)
+            if not 1 <= self.m < self.n:
+                raise ValueError(f"exp2 requires 1 <= m < n, got m={self.m}, n={self.n}")
 
 
 def build_exp1() -> Problem:
@@ -210,7 +210,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Optional[str] = None) -> Exper
         problem = build_exp1()
         grid = [(label, problem, cfg, EXP1_INIT) for label, cfg in exp1_configs(spec.stop)]
     elif spec.id == "exp2":
-        problem = build_exp2(spec.seed, spec.m or 5, spec.n or 20)
+        problem = build_exp2(spec.seed, spec.m, spec.n)
         grid = [(label, problem, cfg, None)
                 for label, cfg in exp2_configs(problem, spec.stop)]
     else:

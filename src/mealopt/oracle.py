@@ -26,6 +26,7 @@ __all__ = [
     "grid_prox_oracle",
     "active_set_qp_oracle",
     "box_qp_global_min",
+    "check_free_curvature",
     "KKTReport",
     "kkt_residual",
     "finite_diff_check",
@@ -157,6 +158,18 @@ def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
     return points, multipliers, n_singular
 
 
+def check_free_curvature(H, lower, upper) -> None:
+    """Raise SubproblemNonconvexUnsupported unless H is positive definite on
+    the coordinates without two finite bounds; otherwise x'Hx/2 + c'x may be
+    unbounded below over the box."""
+    unbounded = [i for i in range(len(lower))
+                 if not (np.isfinite(lower[i]) and np.isfinite(upper[i]))]
+    if unbounded and np.linalg.eigvalsh(H[np.ix_(unbounded, unbounded)]).min() <= 0:
+        raise SubproblemNonconvexUnsupported(
+            "objective unbounded below along a free coordinate direction"
+        )
+
+
 def box_qp_global_min(H, c, lower, upper):
     """Global minimizer of x'Hx/2 + c'x over a box, by exhaustive enumeration.
 
@@ -174,13 +187,7 @@ def box_qp_global_min(H, c, lower, upper):
     c = _vec(c)
     lower = _vec(lower)
     upper = _vec(upper)
-    unbounded = [i for i in range(n) if not (np.isfinite(lower[i]) and np.isfinite(upper[i]))]
-    if unbounded:
-        sub = H[np.ix_(unbounded, unbounded)]
-        if np.linalg.eigvalsh(sub).min() <= 0:
-            raise SubproblemNonconvexUnsupported(
-                "objective unbounded below along a free coordinate direction"
-            )
+    check_free_curvature(H, lower, upper)
 
     best_val, best_x = np.inf, None
     for _, free, clamped, x in _faces(lower, upper):

@@ -205,7 +205,8 @@ class Zero(ProxFunction):
 
 @dataclass
 class QuadraticForm(ProxFunction):
-    """g(x) = x'Qx/2 + r'x + c with symmetric Q (possibly indefinite)."""
+    """g(x) = x'Qx/2 + r'x + c with symmetric Q (possibly indefinite); one
+    eigendecomposition gives its modulus and `spectral_norm` = ||Q||_2."""
 
     Q: np.ndarray = None
     r: np.ndarray = None
@@ -220,14 +221,13 @@ class QuadraticForm(ProxFunction):
         if np.abs(self.Q - self.Q.T).max() > 1e-12 * max(1.0, np.abs(self.Q).max()):
             raise ValueError("Q must be symmetric")
         self.r = _vec(self.r) if self.r is not None else np.zeros(n)
-        if self.r.shape[0] != n:
+        if self.r.shape != (n,):
             raise ValueError("r dimension mismatch")
-        eigmin = float(np.linalg.eigvalsh(self.Q).min())
-        self.weak_convexity_modulus = max(0.0, -eigmin)
+        eigs = np.linalg.eigvalsh(self.Q)
+        self.weak_convexity_modulus = max(0.0, -float(eigs.min()))
+        self.spectral_norm = float(np.abs(eigs).max())
         if self.implicit_class.kind == "unknown":
-            self.implicit_class = ImplicitClass.lipschitz(
-                float(np.abs(np.linalg.eigvalsh(self.Q)).max())
-            )
+            self.implicit_class = ImplicitClass.lipschitz(self.spectral_norm)
 
     def value(self, x) -> float:
         x = _vec(x)
@@ -420,7 +420,7 @@ class PointwiseMin(ProxFunction):
                 raise ValueError("each piece needs a QuadraticForm part")
             if box is not None and not isinstance(box, BoxIndicator):
                 raise ValueError("piece constraint must be a BoxIndicator")
-            norm = max(norm, float(np.abs(np.linalg.eigvalsh(quad.Q)).max()))
+            norm = max(norm, quad.spectral_norm)
         self.weak_convexity_modulus = 2.0 * norm
 
     def piece_value(self, i: int, x) -> float:
@@ -493,21 +493,14 @@ class SmoothFunction:
 
 
 class QuadraticSmooth(SmoothFunction):
-    """h(x) = x'Qx/2 + r'x + c with L_h = ||Q||_2."""
+    """h(x) = x'Qx/2 + r'x + c with L_h = ||Q||_2: a QuadraticForm, which
+    checks Q and r and decomposes Q once, in the smooth role."""
 
     def __init__(self, Q, r=None, c: float = 0.0):
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        n = Q.shape[0]
-        if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
-            raise ValueError("Q must be symmetric")
-        r = _vec(r) if r is not None else np.zeros(n)
-        self.Q, self.r, self.c = Q, r, float(c)
-        L = float(np.abs(np.linalg.eigvalsh(Q)).max())
-        super().__init__(
-            value=lambda x: float(0.5 * _vec(x) @ Q @ _vec(x) + r @ _vec(x) + c),
-            gradient=lambda x: Q @ _vec(x) + r,
-            lipschitz_grad_constant=max(L, np.finfo(float).tiny),
-        )
+        form = QuadraticForm(Q, r, float(c))
+        self.Q, self.r, self.c = form.Q, form.r, form.c
+        super().__init__(form.value, form.gradient,
+                         max(form.spectral_norm, np.finfo(float).tiny))
 
     def quadratic_terms(self):
         return self.Q, self.r, self.c
@@ -534,6 +527,20 @@ class Problem:
             )
         if not np.isfinite(self.rho_total):
             raise ValueError("total weak-convexity modulus must be finite")
+        # box bounds, Q and r would otherwise broadcast against x
+        g = self.prox_part
+        parts = [p for piece in g.pieces for p in piece] \
+            if isinstance(g, PointwiseMin) else [g]
+        for part in parts + [self.smooth]:
+            if isinstance(part, BoxIndicator):
+                shape = part.lower.shape
+            elif isinstance(part, (QuadraticForm, QuadraticSmooth)):
+                shape = part.r.shape          # r has Q's order by construction
+            else:
+                continue
+            if shape != (self.n,):
+                raise ValueError(f"{type(part).__name__} has shape {shape}, "
+                                 f"the constraint has n={self.n}")
 
     @property
     def composite(self) -> bool:
@@ -640,7 +647,11 @@ def smallest_positive_eigenvalue(M, rank_tol: float = 1e-10) -> float:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
         raise ValueError("matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(M)
+    return _smallest_positive(np.linalg.eigvalsh(M), rank_tol)
+
+
+def _smallest_positive(eigs: np.ndarray, rank_tol: float = 1e-10) -> float:
+    """smallest_positive_eigenvalue's rule, on eigenvalues already computed."""
     cutoff = rank_tol * max(float(eigs.max()), 0.0)
     positive = eigs[eigs > cutoff]
     if positive.size == 0:

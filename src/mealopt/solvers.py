@@ -27,7 +27,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .envelope import (
-    SUBPROBLEM_PATHS,
     DirectQP,
     EnvelopeContext,
     InnerProxGradient,
@@ -45,7 +44,7 @@ from .errors import (
     SubproblemNonconvexUnsupported,
 )
 from .problem import Problem, _vec
-from .oracle import ACTIVE_SET_MAX_N, box_qp_global_min
+from .oracle import ACTIVE_SET_MAX_N, box_qp_global_min, check_free_curvature
 
 __all__ = [
     "IterateState",
@@ -160,16 +159,11 @@ class SolverConfig:
         algo = ALGORITHMS.get(self.algorithm)
         if algo is None:
             raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
-        if self.subproblem != "auto":
-            if not isinstance(self.subproblem, SUBPROBLEM_PATHS):
-                names = ", ".join(cls.__name__ for cls in SUBPROBLEM_PATHS)
-                raise InvalidSubproblemPath(f'subproblem must be "auto" or one of '
-                                            f'{names}, got {self.subproblem!r}')
-            if not isinstance(self.subproblem, algo.accepts):
-                names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
-                raise InvalidSubproblemPath(
-                    f"{self.algorithm} does not take a {type(self.subproblem).__name__} "
-                    f'subproblem (it takes "auto" or: {names})')
+        if self.subproblem != "auto" and not isinstance(self.subproblem, algo.accepts):
+            names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
+            raise InvalidSubproblemPath(
+                f'{self.algorithm} takes the subproblem "auto" or one of: {names}; '
+                f"got {self.subproblem!r}")
         modulus = algo.modulus(problem)
         if modulus > 0 and self.plan.gamma >= 1.0 / modulus:
             raise GammaTooLarge(
@@ -315,12 +309,22 @@ def _check_limeal(config, problem) -> None:
 
 
 def _check_alm(config, problem) -> None:
-    if problem.quadratic_terms() is None or problem.box_bounds() is None:
+    """The step's requirements. With a config, also that the subproblem
+    Hessian Q + beta A'A is positive definite on the coordinates without
+    finite bounds, so that no step's subproblem is unbounded below."""
+    terms, bounds = problem.quadratic_terms(), problem.box_bounds()
+    if terms is None or bounds is None:
         raise SubproblemNonconvexUnsupported(
             "alm global minimization supports quadratic objectives over a box")
     if problem.n > ACTIVE_SET_MAX_N:
         raise SubproblemNonconvexUnsupported(
             f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={problem.n}")
+    if config is not None:
+        # the beta the context fixes; in horizon mode it depends on A'A
+        plan = config.plan
+        beta = plan.beta if plan.mode == "fixed" else EnvelopeContext(problem, plan).beta
+        A = problem.constraint.A
+        check_free_curvature(terms[0] + beta * (A.T @ A), *bounds)
 
 
 def _check_prox_ialm(config, problem) -> None:

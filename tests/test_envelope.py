@@ -3,6 +3,7 @@ import pytest
 
 import mealopt as m
 from mealopt.envelope import (
+    _VARIANTS,
     EnvelopeContext,
     alpha_cap,
     alpha_from_beta,
@@ -174,6 +175,17 @@ class TestSolveSubproblem:
         direct = solve_subproblem(EnvelopeContext(prob, plan, m.DirectQP()),
                                   z, lam, linearize_at=at)
         assert np.array_equal(fast.x, direct.x)
+
+    def test_one_eigendecomposition_per_context(self, monkeypatch):
+        prob = make_convex_qp(0)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M) or real(M))
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.1, 1.0))
+        assert len(calls) == 1
+        eigs = real(ctx.AtA)
+        assert ctx.A_norm2 == float(eigs.max())
+        assert ctx.sigma_min_pos == m.smallest_positive_eigenvalue(ctx.AtA)
 
     def test_subproblem_matrix_formed_on_first_use(self):
         prob = make_box_qp(1)
@@ -388,6 +400,30 @@ class TestAlphaCap:
     def test_other_variants_positive(self, variant, exp1_problem):
         plan = m.PenaltyPlan.fixed(1.0, 0.15, 1.0)
         assert alpha_cap(exp1_problem, plan, variant) > 0
+
+    # the caps of all six variants, in _VARIANTS order, as the six per-variant
+    # formulas of the paper compute them; pinned exactly
+    PINNED = {
+        ("exp1", 0.1, 0.5): [1.0204081632653064, 1.3333333333333333, 0.6802721088435375,
+                             1.0, 0.8840090090090089, 0.9435096153846153],
+        ("exp1", 0.3, 1.0): [0.06887052341597796, 0.22222222222222227,
+                             0.045913682277318645, 0.16666666666666669,
+                             0.04185692541856926, 0.06740196078431374],
+        ("exp1", 0.2, 1.5): [0.2083333333333333, 0.13888888888888884,
+                             0.13888888888888884, 0.10416666666666664,
+                             0.13888888888888884, 0.10416666666666664],
+        ("qp", 0.1, 0.5): [1.8613238702990598, 1.5005565124591083, 1.240882580199373,
+                           1.1254173843443311, 1.4796503262358747, 1.109737744676906],
+        ("qp", 0.3, 1.0): [0.34619491821805687, 0.2777777777777778, 0.23079661214537123,
+                           0.20833333333333334, 0.2777777777777778, 0.20833333333333334],
+    }
+
+    @pytest.mark.parametrize("name, gamma, eta", PINNED)
+    def test_caps_pinned(self, name, gamma, eta):
+        prob = m.build_exp1() if name == "exp1" else make_convex_qp(0)
+        plan = m.PenaltyPlan.fixed(1.0, gamma, eta)
+        caps = [alpha_cap(prob, plan, variant) for variant in _VARIANTS]
+        assert caps == self.PINNED[name, gamma, eta]
 
 
 class TestStationarityStream:

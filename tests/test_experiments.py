@@ -56,6 +56,14 @@ class TestBuilders:
         with pytest.raises(ValueError):
             m.build_exp2(seed=1, m=5, n=5)
 
+    def test_exp2_spec_resolves_and_checks_sizes(self):
+        spec = ExperimentSpec("exp2")
+        assert (spec.m, spec.n) == (5, 20)
+        assert (ExperimentSpec("exp2", m=2).m, ExperimentSpec("exp2", n=8).n) == (2, 8)
+        for mm, nn in ((0, 20), (5, 5), (3, 2)):
+            with pytest.raises(ValueError, match="m < n"):
+                ExperimentSpec("exp2", m=mm, n=nn)
+
     def test_exp2_same_seed_identical_bytes(self):
         a = m.build_exp2(seed=11, m=3, n=6)
         b = m.build_exp2(seed=11, m=3, n=6)

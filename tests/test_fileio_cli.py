@@ -80,6 +80,15 @@ class TestProblemRoundTrip:
         with pytest.raises(SchemaError, match="objective.prox.weight"):
             load_problem(path)
 
+    def test_box_of_the_wrong_size_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "constraint": {"A": [[1.0, 1.0]], "b": [3.0]},
+            "objective": {"smooth": None, "prox": {"kind": "box", "lower": [0.0],
+                                                   "upper": [1.0]}}}))
+        with pytest.raises(SchemaError, match="n=2"):
+            load_problem(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"constraint": {"A": [[1.0]], "b": [0.0]},
@@ -129,6 +138,23 @@ class TestCLI:
                      "--beta", "-1"])
         assert code == 2
         assert "--beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algorithm", "prox_ialm", "--beta", "1"],
+        ["solve", "--algorithm", "meal", "--beta", "1", "--max-iters", "0"],
+        ["solve", "--algorithm", "meal", "--horizon-K", "0", "--alpha-target", "1"],
+        ["exp1", "--max-iters", "0"],
+        ["exp2", "--n", "3"],
+        ["exp2", "--m", "0"],
+    ], ids=["prox-ialm-params", "solve-max-iters", "horizon-k", "exp1-max-iters",
+            "exp2-n", "exp2-m"])
+    def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
+        save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
+        if argv[0] == "solve":
+            argv = argv + ["--input", str(tmp_path / "qp.json")]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["exp1", "--frobnicate"]) == 2

@@ -288,6 +288,52 @@ class TestSmoothFunction:
             assert lhs <= h.lipschitz_grad_constant * np.linalg.norm(x - y) + 1e-12
 
 
+class TestOneQuadratic:
+    def test_one_eigendecomposition_per_quadratic(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M) or real(M))
+        q = m.QuadraticForm(Q=[[1.0, 0.5], [0.5, -2.0]])
+        h = m.QuadraticSmooth([[3.0, 0.0], [0.0, -1.0]])
+        assert len(calls) == 2
+        g = m.PointwiseMin(pieces=((q, None), (q, m.BoxIndicator([0, 0], [1, 1]))))
+        assert len(calls) == 2
+        norm = float(np.abs(real(q.Q)).max())
+        assert q.spectral_norm == norm and q.implicit_class.constant == norm
+        assert g.weak_convexity_modulus == 2.0 * norm
+        assert h.lipschitz_grad_constant == 3.0
+
+    @pytest.mark.parametrize("Q, r, message", [
+        ([[1.0, 2.0, 3.0]], None, "square"),
+        (np.eye(2), [1.0, 2.0, 3.0], "r dimension"),
+        ([[1.0, 2.0], [0.0, 1.0]], None, "symmetric"),
+    ])
+    def test_quadratic_smooth_checks_q_and_r(self, Q, r, message):
+        with pytest.raises(ValueError, match=message):
+            m.QuadraticSmooth(Q, r)
+
+
+class TestProblemSizes:
+    CONS = m.LinearConstraint([[1.0, 1.0]], [3.0])     # x + y = 3, n = 2
+
+    @pytest.mark.parametrize("prox_part, smooth", [
+        (m.BoxIndicator([0.0], [1.0]), m.QuadraticSmooth(np.eye(2), [-2.0, -2.0])),
+        (m.Zero(), m.QuadraticSmooth(np.eye(3))),
+        (m.QuadraticForm(Q=np.eye(3)), None),
+        (m.PointwiseMin(pieces=((m.QuadraticForm(Q=np.eye(1)), None),)), None),
+        (m.PointwiseMin(pieces=((m.QuadraticForm(Q=np.eye(2)),
+                                 m.BoxIndicator([0.0] * 3, [1.0] * 3)),)), None),
+    ], ids=["box", "smooth-q", "quadratic-form", "pwmin-q", "pwmin-box"])
+    def test_parts_of_the_wrong_size_rejected(self, prox_part, smooth):
+        with pytest.raises(ValueError, match="n=2"):
+            m.Problem(self.CONS, prox_part, smooth)
+
+    def test_parts_of_the_right_size_accepted(self):
+        box = m.BoxIndicator([0.0, 0.0], [1.0, 2.0])
+        prob = m.Problem(self.CONS, box, m.QuadraticSmooth(np.eye(2), [-2.0, -2.0]))
+        assert prob.n == 2
+
+
 class TestImplicitClassProbe:
     def test_quadratic_probe_matches_declared(self):
         g = m.QuadraticForm(Q=[[2.0]])

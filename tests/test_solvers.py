@@ -401,6 +401,23 @@ class TestRun:
         with pytest.raises(SubproblemNonconvexUnsupported):
             cfg.validate(build())
 
+    @pytest.mark.parametrize("plan, bounded", [
+        (m.PenaltyPlan.fixed(10.0, 0.5, 1.0), False),
+        (m.PenaltyPlan.fixed(50.0, 0.5, 1.0), True),
+        (m.PenaltyPlan.horizon(1, 10.0, 0.5, 1.0), False),   # beta about 5.3
+        (m.PenaltyPlan.horizon(1, 1.0, 0.5, 1.0), True),     # beta about 53
+    ])
+    def test_alm_free_curvature_checked_by_validate(self, plan, bounded):
+        # Q + beta A'A = -1 + 0.075 beta on the one coordinate without bounds
+        prob = m.Problem(m.LinearConstraint([[0.274]], [0.0]), m.Zero(),
+                         m.QuadraticSmooth([[-1.0]]))
+        cfg = m.SolverConfig("alm", plan, stop=m.StopRule(max_iters=3))
+        if bounded:
+            assert m.run(prob, cfg).status in STATUSES
+        else:
+            with pytest.raises(SubproblemNonconvexUnsupported, match="unbounded below"):
+                cfg.validate(prob)
+
     def test_meal_rejects_fast_path(self):
         prob = m.build_exp2(seed=6, m=2, n=4)
         from mealopt.errors import InvalidSubproblemPath
@@ -643,9 +660,9 @@ STATUSES = ("Converged", "MaxIters", "InnerBudgetExhausted", "DivergenceDetected
 @st.composite
 def small_problems(draw):
     """A random feasible problem with n <= 9 and a box, Zero or L1 prox part,
-    with or without a quadratic smooth part. Over the box the quadratic may
-    be indefinite; with an unbounded domain it is positive definite, so the
-    objective is bounded below on the feasible set."""
+    with or without a quadratic smooth part. The quadratic is a symmetrized
+    uniform draw, indefinite in general, so with a Zero or L1 prox part the
+    objective may be unbounded below on the feasible set."""
     n = draw(st.integers(1, 9))
     mcon = draw(st.integers(1, n))
     kind = draw(st.sampled_from(("box", "zero", "l1")))
@@ -658,7 +675,7 @@ def small_problems(draw):
     smooth = None
     if composite:
         G = rng.uniform(-1, 1, size=(n, n))
-        Q = 0.5 * (G + G.T) if kind == "box" else G @ G.T / n + 0.1 * np.eye(n)
+        Q = 0.5 * (G + G.T)
         smooth = m.QuadraticSmooth(Q, rng.uniform(-1, 1, size=n))
     return m.Problem(m.LinearConstraint(A, b), prox_part, smooth)
 
