@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mealopt as m
+from mealopt import fileio
 from mealopt.cli import main
 from mealopt.errors import SchemaError
 from mealopt.fileio import (
@@ -120,6 +121,22 @@ class TestTraceCSV:
         cols = load_trace_columns(path)
         np.testing.assert_array_equal(cols["objective"], tr.column("objective"))
         np.testing.assert_array_equal(cols["stationarity"], tr.column("stationarity"))
+
+    @pytest.mark.parametrize("block", [4, 256])
+    def test_rows_are_formatted_value_by_value(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(fileio, "_ROWS_PER_BLOCK", block)
+        tr = m.run(m.build_exp1(), m.SolverConfig(
+            "meal", m.PenaltyPlan.fixed(10.0, 0.25, 1.0),
+            stop=m.StopRule(max_iters=20, stat_tol=1e-300, feas_tol=1e-300)),
+            init=(np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(1)))
+        assert tr.n_rows % block != 0            # a partial last block
+        path = tmp_path / "t.csv"
+        save_trace(tr, path)
+        rows = [",".join([str(int(tr.column("k")[i]))] +
+                         [repr(float(tr.column(name)[i]))
+                          for name in CSV_HEADER.split(",")[1:]])
+                for i in range(tr.n_rows)]
+        assert path.read_bytes() == ("\n".join([CSV_HEADER] + rows) + "\n").encode()
 
 
 class TestCLI:
