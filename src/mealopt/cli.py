@@ -78,9 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--alpha-target", type=_positive("--alpha-target"),
                        dest="alpha_target")
     solve.add_argument("--cap-variant", default=None, choices=_VARIANTS,
-                       help="with --alpha-target and neither --beta nor "
-                            "--horizon-K: use the smaller of the target and "
-                            "this variant's admissible cap")
+                       help="with --alpha-target and a fixed beta: use the "
+                            "smaller of the target and this variant's "
+                            "admissible cap")
     solve.add_argument("--epsilon0", type=_positive("--epsilon0"), default=1e-2)
     solve.add_argument("--max-iters", type=_positive("--max-iters", int), default=2000)
     solve.add_argument("--stat-tol", type=_positive("--stat-tol"), default=1e-6)
@@ -123,20 +123,26 @@ def _out_dir(value) -> Path:
 
 
 def _cmd_solve(args) -> int:
+    # every penalty flag given must take effect
+    if args.beta is not None and (args.horizon_k is not None
+                                  or args.alpha_target is not None):
+        return _error("--beta fixes the penalty; drop --horizon-K and --alpha-target")
+    if args.cap_variant is not None and (args.alpha_target is None
+                                         or args.horizon_k is not None):
+        return _error("--cap-variant caps --alpha-target with a fixed beta; "
+                      "it needs --alpha-target and no --horizon-K")
     problem = load_problem(args.input)
     if args.horizon_k is not None:
         if args.alpha_target is None:
-            print("--horizon-K needs --alpha-target", file=sys.stderr)
-            return 2
+            return _error("--horizon-K needs --alpha-target")
         plan = PenaltyPlan.horizon(args.horizon_k, args.alpha_target,
                                    gamma=args.gamma, eta=args.eta)
     else:
         beta = args.beta
         if beta is None:
             if args.alpha_target is None:
-                print("choose a penalty: --beta, or --alpha-target "
-                      "(optionally with --cap-variant)", file=sys.stderr)
-                return 2
+                return _error("choose a penalty: --beta, or --alpha-target "
+                              "(optionally with --cap-variant)")
             probe = PenaltyPlan.fixed(1.0, gamma=args.gamma, eta=args.eta)
             target = args.alpha_target
             if args.cap_variant is not None:

@@ -14,8 +14,8 @@ the potential and Lyapunov functions used as runtime descent monitors.
 
 The strongly convex inner problem belongs to an EnvelopeContext, which
 fixes beta. Its spec (DirectQP, InnerProxGradient or Paper72FastPath) is
-checked when the context is built, and its `solve` is what
-`solve_subproblem` calls.
+checked against the problem when the config is validated and when the
+context is built, and its `solve` is what `solve_subproblem` calls.
 """
 
 from __future__ import annotations
@@ -116,13 +116,13 @@ class PenaltyPlan:
 class SubproblemSpec:
     """How the envelope subproblem is solved: one of the three specs below.
 
-    EnvelopeContext calls `check(ctx)` once; it raises InvalidSubproblemPath
-    unless the path applies to ctx.problem, and a direct path factors its
-    system there. `solve(ctx, z, lam, linearize_at, tol, warm_start)` solves
-    at ctx.beta.
+    `check(problem)` raises InvalidSubproblemPath unless the path applies to
+    the problem; `SolverConfig.validate` and EnvelopeContext call it.
+    `solve(ctx, z, lam, linearize_at, tol, warm_start)` solves at ctx.beta;
+    a direct path factors its system on the first solve.
     """
 
-    def check(self, ctx) -> None:
+    def check(self, problem: Problem) -> None:
         pass
 
 
@@ -136,12 +136,11 @@ class DirectQP(SubproblemSpec):
         return problem.quadratic_terms() is not None and (
             not problem.composite or isinstance(problem.prox_part, Zero))
 
-    def check(self, ctx) -> None:
-        if not self.fits(ctx.problem):
+    def check(self, problem: Problem) -> None:
+        if not self.fits(problem):
             raise InvalidSubproblemPath(
                 "DirectQP needs a quadratic objective with no nonsmooth part"
             )
-        ctx._factor(include_Q=True)
 
     def solve(self, ctx, z, lam, linearize_at=None, tol=None,
               warm_start=None) -> "SubproblemResult":
@@ -244,13 +243,11 @@ class Paper72FastPath(SubproblemSpec):
     residual is therefore not certified (None).
     """
 
-    def check(self, ctx) -> None:
-        p = ctx.problem
-        if not (p.composite and p.quadratic_terms() is not None):
+    def check(self, problem: Problem) -> None:
+        if not (problem.composite and problem.quadratic_terms() is not None):
             raise InvalidSubproblemPath("fast path needs a quadratic smooth part")
-        if p.box_bounds() is None:
+        if problem.box_bounds() is None:
             raise InvalidSubproblemPath("fast path needs a box (or absent) prox part")
-        ctx._factor(include_Q=False)
 
     def solve(self, ctx, z, lam, linearize_at=None, tol=None,
               warm_start=None) -> "SubproblemResult":
@@ -383,10 +380,11 @@ class EnvelopeContext:
     `smallest_positive_eigenvalue`) from one eigendecomposition of A'A;
     `beta`, the plan's or in horizon mode the constant that makes alpha
     equal alpha_target / K; and `alpha =
-    alpha_from_beta(beta, beta, ...)`. The subproblem matrix `H = beta A'A +
-    I/gamma` is formed on first use, and `_factor(include_Q)` keeps one
-    Cholesky factor of H (or H + Q) per flag. Prox-iALM's matrix
-    `beta A'A + p I` is formed once per p.
+    alpha_from_beta(beta, beta, ...)`. The subproblem spec is checked
+    against the problem. The subproblem matrix `H = beta A'A + I/gamma` is
+    formed on first use, and `_factor(include_Q)` factors H (or H + Q) by
+    Cholesky on the first solve that needs it and keeps the factor.
+    Prox-iALM's matrix `beta A'A + p I` is formed once per p.
     """
 
     problem: Problem
@@ -408,7 +406,7 @@ class EnvelopeContext:
                                      self.c_gamma_A)
         self._chol_cache: dict = {}
         self._prox_ialm_cache: dict = {}
-        self.subproblem.check(self)
+        self.subproblem.check(self.problem)
 
     # -- factor cache ---------------------------------------------------
 
@@ -463,26 +461,6 @@ class SubproblemResult:
     residual_norm: Optional[float]
     inner_iterations: int
     budget_exhausted: bool = False
-
-    def objective(self, ctx, z, lam, linearize_at=None) -> float:
-        return _subproblem_value(ctx, self.x, z, lam, linearize_at)
-
-
-def _subproblem_value(ctx, x, z, lam, linearize_at=None) -> float:
-    """Value of the inner objective at x (h linearized when requested)."""
-    p = ctx.problem
-    x, z = _vec(x), _vec(z)
-    resid = p.constraint.A @ x - p.constraint.b
-    val = p.prox_part.value(x)
-    if p.composite:
-        if linearize_at is None:
-            val += p.smooth.value(x)
-        else:
-            x0 = _vec(linearize_at)
-            val += p.smooth.value(x0) + float(p.smooth.gradient(x0) @ (x - x0))
-    val += float(lam @ resid) + 0.5 * ctx.beta * float(resid @ resid)
-    val += float(np.sum((x - z) ** 2)) / (2.0 * ctx.plan.gamma)
-    return val
 
 
 def solve_subproblem(ctx: EnvelopeContext, z, lam, linearize_at=None,

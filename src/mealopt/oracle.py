@@ -4,7 +4,10 @@ Everything here validates the closed forms and solver outputs by a second,
 slower route: grid search for 1-D proxes, exhaustive active-set enumeration
 for small box-QPs, interval arithmetic for KKT residuals, finite differences
 for gradients, and least-squares fits for convergence rates. These functions
-deliberately share no code with the solver paths they certify.
+share no code with the MEAL-family solver paths they certify. The ALM
+baseline is the exception: its step takes the global box-QP minimum from
+`active_set_qp_oracle` through `box_qp_global_min`, so no oracle here
+certifies ALM.
 """
 
 from __future__ import annotations
@@ -62,25 +65,6 @@ def grid_prox_oracle(g_1d: Callable[[float], float], gamma: float, v: float,
     return float(0.5 * (lo + hi))
 
 
-def _faces(lower, upper):
-    """Every lower/upper/free pattern, in lexicographic order.
-
-    Yields (pattern, free, clamped, x) with per-coordinate states 0 = at
-    lower, 1 = at upper, 2 = free, and x filled in on the clamped
-    coordinates. Infinite bounds cannot be active, so those states are
-    dropped.
-    """
-    states = [[s for s, bound in ((0, lo), (1, hi)) if np.isfinite(bound)] + [2]
-              for lo, hi in zip(lower, upper)]
-    for pattern in itertools.product(*states):
-        free = [i for i, s in enumerate(pattern) if s == 2]
-        clamped = [i for i, s in enumerate(pattern) if s != 2]
-        x = np.empty(len(pattern))
-        for i in clamped:
-            x[i] = lower[i] if pattern[i] == 0 else upper[i]
-        yield pattern, free, clamped, x
-
-
 def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
                          bound_tol: float = 1e-9):
     """Enumerate stationary points of a small box-QP by active-set patterns.
@@ -108,7 +92,16 @@ def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
 
     points, multipliers = [], []
     n_singular = 0
-    for pattern, free, clamped, x in _faces(lower, upper):
+    # per-coordinate states 0 = at lower, 1 = at upper, 2 = free; an
+    # infinite bound cannot be active, so its state is dropped
+    states = [[s for s, bound in ((0, lo), (1, hi)) if np.isfinite(bound)] + [2]
+              for lo, hi in zip(lower, upper)]
+    for pattern in itertools.product(*states):
+        free = [i for i, s in enumerate(pattern) if s == 2]
+        clamped = [i for i, s in enumerate(pattern) if s != 2]
+        x = np.empty(n)
+        for i in clamped:
+            x[i] = lower[i] if pattern[i] == 0 else upper[i]
         nf = len(free)
         if m > 0:
             K = np.zeros((nf + m, nf + m))
@@ -171,42 +164,28 @@ def check_free_curvature(H, lower, upper) -> None:
 
 
 def box_qp_global_min(H, c, lower, upper):
-    """Global minimizer of x'Hx/2 + c'x over a box, by exhaustive enumeration.
+    """Global minimizer of x'Hx/2 + c'x over a box, and its value.
 
-    The quadratic may be indefinite; the minimum over the box is found among
-    the stationary points of all face restrictions. Coordinates with an
-    infinite bound must see positive curvature, otherwise the problem is
-    unbounded below and SubproblemNonconvexUnsupported is raised.
+    The quadratic may be indefinite. Coordinates with an infinite bound must
+    see positive curvature, otherwise the problem is unbounded below and
+    SubproblemNonconvexUnsupported is raised. The minimum over the box is
+    then a KKT point, so it is the lowest-value point that
+    `active_set_qp_oracle` enumerates; the first of them wins exact ties.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    n = H.shape[0]
-    if n > ACTIVE_SET_MAX_N:
+    if H.shape[0] > ACTIVE_SET_MAX_N:
         raise SubproblemNonconvexUnsupported(
             f"global box-QP oracle capped at n={ACTIVE_SET_MAX_N}"
         )
-    c = _vec(c)
-    lower = _vec(lower)
-    upper = _vec(upper)
+    c, lower, upper = _vec(c), _vec(lower), _vec(upper)
     check_free_curvature(H, lower, upper)
 
-    best_val, best_x = np.inf, None
-    for _, free, clamped, x in _faces(lower, upper):
-        if free:
-            rhs = -c[free] - (H[np.ix_(free, clamped)] @ x[clamped] if clamped else 0.0)
-            try:
-                x[free] = np.linalg.solve(H[np.ix_(free, free)], rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(x[free])):
-                continue
-        if np.any(x < lower - 1e-9) or np.any(x > upper + 1e-9):
-            continue
-        val = float(0.5 * x @ H @ x + c @ x)
-        if val < best_val:  # strict: first pattern wins exact ties
-            best_val, best_x = val, np.clip(x, lower, upper)
-    if best_x is None:
+    points, _, _ = active_set_qp_oracle(H, c, None, None, lower, upper)
+    if not points:
         raise SubproblemNonconvexUnsupported("no feasible stationary point found")
-    return best_x, best_val
+    values = [float(0.5 * x @ H @ x + c @ x) for x in points]
+    best = values.index(min(values))
+    return np.clip(points[best], lower, upper), values[best]
 
 
 @dataclass

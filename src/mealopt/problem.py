@@ -206,7 +206,8 @@ class Zero(ProxFunction):
 @dataclass
 class QuadraticForm(ProxFunction):
     """g(x) = x'Qx/2 + r'x + c with symmetric Q (possibly indefinite); one
-    eigendecomposition gives its modulus and `spectral_norm` = ||Q||_2."""
+    eigendecomposition gives its modulus, `spectral_norm` = ||Q||_2 and the
+    extreme eigenvalues `eig_min` and `eig_max`."""
 
     Q: np.ndarray = None
     r: np.ndarray = None
@@ -224,7 +225,8 @@ class QuadraticForm(ProxFunction):
         if self.r.shape != (n,):
             raise ValueError("r dimension mismatch")
         eigs = np.linalg.eigvalsh(self.Q)
-        self.weak_convexity_modulus = max(0.0, -float(eigs.min()))
+        self.eig_min, self.eig_max = float(eigs.min()), float(eigs.max())
+        self.weak_convexity_modulus = max(0.0, -self.eig_min)
         self.spectral_norm = float(np.abs(eigs).max())
         if self.implicit_class.kind == "unknown":
             self.implicit_class = ImplicitClass.lipschitz(self.spectral_norm)
@@ -435,14 +437,12 @@ class PointwiseMin(ProxFunction):
 
     def _prox(self, gamma, v):
         best_val, best_x = _INF, None
-        for quad, box in self.pieces:
+        for i, (quad, box) in enumerate(self.pieces):
             if box is None:
                 cand = quad._prox(gamma, v)
             else:
                 cand = _box_quad_prox(quad, box, gamma, v)
-            val = quad.value(cand) + float(np.sum((cand - v) ** 2)) / (2 * gamma)
-            if box is not None:
-                val += box.value(cand)
+            val = self.piece_value(i, cand) + float(np.sum((cand - v) ** 2)) / (2 * gamma)
             if val < best_val:  # strict: earlier index wins ties
                 best_val, best_x = val, cand
         return best_x
@@ -453,13 +453,13 @@ def _box_quad_prox(quad: QuadraticForm, box: BoxIndicator, gamma: float,
     """Prox of (quadratic + box indicator) by projected gradient.
 
     The regularized objective is strongly convex for valid gamma, so the
-    iteration converges linearly; run to stationarity tolerance `tol`.
+    iteration converges linearly; run to stationarity tolerance `tol`. The
+    step is 1/||Q + I/gamma||_2, read off Q's stored extreme eigenvalues.
     """
     n = v.shape[0]
     H = quad.Q + np.eye(n) / gamma
     c = quad.r - v / gamma
-    L = float(np.abs(np.linalg.eigvalsh(H)).max())
-    t = 1.0 / L
+    t = 1.0 / max(abs(quad.eig_min + 1.0 / gamma), abs(quad.eig_max + 1.0 / gamma))
     x = np.clip(v, box.lower, box.upper)
     for _ in range(max_iter):
         g = H @ x + c

@@ -159,11 +159,13 @@ class SolverConfig:
         algo = ALGORITHMS.get(self.algorithm)
         if algo is None:
             raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
-        if self.subproblem != "auto" and not isinstance(self.subproblem, algo.accepts):
-            names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
-            raise InvalidSubproblemPath(
-                f'{self.algorithm} takes the subproblem "auto" or one of: {names}; '
-                f"got {self.subproblem!r}")
+        if self.subproblem != "auto":
+            if not isinstance(self.subproblem, algo.accepts):
+                names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
+                raise InvalidSubproblemPath(
+                    f'{self.algorithm} takes the subproblem "auto" or one of: {names}; '
+                    f"got {self.subproblem!r}")
+            self.subproblem.check(problem)
         modulus = algo.modulus(problem)
         if modulus > 0 and self.plan.gamma >= 1.0 / modulus:
             raise GammaTooLarge(

@@ -132,7 +132,7 @@ class TestSolveSubproblem:
 
         def phi(z):
             res = solve_subproblem(ctx, z, lam)
-            return res.objective(ctx, z, lam)
+            return potential_P(ctx, res.x, z, lam, ctx.beta)
 
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -149,7 +149,7 @@ class TestSolveSubproblem:
         z = np.array([0.7, -0.4])
         lam = np.array([1.0])
         res = solve_subproblem(ctx, z, lam)
-        base = res.objective(ctx, z, lam)
+        base = potential_P(ctx, res.x, z, lam, ctx.beta)
         mu = 1.0 / gamma - exp1_problem.rho_total
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -159,8 +159,7 @@ class TestSolveSubproblem:
             cand = res.x + delta * d
             if not np.isfinite(exp1_problem.objective_value(cand)):
                 continue
-            from mealopt.envelope import _subproblem_value
-            val = _subproblem_value(ctx, cand, z, lam)
+            val = potential_P(ctx, cand, z, lam, ctx.beta)
             assert val - base >= 0.5 * mu * delta ** 2 - 1e-9
 
     def test_fast_path_equals_direct_on_zero_prox(self):

@@ -139,6 +139,10 @@ class TestTraceCSV:
         assert path.read_bytes() == ("\n".join([CSV_HEADER] + rows) + "\n").encode()
 
 
+# a solve command that validates on build_exp2(seed=3, m=2, n=6)
+RUNS = ["solve", "--algorithm", "meal", "--gamma", "0.05", "--max-iters", "5"]
+
+
 class TestCLI:
     def test_exp1_writes_traces(self, tmp_path, capsys):
         code = main(["exp1", "--output-dir", str(tmp_path), "--max-iters", "600"])
@@ -163,8 +167,14 @@ class TestCLI:
         ["exp1", "--max-iters", "0"],
         ["exp2", "--n", "3"],
         ["exp2", "--m", "0"],
+        # penalty flags that would be ignored; without them each command runs
+        [*RUNS, "--beta", "1", "--alpha-target", "1"],
+        [*RUNS, "--beta", "1", "--horizon-K", "5", "--alpha-target", "1"],
+        [*RUNS, "--beta", "1", "--cap-variant", "meal-b"],
+        [*RUNS, "--horizon-K", "5", "--alpha-target", "1", "--cap-variant", "meal-b"],
     ], ids=["prox-ialm-params", "solve-max-iters", "horizon-k", "exp1-max-iters",
-            "exp2-n", "exp2-m"])
+            "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
+            "cap-variant-with-beta", "cap-variant-with-horizon-k"])
     def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
         if argv[0] == "solve":
@@ -213,6 +223,17 @@ class TestCLI:
         code = main(["solve", "--input", str(bad), "--algorithm", "meal",
                      "--beta", "1.0"])
         assert code == 2
+
+    def test_limeal_direct_run_ends_in_a_status(self, tmp_path):
+        # the linearized step needs only beta A'A + I/gamma to be definite
+        save_problem(m.Problem(m.LinearConstraint([[1.0, 1.0]], [1.0]), m.Zero(),
+                               m.QuadraticSmooth(np.diag([1.0, -30.0]))),
+                     tmp_path / "p.json")
+        code = main(["solve", "--input", str(tmp_path / "p.json"), "--algorithm",
+                     "limeal", "--beta", "1", "--gamma", "0.5",
+                     "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert (tmp_path / "limeal_trace.csv").exists()
 
     def test_alpha_target_flow(self, tmp_path):
         # Theorem-style beta selection from the admissible cap

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mealopt as m
 from mealopt.errors import InsufficientData, RangeTooSmall, SubproblemNonconvexUnsupported
@@ -105,6 +109,28 @@ class TestBoxQPGlobalMin:
         with pytest.raises(SubproblemNonconvexUnsupported):
             box_qp_global_min(np.diag([1.0, -1.0]), np.zeros(2),
                               [-1.0, -np.inf], [1.0, np.inf])
+
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_no_grid_point_is_lower(self, data, n):
+        """The returned point lies in the box, and no point of a 41-per-axis
+        grid over the box has a lower value: a check by plain sampling,
+        independent of the face enumeration."""
+        entry = st.floats(-3.0, 3.0)
+        G = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+        H = 0.5 * (G.reshape(n, n) + G.reshape(n, n).T)
+        c = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        lower = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        width = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+        upper = lower + np.array(width)
+
+        x, val = box_qp_global_min(H, c, lower, upper)
+        assert np.all(lower <= x) and np.all(x <= upper)
+        axes = [np.linspace(lo, hi, 41) for lo, hi in zip(lower, upper)]
+        grid = np.array(list(itertools.product(*axes)))
+        grid_min = float(np.min(0.5 * np.einsum("ki,ij,kj->k", grid, H, grid)
+                                + grid @ c))
+        assert val <= grid_min + 1e-12 * max(1.0, abs(grid_min))
 
 
 class TestKKTResidual:

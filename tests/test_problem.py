@@ -303,6 +303,16 @@ class TestOneQuadratic:
         assert g.weak_convexity_modulus == 2.0 * norm
         assert h.lipschitz_grad_constant == 3.0
 
+    def test_boxed_piece_prox_makes_no_eigendecomposition(self, monkeypatch):
+        g = m.PointwiseMin(pieces=((m.QuadraticForm(Q=[[1.0, 0.5], [0.5, -0.2]]),
+                                    m.BoxIndicator([0.0, 0.0], [1.0, 1.0])),))
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M) or real(M))
+        x = g.prox(0.3, [2.0, -1.0])
+        assert calls == []
+        assert np.all((0.0 <= x) & (x <= 1.0))
+
     @pytest.mark.parametrize("Q, r, message", [
         ([[1.0, 2.0, 3.0]], None, "square"),
         (np.eye(2), [1.0, 2.0, 3.0], "r dimension"),

@@ -558,6 +558,32 @@ class TestAcceptedSubproblemSpecs:
         cfg = m.SolverConfig(algo, m.PenaltyPlan.fixed(5.0, 0.02, 1.0), subproblem=spec)
         cfg.validate(m.build_exp2(seed=6, m=2, n=4))
 
+    @pytest.mark.parametrize("algo, spec, prob", [
+        ("meal", m.DirectQP(), make_box_qp(0)),
+        ("limeal", m.Paper72FastPath(),
+         m.Problem(m.LinearConstraint([[1.0, 1.0]], [1.0]), m.L1(weight=0.5),
+                   m.QuadraticSmooth(np.eye(2)))),
+    ], ids=["direct-on-a-box", "fast-path-on-l1"])
+    def test_validate_checks_the_spec_against_the_problem(self, algo, spec, prob):
+        from mealopt.errors import InvalidSubproblemPath
+
+        cfg = m.SolverConfig(algo, m.PenaltyPlan.fixed(5.0, 0.02, 1.0), subproblem=spec)
+        with pytest.raises(InvalidSubproblemPath):
+            cfg.validate(prob)
+
+    @pytest.mark.parametrize("spec", ["auto", m.DirectQP(), m.InnerProxGradient(),
+                                      m.Paper72FastPath()],
+                             ids=["auto", "direct", "inner", "paper72"])
+    def test_limeal_factors_only_the_matrix_it_solves_with(self, spec):
+        # H = A'A + 2I is positive definite, H + Q is not; the linearized
+        # step solves with H alone, so the run diverges instead of raising
+        prob = m.Problem(m.LinearConstraint([[1.0, 1.0]], [1.0]), m.Zero(),
+                         m.QuadraticSmooth(np.diag([1.0, -30.0])))
+        cfg = m.SolverConfig("limeal", m.PenaltyPlan.fixed(1.0, 0.5, 1.0),
+                             subproblem=spec)
+        cfg.validate(prob)
+        assert m.run(prob, cfg).status == "DivergenceDetected"
+
 
 def _carried_value_cases():
     from mealopt.experiments import EXP1_INIT
@@ -680,13 +706,24 @@ def small_problems(draw):
     return m.Problem(m.LinearConstraint(A, b), prox_part, smooth)
 
 
-@pytest.mark.parametrize("algorithm", tuple(ALGORITHMS))
-@settings(max_examples=25)
-@given(prob=small_problems())
-def test_validated_run_ends_in_a_status(algorithm, prob):
-    """Whatever validate accepts, run finishes with a status and a trace."""
-    gamma = 0.5 / max(ALGORITHMS[algorithm].modulus(prob), 1.0)
-    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(10.0, gamma, 1.0),
+def _algorithm_specs():
+    for name, algo in ALGORITHMS.items():
+        for spec in ("auto",) + tuple(cls() for cls in algo.accepts):
+            label = spec if spec == "auto" else type(spec).__name__
+            yield pytest.param(name, spec, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("algorithm, spec", list(_algorithm_specs()))
+@settings(max_examples=50)
+@given(prob=small_problems(), frac=st.floats(0.1, 0.95), horizon=st.booleans())
+def test_validated_run_ends_in_a_status(algorithm, spec, prob, frac, horizon):
+    """Whatever validate accepts, run finishes with a status and a trace: for
+    each spec an algorithm takes and "auto", at gamma up to 0.95 of its
+    bound, under both penalty plans."""
+    gamma = frac / max(ALGORITHMS[algorithm].modulus(prob), 1.0)
+    plan = (m.PenaltyPlan.horizon(5, 100.0, gamma, 1.0) if horizon
+            else m.PenaltyPlan.fixed(10.0, gamma, 1.0))
+    cfg = m.SolverConfig(algorithm, plan, subproblem=spec,
                          prox_ialm_params=m.ProxIALMParams(p=1.0 / gamma, s=1e-3),
                          stop=m.StopRule(max_iters=5))
     try:
