@@ -28,6 +28,7 @@ from .errors import (
     MissingMetadata,
     NonPositiveAlpha,
     NotComposite,
+    PenaltyOutOfRange,
     RangeTooSmall,
     SchemaError,
     SubproblemNonconvexUnsupported,

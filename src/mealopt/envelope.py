@@ -34,6 +34,7 @@ from .errors import (
     MissingMetadata,
     NonPositiveAlpha,
     NotComposite,
+    PenaltyOutOfRange,
     WindowTooShort,
 )
 from .problem import (
@@ -279,25 +280,33 @@ def alpha_from_beta(beta_k: float, beta_next: float, gamma: float, eta: float,
                     c_gamma_A: float) -> float:
     """alpha_k = (beta_k + beta_{k+1} + gamma*eta*(1 - eta/2)) / (2 c beta_k^2).
 
-    With beta fixed the numerator's beta terms reduce to 2*beta.
+    With beta fixed the numerator's beta terms reduce to 2*beta. Raises
+    PenaltyOutOfRange unless alpha_k is a positive finite float.
     """
-    if c_gamma_A <= 0:
-        raise ValueError("c_gamma_A must be positive")
-    return (beta_k + beta_next + gamma * eta * (1.0 - eta / 2.0)) / (
-        2.0 * c_gamma_A * beta_k ** 2
-    )
+    try:
+        alpha = (beta_k + beta_next + gamma * eta * (1.0 - eta / 2.0)) / (
+            2.0 * c_gamma_A * beta_k ** 2
+        )
+    except (OverflowError, ZeroDivisionError):
+        alpha = math.nan
+    if not 0.0 < alpha < math.inf:
+        raise PenaltyOutOfRange(f"beta = {beta_k:g} and c_gamma_A = {c_gamma_A:g} "
+                                "give no positive finite alpha")
+    return alpha
+
+
+_BETA_MARGIN = 1e-6  # fixed-mode beta inflation: alpha(beta) < alpha_bar strictly
 
 
 def beta_for_target_alpha(alpha_bar: float, gamma: float, eta: float,
-                          c_gamma_A: float, margin: float = 1e-6,
-                          horizon_K: Optional[int] = None) -> float:
-    """Smallest beta meeting the alpha condition, inflated by `margin`.
+                          c_gamma_A: float, horizon_K: Optional[int] = None) -> float:
+    """Smallest beta meeting the alpha condition, inflated by _BETA_MARGIN.
 
     Fixed mode inverts alpha(beta) < alpha_bar:
 
         beta = (1 + sqrt(1 + eta(2-eta) gamma c alpha_bar)) / (2 c alpha_bar)
 
-    times (1 + margin) so the strict inequality holds. Horizon mode returns
+    times (1 + _BETA_MARGIN) so the strict inequality holds. Horizon mode returns
     the K-scaled constant that achieves alpha_k == alpha_bar / K exactly
     (no margin: the schedule targets equality).
     """
@@ -306,7 +315,7 @@ def beta_for_target_alpha(alpha_bar: float, gamma: float, eta: float,
     disc = eta * (2.0 - eta) * gamma * c_gamma_A * alpha_bar
     if horizon_K is None:
         beta = (1.0 + np.sqrt(1.0 + disc)) / (2.0 * c_gamma_A * alpha_bar)
-        return float(beta * (1.0 + margin))
+        return float(beta * (1.0 + _BETA_MARGIN))
     K = int(horizon_K)
     return float(K * (1.0 + np.sqrt(1.0 + disc / K)) / (2.0 * c_gamma_A * alpha_bar))
 
@@ -383,8 +392,8 @@ class EnvelopeContext:
     alpha_from_beta(beta, beta, ...)`. The subproblem spec is checked
     against the problem. The subproblem matrix `H = beta A'A + I/gamma` is
     formed on first use, and `_factor(include_Q)` factors H (or H + Q) by
-    Cholesky on the first solve that needs it and keeps the factor.
-    Prox-iALM's matrix `beta A'A + p I` is formed once per p.
+    Cholesky on the first solve that needs it and keeps the factor. The
+    energies and every step read beta, alpha and gamma from here.
     """
 
     problem: Problem
@@ -405,7 +414,6 @@ class EnvelopeContext:
         self.alpha = alpha_from_beta(self.beta, self.beta, plan.gamma, plan.eta,
                                      self.c_gamma_A)
         self._chol_cache: dict = {}
-        self._prox_ialm_cache: dict = {}
         self.subproblem.check(self.problem)
 
     # -- factor cache ---------------------------------------------------
@@ -421,30 +429,24 @@ class EnvelopeContext:
             self._chol_cache[include_Q] = cho_factor(M)
         return self._chol_cache[include_Q]
 
-    def prox_ialm_matrix(self, p: float) -> np.ndarray:
-        """beta A'A + p I at the context's beta, for prox_ialm_step."""
-        if p not in self._prox_ialm_cache:
-            self._prox_ialm_cache[p] = self.beta * self.AtA + p * np.eye(self.problem.n)
-        return self._prox_ialm_cache[p]
-
 
 # ---------------------------------------------------------------------------
 # values
 # ---------------------------------------------------------------------------
 
 
-def augmented_lagrangian(ctx: EnvelopeContext, x, lam, beta: float) -> float:
-    """L_beta(x, lam) = f(x) + <lam, Ax-b> + (beta/2)||Ax-b||^2."""
+def augmented_lagrangian(ctx: EnvelopeContext, x, lam) -> float:
+    """L_beta(x, lam) = f(x) + <lam, Ax-b> + (beta/2)||Ax-b||^2 at ctx.beta."""
     x, lam = _vec(x), _vec(lam)
     resid = ctx.problem.constraint.A @ x - ctx.problem.constraint.b
     f = ctx.problem.objective_value(x)
-    return f + float(lam @ resid) + 0.5 * beta * float(resid @ resid)
+    return f + float(lam @ resid) + 0.5 * ctx.beta * float(resid @ resid)
 
 
-def potential_P(ctx: EnvelopeContext, x, z, lam, beta: float) -> float:
-    """P_beta(x, z, lam) = L_beta(x, lam) + ||x - z||^2 / (2 gamma)."""
+def potential_P(ctx: EnvelopeContext, x, z, lam) -> float:
+    """P_beta(x, z, lam) = L_beta(x, lam) + ||x - z||^2 / (2 gamma) at ctx.beta."""
     x, z = _vec(x), _vec(z)
-    return augmented_lagrangian(ctx, x, lam, beta) + float(
+    return augmented_lagrangian(ctx, x, lam) + float(
         np.sum((x - z) ** 2)
     ) / (2.0 * ctx.plan.gamma)
 
@@ -496,22 +498,19 @@ LYAPUNOV_COEFFICIENTS = {f"{family}-s{i}": float(c) for family, pair in _COEFFIC
 
 
 def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,
-             x_prev=None, beta: Optional[float] = None,
-             alpha: Optional[float] = None) -> float:
+             x_prev=None) -> float:
     """Lyapunov value E^k for the given variant at state (x, z, lam).
 
     E^k = P_beta(x, z, lam) + coef * alpha * (||z - z_prev||^2
-          [+ gamma^2 L_h^2 ||x - x_prev||^2 for limeal variants]).
+          [+ gamma^2 L_h^2 ||x - x_prev||^2 for limeal variants]),
 
-    Defined from k >= 1; callers without a predecessor must not ask
-    (WindowTooShort). beta and alpha default to the context's.
+    at the context's beta and alpha. Defined from k >= 1; callers without a
+    predecessor must not ask (WindowTooShort).
     """
     if variant not in LYAPUNOV_COEFFICIENTS:
         raise ValueError(f"unknown Lyapunov variant {variant!r}")
     if z_prev is None:
         raise WindowTooShort("Lyapunov needs z_prev (k >= 1)")
-    beta = ctx.beta if beta is None else beta
-    alpha = ctx.alpha if alpha is None else alpha
     coef = LYAPUNOV_COEFFICIENTS[variant]
     x, z, z_prev = _vec(x), _vec(z), _vec(z_prev)
     extra = float(np.sum((z - z_prev) ** 2))
@@ -522,4 +521,4 @@ def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,
             raise NotComposite("limeal Lyapunov needs a composite objective")
         L_h = ctx.problem.L_h
         extra += ctx.plan.gamma ** 2 * L_h ** 2 * float(np.sum((x - _vec(x_prev)) ** 2))
-    return potential_P(ctx, x, z, lam, beta) + coef * alpha * extra
+    return potential_P(ctx, x, z, lam) + coef * ctx.alpha * extra

@@ -28,6 +28,10 @@ class NonPositiveAlpha(MealoptError):
     """Target alpha must be positive."""
 
 
+class PenaltyOutOfRange(MealoptError):
+    """beta or gamma puts the penalty calculus outside floating-point range."""
+
+
 class NotComposite(MealoptError):
     """Operation requires a composite objective (smooth part present)."""
 

@@ -133,9 +133,9 @@ def exp2_configs(problem: Problem, stop: StopRule = DEFAULT_STOP):
     """Settings for the quadratic program comparison.
 
     Prox-linear: beta=50, gamma = 1/(2 ||Q||),  eta in {0.5, 1, 1.5} on the
-    project-the-unconstrained-minimizer path. Baseline: p = 2 ||Q||,
-    s = 1 / (2 (||Q|| + p + beta ||A||^2)), eta in {0.5, 1}; eta = 1 is the
-    unproximal variant.
+    project-the-unconstrained-minimizer path. Baseline: prox weight
+    p = 2 ||Q||, passed as gamma = 1/p, s = 1 / (2 (||Q|| + p + beta ||A||^2)),
+    eta in {0.5, 1}; eta = 1 is the unproximal variant.
     """
     Q, _, _ = problem.smooth.quadratic_terms()
     q_norm = float(np.linalg.norm(Q, 2))
@@ -153,7 +153,7 @@ def exp2_configs(problem: Problem, stop: StopRule = DEFAULT_STOP):
     for eta in (0.5, 1.0):
         plan = PenaltyPlan.fixed(beta, gamma=1.0 / p, eta=eta)
         cfg = SolverConfig("prox_ialm", plan,
-                           prox_ialm_params=ProxIALMParams(p=p, s=s), stop=stop)
+                           prox_ialm_params=ProxIALMParams(s=s), stop=stop)
         label = "ialm" if eta == 1.0 else f"prox_ialm_eta{_fmt(eta)}"
         out.append((label, cfg))
     return out

@@ -83,12 +83,11 @@ def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
     r = _vec(r) if r is not None else np.zeros(n)
     lower = _vec(lower)
     upper = _vec(upper)
-    if A is not None:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = _vec(b)
-        m = A.shape[0]
-    else:
-        m = 0
+    if A is None:
+        A, b = np.zeros((0, n)), np.zeros(0)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = _vec(b)
+    m = A.shape[0]
 
     points, multipliers = [], []
     n_singular = 0
@@ -103,34 +102,27 @@ def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
         for i in clamped:
             x[i] = lower[i] if pattern[i] == 0 else upper[i]
         nf = len(free)
-        if m > 0:
-            K = np.zeros((nf + m, nf + m))
-            K[:nf, :nf] = Q[np.ix_(free, free)]
-            K[:nf, nf:] = A[:, free].T
-            K[nf:, :nf] = A[:, free]
-            rhs = np.empty(nf + m)
-            rhs[:nf] = -r[free] - (Q[np.ix_(free, clamped)] @ x[clamped] if clamped else 0.0)
-            rhs[nf:] = b - (A[:, clamped] @ x[clamped] if clamped else 0.0)
-        else:
-            K = Q[np.ix_(free, free)]
-            rhs = -r[free] - (Q[np.ix_(free, clamped)] @ x[clamped] if clamped else 0.0)
-        if nf + m > 0:
-            try:
-                sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
-            except np.linalg.LinAlgError:
-                n_singular += 1
-                continue
-            if not np.all(np.isfinite(sol)):
-                n_singular += 1
-                continue
-            x[free] = sol[:nf]
-            mu = sol[nf:] if m > 0 else np.zeros(0)
-        else:
-            mu = np.zeros(0)
+        K = np.zeros((nf + m, nf + m))
+        K[:nf, :nf] = Q[np.ix_(free, free)]
+        K[:nf, nf:] = A[:, free].T
+        K[nf:, :nf] = A[:, free]
+        rhs = np.empty(nf + m)
+        rhs[:nf] = -r[free] - (Q[np.ix_(free, clamped)] @ x[clamped] if clamped else 0.0)
+        rhs[nf:] = b - (A[:, clamped] @ x[clamped] if clamped else 0.0)
+        try:
+            sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
+        except np.linalg.LinAlgError:
+            n_singular += 1
+            continue
+        if not np.all(np.isfinite(sol)):
+            n_singular += 1
+            continue
+        x[free] = sol[:nf]
+        mu = sol[nf:]
 
         if np.any(x < lower - bound_tol) or np.any(x > upper + bound_tol):
             continue
-        grad = Q @ x + r + (A.T @ mu if m > 0 else 0.0)
+        grad = Q @ x + r + A.T @ mu
         ok = True
         for i, s in enumerate(pattern):
             if s == 0 and grad[i] < -bound_tol:      # at lower: residual must push up
@@ -141,7 +133,7 @@ def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
                 ok = False
         if not ok:
             continue
-        if m > 0 and np.linalg.norm(A @ x - b) > feas_tol:
+        if np.linalg.norm(A @ x - b) > feas_tol:
             continue
         # degenerate patterns rediscover the same point; keep the first
         if any(np.linalg.norm(x - p) <= 1e-8 for p in points):

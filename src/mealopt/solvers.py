@@ -116,14 +116,13 @@ class EpsilonSchedule:
 
 @dataclass(frozen=True)
 class ProxIALMParams:
-    """Prox coefficient p and primal step s; the dual step is beta."""
+    """Primal step s; the prox weight is the plan's 1/gamma, the dual step beta."""
 
-    p: float
     s: float
 
     def __post_init__(self):
-        if self.p <= 0 or self.s <= 0:
-            raise ValueError("p and s must be positive")
+        if self.s <= 0:
+            raise ValueError("s must be positive")
 
 
 @dataclass(frozen=True)
@@ -273,16 +272,16 @@ def _alm_quadratic(ctx, lam):
 
 def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
                    params: ProxIALMParams) -> tuple[IterateState, StepReport]:
-    """Projected prox-linear baseline step.
+    """Projected prox-linear baseline step, prox weight p = 1/gamma.
 
         xbar = (beta A'A + p I) x + Q x + A'lam - p z - (beta A'b - r)
-        x'   = Proj_C(x - s xbar)
+        x'   = Proj_C(x - s xbar),   beta A'A + p I = ctx.H,
 
     followed by the shared z and lambda updates (dual step beta, as in the
     printed scheme). Proj_C is the identity when the prox part is Zero.
     """
     p = ctx.problem
-    beta = ctx.beta
+    beta, weight = ctx.beta, 1.0 / ctx.plan.gamma
     bounds = p.box_bounds()
     if bounds is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
@@ -290,13 +289,12 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
     A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
 
-    xbar = ctx.prox_ialm_matrix(params.p) @ x + Q @ x + A.T @ lam \
-        - params.p * z - (beta * ctx.Atb - r)
+    xbar = ctx.H @ x + Q @ x + A.T @ lam - weight * z - (beta * ctx.Atb - r)
     x_new = np.clip(x - params.s * xbar, *bounds)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     v = (x - x_new) / params.s + Q @ (x_new - x) + beta * (ctx.AtA @ (x_new - x)) \
-        - params.p * (x - z)
+        - weight * (x - z)
     return _advance(ctx, state, x_new, v)
 
 
@@ -336,8 +334,6 @@ def _check_prox_ialm(config, problem) -> None:
         raise NotComposite("prox_ialm needs a quadratic smooth part")
     if problem.box_bounds() is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
-    if abs(config.plan.gamma * config.prox_ialm_params.p - 1.0) > 1e-9:
-        raise ValueError("prox_ialm requires plan.gamma == 1/p")
 
 
 def _lyapunov_energy(family: str):
@@ -386,12 +382,12 @@ ALGORITHMS = {
     # no proximal term: the global-min oracle handles any curvature
     "alm": Algorithm(
         lambda ctx, st, cfg, warm: alm_step(ctx, st), lambda p: 0.0, False,
-        lambda ctx, st, new: augmented_lagrangian(ctx, new.x, new.lam, ctx.beta),
+        lambda ctx, st, new: augmented_lagrangian(ctx, new.x, new.lam),
         accepts=(), check=_check_alm),
     "prox_ialm": Algorithm(
         lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
         lambda p: p.rho_g, False,
-        lambda ctx, st, new: potential_P(ctx, new.x, new.z, new.lam, ctx.beta),
+        lambda ctx, st, new: potential_P(ctx, new.x, new.z, new.lam),
         accepts=(), check=_check_prox_ialm),
 }
 

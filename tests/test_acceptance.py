@@ -234,8 +234,7 @@ def test_criterion_9_fixed_point_invariance():
         q_norm = float(np.linalg.norm(problem.smooth.Q, 2))
         p_coef = 2.0 * q_norm
         a_norm2 = float(np.linalg.norm(problem.constraint.A, 2)) ** 2
-        params = m.ProxIALMParams(p=p_coef,
-                                  s=1.0 / (2 * (q_norm + p_coef + 50 * a_norm2)))
+        params = m.ProxIALMParams(s=1.0 / (2 * (q_norm + p_coef + 50 * a_norm2)))
         inner = m.InnerProxGradient(tol=1e-12, max_inner=400000)
         plan = m.PenaltyPlan.fixed(50.0, gamma=gamma, eta=1.0)
         ctx = EnvelopeContext(problem, plan, inner)

@@ -19,6 +19,7 @@ from mealopt.errors import (
     MissingMetadata,
     NonPositiveAlpha,
     NotComposite,
+    PenaltyOutOfRange,
     WindowTooShort,
 )
 from tests.conftest import make_box_qp, make_convex_qp
@@ -30,18 +31,18 @@ def zero_problem(n=2):
 
 class TestAugmentedLagrangian:
     def test_zero_everything(self):
-        ctx = EnvelopeContext(zero_problem(), m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
-        assert m.augmented_lagrangian(ctx, [0.0, 0.0], [3.0, -1.0], 7.0) == 0.0
+        ctx = EnvelopeContext(zero_problem(), m.PenaltyPlan.fixed(7.0, 0.5, 1.0))
+        assert m.augmented_lagrangian(ctx, [0.0, 0.0], [3.0, -1.0]) == 0.0
 
     def test_exp1_hand_value(self, exp1_problem):
         ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
         # f(1,0) = 1, residual 1, lam = 0: 1 + 25
-        assert m.augmented_lagrangian(ctx, [1.0, 0.0], [0.0], 50.0) == pytest.approx(26.0)
+        assert m.augmented_lagrangian(ctx, [1.0, 0.0], [0.0]) == pytest.approx(26.0)
 
     def test_feasible_point_ignores_penalty(self, exp1_problem):
-        ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
         for lam, beta in [(0.0, 1.0), (5.0, 400.0), (-3.0, 17.0)]:
-            got = m.augmented_lagrangian(ctx, [0.3, 0.3], [lam], beta)
+            ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(beta, 0.25, 1.0))
+            got = m.augmented_lagrangian(ctx, [0.3, 0.3], [lam])
             assert got == pytest.approx(exp1_problem.objective_value([0.3, 0.3]),
                                         abs=1e-14)
 
@@ -50,12 +51,12 @@ class TestPotential:
     def test_reduces_to_lagrangian_when_z_is_x(self, exp1_problem):
         ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
         x = np.array([0.4, -0.2])
-        assert potential_P(ctx, x, x, [1.0], 50.0) == pytest.approx(
-            m.augmented_lagrangian(ctx, x, [1.0], 50.0))
+        assert potential_P(ctx, x, x, [1.0]) == pytest.approx(
+            m.augmented_lagrangian(ctx, x, [1.0]))
 
     def test_hand_value(self):
         ctx = EnvelopeContext(zero_problem(), m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
-        got = potential_P(ctx, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], 1.0)
+        got = potential_P(ctx, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
         assert got == pytest.approx(1.0)
 
     def test_depends_only_on_residual_shift(self):
@@ -67,8 +68,8 @@ class TestPotential:
         c2 = EnvelopeContext(p2, plan)
         x1, x2 = np.array([0.7, 0.1]), np.array([1.7, 0.1])
         z = np.array([0.0, 0.0])
-        r1 = potential_P(c1, x1, x1 - z, [2.0], 3.0)
-        r2 = potential_P(c2, x2, x2 - z, [2.0], 3.0)
+        r1 = potential_P(c1, x1, x1 - z, [2.0])
+        r2 = potential_P(c2, x2, x2 - z, [2.0])
         assert r1 == pytest.approx(r2, abs=1e-12)
 
 
@@ -132,7 +133,7 @@ class TestSolveSubproblem:
 
         def phi(z):
             res = solve_subproblem(ctx, z, lam)
-            return potential_P(ctx, res.x, z, lam, ctx.beta)
+            return potential_P(ctx, res.x, z, lam)
 
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -149,7 +150,7 @@ class TestSolveSubproblem:
         z = np.array([0.7, -0.4])
         lam = np.array([1.0])
         res = solve_subproblem(ctx, z, lam)
-        base = potential_P(ctx, res.x, z, lam, ctx.beta)
+        base = potential_P(ctx, res.x, z, lam)
         mu = 1.0 / gamma - exp1_problem.rho_total
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -159,7 +160,7 @@ class TestSolveSubproblem:
             cand = res.x + delta * d
             if not np.isfinite(exp1_problem.objective_value(cand)):
                 continue
-            val = potential_P(ctx, cand, z, lam, ctx.beta)
+            val = potential_P(ctx, cand, z, lam)
             assert val - base >= 0.5 * mu * delta ** 2 - 1e-9
 
     def test_fast_path_equals_direct_on_zero_prox(self):
@@ -337,6 +338,11 @@ class TestPenaltyCalculus:
         a2 = alpha_from_beta(200.0, 200.0, 0.5, 1.0, 0.5)
         assert a2 < a1
 
+    @pytest.mark.parametrize("beta, c", [(1e300, 0.5), (1.0, 0.0), (1.0, -0.5)])
+    def test_alpha_out_of_range(self, beta, c):
+        with pytest.raises(PenaltyOutOfRange):
+            alpha_from_beta(beta, beta, 0.5, 1.0, c)
+
     def test_beta_hand_value(self):
         # frozen from direct evaluation: (1 + sqrt(1.01)) / 0.04, +1e-6 margin
         got = beta_for_target_alpha(0.04, 0.5, 1.0, 0.5)
@@ -457,29 +463,29 @@ class TestLyapunov:
 
     def test_reduces_to_potential_when_stationary(self):
         got = lyapunov(self.ctx, "meal-s1", self.x, self.z, self.lam,
-                       z_prev=self.z, beta=30.0, alpha=0.1)
+                       z_prev=self.z)
         assert got == pytest.approx(potential_P(self.ctx, self.x, self.z,
-                                                self.lam, 30.0))
+                                                self.lam))
 
     def test_s1_s2_differ_by_alpha_term(self):
         z_prev = self.z + 0.3
-        alpha = 0.07
+        alpha = self.ctx.alpha
         e1 = lyapunov(self.ctx, "meal-s1", self.x, self.z, self.lam,
-                      z_prev=z_prev, beta=30.0, alpha=alpha)
+                      z_prev=z_prev)
         e2 = lyapunov(self.ctx, "meal-s2", self.x, self.z, self.lam,
-                      z_prev=z_prev, beta=30.0, alpha=alpha)
+                      z_prev=z_prev)
         gap = alpha * float(np.sum((self.z - z_prev) ** 2))
         assert e2 - e1 == pytest.approx(gap, rel=1e-12)
 
     def test_coefficients_ladder(self):
         z_prev = self.z + 0.5
-        alpha = 0.05
+        alpha = self.ctx.alpha
         vals = {}
         for variant in ("meal-s1", "meal-s2", "imeal-s1", "imeal-s2"):
             vals[variant] = lyapunov(self.ctx, variant, self.x, self.z, self.lam,
-                                     z_prev=z_prev, beta=30.0, alpha=alpha)
+                                     z_prev=z_prev)
         assert vals["meal-s2"] == pytest.approx(vals["imeal-s1"], rel=1e-12)
-        base = potential_P(self.ctx, self.x, self.z, self.lam, 30.0)
+        base = potential_P(self.ctx, self.x, self.z, self.lam)
         gap = alpha * float(np.sum((self.z - z_prev) ** 2))
         for variant, coef in (("meal-s1", 2), ("meal-s2", 3),
                               ("imeal-s1", 3), ("imeal-s2", 4)):
@@ -489,11 +495,10 @@ class TestLyapunov:
         ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
         x, z, lam = np.array([0.5, 0.5]), np.array([0.2, 0.1]), np.array([1.0])
         x_prev, z_prev = x + 0.2, z - 0.1
-        alpha = 0.03
-        got = lyapunov(ctx, "limeal-s1", x, z, lam, z_prev=z_prev, x_prev=x_prev,
-                       beta=50.0, alpha=alpha)
+        alpha = ctx.alpha
+        got = lyapunov(ctx, "limeal-s1", x, z, lam, z_prev=z_prev, x_prev=x_prev)
         L_h = exp1_problem.L_h
-        expected = potential_P(ctx, x, z, lam, 50.0) + 3 * alpha * (
+        expected = potential_P(ctx, x, z, lam) + 3 * alpha * (
             float(np.sum((z - z_prev) ** 2))
             + 0.25 ** 2 * L_h ** 2 * float(np.sum((x - x_prev) ** 2)))
         assert got == pytest.approx(expected, rel=1e-12)

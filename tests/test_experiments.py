@@ -82,10 +82,9 @@ class TestBuilders:
         lim = labels["limeal_beta50_eta1"]
         assert lim.plan.gamma == pytest.approx(1.0 / (2.0 * q_norm))
         pia = labels["ialm"]
-        assert pia.prox_ialm_params.p == pytest.approx(2.0 * q_norm)
+        assert 1.0 / pia.plan.gamma == pytest.approx(2.0 * q_norm)
         assert pia.prox_ialm_params.s == pytest.approx(
             1.0 / (2.0 * (q_norm + 2.0 * q_norm + 50.0 * a_norm2)))
-        assert pia.plan.gamma * pia.prox_ialm_params.p == pytest.approx(1.0)
 
 
 class TestBundles:

@@ -141,6 +141,7 @@ class TestTraceCSV:
 
 # a solve command that validates on build_exp2(seed=3, m=2, n=6)
 RUNS = ["solve", "--algorithm", "meal", "--gamma", "0.05", "--max-iters", "5"]
+PENALTY = ["solve", "--algorithm", "meal", "--gamma", "0.1"]
 
 
 class TestCLI:
@@ -172,9 +173,14 @@ class TestCLI:
         [*RUNS, "--beta", "1", "--horizon-K", "5", "--alpha-target", "1"],
         [*RUNS, "--beta", "1", "--cap-variant", "meal-b"],
         [*RUNS, "--horizon-K", "5", "--alpha-target", "1", "--cap-variant", "meal-b"],
+        # penalties whose alpha is not a positive finite float
+        [*PENALTY, "--beta", "1e300"],
+        [*PENALTY, "--horizon-K", "3", "--alpha-target", "1e-300"],
+        [*PENALTY, "--beta", "1", "--gamma", "1e-300"],
     ], ids=["prox-ialm-params", "solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
-            "cap-variant-with-beta", "cap-variant-with-horizon-k"])
+            "cap-variant-with-beta", "cap-variant-with-horizon-k", "beta-overflow",
+            "horizon-beta-overflow", "gamma-underflow"])
     def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
         if argv[0] == "solve":

@@ -2,6 +2,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mealopt as m
 from mealopt.errors import AllZeroMatrix, GammaTooLarge
@@ -215,6 +217,59 @@ class TestProxInvariants:
             err = finite_diff_check(lambda w: moreau_value_grad(g, gamma, w)[0],
                                     lambda _: grad, v)
             assert err <= 1e-4
+
+
+def _vectors(n, bound=8.0):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+# convex kinds on R^3: a box with infinite bounds, and a singular PSD quadratic
+CONVEX_KINDS = {
+    "zero": m.Zero(),
+    "box": m.BoxIndicator([-1.0, 0.0, -np.inf], [1.0, np.inf, np.inf]),
+    "l1": m.L1(weight=0.8),
+    "psd_quadratic": m.QuadraticForm(Q=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.0],
+                                        [0.0, 0.0, 0.0]], r=[0.3, -0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", list(CONVEX_KINDS))
+@settings(max_examples=75)
+@given(u=_vectors(3), v=_vectors(3), gamma=st.floats(0.01, 5.0))
+def test_prox_firmly_nonexpansive_for_convex_kinds(name, u, v, gamma):
+    """||Pu - Pv||^2 <= <Pu - Pv, u - v> for the prox P of a convex g."""
+    g = CONVEX_KINDS[name]
+    d = g.prox(gamma, u) - g.prox(gamma, v)
+    slack = 1e-12 * max(1.0, float((u - v) @ (u - v)))
+    assert d @ d <= d @ (u - v) + slack
+
+
+# separable kinds; the 1-D box is applied to each coordinate in turn
+SEPARABLE_KINDS = {
+    "l1": m.L1(weight=0.8),
+    "scad": m.SCAD(lam=1.0, a=3.7),
+    "mcp": m.MCP(lam=1.0, a=3.0),
+    "box": m.BoxIndicator([-1.0], [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(SEPARABLE_KINDS))
+@settings(max_examples=75)
+@given(a=_vectors(3), step=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+       frac=st.floats(0.01, 1.0))
+def test_prox_coordinatewise_monotone(name, a, step, frac):
+    """prox(gamma, a) <= prox(gamma, b) whenever a <= b, for gamma up to
+    0.99/rho (up to 5 for the convex kinds)."""
+    g = SEPARABLE_KINDS[name]
+    rho = g.weak_convexity_modulus
+    gamma = frac * (0.99 / rho if rho > 0 else 5.0)
+    b = a + np.array(step)
+    if name == "box":
+        pa = np.array([g.prox(gamma, [t])[0] for t in a])
+        pb = np.array([g.prox(gamma, [t])[0] for t in b])
+    else:
+        pa, pb = g.prox(gamma, a), g.prox(gamma, b)
+    assert np.all(pa <= pb)
 
 
 class TestGoldenFiles:

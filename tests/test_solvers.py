@@ -206,7 +206,7 @@ class TestProxIALMStep:
         qn = float(np.linalg.norm(prob.smooth.Q, 2))
         p_coef = 2.0 * qn
         an2 = float(np.linalg.norm(prob.constraint.A, 2)) ** 2
-        params = m.ProxIALMParams(p=p_coef, s=1.0 / (2 * (qn + p_coef + 50 * an2)))
+        params = m.ProxIALMParams(s=1.0 / (2 * (qn + p_coef + 50 * an2)))
         plan = m.PenaltyPlan.fixed(50.0, gamma=1.0 / p_coef, eta=1.0)
         return prob, plan, params
 
@@ -215,7 +215,7 @@ class TestProxIALMStep:
         ctx = EnvelopeContext(prob, plan)
         x = np.full(prob.n, 0.5)
         state = m.IterateState(x, x.copy(), np.zeros(prob.m))
-        tiny = m.ProxIALMParams(p=params.p, s=1e-12)
+        tiny = m.ProxIALMParams(s=1e-12)
         new, _ = prox_ialm_step(ctx, state, tiny)
         assert np.linalg.norm(new.x - x) <= 1e-9
 
@@ -241,29 +241,11 @@ class TestProxIALMStep:
         z = rng.uniform(0, 1, prob.n)
         lam = rng.normal(size=prob.m)
         new, _ = prox_ialm_step(ctx, m.IterateState(x, z, lam), params)
-        beta = 50.0
-        xbar = (beta * A.T @ A + params.p * np.eye(prob.n)) @ x + Q @ x \
-            + A.T @ lam - params.p * z - (beta * A.T @ b - r)
+        beta, p_coef = 50.0, 1.0 / plan.gamma
+        xbar = (beta * A.T @ A + p_coef * np.eye(prob.n)) @ x + Q @ x \
+            + A.T @ lam - p_coef * z - (beta * A.T @ b - r)
         x_next = np.clip(x - params.s * xbar, 0.0, 1.0)
         np.testing.assert_allclose(new.x, x_next, atol=1e-12)
-
-
-    def test_matrix_cache_is_per_p(self):
-        # one context, two prox coefficients: each step uses its own p
-        prob, plan, params = self._setup(seed=29)
-        ctx = EnvelopeContext(prob, plan)
-        state = m.IterateState(np.full(prob.n, 0.3), np.full(prob.n, 0.6),
-                               np.array([0.5, -0.5]))
-        Q, r, _ = prob.smooth.quadratic_terms()
-        A, b = prob.constraint.A, prob.constraint.b
-        for p_coef in (params.p, 3.0 * params.p, params.p):
-            other = m.ProxIALMParams(p=p_coef, s=params.s)
-            new, _ = prox_ialm_step(ctx, state, other)
-            xbar = (50.0 * A.T @ A + p_coef * np.eye(prob.n)) @ state.x \
-                + Q @ state.x + A.T @ state.lam - p_coef * state.z \
-                - (50.0 * A.T @ b - r)
-            np.testing.assert_allclose(new.x, np.clip(state.x - params.s * xbar, 0, 1),
-                                       rtol=0, atol=1e-12)
 
 
 class TestRun:
@@ -724,7 +706,7 @@ def test_validated_run_ends_in_a_status(algorithm, spec, prob, frac, horizon):
     plan = (m.PenaltyPlan.horizon(5, 100.0, gamma, 1.0) if horizon
             else m.PenaltyPlan.fixed(10.0, gamma, 1.0))
     cfg = m.SolverConfig(algorithm, plan, subproblem=spec,
-                         prox_ialm_params=m.ProxIALMParams(p=1.0 / gamma, s=1e-3),
+                         prox_ialm_params=m.ProxIALMParams(s=1e-3),
                          stop=m.StopRule(max_iters=5))
     try:
         cfg.validate(prob)
