@@ -31,7 +31,7 @@ from .envelope import (
 from .errors import MealoptError
 from .experiments import ExperimentSpec, run_experiment
 from .fileio import _prox_in, load_problem, save_trace
-from .problem import MCP, SCAD, BoxIndicator, L1, Zero
+from .problem import MCP, SCAD, BoxIndicator, L1, Zero, smallest_positive_eigenvalue
 from .solvers import ALGORITHMS, EpsilonSchedule, SolverConfig, StopRule, run
 
 _SUBPROBLEMS = {
@@ -147,9 +147,9 @@ def _cmd_solve(args) -> int:
             target = args.alpha_target
             if args.cap_variant is not None:
                 target = min(target, alpha_cap(problem, probe, args.cap_variant))
-            from .envelope import EnvelopeContext
-            ctx = EnvelopeContext(problem, probe)
-            beta = beta_for_target_alpha(target, args.gamma, args.eta, ctx.c_gamma_A)
+            A = problem.constraint.A
+            c_gamma_A = args.gamma ** 2 * smallest_positive_eigenvalue(A.T @ A)
+            beta = beta_for_target_alpha(target, args.gamma, args.eta, c_gamma_A)
         plan = PenaltyPlan.fixed(beta, gamma=args.gamma, eta=args.eta)
 
     sub = "auto" if args.subproblem_path is None else _SUBPROBLEMS[args.subproblem_path]()

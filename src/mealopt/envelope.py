@@ -176,6 +176,19 @@ class InnerProxGradient(SubproblemSpec):
     an element of grad S(x+) + dg(x+), drops below tol (or the call's tol,
     iMEAL's eps_k); it certifies the inexactness condition directly. After
     max_inner iterations the last point is returned with budget_exhausted.
+
+    When h is quadratic and g is a box or Zero, S is a strongly convex
+    quadratic over a box, grad S(x) = M x + c with M = H + Q for the exact
+    step and H for a linearized one, and the loop is preceded by up to
+    _FACE_STEPS face steps (a primal-dual active-set finish: Hintermueller,
+    Ito and Kunisch 2002; Bertsekas 1982). A face step takes the bounds
+    that y = prox_{t g}(x - t grad S(x)) sits on as active, solves M x = -c
+    on the free coordinates with the active ones fixed (the cached Cholesky
+    factor when all are free), clips, and returns once s = grad S(x) + the
+    nearest element of the box normal cone at x has ||s|| <= tol. When an
+    active set repeats, or after _FACE_STEPS steps, the accelerated loop
+    goes on from the clipped point. Each face step makes one prox call and
+    counts as one inner iteration, so max_inner bounds the total.
     """
 
     tol: float = 1e-10
@@ -211,13 +224,23 @@ class InnerProxGradient(SubproblemSpec):
         L = beta * ctx.A_norm2 + 1.0 / gamma + L_h
         mu = 1.0 / gamma - L_h
         t = 1.0 / L
+
+        done = 0
+        quad = p.quadratic_terms()      # h's, as a box or Zero g is not quadratic
+        if quad is not None and p.box_bounds() is not None:
+            c = shift + quad[1] if exact_h else shift
+            x, s_vec, s_norm, done = _face_steps(ctx, x, c, exact_h, t, stop_tol,
+                                                 min(_FACE_STEPS, self.max_inner))
+            if s_norm <= stop_tol:
+                return SubproblemResult(x, s_vec, s_norm, done)
+
         momentum = 0.0
         if g.weak_convexity_modulus == 0 and mu > 0:
             q = math.sqrt(mu / L)
             momentum = (1.0 - q) / (1.0 + q)
 
         y, grad_y = x, grad(x)
-        for it in range(1, self.max_inner + 1):
+        for it in range(done + 1, self.max_inner + 1):
             x_new = g.prox(t, y - t * grad_y)
             grad_new = grad(x_new)
             back = y - x_new
@@ -233,6 +256,43 @@ class InnerProxGradient(SubproblemSpec):
                 y, grad_y = x_new, grad_new
             x = x_new
         return SubproblemResult(x, s_vec, s_norm, self.max_inner, budget_exhausted=True)
+
+
+_FACE_STEPS = 8  # face steps before InnerProxGradient's accelerated loop
+
+
+def _face_steps(ctx, x, c, exact, t, tol, steps):
+    """Up to `steps` face steps on min x'Mx/2 + c'x over the box (see
+    InnerProxGradient): (x, s, ||s||, steps taken). Stops once ||s|| <= tol
+    or when an active set repeats."""
+    p = ctx.problem
+    lo, hi = p.box_bounds()
+    M = ctx.H + p.quadratic_terms()[0] if exact else ctx.H
+    grad = M @ x + c
+    seen = set()
+    for k in range(1, steps + 1):
+        y = p.prox_part.prox(t, x - t * grad)
+        at_lo, at_hi = y <= lo, y >= hi
+        key = at_lo.tobytes() + at_hi.tobytes()
+        if key in seen:
+            break
+        seen.add(key)
+        free = ~(at_lo | at_hi)
+        if free.all():
+            x = cho_solve(ctx._factor(include_Q=exact), -c)
+        else:
+            x = np.where(at_lo, lo, hi)
+            fixed = ~free
+            x[free] = np.linalg.solve(M[np.ix_(free, free)],
+                                      -(c[free] + M[np.ix_(free, fixed)] @ x[fixed]))
+        x = np.clip(x, lo, hi)
+        grad = M @ x + c
+        s = np.where(x <= lo, np.minimum(grad, 0.0),
+                     np.where(x >= hi, np.maximum(grad, 0.0), grad))
+        s_norm = math.sqrt(s @ s)
+        if s_norm <= tol:
+            break
+    return x, s, s_norm, k
 
 
 @dataclass(frozen=True)
@@ -308,16 +368,21 @@ def beta_for_target_alpha(alpha_bar: float, gamma: float, eta: float,
 
     times (1 + _BETA_MARGIN) so the strict inequality holds. Horizon mode returns
     the K-scaled constant that achieves alpha_k == alpha_bar / K exactly
-    (no margin: the schedule targets equality).
+    (no margin: the schedule targets equality). Raises PenaltyOutOfRange
+    unless beta comes out a finite float, as when c_gamma_A underflows to 0.
     """
     if alpha_bar <= 0:
         raise NonPositiveAlpha(f"alpha target must be positive, got {alpha_bar}")
-    disc = eta * (2.0 - eta) * gamma * c_gamma_A * alpha_bar
+    c, a = float(c_gamma_A), float(alpha_bar)      # Python floats: no numpy warnings
+    K = 1 if horizon_K is None else int(horizon_K)
+    disc = eta * (2.0 - eta) * gamma * c * a
+    beta = K * (1.0 + math.sqrt(1.0 + disc / K)) / (2.0 * c * a) if c > 0 else math.inf
     if horizon_K is None:
-        beta = (1.0 + np.sqrt(1.0 + disc)) / (2.0 * c_gamma_A * alpha_bar)
-        return float(beta * (1.0 + _BETA_MARGIN))
-    K = int(horizon_K)
-    return float(K * (1.0 + np.sqrt(1.0 + disc / K)) / (2.0 * c_gamma_A * alpha_bar))
+        beta *= 1.0 + _BETA_MARGIN
+    if not beta < math.inf:
+        raise PenaltyOutOfRange(f"alpha target {alpha_bar:g} and c_gamma_A = "
+                                f"{c_gamma_A:g} give no finite beta")
+    return beta
 
 
 # Lyapunov coefficient c of each family, for the (Lipschitz, bounded)

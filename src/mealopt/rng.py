@@ -15,6 +15,8 @@ all arithmetic mod 2^64. Uniform doubles in [0, 1) take the top 53 bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -41,9 +43,16 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform_array(self, *shape: int) -> np.ndarray:
-        """Array of uniforms filled in row-major order."""
-        n = 1
-        for s in shape:
-            n *= s
-        flat = np.array([self.uniform() for _ in range(n)], dtype=float)
-        return flat.reshape(shape)
+        """Array of uniforms filled in row-major order: the values, and the
+        state left behind, of `uniform()` called once per element. The k-th
+        state is s0 + k*GOLDEN; numpy's uint64 arithmetic wraps mod 2^64."""
+        n = math.prod(shape)
+        with np.errstate(over="ignore"):
+            z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) \
+                * np.uint64(_GOLDEN)
+            if n:
+                self._state = int(z[-1])
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+        return ((z >> np.uint64(11)) * 2.0 ** -53).reshape(shape)

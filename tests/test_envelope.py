@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mealopt as m
+from mealopt import envelope
 from mealopt.envelope import (
     _VARIANTS,
     EnvelopeContext,
@@ -22,6 +25,7 @@ from mealopt.errors import (
     PenaltyOutOfRange,
     WindowTooShort,
 )
+from mealopt.oracle import active_set_qp_oracle
 from tests.conftest import make_box_qp, make_convex_qp
 
 
@@ -322,6 +326,77 @@ class TestAcceleratedInnerLoop:
         with pytest.raises(ValueError, match="prox input must be finite"):
             m.run(prob, cfg, init=(np.array([1.0, -1.0]), np.array([1.0, -1.0]),
                                    np.zeros(1)))
+
+
+@st.composite
+def _box_qp_subproblems(draw):
+    """A strongly convex box-QP subproblem: n 1-6, some infinite bounds or a
+    Zero prox part, an exact or linearized step, an optional warm start."""
+    n = draw(st.integers(1, 6))
+    mcon = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-1, 1, size=(mcon, n))
+    G = rng.uniform(-1, 1, size=(n, n))
+    smooth = m.QuadraticSmooth(0.5 * (G + G.T), rng.uniform(-1, 1, size=n))
+    if draw(st.booleans()):
+        prox_part = m.Zero()
+    else:
+        lower = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-1, 0, size=n))
+        upper = np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0, 1, size=n))
+        prox_part = m.BoxIndicator(lower, upper)
+    prob = m.Problem(m.LinearConstraint(A, A @ rng.uniform(0, 1, size=n)),
+                     prox_part, smooth)
+    gamma = draw(st.floats(0.05, 0.95)) / max(prob.rho_total, 1.0)
+    beta = draw(st.floats(0.1, 100.0))
+    z, lam = rng.uniform(-2, 2, size=n), rng.uniform(-2, 2, size=mcon)
+    at = rng.uniform(-2, 2, size=n) if draw(st.booleans()) else None
+    warm = rng.uniform(-2, 2, size=n) if draw(st.booleans()) else None
+    return prob, gamma, beta, z, lam, at, warm
+
+
+class TestFaceSolve:
+    @settings(max_examples=200)
+    @given(case=_box_qp_subproblems())
+    def test_matches_the_active_set_oracle(self, case):
+        prob, gamma, beta, z, lam, at, warm = case
+        tol = 1e-10
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0),
+                              m.InnerProxGradient(tol=tol, max_inner=200000))
+        res = solve_subproblem(ctx, z, lam, linearize_at=at, warm_start=warm)
+        lo, hi = prob.box_bounds()
+        assert np.all(lo <= res.x) and np.all(res.x <= hi)
+        assert not res.budget_exhausted and res.residual_norm <= tol
+        # the subproblem written out: x'Mx/2 + c'x over the box
+        A, b = prob.constraint.A, prob.constraint.b
+        Q, r, _ = prob.smooth.quadratic_terms()
+        M = beta * A.T @ A + np.eye(prob.n) / gamma
+        c = A.T @ lam - beta * A.T @ b - z / gamma + r
+        if at is None:
+            M = M + Q
+        else:
+            c = c + Q @ at
+        pts, _, _ = active_set_qp_oracle(M, c, None, None, lo, hi)
+        assert min(np.abs(res.x - q).max() for q in pts) <= 1e-7
+
+    def test_falls_back_when_the_first_face_is_wrong(self, monkeypatch):
+        prob = make_box_qp(2)
+        gamma = 0.5 / max(prob.rho_total, 1.0)
+        z, lam = np.linspace(-0.5, 1.5, prob.n), np.array([0.4, -0.3])
+        tol = 1e-9
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(50.0, gamma, 1.0),
+                              m.InnerProxGradient(tol=tol, max_inner=200000))
+        monkeypatch.setattr(envelope, "_FACE_STEPS", 1)
+        calls = []
+        box_prox = m.BoxIndicator.prox
+        monkeypatch.setattr(m.BoxIndicator, "prox",
+                            lambda g, *a: calls.append(1) or box_prox(g, *a))
+        res = solve_subproblem(ctx, z, lam)
+        assert not res.budget_exhausted and res.residual_norm <= tol
+        # the one face step did not certify, and it is counted with the loop's
+        assert res.inner_iterations > 1
+        assert res.inner_iterations == len(calls)
+        np.testing.assert_allclose(res.x, _plain_prox_gradient(
+            prob, 50.0, gamma, z, lam, 1e-12)[0], rtol=0, atol=1e-8)
 
 
 class TestPenaltyCalculus:

@@ -29,6 +29,19 @@ class TestSplitMix64:
         assert min(xs) >= 0.0 and max(xs) < 1.0
         assert abs(np.mean(xs) - 0.5) < 0.05
 
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1, 12345678901234567])
+    @pytest.mark.parametrize("shape", [(40, 30), (800,), (5, 80), (3,), (0,)])
+    def test_uniform_array_is_uniform_in_a_loop(self, seed, shape):
+        """The vectorized draw gives the values, and leaves the state, of
+        uniform() called once per element in row-major order."""
+        vec, loop = SplitMix64(seed), SplitMix64(seed)
+        got = vec.uniform_array(*shape)
+        want = np.array([loop.uniform() for _ in range(int(np.prod(shape)))])
+        assert got.shape == shape and got.dtype == np.float64
+        np.testing.assert_array_equal(got.ravel(), want)
+        assert vec._state == loop._state
+        assert vec.next_u64() == loop.next_u64()
+
 
 class TestBuilders:
     def test_exp1_structure(self):

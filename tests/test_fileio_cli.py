@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -177,10 +178,14 @@ class TestCLI:
         [*PENALTY, "--beta", "1e300"],
         [*PENALTY, "--horizon-K", "3", "--alpha-target", "1e-300"],
         [*PENALTY, "--beta", "1", "--gamma", "1e-300"],
+        # alpha targets with c_gamma_A = 0: no finite beta
+        [*PENALTY, "--horizon-K", "3", "--alpha-target", "1", "--gamma", "1e-300"],
+        [*PENALTY, "--alpha-target", "1", "--gamma", "1e-300"],
     ], ids=["prox-ialm-params", "solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
             "cap-variant-with-beta", "cap-variant-with-horizon-k", "beta-overflow",
-            "horizon-beta-overflow", "gamma-underflow"])
+            "horizon-beta-overflow", "gamma-underflow", "horizon-target-underflow",
+            "target-underflow"])
     def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
         if argv[0] == "solve":
@@ -188,6 +193,18 @@ class TestCLI:
         assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("horizon", [[], ["--horizon-K", "3"]])
+    def test_unreachable_alpha_target_names_target_and_c(self, horizon, tmp_path,
+                                                         capsys):
+        save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
+        argv = [*PENALTY, *horizon, "--alpha-target", "1", "--gamma", "1e-300",
+                "--input", str(tmp_path / "qp.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: alpha target 1 and c_gamma_A = 0 give no finite beta\n"
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["exp1", "--frobnicate"]) == 2

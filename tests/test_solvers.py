@@ -355,14 +355,27 @@ class TestRun:
             assert rep.stationarity_residual <= 1e-6
         assert np.linalg.norm(tr_meal.terminal.x - tr_tight.terminal.x) <= 1e-6
 
-    def test_inner_budget_exhausted_status(self, exp1_problem):
+    @staticmethod
+    def _limeal_budget_run(problem, max_inner):
         cfg = m.SolverConfig("limeal", m.PenaltyPlan.fixed(50.0, 0.5, 1.0),
-                             subproblem=m.InnerProxGradient(tol=1e-14, max_inner=3),
+                             subproblem=m.InnerProxGradient(tol=1e-14,
+                                                            max_inner=max_inner),
                              stop=m.StopRule(max_iters=50, stat_tol=1e-9,
                                              feas_tol=1e-9))
-        tr = m.run(exp1_problem, cfg,
-                   init=(np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(1)))
+        return m.run(problem, cfg,
+                     init=(np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(1)))
+
+    def test_inner_budget_exhausted_status(self, exp1_problem):
+        # an L1 prox part: the accelerated loop alone, no face steps
+        prob = m.Problem(exp1_problem.constraint, m.L1(weight=0.1),
+                         exp1_problem.smooth)
+        tr = self._limeal_budget_run(prob, max_inner=3)
         assert tr.status == "InnerBudgetExhausted"
+
+    def test_face_steps_honour_max_inner(self, exp1_problem):
+        tr = self._limeal_budget_run(exp1_problem, max_inner=1)
+        assert tr.status == "InnerBudgetExhausted"
+        assert tr.inner_iterations == [1, 1]
 
     def test_alm_unsupported_objective(self):
         prob = m.Problem(m.LinearConstraint([[1.0, 0.0]], [0.0]), m.L1(weight=1.0))
