@@ -5,7 +5,6 @@ baselines, and oracle-backed convergence diagnostics."""
 __version__ = "0.1.0"
 
 from .envelope import (
-    DirectQP,
     EnvelopeContext,
     InnerProxGradient,
     Paper72FastPath,

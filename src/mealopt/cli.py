@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .envelope import (
     _VARIANTS,
-    DirectQP,
     InnerProxGradient,
     Paper72FastPath,
     PenaltyPlan,
@@ -35,7 +34,6 @@ from .problem import MCP, SCAD, BoxIndicator, L1, Zero, smallest_positive_eigenv
 from .solvers import ALGORITHMS, EpsilonSchedule, SolverConfig, StopRule, run
 
 _SUBPROBLEMS = {
-    "direct": DirectQP,
     "inner": InnerProxGradient,
     "paper72": Paper72FastPath,
 }
@@ -44,7 +42,7 @@ _SUBPROBLEMS = {
 def _positive(flag: str, kind=float):
     def parse(text: str):
         val = kind(text)
-        if val <= 0:
+        if not val > 0:
             raise argparse.ArgumentTypeError(f"{flag} must be positive, got {text}")
         return val
     return parse

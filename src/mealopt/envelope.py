@@ -13,9 +13,9 @@ This module evaluates both and implements the penalty-parameter calculus
 the potential and Lyapunov functions used as runtime descent monitors.
 
 The strongly convex inner problem belongs to an EnvelopeContext, which
-fixes beta. Its spec (DirectQP, InnerProxGradient or Paper72FastPath) is
-checked against the problem when the config is validated and when the
-context is built, and its `solve` is what `solve_subproblem` calls.
+fixes beta. Its spec (InnerProxGradient or Paper72FastPath) is checked
+against the problem when the config is validated and when the context is
+built, and its `solve` is what `solve_subproblem` calls.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .problem import (
 
 __all__ = [
     "PenaltyPlan",
-    "DirectQP",
     "InnerProxGradient",
     "Paper72FastPath",
     "EnvelopeContext",
@@ -87,17 +86,17 @@ class PenaltyPlan:
     def __post_init__(self):
         if self.mode not in ("fixed", "horizon"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not (0.0 < self.eta < 2.0):
             raise ValueError("eta must lie in (0, 2)")
         if self.mode == "fixed":
-            if self.beta is None or self.beta <= 0:
+            if self.beta is None or not self.beta > 0:
                 raise ValueError("fixed mode needs beta > 0")
         else:
             if self.K is None or self.K < 1:
                 raise ValueError("horizon mode needs K >= 1")
-            if self.alpha_target is None or self.alpha_target <= 0:
+            if self.alpha_target is None or not self.alpha_target > 0:
                 raise ValueError("horizon mode needs alpha_target > 0")
 
     @staticmethod
@@ -115,12 +114,11 @@ class PenaltyPlan:
 
 
 class SubproblemSpec:
-    """How the envelope subproblem is solved: one of the three specs below.
+    """How the envelope subproblem is solved: one of the two specs below.
 
     `check(problem)` raises InvalidSubproblemPath unless the path applies to
     the problem; `SolverConfig.validate` and EnvelopeContext call it.
-    `solve(ctx, z, lam, linearize_at, tol, warm_start)` solves at ctx.beta;
-    a direct path factors its system on the first solve.
+    `solve(ctx, z, lam, linearize_at, tol, warm_start)` solves at ctx.beta.
     """
 
     def check(self, problem: Problem) -> None:
@@ -128,30 +126,9 @@ class SubproblemSpec:
 
 
 @dataclass(frozen=True)
-class DirectQP(SubproblemSpec):
-    """Dense SPD solve; valid when the subproblem objective is quadratic."""
-
-    @staticmethod
-    def fits(problem: Problem) -> bool:
-        """Quadratic objective with no nonsmooth part."""
-        return problem.quadratic_terms() is not None and (
-            not problem.composite or isinstance(problem.prox_part, Zero))
-
-    def check(self, problem: Problem) -> None:
-        if not self.fits(problem):
-            raise InvalidSubproblemPath(
-                "DirectQP needs a quadratic objective with no nonsmooth part"
-            )
-
-    def solve(self, ctx, z, lam, linearize_at=None, tol=None,
-              warm_start=None) -> "SubproblemResult":
-        x = _cholesky_solve(ctx, z, lam, linearize_at)
-        return SubproblemResult(x, np.zeros(z.shape[0]), 0.0, 0)
-
-
-@dataclass(frozen=True)
 class InnerProxGradient(SubproblemSpec):
-    """Accelerated proximal gradient on the strongly convex subproblem.
+    """The strongly convex subproblem: one solve when it is a quadratic with
+    no bound, else face steps and accelerated proximal gradient.
 
     The subproblem splits into the prox part g and a smooth part S(x) =
     beta/2 ||Ax - b||^2 + <lam, Ax> + ||x - z||^2/(2 gamma) [+ h(x), or h's
@@ -177,11 +154,17 @@ class InnerProxGradient(SubproblemSpec):
     iMEAL's eps_k); it certifies the inexactness condition directly. After
     max_inner iterations the last point is returned with budget_exhausted.
 
-    When h is quadratic and g is a box or Zero, S is a strongly convex
-    quadratic over a box, grad S(x) = M x + c with M = H + Q for the exact
-    step and H for a linearized one, and the loop is preceded by up to
-    _FACE_STEPS face steps (a primal-dual active-set finish: Hintermueller,
-    Ito and Kunisch 2002; Bertsekas 1982). A face step takes the bounds
+    When the objective is quadratic with no bound (h quadratic and g Zero,
+    or g a QuadraticForm and no h), the subproblem minimizes x'Mx/2 + c'x
+    with M = H + Q [H alone for a linearized step] and c = shift + r
+    [shift], where grad S(x) = H x + shift [+ grad h(x)]. Then x = -M^{-1} c
+    by one solve on the cached Cholesky factor, the residual is s = M x + c,
+    and the step counts one inner iteration whatever the tolerance.
+
+    When h is quadratic and g is a box, S is a strongly convex quadratic
+    over a box, grad S(x) = M x + c as above, and the loop is preceded by up
+    to _FACE_STEPS face steps (a primal-dual active-set finish:
+    Hintermueller, Ito and Kunisch 2002; Bertsekas 1982). A face step takes the bounds
     that y = prox_{t g}(x - t grad S(x)) sits on as active, solves M x = -c
     on the free coordinates with the active ones fixed (the cached Cholesky
     factor when all are free), clips, and returns once s = grad S(x) + the
@@ -204,17 +187,27 @@ class InnerProxGradient(SubproblemSpec):
               warm_start=None) -> "SubproblemResult":
         p = ctx.problem
         beta, gamma, H = ctx.beta, ctx.plan.gamma, ctx.H
-        stop_tol = self.tol if tol is None else tol
         g = p.prox_part
-        x = _vec(warm_start).copy() if warm_start is not None else z.copy()
-        if isinstance(g, BoxIndicator):
-            x = np.clip(x, g.lower, g.upper)
 
         # grad S(x) = H x + shift [+ grad h(x)]; shift is formed once per solve
         exact_h = p.composite and linearize_at is None
         shift = p.constraint.A.T @ lam - beta * ctx.Atb - z / gamma
         if linearize_at is not None:
             shift = shift + p.smooth_gradient(_vec(linearize_at))
+
+        quad = p.quadratic_terms()      # h's, or g's when g is the objective
+        if quad is not None and (not p.composite or isinstance(g, Zero)):
+            include_Q = exact_h or not p.composite
+            c = shift + quad[1] if include_Q else shift
+            M, factor = ctx._system(include_Q)
+            x = cho_solve(factor, -c)
+            s_vec = M @ x + c
+            return SubproblemResult(x, s_vec, math.sqrt(s_vec @ s_vec), 1)
+
+        stop_tol = self.tol if tol is None else tol
+        x = _vec(warm_start).copy() if warm_start is not None else z.copy()
+        if isinstance(g, BoxIndicator):
+            x = np.clip(x, g.lower, g.upper)
 
         def grad(xx):
             out = H @ xx + shift
@@ -226,8 +219,7 @@ class InnerProxGradient(SubproblemSpec):
         t = 1.0 / L
 
         done = 0
-        quad = p.quadratic_terms()      # h's, as a box or Zero g is not quadratic
-        if quad is not None and p.box_bounds() is not None:
+        if quad is not None and isinstance(g, BoxIndicator):
             c = shift + quad[1] if exact_h else shift
             x, s_vec, s_norm, done = _face_steps(ctx, x, c, exact_h, t, stop_tol,
                                                  min(_FACE_STEPS, self.max_inner))
@@ -267,7 +259,7 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
     or when an active set repeats."""
     p = ctx.problem
     lo, hi = p.box_bounds()
-    M = ctx.H + p.quadratic_terms()[0] if exact else ctx.H
+    M, factor = ctx._system(exact)
     grad = M @ x + c
     seen = set()
     for k in range(1, steps + 1):
@@ -279,7 +271,7 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
         seen.add(key)
         free = ~(at_lo | at_hi)
         if free.all():
-            x = cho_solve(ctx._factor(include_Q=exact), -c)
+            x = cho_solve(factor, -c)
         else:
             x = np.where(at_lo, lo, hi)
             fixed = ~free
@@ -314,21 +306,12 @@ class Paper72FastPath(SubproblemSpec):
               warm_start=None) -> "SubproblemResult":
         if linearize_at is None:
             raise InvalidSubproblemPath("fast path is a linearized-update scheme")
-        x = np.clip(_cholesky_solve(ctx, z, lam, linearize_at), *ctx.problem.box_bounds())
+        p = ctx.problem
+        Q, r, _ = p.quadratic_terms()
+        rhs = (z / ctx.plan.gamma + ctx.beta * ctx.Atb - r - Q @ _vec(linearize_at)
+               - p.constraint.A.T @ lam)
+        x = np.clip(cho_solve(ctx._system(include_Q=False)[1], rhs), *p.box_bounds())
         return SubproblemResult(x, None, None, 0)
-
-
-def _cholesky_solve(ctx, z, lam, linearize_at):
-    """The quadratic subproblem's minimizer: the exact step factors H + Q, a
-    linearized composite step H with h's gradient at x0 on the right."""
-    p = ctx.problem
-    Q, r, _ = p.quadratic_terms()
-    linearized = linearize_at is not None and p.composite
-    rhs = z / ctx.plan.gamma + ctx.beta * ctx.Atb - r
-    if linearized:
-        rhs = rhs - Q @ _vec(linearize_at)
-    rhs = rhs - p.constraint.A.T @ lam
-    return cho_solve(ctx._factor(include_Q=not linearized), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +439,10 @@ class EnvelopeContext:
     equal alpha_target / K; and `alpha =
     alpha_from_beta(beta, beta, ...)`. The subproblem spec is checked
     against the problem. The subproblem matrix `H = beta A'A + I/gamma` is
-    formed on first use, and `_factor(include_Q)` factors H (or H + Q) by
-    Cholesky on the first solve that needs it and keeps the factor. The
-    energies and every step read beta, alpha and gamma from here.
+    formed on first use, and `_system(include_Q)` forms M = H + Q (or takes
+    M = H) and its Cholesky factor on the first solve that needs them and
+    keeps both. The energies and every step read beta, alpha and gamma from
+    here.
     """
 
     problem: Problem
@@ -478,21 +462,23 @@ class EnvelopeContext:
             plan.alpha_target, plan.gamma, plan.eta, self.c_gamma_A, horizon_K=plan.K)
         self.alpha = alpha_from_beta(self.beta, self.beta, plan.gamma, plan.eta,
                                      self.c_gamma_A)
-        self._chol_cache: dict = {}
+        self._systems: dict = {}
         self.subproblem.check(self.problem)
 
-    # -- factor cache ---------------------------------------------------
+    # -- subproblem systems ---------------------------------------------
 
     @cached_property
     def H(self) -> np.ndarray:
         """beta A'A + I/gamma, the subproblem's Hessian apart from f."""
         return self.beta * self.AtA + np.eye(self.problem.n) / self.plan.gamma
 
-    def _factor(self, include_Q: bool):
-        if include_Q not in self._chol_cache:
+    def _system(self, include_Q: bool):
+        """(M, Cholesky factor of M) for M = H + Q, or H alone; both are
+        formed on the first call and kept."""
+        if include_Q not in self._systems:
             M = self.H + self.problem.quadratic_terms()[0] if include_Q else self.H
-            self._chol_cache[include_Q] = cho_factor(M)
-        return self._chol_cache[include_Q]
+            self._systems[include_Q] = M, cho_factor(M)
+        return self._systems[include_Q]
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +522,8 @@ def solve_subproblem(ctx: EnvelopeContext, z, lam, linearize_at=None,
 
     With `linearize_at` the smooth part is replaced by its first-order model
     there. The result's residual lies in the subproblem subdifferential at
-    the returned point (exact paths give zero up to solve accuracy); the fast
-    path returns an uncertified None residual.
+    the returned point (a quadratic with no bound gives M x + c, zero up to
+    solve accuracy); the fast path returns an uncertified None residual.
     """
     return ctx.subproblem.solve(ctx, _vec(z), _vec(lam), linearize_at, tol, warm_start)
 

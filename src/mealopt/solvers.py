@@ -14,8 +14,7 @@ running minimum, the energy recorded in the `lyapunov` column (a Lyapunov
 family, the augmented Lagrangian or the potential P), the tuple of
 subproblem spec types it accepts (empty for the two algorithms that solve no
 envelope subproblem), and the algorithm's own requirements on the problem
-and config. `SolverConfig.validate`, `SolverConfig.resolve_subproblem` and
-`run` read the entry.
+and config. `SolverConfig.validate` and `run` read the entry.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .envelope import (
-    DirectQP,
     EnvelopeContext,
     InnerProxGradient,
     Paper72FastPath,
@@ -110,6 +108,10 @@ class EpsilonSchedule:
 
     eps0: float = 1e-2
 
+    def __post_init__(self):
+        if not self.eps0 > 0:
+            raise ValueError(f"eps0 must be positive, got {self.eps0}")
+
     def __call__(self, k: int) -> float:
         return self.eps0 / (k + 1.0)
 
@@ -121,7 +123,7 @@ class ProxIALMParams:
     s: float
 
     def __post_init__(self):
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError("s must be positive")
 
 
@@ -134,7 +136,7 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stat_tol <= 0 or self.feas_tol <= 0:
+        if not (self.stat_tol > 0 and self.feas_tol > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -179,11 +181,7 @@ class SolverConfig:
             problem.implicit_lipschitz_constant()  # raises MissingMetadata
 
     def resolve_subproblem(self, problem: Problem):
-        if self.subproblem != "auto":
-            return self.subproblem
-        if DirectQP in ALGORITHMS[self.algorithm].accepts and DirectQP.fits(problem):
-            return DirectQP()
-        return InnerProxGradient()
+        return InnerProxGradient() if self.subproblem == "auto" else self.subproblem
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +358,8 @@ class Algorithm:
     modulus: Callable       # Problem -> rho; gamma must stay below 1/rho
     running_min: bool       # stationarity column is the running minimum
     energy: Callable        # (ctx, state, new) -> the lyapunov column value
-    # subproblem spec types it takes; "auto" picks DirectQP if listed and it fits
-    accepts: tuple = (DirectQP, InnerProxGradient)
+    # subproblem spec types it takes; "auto" is InnerProxGradient
+    accepts: tuple = (InnerProxGradient,)
     check: Callable = lambda config, problem: None  # raises when a requirement is unmet
     progress_monitor: bool = False  # the one-step progress monitor applies
 
@@ -378,7 +376,7 @@ ALGORITHMS = {
     "limeal": Algorithm(
         lambda ctx, st, cfg, warm: limeal_step(ctx, st, warm_start=warm),
         lambda p: p.rho_g, False, _lyapunov_energy("limeal"),
-        accepts=(DirectQP, InnerProxGradient, Paper72FastPath), check=_check_limeal),
+        accepts=(InnerProxGradient, Paper72FastPath), check=_check_limeal),
     # no proximal term: the global-min oracle handles any curvature
     "alm": Algorithm(
         lambda ctx, st, cfg, warm: alm_step(ctx, st), lambda p: 0.0, False,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from mealopt.envelope import (
 )
 from mealopt.errors import (
     GammaTooLarge,
-    InvalidSubproblemPath,
     MissingMetadata,
     NonPositiveAlpha,
     NotComposite,
@@ -85,7 +86,7 @@ class TestSolveSubproblem:
 
     def test_one_dimensional_hand_solution(self):
         prob = m.Problem(m.LinearConstraint([[1.0]], [0.0]), m.QuadraticForm(Q=[[1.0]]))
-        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.5, 1.0), m.DirectQP())
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
         res = solve_subproblem(ctx, [3.0], [0.0])
         # stationarity x + beta x + (x - z)/gamma = 0 with z=3: x = 6/4
         assert res.x[0] == pytest.approx(1.5, abs=1e-12)
@@ -94,12 +95,11 @@ class TestSolveSubproblem:
     def test_inner_matches_direct_on_qp(self):
         prob = make_convex_qp(11)
         plan = m.PenaltyPlan.fixed(20.0, 0.4, 1.0)
-        direct = EnvelopeContext(prob, plan, m.DirectQP())
         inner = EnvelopeContext(prob, plan, m.InnerProxGradient(tol=1e-12,
                                                                 max_inner=200000))
         z = np.linspace(-1, 1, prob.n)
         lam = np.array([0.3, -0.2])
-        xd = solve_subproblem(direct, z, lam).x
+        xd = _dense_solution(prob, 20.0, 0.4, z, lam)[0]
         xi = solve_subproblem(inner, z, lam).x
         np.testing.assert_allclose(xi, xd, atol=1e-9)
 
@@ -168,7 +168,7 @@ class TestSolveSubproblem:
             assert val - base >= 0.5 * mu * delta ** 2 - 1e-9
 
     def test_fast_path_equals_direct_on_zero_prox(self):
-        # with no box to clip to, the two paths make the same Cholesky solve
+        # with no box to clip to, the fast path is the linearized step's solve
         prob = make_convex_qp(17)
         plan = m.PenaltyPlan.fixed(20.0, 0.4, 1.0)
         z = np.linspace(-1, 1, prob.n)
@@ -176,9 +176,8 @@ class TestSolveSubproblem:
         at = np.full(prob.n, 0.25)
         fast = solve_subproblem(EnvelopeContext(prob, plan, m.Paper72FastPath()),
                                 z, lam, linearize_at=at)
-        direct = solve_subproblem(EnvelopeContext(prob, plan, m.DirectQP()),
-                                  z, lam, linearize_at=at)
-        assert np.array_equal(fast.x, direct.x)
+        direct = _dense_solution(prob, 20.0, 0.4, z, lam, at)[0]
+        np.testing.assert_allclose(fast.x, direct, rtol=0, atol=1e-12)
 
     def test_one_eigendecomposition_per_context(self, monkeypatch):
         prob = make_convex_qp(0)
@@ -198,17 +197,27 @@ class TestSolveSubproblem:
         solve_subproblem(ctx, np.zeros(prob.n), np.zeros(prob.m))
         np.testing.assert_array_equal(ctx.H, 5.0 * ctx.AtA + np.eye(prob.n) / 0.1)
 
-    def test_direct_requires_quadratic(self, exp1_problem):
-        with pytest.raises(InvalidSubproblemPath):
-            EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(1.0, 0.25, 1.0),
-                            m.DirectQP())
-
 
 def _smooth_grad(prob, beta, gamma, z, lam):
     """grad S for the exact subproblem, written out term by term."""
     A, b = prob.constraint.A, prob.constraint.b
     Q, r, _ = prob.smooth.quadratic_terms()
     return lambda x: beta * A.T @ (A @ x - b) + A.T @ lam + (x - z) / gamma + Q @ x + r
+
+
+def _dense_solution(prob, beta, gamma, z, lam, at=None):
+    """(x, M, c): the no-bound quadratic subproblem min x'Mx/2 + c'x written
+    out term by term, exact or with h linearized at `at`, and its minimizer
+    by a dense solve of M x = -c."""
+    A, b = prob.constraint.A, prob.constraint.b
+    Q, r, _ = prob.quadratic_terms()
+    M = beta * A.T @ A + np.eye(prob.n) / gamma
+    c = A.T @ lam - beta * A.T @ b - z / gamma + r
+    if at is None or not prob.composite:
+        M = M + Q
+    else:
+        c = c + Q @ at
+    return np.linalg.solve(M, -c), M, c
 
 
 def _plain_prox_gradient(prob, beta, gamma, z, lam, tol):
@@ -268,12 +277,11 @@ class TestAcceleratedInnerLoop:
         z = np.linspace(-1, 1, prob.n)
         lam = np.array([0.3, -0.2])
         at = np.full(prob.n, 0.25) if linearized else None
-        direct = solve_subproblem(EnvelopeContext(prob, plan, m.DirectQP()),
-                                  z, lam, linearize_at=at)
+        direct = _dense_solution(prob, 20.0, 0.4, z, lam, at)[0]
         inner = solve_subproblem(
             EnvelopeContext(prob, plan, m.InnerProxGradient(tol=1e-11)),
             z, lam, linearize_at=at)
-        np.testing.assert_allclose(inner.x, direct.x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(inner.x, direct, rtol=0, atol=1e-8)
         assert inner.residual_norm <= 1e-11
 
     @pytest.mark.parametrize("fields", [{"max_inner": 0}, {"tol": -1.0}, {"tol": 0.0}])
@@ -397,6 +405,62 @@ class TestFaceSolve:
         assert res.inner_iterations == len(calls)
         np.testing.assert_allclose(res.x, _plain_prox_gradient(
             prob, 50.0, gamma, z, lam, 1e-12)[0], rtol=0, atol=1e-8)
+
+
+@st.composite
+def _no_bound_subproblems(draw):
+    """A strongly convex quadratic subproblem with no bound: n 1-6, a random
+    symmetric QuadraticSmooth with a Zero prox part (exact or linearized
+    step) or a QuadraticForm g with no smooth part, gamma up to 0.9 of 1/rho."""
+    n = draw(st.integers(1, 6))
+    mcon = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-1, 1, size=(mcon, n))
+    G = rng.uniform(-1, 1, size=(n, n))
+    Q, r = 0.5 * (G + G.T), rng.uniform(-1, 1, size=n)
+    constraint = m.LinearConstraint(A, A @ rng.uniform(0, 1, size=n))
+    if draw(st.booleans()):
+        prob = m.Problem(constraint, m.Zero(), m.QuadraticSmooth(Q, r))
+        at = rng.uniform(-2, 2, size=n) if draw(st.booleans()) else None
+    else:
+        prob, at = m.Problem(constraint, m.QuadraticForm(Q, r)), None
+    gamma = draw(st.floats(0.05, 0.9)) / max(prob.rho_total, 1.0)
+    beta = draw(st.floats(0.1, 100.0))
+    z, lam = rng.uniform(-2, 2, size=n), rng.uniform(-2, 2, size=mcon)
+    return prob, gamma, beta, z, lam, at
+
+
+class TestNoBoundSolve:
+    @settings(max_examples=200)
+    @given(case=_no_bound_subproblems())
+    def test_one_solve_matches_the_dense_reference(self, case):
+        prob, gamma, beta, z, lam, at = case
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0))
+        res = m.InnerProxGradient().solve(ctx, z, lam, linearize_at=at)
+        x_ref, M, c = _dense_solution(prob, beta, gamma, z, lam, at)
+        scale = max(1.0, np.abs(x_ref).max())
+        np.testing.assert_allclose(res.x, x_ref, rtol=0, atol=1e-9 * scale)
+        assert res.inner_iterations == 1 and not res.budget_exhausted
+        # the true residual M x + c, not a stand-in zero
+        s = M @ res.x + c
+        roundoff = 1e-13 * prob.n * (np.abs(M).max() * np.abs(res.x).max()
+                                     + np.abs(c).max())
+        np.testing.assert_allclose(res.residual, s, rtol=0, atol=roundoff)
+        assert res.residual_norm == pytest.approx(np.linalg.norm(s), rel=0,
+                                                  abs=prob.n * roundoff)
+        assert res.residual_norm == math.sqrt(res.residual @ res.residual)
+
+    def test_no_prox_call_and_no_loop_whatever_the_tolerance(self, monkeypatch):
+        prob = make_convex_qp(5)
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(20.0, 0.4, 1.0),
+                              m.InnerProxGradient(tol=1e-300, max_inner=1))
+        monkeypatch.setattr(m.Zero, "prox", lambda *a: pytest.fail("prox called"))
+        z, lam = np.linspace(-1, 1, prob.n), np.array([0.3, -0.2])
+        res = solve_subproblem(ctx, z, lam, tol=1e-300)
+        assert res.inner_iterations == 1 and not res.budget_exhausted
+        assert res.residual_norm > 1e-300
+        np.testing.assert_array_equal(
+            res.x, solve_subproblem(ctx, z, lam, warm_start=np.ones(prob.n)).x)
 
 
 class TestPenaltyCalculus:

@@ -143,6 +143,7 @@ class TestTraceCSV:
 # a solve command that validates on build_exp2(seed=3, m=2, n=6)
 RUNS = ["solve", "--algorithm", "meal", "--gamma", "0.05", "--max-iters", "5"]
 PENALTY = ["solve", "--algorithm", "meal", "--gamma", "0.1"]
+NAN_RUNS = ["solve", "--algorithm", "imeal", "--gamma", "0.05", "--beta", "1"]
 
 
 class TestCLI:
@@ -181,11 +182,15 @@ class TestCLI:
         # alpha targets with c_gamma_A = 0: no finite beta
         [*PENALTY, "--horizon-K", "3", "--alpha-target", "1", "--gamma", "1e-300"],
         [*PENALTY, "--alpha-target", "1", "--gamma", "1e-300"],
+        # NaN is not positive
+        [*NAN_RUNS, "--epsilon0", "nan"],
+        [*NAN_RUNS, "--stat-tol", "nan"],
+        [*NAN_RUNS, "--feas-tol", "nan"],
     ], ids=["prox-ialm-params", "solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
             "cap-variant-with-beta", "cap-variant-with-horizon-k", "beta-overflow",
             "horizon-beta-overflow", "gamma-underflow", "horizon-target-underflow",
-            "target-underflow"])
+            "target-underflow", "epsilon0-nan", "stat-tol-nan", "feas-tol-nan"])
     def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
         if argv[0] == "solve":

@@ -56,7 +56,7 @@ class TestMealStep:
         Q, r, _ = prob.smooth.quadratic_terms()
         A, b = prob.constraint.A, prob.constraint.b
         gamma, beta = 0.4, 15.0
-        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0), m.DirectQP())
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0))
         state = m.IterateState(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
         x_ref = np.zeros(prob.n)
         lam_ref = np.zeros(prob.m)
@@ -70,7 +70,7 @@ class TestMealStep:
 
     def test_report_norm_identity(self):
         prob = make_convex_qp(22)
-        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(10.0, 0.4, 1.3), m.DirectQP())
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(10.0, 0.4, 1.3))
         state = m.IterateState(np.zeros(prob.n), np.ones(prob.n) * 0.3,
                                np.zeros(prob.m))
         _, rep = meal_step(ctx, state)
@@ -262,7 +262,7 @@ class TestRun:
     def test_update_identities_exact(self):
         prob = make_convex_qp(29)
         eta, beta = 1.3, 12.0
-        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, 0.4, eta), m.DirectQP())
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, 0.4, eta))
         state = m.IterateState(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
         A, b = prob.constraint.A, prob.constraint.b
         for _ in range(50):
@@ -430,7 +430,7 @@ class TestRun:
                              subproblem=bad)
         with pytest.raises(InvalidSubproblemPath) as err:
             cfg.validate(m.build_exp1())
-        for name in ('"auto"', "DirectQP", "InnerProxGradient", "Paper72FastPath"):
+        for name in ('"auto"', "InnerProxGradient", "Paper72FastPath"):
             assert name in str(err.value)
 
     def test_init_dimension_mismatch_rejected(self):
@@ -438,6 +438,15 @@ class TestRun:
         cfg = m.SolverConfig("meal", m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
         with pytest.raises(ValueError, match="dimensions"):
             m.run(prob, cfg, init=(np.zeros(3), np.zeros(3), np.zeros(2)))
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan")])
+    def test_positive_fields_reject_zero_and_nan(self, bad):
+        for build in (lambda v: m.StopRule(stat_tol=v), lambda v: m.StopRule(feas_tol=v),
+                      m.EpsilonSchedule, m.ProxIALMParams,
+                      lambda v: m.PenaltyPlan.fixed(v, gamma=0.5, eta=1.0),
+                      lambda v: m.PenaltyPlan.fixed(1.0, gamma=v, eta=1.0)):
+            with pytest.raises(ValueError):
+                build(bad)
 
     def test_penalty_plan_validation(self):
         with pytest.raises(ValueError):
@@ -530,7 +539,6 @@ class TestAcceptedSubproblemSpecs:
     @pytest.mark.parametrize("algo, spec", [
         ("meal", m.Paper72FastPath()),
         ("imeal", m.Paper72FastPath()),
-        ("alm", m.DirectQP()),
         ("alm", m.InnerProxGradient()),
         ("prox_ialm", m.Paper72FastPath()),
         ("prox_ialm", m.InnerProxGradient()),
@@ -554,11 +562,10 @@ class TestAcceptedSubproblemSpecs:
         cfg.validate(m.build_exp2(seed=6, m=2, n=4))
 
     @pytest.mark.parametrize("algo, spec, prob", [
-        ("meal", m.DirectQP(), make_box_qp(0)),
         ("limeal", m.Paper72FastPath(),
          m.Problem(m.LinearConstraint([[1.0, 1.0]], [1.0]), m.L1(weight=0.5),
                    m.QuadraticSmooth(np.eye(2)))),
-    ], ids=["direct-on-a-box", "fast-path-on-l1"])
+    ], ids=["fast-path-on-l1"])
     def test_validate_checks_the_spec_against_the_problem(self, algo, spec, prob):
         from mealopt.errors import InvalidSubproblemPath
 
@@ -566,9 +573,8 @@ class TestAcceptedSubproblemSpecs:
         with pytest.raises(InvalidSubproblemPath):
             cfg.validate(prob)
 
-    @pytest.mark.parametrize("spec", ["auto", m.DirectQP(), m.InnerProxGradient(),
-                                      m.Paper72FastPath()],
-                             ids=["auto", "direct", "inner", "paper72"])
+    @pytest.mark.parametrize("spec", ["auto", m.InnerProxGradient(), m.Paper72FastPath()],
+                             ids=["auto", "inner", "paper72"])
     def test_limeal_factors_only_the_matrix_it_solves_with(self, spec):
         # H = A'A + 2I is positive definite, H + Q is not; the linearized
         # step solves with H alone, so the run diverges instead of raising
