@@ -30,7 +30,7 @@ from .envelope import (
 from .errors import MealoptError
 from .experiments import ExperimentSpec, run_experiment
 from .fileio import _prox_in, load_problem, save_trace
-from .problem import MCP, SCAD, BoxIndicator, L1, Zero, smallest_positive_eigenvalue
+from .problem import MCP, SCAD, BoxIndicator, L1, Zero
 from .solvers import ALGORITHMS, EpsilonSchedule, SolverConfig, StopRule, run
 
 _SUBPROBLEMS = {
@@ -145,8 +145,7 @@ def _cmd_solve(args) -> int:
             target = args.alpha_target
             if args.cap_variant is not None:
                 target = min(target, alpha_cap(problem, probe, args.cap_variant))
-            A = problem.constraint.A
-            c_gamma_A = args.gamma ** 2 * smallest_positive_eigenvalue(A.T @ A)
+            c_gamma_A = probe.c_gamma_A(problem.constraint)
             beta = beta_for_target_alpha(target, args.gamma, args.eta, c_gamma_A)
         plan = PenaltyPlan.fixed(beta, gamma=args.gamma, eta=args.eta)
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .errors import (
     GammaTooLarge,
@@ -41,7 +41,6 @@ from .problem import (
     BoxIndicator,
     Problem,
     Zero,
-    _smallest_positive,
     _vec,
 )
 
@@ -107,6 +106,19 @@ class PenaltyPlan:
     def horizon(K: int, alpha_target: float, gamma: float, eta: float) -> "PenaltyPlan":
         return PenaltyPlan("horizon", gamma, eta, K=K, alpha_target=alpha_target)
 
+    def c_gamma_A(self, constraint) -> float:
+        """gamma^2 times the smallest positive eigenvalue of A'A, from the
+        constraint's kept `gram_spectrum`."""
+        return self.gamma ** 2 * constraint.gram_spectrum[1]
+
+    def beta_for(self, constraint) -> float:
+        """The penalty the plan fixes on the constraint: beta, or in horizon
+        mode the constant that makes alpha equal alpha_target / K."""
+        if self.mode == "fixed":
+            return self.beta
+        return beta_for_target_alpha(self.alpha_target, self.gamma, self.eta,
+                                     self.c_gamma_A(constraint), horizon_K=self.K)
+
 
 # ---------------------------------------------------------------------------
 # subproblem solver specs
@@ -118,7 +130,8 @@ class SubproblemSpec:
 
     `check(problem)` raises InvalidSubproblemPath unless the path applies to
     the problem; `SolverConfig.validate` and EnvelopeContext call it.
-    `solve(ctx, z, lam, linearize_at, tol, warm_start)` solves at ctx.beta.
+    `solve(ctx, z, lam, grad_h, tol, warm_start)` solves at ctx.beta; `grad_h`
+    is h's gradient at the linearization point of a linearized step.
     """
 
     def check(self, problem: Problem) -> None:
@@ -132,8 +145,8 @@ class InnerProxGradient(SubproblemSpec):
 
     The subproblem splits into the prox part g and a smooth part S(x) =
     beta/2 ||Ax - b||^2 + <lam, Ax> + ||x - z||^2/(2 gamma) [+ h(x), or h's
-    linear model at `linearize_at`]. Each iteration takes one prox step of
-    length t = 1/L from an extrapolated point y,
+    linear model, whose gradient `grad_h` the caller passes]. Each iteration
+    takes one prox step of length t = 1/L from an extrapolated point y,
 
         x+ = prox_{t g}(y - t grad S(y)),   y' = x+ + m (x+ - x),
 
@@ -183,25 +196,25 @@ class InnerProxGradient(SubproblemSpec):
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
-    def solve(self, ctx, z, lam, linearize_at=None, tol=None,
+    def solve(self, ctx, z, lam, grad_h=None, tol=None,
               warm_start=None) -> "SubproblemResult":
         p = ctx.problem
-        beta, gamma, H = ctx.beta, ctx.plan.gamma, ctx.H
+        beta, gamma = ctx.beta, ctx.plan.gamma
         g = p.prox_part
 
         # grad S(x) = H x + shift [+ grad h(x)]; shift is formed once per solve
-        exact_h = p.composite and linearize_at is None
+        exact_h = p.composite and grad_h is None
         shift = p.constraint.A.T @ lam - beta * ctx.Atb - z / gamma
-        if linearize_at is not None:
-            shift = shift + p.smooth_gradient(_vec(linearize_at))
+        if grad_h is not None:
+            shift = shift + grad_h
 
         quad = p.quadratic_terms()      # h's, or g's when g is the objective
         if quad is not None and (not p.composite or isinstance(g, Zero)):
             include_Q = exact_h or not p.composite
             c = shift + quad[1] if include_Q else shift
-            M, factor = ctx._system(include_Q)
-            x = cho_solve(factor, -c)
-            s_vec = M @ x + c
+            _, matvec, solve = ctx._system(include_Q)
+            x = solve(-c)
+            s_vec = matvec(x) + c
             return SubproblemResult(x, s_vec, math.sqrt(s_vec @ s_vec), 1)
 
         stop_tol = self.tol if tol is None else tol
@@ -210,7 +223,7 @@ class InnerProxGradient(SubproblemSpec):
             x = np.clip(x, g.lower, g.upper)
 
         def grad(xx):
-            out = H @ xx + shift
+            out = ctx.H_matvec(xx) + shift
             return out + p.smooth_gradient(xx) if exact_h else out
 
         L_h = p.L_h if exact_h else 0.0
@@ -259,8 +272,8 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
     or when an active set repeats."""
     p = ctx.problem
     lo, hi = p.box_bounds()
-    M, factor = ctx._system(exact)
-    grad = M @ x + c
+    M, matvec, solve = ctx._system(exact)
+    grad = matvec(x) + c
     seen = set()
     for k in range(1, steps + 1):
         y = p.prox_part.prox(t, x - t * grad)
@@ -271,14 +284,14 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
         seen.add(key)
         free = ~(at_lo | at_hi)
         if free.all():
-            x = cho_solve(factor, -c)
+            x = solve(-c)
         else:
             x = np.where(at_lo, lo, hi)
             fixed = ~free
             x[free] = np.linalg.solve(M[np.ix_(free, free)],
                                       -(c[free] + M[np.ix_(free, fixed)] @ x[fixed]))
         x = np.clip(x, lo, hi)
-        grad = M @ x + c
+        grad = matvec(x) + c
         s = np.where(x <= lo, np.minimum(grad, 0.0),
                      np.where(x >= hi, np.maximum(grad, 0.0), grad))
         s_norm = math.sqrt(s @ s)
@@ -291,9 +304,11 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
 class Paper72FastPath(SubproblemSpec):
     """Unconstrained linearized solve followed by box projection.
 
-    Replicates the quadratic-program recipe: x_tilde from the SPD system,
-    then clip to the box. Exact only while the box is inactive; the returned
-    residual is therefore not certified (None).
+    Replicates the quadratic-program recipe: x_tilde = H^{-1} rhs, with rhs =
+    z/gamma + beta A'b - grad h(x^k) - A'lam, then clip to the box. The solve
+    with H = beta A'A + I/gamma is the context's rank-m `H_solve`, so a step
+    does O(mn) work and forms no n x n matrix. Exact only while the box is
+    inactive; the returned residual is therefore not certified (None).
     """
 
     def check(self, problem: Problem) -> None:
@@ -302,15 +317,13 @@ class Paper72FastPath(SubproblemSpec):
         if problem.box_bounds() is None:
             raise InvalidSubproblemPath("fast path needs a box (or absent) prox part")
 
-    def solve(self, ctx, z, lam, linearize_at=None, tol=None,
+    def solve(self, ctx, z, lam, grad_h=None, tol=None,
               warm_start=None) -> "SubproblemResult":
-        if linearize_at is None:
+        if grad_h is None:
             raise InvalidSubproblemPath("fast path is a linearized-update scheme")
         p = ctx.problem
-        Q, r, _ = p.quadratic_terms()
-        rhs = (z / ctx.plan.gamma + ctx.beta * ctx.Atb - r - Q @ _vec(linearize_at)
-               - p.constraint.A.T @ lam)
-        x = np.clip(cho_solve(ctx._system(include_Q=False)[1], rhs), *p.box_bounds())
+        rhs = z / ctx.plan.gamma + ctx.beta * ctx.Atb - grad_h - p.constraint.A.T @ lam
+        x = np.clip(ctx.H_solve(rhs), *p.box_bounds())
         return SubproblemResult(x, None, None, 0)
 
 
@@ -431,18 +444,34 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 
 @dataclass
 class EnvelopeContext:
-    """Problem + penalty plan + subproblem spec, with the derived matrices.
+    """Problem + penalty plan + subproblem spec: the one place that knows
+    the subproblem's linear algebra.
 
-    Fixed at construction: `A_norm2` and `sigma_min_pos` (by the rule of
-    `smallest_positive_eigenvalue`) from one eigendecomposition of A'A;
-    `beta`, the plan's or in horizon mode the constant that makes alpha
-    equal alpha_target / K; and `alpha =
-    alpha_from_beta(beta, beta, ...)`. The subproblem spec is checked
-    against the problem. The subproblem matrix `H = beta A'A + I/gamma` is
-    formed on first use, and `_system(include_Q)` forms M = H + Q (or takes
-    M = H) and its Cholesky factor on the first solve that needs them and
-    keeps both. The energies and every step read beta, alpha and gamma from
-    here.
+    Fixed at construction: `A_norm2` and `sigma_min_pos` from the
+    constraint's `gram_spectrum` (one eigendecomposition of the smaller of
+    AA' and A'A, kept by the constraint); `c_gamma_A` and `beta`, the plan's
+    `c_gamma_A` and `beta_for`; and `alpha = alpha_from_beta(beta, beta, ...)`.
+    The subproblem spec is checked against the problem. The energies and
+    every step read beta, alpha and gamma from here.
+
+    The subproblem matrix H = beta A'A + I/gamma is the identity plus a
+    rank-m term. `H_matvec` applies it as beta A'(A v) + v/gamma, and
+    `H_solve` inverts it by the Sherman-Morrison-Woodbury identity
+
+        H^{-1} v = gamma (v - beta gamma A' K^{-1} A v),   K = I + beta gamma AA',
+
+    through K's Cholesky factor L: with C = sqrt(beta gamma) L^{-1} A, formed
+    once on first use, the correction is C'(C v), two m x n products. K's
+    eigenvalues are at least 1 whatever the rank of A, and K is used for
+    every m, m >= n included. `H_solve` is Paper72FastPath's solve, and
+    `H_matvec` makes every product with H alone.
+
+    The dense n x n matrices `AtA` and `H` and the `_systems` are formed on
+    first use, only by the paths that need one: ALM, and InnerProxGradient's
+    solves with M = H + Q or with H. Those solves certify the residual M x +
+    c, so they solve on M's Cholesky factor, which is backward stable; the
+    residual of the rank-m solve grows with cond(H), and can miss a tolerance
+    near round-off that the factor meets.
     """
 
     problem: Problem
@@ -450,34 +479,63 @@ class EnvelopeContext:
     subproblem: SubproblemSpec = field(default_factory=InnerProxGradient)
 
     def __post_init__(self):
-        A = self.problem.constraint.A
-        plan = self.plan
-        self.AtA = A.T @ A
-        self.Atb = A.T @ self.problem.constraint.b
-        eigs = np.linalg.eigvalsh(self.AtA)
-        self.sigma_min_pos = _smallest_positive(eigs)
-        self.A_norm2 = float(eigs.max())  # ||A||_2^2
-        self.c_gamma_A = plan.gamma ** 2 * self.sigma_min_pos
-        self.beta = plan.beta if plan.mode == "fixed" else beta_for_target_alpha(
-            plan.alpha_target, plan.gamma, plan.eta, self.c_gamma_A, horizon_K=plan.K)
+        constraint, plan = self.problem.constraint, self.plan
+        self.Atb = constraint.A.T @ constraint.b
+        self.A_norm2, self.sigma_min_pos = constraint.gram_spectrum
+        self.c_gamma_A = plan.c_gamma_A(constraint)
+        self.beta = plan.beta_for(constraint)
         self.alpha = alpha_from_beta(self.beta, self.beta, plan.gamma, plan.eta,
                                      self.c_gamma_A)
-        self._systems: dict = {}
         self.subproblem.check(self.problem)
 
-    # -- subproblem systems ---------------------------------------------
+    # -- the rank-m products and solves with H ---------------------------
+
+    def H_matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v = beta A'(A v) + v/gamma."""
+        A = self.problem.constraint.A
+        return self.beta * (A.T @ (A @ v)) + v / self.plan.gamma
+
+    def H_solve(self, v: np.ndarray) -> np.ndarray:
+        """H^{-1} v = gamma (v - C'(C v)), by the identity in the class docstring."""
+        C = self._woodbury
+        return self.plan.gamma * (v - C.T @ (C @ v))
+
+    @cached_property
+    def _woodbury(self) -> np.ndarray:
+        """C = sqrt(beta gamma) L^{-1} A, L the Cholesky factor of K = I +
+        beta gamma AA', so that C'C = beta gamma A' K^{-1} A."""
+        A = self.problem.constraint.A
+        bg = self.beta * self.plan.gamma
+        L = cholesky(np.eye(self.problem.m) + bg * (A @ A.T), lower=True,
+                     check_finite=False)
+        return math.sqrt(bg) * solve_triangular(L, A, lower=True, check_finite=False)
+
+    # -- dense matrices, for the paths that need one ---------------------
+
+    @cached_property
+    def AtA(self) -> np.ndarray:
+        A = self.problem.constraint.A
+        return A.T @ A
 
     @cached_property
     def H(self) -> np.ndarray:
         """beta A'A + I/gamma, the subproblem's Hessian apart from f."""
         return self.beta * self.AtA + np.eye(self.problem.n) / self.plan.gamma
 
+    @cached_property
+    def _systems(self) -> dict:
+        """include_Q -> the `_system` entry, filled on first use."""
+        return {}
+
     def _system(self, include_Q: bool):
-        """(M, Cholesky factor of M) for M = H + Q, or H alone; both are
-        formed on the first call and kept."""
+        """(M, product with M, solve with M) for M = H + Q, or H alone; formed
+        on the first call and kept. The solve is on M's Cholesky factor; the
+        product with H alone is `H_matvec`."""
         if include_Q not in self._systems:
             M = self.H + self.problem.quadratic_terms()[0] if include_Q else self.H
-            self._systems[include_Q] = M, cho_factor(M)
+            solve = partial(cho_solve, cho_factor(M), check_finite=False)
+            self._systems[include_Q] = (
+                M, M.__matmul__ if include_Q else self.H_matvec, solve)
         return self._systems[include_Q]
 
 
@@ -486,18 +544,21 @@ class EnvelopeContext:
 # ---------------------------------------------------------------------------
 
 
-def augmented_lagrangian(ctx: EnvelopeContext, x, lam) -> float:
-    """L_beta(x, lam) = f(x) + <lam, Ax-b> + (beta/2)||Ax-b||^2 at ctx.beta."""
+def augmented_lagrangian(ctx: EnvelopeContext, x, lam, f=None) -> float:
+    """L_beta(x, lam) = f(x) + <lam, Ax-b> + (beta/2)||Ax-b||^2 at ctx.beta.
+
+    `f` is the objective at x when the caller already has it."""
     x, lam = _vec(x), _vec(lam)
     resid = ctx.problem.constraint.A @ x - ctx.problem.constraint.b
-    f = ctx.problem.objective_value(x)
+    if f is None:
+        f = ctx.problem.objective_value(x)
     return f + float(lam @ resid) + 0.5 * ctx.beta * float(resid @ resid)
 
 
-def potential_P(ctx: EnvelopeContext, x, z, lam) -> float:
+def potential_P(ctx: EnvelopeContext, x, z, lam, f=None) -> float:
     """P_beta(x, z, lam) = L_beta(x, lam) + ||x - z||^2 / (2 gamma) at ctx.beta."""
     x, z = _vec(x), _vec(z)
-    return augmented_lagrangian(ctx, x, lam) + float(
+    return augmented_lagrangian(ctx, x, lam, f) + float(
         np.sum((x - z) ** 2)
     ) / (2.0 * ctx.plan.gamma)
 
@@ -516,16 +577,19 @@ class SubproblemResult:
     budget_exhausted: bool = False
 
 
-def solve_subproblem(ctx: EnvelopeContext, z, lam, linearize_at=None,
+def solve_subproblem(ctx: EnvelopeContext, z, lam, grad_h=None,
                      tol: Optional[float] = None, warm_start=None) -> SubproblemResult:
     """Minimize L_beta(., lam) + ||. - z||^2/(2 gamma) at ctx.beta.
 
-    With `linearize_at` the smooth part is replaced by its first-order model
-    there. The result's residual lies in the subproblem subdifferential at
-    the returned point (a quadratic with no bound gives M x + c, zero up to
-    solve accuracy); the fast path returns an uncertified None residual.
+    With `grad_h`, h's gradient at a linearization point, the smooth part is
+    replaced by its first-order model there. The result's residual lies in
+    the subproblem subdifferential at the returned point (a quadratic with no
+    bound gives M x + c, zero up to solve accuracy); the fast path returns an
+    uncertified None residual.
     """
-    return ctx.subproblem.solve(ctx, _vec(z), _vec(lam), linearize_at, tol, warm_start)
+    if grad_h is not None:
+        grad_h = _vec(grad_h)
+    return ctx.subproblem.solve(ctx, _vec(z), _vec(lam), grad_h, tol, warm_start)
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +613,15 @@ LYAPUNOV_COEFFICIENTS = {f"{family}-s{i}": float(c) for family, pair in _COEFFIC
 
 
 def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,
-             x_prev=None) -> float:
+             x_prev=None, f=None) -> float:
     """Lyapunov value E^k for the given variant at state (x, z, lam).
 
     E^k = P_beta(x, z, lam) + coef * alpha * (||z - z_prev||^2
           [+ gamma^2 L_h^2 ||x - x_prev||^2 for limeal variants]),
 
-    at the context's beta and alpha. Defined from k >= 1; callers without a
-    predecessor must not ask (WindowTooShort).
+    at the context's beta and alpha; `f` is the objective at x when the caller
+    already has it. Defined from k >= 1; callers without a predecessor must
+    not ask (WindowTooShort).
     """
     if variant not in LYAPUNOV_COEFFICIENTS:
         raise ValueError(f"unknown Lyapunov variant {variant!r}")
@@ -572,4 +637,4 @@ def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,
             raise NotComposite("limeal Lyapunov needs a composite objective")
         L_h = ctx.problem.L_h
         extra += ctx.plan.gamma ** 2 * L_h ** 2 * float(np.sum((x - _vec(x_prev)) ** 2))
-    return potential_P(ctx, x, z, lam) + coef * ctx.alpha * extra
+    return potential_P(ctx, x, z, lam, f) + coef * ctx.alpha * extra

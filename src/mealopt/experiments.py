@@ -137,9 +137,8 @@ def exp2_configs(problem: Problem, stop: StopRule = DEFAULT_STOP):
     p = 2 ||Q||, passed as gamma = 1/p, s = 1 / (2 (||Q|| + p + beta ||A||^2)),
     eta in {0.5, 1}; eta = 1 is the unproximal variant.
     """
-    Q, _, _ = problem.smooth.quadratic_terms()
-    q_norm = float(np.linalg.norm(Q, 2))
-    a_norm2 = float(np.linalg.norm(problem.constraint.A, 2)) ** 2
+    q_norm = problem.L_h                            # ||Q||_2, from Q's eigvalsh
+    a_norm2 = problem.constraint.gram_spectrum[0]   # ||A||_2^2
     beta = 50.0
     gamma = 1.0 / (2.0 * q_norm)
     p = 2.0 * q_norm

@@ -10,6 +10,7 @@ function's weak-convexity modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,6 +80,16 @@ class LinearConstraint:
 
     def residual(self, x) -> float:
         return float(np.linalg.norm(self.A @ _vec(x) - self.b))
+
+    @cached_property
+    def gram_spectrum(self) -> tuple[float, float]:
+        """(||A||_2^2, smallest positive eigenvalue of A'A by the rule of
+        smallest_positive_eigenvalue), from one eigendecomposition of the
+        smaller of AA' and A'A, which share their nonzero eigenvalues.
+        Formed on first use and kept."""
+        A = self.A
+        eigs = np.linalg.eigvalsh(A @ A.T if self.m <= self.n else A.T @ A)
+        return float(eigs.max()), _smallest_positive(eigs)
 
     def feasibility_probe(self, tol: float = 1e-8) -> tuple[bool, float]:
         """Least-squares check that Ax = b admits a solution.

@@ -72,12 +72,18 @@ TRACE_COLUMNS = (
 
 @dataclass(frozen=True)
 class IterateState:
-    """Primal iterate, envelope center and multiplier after k steps."""
+    """Primal iterate, envelope center and multiplier after k steps.
+
+    `grad_h` is h's gradient at x, carried when the step that made the state
+    evaluated it (LiMEAL and Prox-iALM), so that the next step need not
+    evaluate it again; None otherwise, and for a state built from an init.
+    """
 
     x: np.ndarray
     z: np.ndarray
     lam: np.ndarray
     k: int = 0
+    grad_h: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", _vec(self.x))
@@ -191,18 +197,18 @@ class SolverConfig:
 
 def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
              grad_z: Optional[np.ndarray], eta: Optional[float] = None,
-             sub=None) -> tuple[IterateState, StepReport]:
+             sub=None, grad_h=None) -> tuple[IterateState, StepReport]:
     """The shared z and lam updates to x_new (dual step beta, eta the plan's
     unless given) and the step's report. grad_z is the z-block of the
     envelope gradient; None means zero, so the stationarity norm is the
     feasibility. The report carries the subproblem result's inexactness and
-    inner iterations.
+    inner iterations; the new state carries grad_h, h's gradient at x_new.
     """
     p = ctx.problem
     eta = ctx.plan.eta if eta is None else eta
     gl = p.constraint.A @ x_new - p.constraint.b
     new = IterateState(x_new, (1.0 - eta) * state.z + eta * x_new,
-                       state.lam + ctx.beta * gl, state.k + 1)
+                       state.lam + ctx.beta * gl, state.k + 1, grad_h)
     feas = float(np.linalg.norm(gl))
     if grad_z is None:
         grad_z, norm = np.zeros(p.n), feas
@@ -234,15 +240,20 @@ def imeal_step(ctx: EnvelopeContext, state: IterateState, eps_k: float,
 
 def limeal_step(ctx: EnvelopeContext, state: IterateState,
                 warm_start=None) -> tuple[IterateState, StepReport]:
-    """Prox-linear step: h is replaced by its first-order model at x^k."""
+    """Prox-linear step: h is replaced by its first-order model at x^k.
+
+    h's gradient at x^k is the state's carried one when it has one; the step
+    evaluates h's gradient once, at x^{k+1}, and carries it on.
+    """
     p = ctx.problem
     if not p.composite:
         raise NotComposite("limeal_step needs a composite objective")
-    sub = solve_subproblem(ctx, state.z, state.lam, linearize_at=state.x,
+    grad = p.smooth_gradient(state.x) if state.grad_h is None else state.grad_h
+    sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad,
                            warm_start=warm_start)
-    gz = (state.z - sub.x) / ctx.plan.gamma \
-        + (p.smooth_gradient(sub.x) - p.smooth_gradient(state.x))
-    return _advance(ctx, state, sub.x, gz, sub=sub)
+    grad_new = p.smooth_gradient(sub.x)
+    gz = (state.z - sub.x) / ctx.plan.gamma + (grad_new - grad)
+    return _advance(ctx, state, sub.x, gz, sub=sub, grad_h=grad_new)
 
 
 def alm_step(ctx: EnvelopeContext, state: IterateState,
@@ -272,28 +283,33 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
                    params: ProxIALMParams) -> tuple[IterateState, StepReport]:
     """Projected prox-linear baseline step, prox weight p = 1/gamma.
 
-        xbar = (beta A'A + p I) x + Q x + A'lam - p z - (beta A'b - r)
-        x'   = Proj_C(x - s xbar),   beta A'A + p I = ctx.H,
+        xbar = (beta A'A + p I) x + grad h(x) + A'lam - p z - beta A'b
+        x'   = Proj_C(x - s xbar),   beta A'A + p I = H,
 
     followed by the shared z and lambda updates (dual step beta, as in the
-    printed scheme). Proj_C is the identity when the prox part is Zero.
+    printed scheme). Proj_C is the identity when the prox part is Zero. The
+    product with H is the context's rank-m `H_matvec`, grad h(x) is the
+    state's carried gradient when it has one, and the step evaluates h's
+    gradient once, at x', and carries it on: one product with Q a step.
     """
     p = ctx.problem
     beta, weight = ctx.beta, 1.0 / ctx.plan.gamma
     bounds = p.box_bounds()
     if bounds is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
-    Q, r, _ = p.quadratic_terms()
     A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
+    grad = p.smooth_gradient(x) if state.grad_h is None else state.grad_h
 
-    xbar = ctx.H @ x + Q @ x + A.T @ lam - weight * z - (beta * ctx.Atb - r)
+    xbar = ctx.H_matvec(x) + grad + A.T @ lam - weight * z - beta * ctx.Atb
     x_new = np.clip(x - params.s * xbar, *bounds)
+    grad_new = p.smooth_gradient(x_new)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
-    v = (x - x_new) / params.s + Q @ (x_new - x) + beta * (ctx.AtA @ (x_new - x)) \
+    dx = x_new - x
+    v = (x - x_new) / params.s + (grad_new - grad) + beta * (A.T @ (A @ dx)) \
         - weight * (x - z)
-    return _advance(ctx, state, x_new, v)
+    return _advance(ctx, state, x_new, v, grad_h=grad_new)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +335,7 @@ def _check_alm(config, problem) -> None:
             f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={problem.n}")
     if config is not None:
         # the beta the context fixes; in horizon mode it depends on A'A
-        plan = config.plan
-        beta = plan.beta if plan.mode == "fixed" else EnvelopeContext(problem, plan).beta
+        beta = config.plan.beta_for(problem.constraint)
         A = problem.constraint.A
         check_free_curvature(terms[0] + beta * (A.T @ A), *bounds)
 
@@ -336,10 +351,10 @@ def _check_prox_ialm(config, problem) -> None:
 
 def _lyapunov_energy(family: str):
     """The family's Lyapunov value at the new state (usable from k + 1 >= 1)."""
-    def energy(ctx, state, new):
+    def energy(ctx, state, new, f):
         bounded = ctx.problem.prox_part.implicit_class.kind == "bounded"
         return lyapunov(ctx, f"{family}-{'s2' if bounded else 's1'}", new.x, new.z,
-                        new.lam, z_prev=state.z, x_prev=state.x)
+                        new.lam, z_prev=state.z, x_prev=state.x, f=f)
     return energy
 
 
@@ -357,7 +372,7 @@ class Algorithm:
     step: Callable          # (ctx, state, config, warm) -> (IterateState, StepReport)
     modulus: Callable       # Problem -> rho; gamma must stay below 1/rho
     running_min: bool       # stationarity column is the running minimum
-    energy: Callable        # (ctx, state, new) -> the lyapunov column value
+    energy: Callable        # (ctx, state, new, f(new.x)) -> the lyapunov column value
     # subproblem spec types it takes; "auto" is InnerProxGradient
     accepts: tuple = (InnerProxGradient,)
     check: Callable = lambda config, problem: None  # raises when a requirement is unmet
@@ -380,12 +395,12 @@ ALGORITHMS = {
     # no proximal term: the global-min oracle handles any curvature
     "alm": Algorithm(
         lambda ctx, st, cfg, warm: alm_step(ctx, st), lambda p: 0.0, False,
-        lambda ctx, st, new: augmented_lagrangian(ctx, new.x, new.lam),
+        lambda ctx, st, new, f: augmented_lagrangian(ctx, new.x, new.lam, f),
         accepts=(), check=_check_alm),
     "prox_ialm": Algorithm(
         lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
         lambda p: p.rho_g, False,
-        lambda ctx, st, new: potential_P(ctx, new.x, new.z, new.lam),
+        lambda ctx, st, new, f: potential_P(ctx, new.x, new.z, new.lam, f),
         accepts=(), check=_check_prox_ialm),
 }
 
@@ -443,6 +458,10 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     feasibility are both below their tolerances. With none of them the run
     ends at max_iters (or the horizon K) as MaxIters. A terminal row holds
     the final state.
+
+    Each step's objective is computed once and passed to the energy. For a
+    quadratic h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx +
+    r, it is g(x) + x'(grad h(x) + r)/2 + c, with no product with Q.
     """
     config.validate(problem)
     ctx = EnvelopeContext(problem, config.plan, config.resolve_subproblem(problem))
@@ -452,7 +471,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         state = IterateState(np.zeros(problem.n), np.zeros(problem.n),
                              np.zeros(problem.m), 0)
     elif isinstance(init, IterateState):
-        state = replace(init, k=0)
+        state = replace(init, k=0, grad_h=None)
     else:
         x0, z0, lam0 = init
         state = IterateState(x0, z0, lam0, 0)
@@ -483,6 +502,14 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     warm = None
     # the current state's objective, feasibility and multiplier norm; record_row
     # writes them, and each step carries them over from its new state
+    quad = problem.quadratic_terms() if problem.composite else None
+
+    def objective(st):
+        if quad is None or st.grad_h is None:
+            return problem.objective_value(st.x)
+        _, r, c = quad
+        return float(problem.prox_part.value(st.x) + 0.5 * (st.x @ (st.grad_h + r)) + c)
+
     f = problem.objective_value(state.x)
     feas = problem.constraint.residual(state.x)
     lam_norm = float(np.linalg.norm(state.lam))
@@ -509,13 +536,14 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         else:
             stat_col = raw
 
-        E_next = algo.energy(ctx, state, new_state)
+        f_next = objective(new_state)
+        E_next = algo.energy(ctx, state, new_state, f_next)
         record_row(k, stat_col, E_curr, float(np.linalg.norm(new_state.x - state.z)))
 
         if config.monitors.one_step_progress:
             # the s1 Lyapunov at the new state is step k + 1's E_k
             E_s1_next = lyapunov(ctx, "meal-s1", new_state.x, new_state.z,
-                                 new_state.lam, z_prev=state.z)
+                                 new_state.lam, z_prev=state.z, f=f_next)
             if k >= 1:
                 lhs = E_s1 - E_s1_next
                 rhs = (gamma * eta * (2.0 - eta) / 4.0) * raw ** 2
@@ -537,7 +565,6 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
             if osc_streak >= 20:
                 oscillating = True
 
-        f_next = problem.objective_value(new_state.x)
         lam_norm_next = float(np.linalg.norm(new_state.lam))
         if report.inner_budget_exhausted:
             status = "InnerBudgetExhausted"

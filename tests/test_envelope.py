@@ -115,7 +115,7 @@ class TestSolveSubproblem:
         z = np.linspace(0, 1, 5)
         lam = np.array([0.5, -0.1])
         x0 = np.full(5, 0.4)
-        res = solve_subproblem(ctx, z, lam, linearize_at=x0)
+        res = solve_subproblem(ctx, z, lam, grad_h=prob.smooth_gradient(x0))
         M = 8.0 * A.T @ A + np.eye(5) / gamma
         x_tilde = np.linalg.solve(M, z / gamma + 8.0 * A.T @ b - r - Q @ x0 - A.T @ lam)
         np.testing.assert_allclose(res.x, np.clip(x_tilde, 0.0, 1.0), atol=1e-10)
@@ -175,7 +175,7 @@ class TestSolveSubproblem:
         lam = np.array([0.3, -0.2])
         at = np.full(prob.n, 0.25)
         fast = solve_subproblem(EnvelopeContext(prob, plan, m.Paper72FastPath()),
-                                z, lam, linearize_at=at)
+                                z, lam, grad_h=prob.smooth_gradient(at))
         direct = _dense_solution(prob, 20.0, 0.4, z, lam, at)[0]
         np.testing.assert_allclose(fast.x, direct, rtol=0, atol=1e-12)
 
@@ -186,16 +186,65 @@ class TestSolveSubproblem:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M) or real(M))
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.1, 1.0))
         assert len(calls) == 1
-        eigs = real(ctx.AtA)
-        assert ctx.A_norm2 == float(eigs.max())
-        assert ctx.sigma_min_pos == m.smallest_positive_eigenvalue(ctx.AtA)
+        # on the m x m Gram AA', whose nonzero eigenvalues are A'A's
+        A = prob.constraint.A
+        assert prob.m < prob.n
+        np.testing.assert_array_equal(calls[0], A @ A.T)
+        AtA = A.T @ A
+        assert ctx.A_norm2 == pytest.approx(float(real(AtA).max()), rel=1e-13, abs=0)
+        assert ctx.sigma_min_pos == pytest.approx(m.smallest_positive_eigenvalue(AtA),
+                                                  rel=1e-13, abs=0)
 
-    def test_subproblem_matrix_formed_on_first_use(self):
+    def test_subproblem_matrix_formed_on_first_use(self, monkeypatch):
         prob = make_box_qp(1)
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(5.0, 0.1, 1.0))
         assert "H" not in vars(ctx)
         solve_subproblem(ctx, np.zeros(prob.n), np.zeros(prob.m))
         np.testing.assert_array_equal(ctx.H, 5.0 * ctx.AtA + np.eye(prob.n) / 0.1)
+
+        # the fast path and Prox-iALM form no n x n matrix
+        from mealopt import solvers
+        from mealopt.experiments import exp2_configs
+
+        made = []
+        monkeypatch.setattr(solvers, "EnvelopeContext",
+                            lambda *a: made.append(EnvelopeContext(*a)) or made[-1])
+        prob = m.build_exp2(42, 5, 40)
+        configs = dict(exp2_configs(prob, m.StopRule(max_iters=20)))
+        for label in ("limeal_beta50_eta1", "ialm"):
+            m.run(prob, configs[label])
+        assert [type(ctx.subproblem) for ctx in made] == [m.Paper72FastPath,
+                                                          m.InnerProxGradient]
+        for ctx in made:
+            assert not {"AtA", "H", "_systems"} & set(vars(ctx))
+
+
+@st.composite
+def _rank_m_contexts(draw):
+    """A context and a vector: n 1-8, m 1-(n+2) with the first row of A
+    repeated as its last when m >= 2 (so rank(A) < m), beta 1e-3-1e4."""
+    n = draw(st.integers(1, 8))
+    mcon = draw(st.integers(1, n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-1, 1, size=(mcon, n))
+    A[-1] = A[0]
+    beta = 10.0 ** draw(st.floats(-3.0, 4.0))
+    gamma = 10.0 ** draw(st.floats(-2.0, 1.0))
+    prob = m.Problem(m.LinearConstraint(A, A @ rng.uniform(-1, 1, size=n)), m.Zero())
+    ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0))
+    return ctx, rng.uniform(-2, 2, size=n)
+
+
+class TestRankMAlgebra:
+    @settings(max_examples=300)
+    @given(case=_rank_m_contexts())
+    def test_matches_the_dense_matrix(self, case):
+        ctx, v = case
+        A = ctx.problem.constraint.A
+        H = ctx.beta * A.T @ A + np.eye(ctx.problem.n) / ctx.plan.gamma
+        Hv, x = H @ v, np.linalg.solve(H, v)
+        assert np.linalg.norm(ctx.H_matvec(v) - Hv) <= 1e-10 * np.linalg.norm(Hv)
+        assert np.linalg.norm(ctx.H_solve(v) - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def _smooth_grad(prob, beta, gamma, z, lam):
@@ -280,7 +329,7 @@ class TestAcceleratedInnerLoop:
         direct = _dense_solution(prob, 20.0, 0.4, z, lam, at)[0]
         inner = solve_subproblem(
             EnvelopeContext(prob, plan, m.InnerProxGradient(tol=1e-11)),
-            z, lam, linearize_at=at)
+            z, lam, grad_h=None if at is None else prob.smooth_gradient(at))
         np.testing.assert_allclose(inner.x, direct, rtol=0, atol=1e-8)
         assert inner.residual_norm <= 1e-11
 
@@ -370,7 +419,9 @@ class TestFaceSolve:
         tol = 1e-10
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0),
                               m.InnerProxGradient(tol=tol, max_inner=200000))
-        res = solve_subproblem(ctx, z, lam, linearize_at=at, warm_start=warm)
+        res = solve_subproblem(ctx, z, lam,
+                               grad_h=None if at is None else prob.smooth_gradient(at),
+                               warm_start=warm)
         lo, hi = prob.box_bounds()
         assert np.all(lo <= res.x) and np.all(res.x <= hi)
         assert not res.budget_exhausted and res.residual_norm <= tol
@@ -436,7 +487,8 @@ class TestNoBoundSolve:
     def test_one_solve_matches_the_dense_reference(self, case):
         prob, gamma, beta, z, lam, at = case
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0))
-        res = m.InnerProxGradient().solve(ctx, z, lam, linearize_at=at)
+        res = m.InnerProxGradient().solve(
+            ctx, z, lam, grad_h=None if at is None else prob.smooth_gradient(at))
         x_ref, M, c = _dense_solution(prob, beta, gamma, z, lam, at)
         scale = max(1.0, np.abs(x_ref).max())
         np.testing.assert_allclose(res.x, x_ref, rtol=0, atol=1e-9 * scale)

@@ -273,6 +273,21 @@ class TestCLI:
                      "--cap-variant", "meal-a", "--output-dir", str(tmp_path)])
         assert code == 0
 
+    def test_alpha_target_makes_one_gram_eigendecomposition(self, tmp_path,
+                                                            monkeypatch):
+        prob_path = tmp_path / "p.json"
+        save_problem(m.Problem(m.LinearConstraint([[1.0, -1.0]], [0.0]), m.Zero()),
+                     prob_path)
+        grams = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda M: grams.append(M.shape) or real(M))
+        code = main(["solve", "--input", str(prob_path), "--algorithm", "meal",
+                     "--gamma", "0.5", "--alpha-target", "10.0",
+                     "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert grams == [(1, 1)]          # AA', not A'A
+
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out

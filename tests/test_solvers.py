@@ -606,6 +606,53 @@ def _carried_value_cases():
     ]
 
 
+def test_one_gram_eigendecomposition_per_alm_horizon_run(monkeypatch):
+    # validation reads the horizon beta from the constraint's kept spectrum,
+    # and the run's context reuses it
+    from mealopt.experiments import EXP1_INIT
+
+    prob = m.build_exp1()
+    A = prob.constraint.A
+    grams = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: grams.append(np.array_equal(M, A @ A.T)) or real(M))
+    cfg = m.SolverConfig("alm", m.PenaltyPlan.horizon(5, 0.05, 0.5, 1.0))
+    tr = m.run(prob, cfg, init=EXP1_INIT)
+    assert tr.n_rows - 1 == 5
+    assert sum(grams) == 1
+
+
+class TestOneQProductPerStep:
+    """A LiMEAL or Prox-iALM step evaluates h once, its gradient at the new
+    x; the next step and the row's objective reuse it."""
+
+    @pytest.mark.parametrize("label, spec", [
+        ("limeal_beta50_eta1", None),
+        ("limeal_beta50_eta1", m.InnerProxGradient()),
+        ("ialm", None),
+    ], ids=["limeal-paper72", "limeal-inner-box", "prox_ialm"])
+    def test_counted_on_exp2(self, label, spec, monkeypatch):
+        from dataclasses import replace
+
+        from mealopt.experiments import exp2_configs
+
+        prob = m.build_exp2(42, 5, 20)
+        calls = []
+        for name in ("gradient", "value"):
+            fn = getattr(prob.smooth, name)
+            monkeypatch.setattr(prob.smooth, name,
+                                lambda x, fn=fn: calls.append(1) or fn(x))
+        stop = m.StopRule(max_iters=50, stat_tol=1e-14, feas_tol=1e-14)
+        cfg = dict(exp2_configs(prob, stop))[label]
+        if spec is not None:
+            cfg = replace(cfg, subproblem=spec)
+        tr = m.run(prob, cfg)
+        assert tr.n_rows - 1 == 50
+        # plus row 0's objective and the first step's gradient at the init
+        assert len(calls) == 50 + 2
+
+
 class TestCarriedRowValues:
     """Every row holds the values of its own state, and every one-step
     progress entry is a difference of two Lyapunov values."""
