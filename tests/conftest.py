@@ -1,4 +1,5 @@
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import mealopt as m
+from mealopt.experiments import ExperimentSpec, run_experiment
 
 # the same examples on every run, and no example database
 settings.register_profile("mealopt", derandomize=True, database=None, deadline=None)
@@ -18,6 +20,17 @@ def pytest_configure(config):
     home = tempfile.TemporaryDirectory(prefix="hypothesis-")
     config.add_cleanup(home.cleanup)
     set_hypothesis_home_dir(home.name)
+
+
+@pytest.fixture(scope="session")
+def exp2_bundle(tmp_path_factory):
+    """The `exp2 --seed 42` bundle written to a temporary directory, and its
+    wall seconds; run once and shared by the acceptance and golden tests."""
+    out = tmp_path_factory.mktemp("exp2_a")
+    t0 = time.perf_counter()
+    bundle = run_experiment(ExperimentSpec("exp2", seed=42), out_dir=out)
+    elapsed = time.perf_counter() - t0
+    return bundle, out, elapsed
 
 
 @pytest.fixture

@@ -52,15 +52,6 @@ def monitored_runs():
     return runs
 
 
-@pytest.fixture(scope="module")
-def exp2_bundle(tmp_path_factory):
-    out = tmp_path_factory.mktemp("exp2_a")
-    t0 = time.perf_counter()
-    bundle = run_experiment(ExperimentSpec("exp2", seed=42), out_dir=out)
-    elapsed = time.perf_counter() - t0
-    return bundle, out, elapsed
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
