@@ -45,6 +45,7 @@ from .oracle import (
     KKTReport,
     RateFit,
     active_set_qp_oracle,
+    box_qp_faces,
     box_qp_global_min,
     finite_diff_check,
     grid_prox_oracle,

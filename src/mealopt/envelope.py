@@ -467,11 +467,11 @@ class EnvelopeContext:
     `H_matvec` makes every product with H alone.
 
     The dense n x n matrices `AtA` and `H` and the `_systems` are formed on
-    first use, only by the paths that need one: ALM, and InnerProxGradient's
-    solves with M = H + Q or with H. Those solves certify the residual M x +
-    c, so they solve on M's Cholesky factor, which is backward stable; the
-    residual of the rank-m solve grows with cond(H), and can miss a tolerance
-    near round-off that the factor meets.
+    first use, only by InnerProxGradient's solves with M = H + Q or with H.
+    Those solves certify the residual M x + c, so they solve on M's Cholesky
+    factor, which is backward stable; the residual of the rank-m solve grows
+    with cond(H), and can miss a tolerance near round-off that the factor
+    meets.
     """
 
     problem: Problem

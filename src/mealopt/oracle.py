@@ -5,9 +5,9 @@ slower route: grid search for 1-D proxes, exhaustive active-set enumeration
 for small box-QPs, interval arithmetic for KKT residuals, finite differences
 for gradients, and least-squares fits for convergence rates. These functions
 share no code with the MEAL-family solver paths they certify. The ALM
-baseline is the exception: its step takes the global box-QP minimum from
-`active_set_qp_oracle` through `box_qp_global_min`, so no oracle here
-certifies ALM.
+baseline is the exception: it shares the box-QP face enumeration (`BoxFaces`,
+prepared once per run, solved each step by `box_qp_global_min`), so no
+oracle here certifies ALM.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .problem import BoxIndicator, PointwiseMin, Problem, Zero, _vec
 __all__ = [
     "grid_prox_oracle",
     "active_set_qp_oracle",
+    "BoxFaces",
+    "box_qp_faces",
     "box_qp_global_min",
     "check_free_curvature",
     "KKTReport",
@@ -65,6 +67,72 @@ def grid_prox_oracle(g_1d: Callable[[float], float], gamma: float, v: float,
     return float(0.5 * (lo + hi))
 
 
+class BoxFaces:
+    """`active_set_qp_oracle`'s enumeration, prepared from (Q, A, lower, upper)
+    for any (r, b): per pattern, its free mask, the point holding the clamped
+    values, the KKT matrix [[Q_FF, A_F'], [A_F, 0]] and Q_FC x_C and A_C x_C."""
+
+    def __init__(self, Q, A, lower, upper):
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        n = Q.shape[0]
+        if n > ACTIVE_SET_MAX_N:
+            raise ValueError(f"active-set oracle capped at n={ACTIVE_SET_MAX_N}")
+        A = np.atleast_2d(np.asarray(np.zeros((0, n)) if A is None else A, dtype=float))
+        self.Q, self.A, self.lower, self.upper = Q, A, _vec(lower), _vec(upper)
+        m = A.shape[0]
+        # per-coordinate states 0 = at lower, 1 = at upper, 2 = free; an
+        # infinite bound cannot be active, so its state is dropped
+        states = [[s for s, bound in ((0, lo), (1, hi)) if np.isfinite(bound)] + [2]
+                  for lo, hi in zip(self.lower, self.upper)]
+        self.faces = []
+        for pattern in map(np.array, itertools.product(*states)):
+            free = pattern == 2
+            F, C = np.flatnonzero(free), np.flatnonzero(~free)
+            x = np.where(pattern == 0, self.lower, self.upper)  # free entries: solved
+            nf = F.size
+            K = np.zeros((nf + m, nf + m))
+            K[:nf, :nf] = Q[np.ix_(F, F)]
+            K[:nf, nf:] = A[:, F].T
+            K[nf:, :nf] = A[:, F]
+            QC, AC = (Q[np.ix_(F, C)] @ x[C], A[:, C] @ x[C]) if C.size else (0.0, 0.0)
+            self.faces.append((free, pattern == 0, pattern == 1, x, K, QC, AC))
+
+    def solve(self, r, b=None, feas_tol: float = 1e-8, bound_tol: float = 1e-9):
+        """`active_set_qp_oracle`'s result for r (None is zero) and b (unused without A)."""
+        Q, A, m = self.Q, self.A, self.A.shape[0]
+        r = _vec(r) if r is not None else np.zeros(Q.shape[0])
+        b = _vec(b) if m else np.zeros(0)
+        below, above = self.lower - bound_tol, self.upper + bound_tol
+        points, multipliers, n_singular = [], [], 0
+        for free, at_lower, at_upper, x_clamped, K, QC, AC in self.faces:
+            nf = K.shape[0] - m
+            rhs = np.concatenate((-r[free] - QC, b - AC))
+            try:
+                sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
+            except np.linalg.LinAlgError:
+                sol = None
+            if sol is None or not np.isfinite(sol).all():
+                n_singular += 1
+                continue
+            x = x_clamped.copy()
+            x[free], mu = sol[:nf], sol[nf:]
+            if (x < below).any() or (x > above).any():
+                continue
+            grad = Q @ x + r + A.T @ mu
+            # at lower the residual must push up, at upper down; free: zero
+            if ((grad[at_lower] < -bound_tol).any() or (grad[at_upper] > bound_tol).any()
+                    or (np.abs(grad[free]) > 1e-7 * max(1.0, np.abs(grad).max())).any()):
+                continue
+            if np.linalg.norm(A @ x - b) > feas_tol:
+                continue
+            # degenerate patterns rediscover the same point; keep the first
+            if any(np.linalg.norm(x - p) <= 1e-8 for p in points):
+                continue
+            points.append(x)
+            multipliers.append(mu)
+        return points, multipliers, n_singular
+
+
 def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
                          bound_tol: float = 1e-9):
     """Enumerate stationary points of a small box-QP by active-set patterns.
@@ -76,108 +144,42 @@ def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
     feas_tol. Returns (points, multipliers, n_singular_skipped); multipliers
     are the equality-constraint duals (empty vector when A is None).
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    n = Q.shape[0]
-    if n > ACTIVE_SET_MAX_N:
-        raise ValueError(f"active-set oracle capped at n={ACTIVE_SET_MAX_N}")
-    r = _vec(r) if r is not None else np.zeros(n)
-    lower = _vec(lower)
-    upper = _vec(upper)
-    if A is None:
-        A, b = np.zeros((0, n)), np.zeros(0)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = _vec(b)
-    m = A.shape[0]
-
-    points, multipliers = [], []
-    n_singular = 0
-    # per-coordinate states 0 = at lower, 1 = at upper, 2 = free; an
-    # infinite bound cannot be active, so its state is dropped
-    states = [[s for s, bound in ((0, lo), (1, hi)) if np.isfinite(bound)] + [2]
-              for lo, hi in zip(lower, upper)]
-    for pattern in itertools.product(*states):
-        free = [i for i, s in enumerate(pattern) if s == 2]
-        clamped = [i for i, s in enumerate(pattern) if s != 2]
-        x = np.empty(n)
-        for i in clamped:
-            x[i] = lower[i] if pattern[i] == 0 else upper[i]
-        nf = len(free)
-        K = np.zeros((nf + m, nf + m))
-        K[:nf, :nf] = Q[np.ix_(free, free)]
-        K[:nf, nf:] = A[:, free].T
-        K[nf:, :nf] = A[:, free]
-        rhs = np.empty(nf + m)
-        rhs[:nf] = -r[free] - (Q[np.ix_(free, clamped)] @ x[clamped] if clamped else 0.0)
-        rhs[nf:] = b - (A[:, clamped] @ x[clamped] if clamped else 0.0)
-        try:
-            sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
-        except np.linalg.LinAlgError:
-            n_singular += 1
-            continue
-        if not np.all(np.isfinite(sol)):
-            n_singular += 1
-            continue
-        x[free] = sol[:nf]
-        mu = sol[nf:]
-
-        if np.any(x < lower - bound_tol) or np.any(x > upper + bound_tol):
-            continue
-        grad = Q @ x + r + A.T @ mu
-        ok = True
-        for i, s in enumerate(pattern):
-            if s == 0 and grad[i] < -bound_tol:      # at lower: residual must push up
-                ok = False
-            elif s == 1 and grad[i] > bound_tol:     # at upper: must push down
-                ok = False
-            elif s == 2 and abs(grad[i]) > 1e-7 * max(1.0, np.abs(grad).max()):
-                ok = False
-        if not ok:
-            continue
-        if np.linalg.norm(A @ x - b) > feas_tol:
-            continue
-        # degenerate patterns rediscover the same point; keep the first
-        if any(np.linalg.norm(x - p) <= 1e-8 for p in points):
-            continue
-        points.append(x)
-        multipliers.append(mu)
-    return points, multipliers, n_singular
+    return BoxFaces(Q, A, lower, upper).solve(r, b, feas_tol, bound_tol)
 
 
 def check_free_curvature(H, lower, upper) -> None:
     """Raise SubproblemNonconvexUnsupported unless H is positive definite on
     the coordinates without two finite bounds; otherwise x'Hx/2 + c'x may be
     unbounded below over the box."""
-    unbounded = [i for i in range(len(lower))
-                 if not (np.isfinite(lower[i]) and np.isfinite(upper[i]))]
-    if unbounded and np.linalg.eigvalsh(H[np.ix_(unbounded, unbounded)]).min() <= 0:
+    unbounded = ~(np.isfinite(lower) & np.isfinite(upper))
+    if unbounded.any() and np.linalg.eigvalsh(H[np.ix_(unbounded, unbounded)]).min() <= 0:
         raise SubproblemNonconvexUnsupported(
-            "objective unbounded below along a free coordinate direction"
-        )
+            "objective unbounded below along a free coordinate direction")
 
 
-def box_qp_global_min(H, c, lower, upper):
-    """Global minimizer of x'Hx/2 + c'x over a box, and its value.
-
-    The quadratic may be indefinite. Coordinates with an infinite bound must
-    see positive curvature, otherwise the problem is unbounded below and
-    SubproblemNonconvexUnsupported is raised. The minimum over the box is
-    then a KKT point, so it is the lowest-value point that
-    `active_set_qp_oracle` enumerates; the first of them wins exact ties.
-    """
+def box_qp_faces(H, lower, upper) -> BoxFaces:
+    """The prepared faces of x'Hx/2 + c'x over a box, for `box_qp_global_min`.
+    H may be indefinite, but must be positive definite on the coordinates with
+    an infinite bound; SubproblemNonconvexUnsupported otherwise, or above the cap."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     if H.shape[0] > ACTIVE_SET_MAX_N:
         raise SubproblemNonconvexUnsupported(
-            f"global box-QP oracle capped at n={ACTIVE_SET_MAX_N}"
-        )
-    c, lower, upper = _vec(c), _vec(lower), _vec(upper)
-    check_free_curvature(H, lower, upper)
+            f"global box-QP oracle capped at n={ACTIVE_SET_MAX_N}")
+    check_free_curvature(H, _vec(lower), _vec(upper))
+    return BoxFaces(H, None, lower, upper)
 
-    points, _, _ = active_set_qp_oracle(H, c, None, None, lower, upper)
+
+def box_qp_global_min(faces: BoxFaces, c):
+    """Global minimizer of x'Hx/2 + c'x over the box of `faces` (A-free
+    BoxFaces, as from `box_qp_faces`), and its value: the lowest-value KKT
+    point the faces' enumeration finds; the first of them wins exact ties."""
+    c = _vec(c)
+    points, _, _ = faces.solve(c)
     if not points:
         raise SubproblemNonconvexUnsupported("no feasible stationary point found")
-    values = [float(0.5 * x @ H @ x + c @ x) for x in points]
+    values = [float(0.5 * x @ faces.Q @ x + c @ x) for x in points]
     best = values.index(min(values))
-    return np.clip(points[best], lower, upper), values[best]
+    return np.clip(points[best], faces.lower, faces.upper), values[best]
 
 
 @dataclass

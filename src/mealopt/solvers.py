@@ -42,7 +42,7 @@ from .errors import (
     SubproblemNonconvexUnsupported,
 )
 from .problem import Problem, _vec
-from .oracle import ACTIVE_SET_MAX_N, box_qp_global_min, check_free_curvature
+from .oracle import ACTIVE_SET_MAX_N, BoxFaces, box_qp_global_min, check_free_curvature
 
 __all__ = [
     "IterateState",
@@ -262,21 +262,18 @@ def alm_step(ctx: EnvelopeContext, state: IterateState,
 
     Supported where the global-min oracle applies: quadratic objective with
     an (optional) box, at enumeration scale. The subproblem may be nonconvex;
-    the oracle enumerates all face-stationary candidates.
+    the oracle enumerates all face-stationary candidates. Only the linear
+    term moves with lam, so the context's first step checks the Hessian (the
+    step may be called without validate) and prepares the faces for the run.
     """
-    _check_alm(None, ctx.problem)     # the step may be called without validate
-    H, c = _alm_quadratic(ctx, state.lam)
-    x_new, _ = box_qp_global_min(H, c, *ctx.problem.box_bounds())
+    p = ctx.problem
+    faces = getattr(ctx, "_alm_faces", None)
+    if faces is None:
+        faces = ctx._alm_faces = BoxFaces(_alm_hessian(p, ctx.beta), None, *p.box_bounds())
+    c = p.quadratic_terms()[1] + p.constraint.A.T @ state.lam - ctx.beta * ctx.Atb
+    x_new, _ = box_qp_global_min(faces, c)
     # global minimization leaves zero dual residual at x'; eta = 1 sets z' = x'
     return _advance(ctx, state, x_new, None, eta=1.0)
-
-
-def _alm_quadratic(ctx, lam):
-    """Hessian and linear term of x -> L_beta(x, lam) for quadratic objectives."""
-    Q, r, _ = ctx.problem.quadratic_terms()
-    H = Q + ctx.beta * ctx.AtA
-    c = r + ctx.problem.constraint.A.T @ lam - ctx.beta * ctx.Atb
-    return H, c
 
 
 def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
@@ -322,10 +319,10 @@ def _check_limeal(config, problem) -> None:
         raise NotComposite("limeal needs a composite objective")
 
 
-def _check_alm(config, problem) -> None:
-    """The step's requirements. With a config, also that the subproblem
-    Hessian Q + beta A'A is positive definite on the coordinates without
-    finite bounds, so that no step's subproblem is unbounded below."""
+def _alm_hessian(problem, beta) -> np.ndarray:
+    """H = Q + beta A'A, the Hessian of x -> L_beta(x, lam), once ALM's
+    requirements hold: a quadratic objective over a box, at enumeration scale,
+    and no step's subproblem unbounded below (`check_free_curvature`)."""
     terms, bounds = problem.quadratic_terms(), problem.box_bounds()
     if terms is None or bounds is None:
         raise SubproblemNonconvexUnsupported(
@@ -333,11 +330,10 @@ def _check_alm(config, problem) -> None:
     if problem.n > ACTIVE_SET_MAX_N:
         raise SubproblemNonconvexUnsupported(
             f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={problem.n}")
-    if config is not None:
-        # the beta the context fixes; in horizon mode it depends on A'A
-        beta = config.plan.beta_for(problem.constraint)
-        A = problem.constraint.A
-        check_free_curvature(terms[0] + beta * (A.T @ A), *bounds)
+    A = problem.constraint.A
+    H = terms[0] + beta * (A.T @ A)
+    check_free_curvature(H, *bounds)
+    return H
 
 
 def _check_prox_ialm(config, problem) -> None:
@@ -396,7 +392,8 @@ ALGORITHMS = {
     "alm": Algorithm(
         lambda ctx, st, cfg, warm: alm_step(ctx, st), lambda p: 0.0, False,
         lambda ctx, st, new, f: augmented_lagrangian(ctx, new.x, new.lam, f),
-        accepts=(), check=_check_alm),
+        accepts=(),
+        check=lambda cfg, p: _alm_hessian(p, cfg.plan.beta_for(p.constraint))),
     "prox_ialm": Algorithm(
         lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
         lambda p: p.rho_g, False,

@@ -26,7 +26,7 @@ from mealopt.errors import (
     PenaltyOutOfRange,
     WindowTooShort,
 )
-from mealopt.oracle import active_set_qp_oracle
+from mealopt.oracle import active_set_qp_oracle, finite_diff_check
 from tests.conftest import make_box_qp, make_convex_qp
 
 
@@ -456,6 +456,43 @@ class TestFaceSolve:
         assert res.inner_iterations == len(calls)
         np.testing.assert_allclose(res.x, _plain_prox_gradient(
             prob, 50.0, gamma, z, lam, 1e-12)[0], rtol=0, atol=1e-8)
+
+
+@st.composite
+def _strongly_convex_box_qps(draw):
+    """A strongly convex box-QP (n 1-6, m 1-3, some one-sided or free
+    coordinates), a penalty pair and an envelope point (z, lam)."""
+    n = draw(st.integers(1, 6))
+    mcon = draw(st.integers(1, min(n, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.uniform(-1, 1, size=(n, n))
+    smooth = m.QuadraticSmooth(G @ G.T / n + 0.1 * np.eye(n), rng.uniform(-1, 1, size=n))
+    lower = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-1, 0, size=n))
+    upper = np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0, 1, size=n))
+    A = rng.uniform(-1, 1, size=(mcon, n))
+    prob = m.Problem(m.LinearConstraint(A, A @ rng.uniform(0, 1, size=n)),
+                     m.BoxIndicator(lower, upper), smooth)
+    gamma, beta = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 10.0))
+    return prob, gamma, beta, rng.uniform(-2, 2, size=n), rng.uniform(-2, 2, size=mcon)
+
+
+class TestEnvelopeStepIdentity:
+    @settings(max_examples=100)
+    @given(case=_strongly_convex_box_qps())
+    def test_envelope_gradient_is_the_step(self, case):
+        """grad_z phi(z) = (z - x(z))/gamma for the envelope phi(z) =
+        L_beta(x(z), lam) + ||x(z) - z||^2/(2 gamma) at the subproblem's
+        solution x(z), against central differences of phi in z."""
+        prob, gamma, beta, z, lam = case
+        ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(beta, gamma, 1.0),
+                              m.InnerProxGradient(tol=1e-12, max_inner=200000))
+
+        def phi(w):
+            return potential_P(ctx, solve_subproblem(ctx, w, lam).x, w, lam)
+
+        res = solve_subproblem(ctx, z, lam)
+        assert not res.budget_exhausted
+        assert finite_diff_check(phi, (z - res.x) / gamma, z, h=1e-6) <= 1e-5
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mealopt as m
 from mealopt.errors import InsufficientData, RangeTooSmall, SubproblemNonconvexUnsupported
-from mealopt.oracle import box_qp_global_min
+from mealopt.oracle import box_qp_faces, box_qp_global_min
 
 
 class TestGridProxOracle:
@@ -92,8 +92,8 @@ class TestActiveSetOracle:
 
 class TestBoxQPGlobalMin:
     def test_convex_interior(self):
-        x, val = box_qp_global_min(np.eye(2), np.array([-1.0, 0.5]),
-                                   [-2.0, -2.0], [2.0, 2.0])
+        x, val = box_qp_global_min(box_qp_faces(np.eye(2), [-2.0, -2.0], [2.0, 2.0]),
+                                   np.array([-1.0, 0.5]))
         np.testing.assert_allclose(x, [1.0, -0.5], atol=1e-10)
 
     def test_indefinite_picks_face_minimum(self):
@@ -101,14 +101,31 @@ class TestBoxQPGlobalMin:
         # concave in the reduced x variable, so minima sit on x = +-1
         beta = 50.0
         H = np.array([[2.0 + beta, -beta], [-beta, beta - 2.0]])
-        x, val = box_qp_global_min(H, np.zeros(2), [-1.0, -np.inf], [1.0, np.inf])
+        x, val = box_qp_global_min(box_qp_faces(H, [-1.0, -np.inf], [1.0, np.inf]),
+                                   np.zeros(2))
         assert abs(x[0]) == pytest.approx(1.0)
         assert x[1] == pytest.approx(beta * x[0] / (beta - 2.0), rel=1e-9)
 
     def test_unbounded_direction_raises(self):
         with pytest.raises(SubproblemNonconvexUnsupported):
-            box_qp_global_min(np.diag([1.0, -1.0]), np.zeros(2),
-                              [-1.0, -np.inf], [1.0, np.inf])
+            box_qp_faces(np.diag([1.0, -1.0]), [-1.0, -np.inf], [1.0, np.inf])
+
+    def test_prepared_faces_serve_many_linear_terms(self):
+        # one preparation answers 20 linear terms bit for bit as a fresh one
+        # does; the answers are compared after all 20 solves, so a solve
+        # that wrote into the prepared clamped points would show
+        rng = np.random.default_rng(7)
+        G = rng.uniform(-1.0, 1.0, size=(4, 4))
+        H = 0.5 * (G + G.T) + np.diag([0.0, 0.0, 0.0, 3.0])
+        lower, upper = [-1.0, -2.0, 0.0, -np.inf], [1.0, 0.5, 2.0, np.inf]
+        faces = box_qp_faces(H, lower, upper)
+        cs = rng.uniform(-2.0, 2.0, size=(20, 4))
+        shared = [(faces.solve(c)[0], box_qp_global_min(faces, c)) for c in cs]
+        for c, (points, (x, val)) in zip(cs, shared):
+            fresh = box_qp_faces(H, lower, upper)
+            want_x, want_val = box_qp_global_min(fresh, c)
+            assert x.tobytes() == want_x.tobytes() and val == want_val
+            assert [p.tobytes() for p in points] == [p.tobytes() for p in fresh.solve(c)[0]]
 
     @settings(max_examples=200)
     @given(data=st.data(), n=st.integers(1, 3))
@@ -124,7 +141,7 @@ class TestBoxQPGlobalMin:
         width = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
         upper = lower + np.array(width)
 
-        x, val = box_qp_global_min(H, c, lower, upper)
+        x, val = box_qp_global_min(box_qp_faces(H, lower, upper), c)
         assert np.all(lower <= x) and np.all(x <= upper)
         axes = [np.linspace(lo, hi, 41) for lo, hi in zip(lower, upper)]
         grid = np.array(list(itertools.product(*axes)))

@@ -180,10 +180,9 @@ class TestAlmStep:
         # the unreduced augmented Lagrangian Hessian has negative determinant,
         # so a plain linear solve would land on a saddle: the step must route
         # through the global enumeration
-        from mealopt.solvers import _alm_quadratic
+        from mealopt.solvers import _alm_hessian
 
-        ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
-        H, _ = _alm_quadratic(ctx, np.zeros(1))
+        H = _alm_hessian(exp1_problem, 50.0)
         assert np.linalg.det(H) < 0
 
     def test_exp1_lambda_cycle(self, exp1_problem):
@@ -621,6 +620,30 @@ def test_one_gram_eigendecomposition_per_alm_horizon_run(monkeypatch):
     tr = m.run(prob, cfg, init=EXP1_INIT)
     assert tr.n_rows - 1 == 5
     assert sum(grams) == 1
+
+
+def test_alm_prepares_its_faces_once_per_run(monkeypatch):
+    # the subproblem's Hessian and box are fixed for the run: a 5-step and a
+    # 200-step run make one face preparation and the same free-block
+    # curvature checks (validate's and the first step's)
+    from mealopt import solvers
+    from mealopt.experiments import EXP1_INIT
+
+    problems = {steps: m.build_exp1() for steps in (5, 200)}
+    A = problems[5].constraint.A
+    counts = {}
+    real_faces, real_eigvalsh = solvers.BoxFaces, np.linalg.eigvalsh
+    monkeypatch.setattr(solvers, "BoxFaces", lambda *a: counts.update(
+        faces=counts["faces"] + 1) or real_faces(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: counts.update(
+        free_blocks=counts["free_blocks"] + (not np.array_equal(M, A @ A.T)))
+        or real_eigvalsh(M))
+    for steps, prob in problems.items():
+        counts.update(faces=0, free_blocks=0)
+        cfg = m.SolverConfig("alm", m.PenaltyPlan.fixed(50.0, 0.5, 1.0),
+                             stop=m.StopRule(max_iters=steps))
+        assert m.run(prob, cfg, init=EXP1_INIT).n_rows - 1 == steps
+        assert counts == {"faces": 1, "free_blocks": 2}
 
 
 class TestOneQProductPerStep:
