@@ -630,14 +630,20 @@ def test_alm_prepares_its_faces_once_per_run(monkeypatch):
     from mealopt.experiments import EXP1_INIT
 
     problems = {steps: m.build_exp1() for steps in (5, 200)}
-    A = problems[5].constraint.A
+    gram = problems[5].constraint.A @ problems[5].constraint.A.T
     counts = {}
     real_faces, real_eigvalsh = solvers.BoxFaces, np.linalg.eigvalsh
-    monkeypatch.setattr(solvers, "BoxFaces", lambda *a: counts.update(
-        faces=counts["faces"] + 1) or real_faces(*a))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: counts.update(
-        free_blocks=counts["free_blocks"] + (not np.array_equal(M, A @ A.T)))
-        or real_eigvalsh(M))
+
+    def faces(*args):
+        counts["faces"] += 1
+        return real_faces(*args)
+
+    def eigvalsh(M):
+        counts["free_blocks"] += not np.array_equal(M, gram)
+        return real_eigvalsh(M)
+
+    monkeypatch.setattr(solvers, "BoxFaces", faces)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     for steps, prob in problems.items():
         counts.update(faces=0, free_blocks=0)
         cfg = m.SolverConfig("alm", m.PenaltyPlan.fixed(50.0, 0.5, 1.0),
