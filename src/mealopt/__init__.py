@@ -76,7 +76,6 @@ from .solvers import (
     EpsilonSchedule,
     IterateState,
     MonitorFlags,
-    ProxIALMParams,
     SolverConfig,
     StepReport,
     StopRule,

@@ -332,21 +332,21 @@ class Paper72FastPath(SubproblemSpec):
 # ---------------------------------------------------------------------------
 
 
-def alpha_from_beta(beta_k: float, beta_next: float, gamma: float, eta: float,
-                    c_gamma_A: float) -> float:
-    """alpha_k = (beta_k + beta_{k+1} + gamma*eta*(1 - eta/2)) / (2 c beta_k^2).
+def alpha_from_beta(beta: float, gamma: float, eta: float, c_gamma_A: float) -> float:
+    """alpha = (2 beta + gamma*eta*(1 - eta/2)) / (2 c beta^2).
 
-    With beta fixed the numerator's beta terms reduce to 2*beta. Raises
-    PenaltyOutOfRange unless alpha_k is a positive finite float.
+    The paper's alpha_k = (beta_k + beta_{k+1} + ...) / (2 c beta_k^2) with
+    the penalty fixed over the run, as every context holds it. Raises
+    PenaltyOutOfRange unless alpha is a positive finite float.
     """
     try:
-        alpha = (beta_k + beta_next + gamma * eta * (1.0 - eta / 2.0)) / (
-            2.0 * c_gamma_A * beta_k ** 2
+        alpha = (2.0 * beta + gamma * eta * (1.0 - eta / 2.0)) / (
+            2.0 * c_gamma_A * beta ** 2
         )
     except (OverflowError, ZeroDivisionError):
         alpha = math.nan
     if not 0.0 < alpha < math.inf:
-        raise PenaltyOutOfRange(f"beta = {beta_k:g} and c_gamma_A = {c_gamma_A:g} "
+        raise PenaltyOutOfRange(f"beta = {beta:g} and c_gamma_A = {c_gamma_A:g} "
                                 "give no positive finite alpha")
     return alpha
 
@@ -450,7 +450,7 @@ class EnvelopeContext:
     Fixed at construction: `A_norm2` and `sigma_min_pos` from the
     constraint's `gram_spectrum` (one eigendecomposition of the smaller of
     AA' and A'A, kept by the constraint); `c_gamma_A` and `beta`, the plan's
-    `c_gamma_A` and `beta_for`; and `alpha = alpha_from_beta(beta, beta, ...)`.
+    `c_gamma_A` and `beta_for`; and `alpha = alpha_from_beta(beta, ...)`.
     The subproblem spec is checked against the problem. The energies and
     every step read beta, alpha and gamma from here.
 
@@ -484,8 +484,7 @@ class EnvelopeContext:
         self.A_norm2, self.sigma_min_pos = constraint.gram_spectrum
         self.c_gamma_A = plan.c_gamma_A(constraint)
         self.beta = plan.beta_for(constraint)
-        self.alpha = alpha_from_beta(self.beta, self.beta, plan.gamma, plan.eta,
-                                     self.c_gamma_A)
+        self.alpha = alpha_from_beta(self.beta, plan.gamma, plan.eta, self.c_gamma_A)
         self.subproblem.check(self.problem)
 
     # -- the rank-m products and solves with H ---------------------------

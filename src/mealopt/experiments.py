@@ -29,7 +29,7 @@ from .problem import (
     QuadraticSmooth,
 )
 from .rng import SplitMix64
-from .solvers import ProxIALMParams, SolverConfig, StopRule, Trace, run
+from .solvers import SolverConfig, StopRule, Trace, run
 
 __all__ = [
     "ExperimentSpec",
@@ -134,15 +134,14 @@ def exp2_configs(problem: Problem, stop: StopRule = DEFAULT_STOP):
 
     Prox-linear: beta=50, gamma = 1/(2 ||Q||),  eta in {0.5, 1, 1.5} on the
     project-the-unconstrained-minimizer path. Baseline: prox weight
-    p = 2 ||Q||, passed as gamma = 1/p, s = 1 / (2 (||Q|| + p + beta ||A||^2)),
-    eta in {0.5, 1}; eta = 1 is the unproximal variant.
+    p = 2 ||Q||, passed as gamma = 1/p, eta in {0.5, 1}; eta = 1 is the
+    unproximal variant. Its primal step s = 1 / (2 (||Q|| + p + beta ||A||^2))
+    is derived by `prox_ialm_step` from the run's context.
     """
     q_norm = problem.L_h                            # ||Q||_2, from Q's eigvalsh
-    a_norm2 = problem.constraint.gram_spectrum[0]   # ||A||_2^2
     beta = 50.0
     gamma = 1.0 / (2.0 * q_norm)
     p = 2.0 * q_norm
-    s = 1.0 / (2.0 * (q_norm + p + beta * a_norm2))
 
     out = []
     for eta in (0.5, 1.0, 1.5):
@@ -151,8 +150,7 @@ def exp2_configs(problem: Problem, stop: StopRule = DEFAULT_STOP):
         out.append((f"limeal_beta50_eta{_fmt(eta)}", cfg))
     for eta in (0.5, 1.0):
         plan = PenaltyPlan.fixed(beta, gamma=1.0 / p, eta=eta)
-        cfg = SolverConfig("prox_ialm", plan,
-                           prox_ialm_params=ProxIALMParams(s=s), stop=stop)
+        cfg = SolverConfig("prox_ialm", plan, stop=stop)
         label = "ialm" if eta == 1.0 else f"prox_ialm_eta{_fmt(eta)}"
         out.append((label, cfg))
     return out

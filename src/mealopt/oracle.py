@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 ACTIVE_SET_MAX_N = 8  # 3^8 = 6561 patterns; exhaustive certainty at desk scale
+_FEAS_TOL = 1e-8      # ||Ax - b|| a face's point may leave
+_BOUND_TOL = 1e-9     # bound violation and wrong-signed bound residual allowed
+_ACTIVE_TOL = 1e-9    # kkt_residual's active-bound test, relative to max(1, max |x_i|)
+_MIN_FIT_POINTS = 20  # rate_fit's fewest positive samples
 
 
 def grid_prox_oracle(g_1d: Callable[[float], float], gamma: float, v: float,
@@ -97,12 +101,13 @@ class BoxFaces:
             QC, AC = (Q[np.ix_(F, C)] @ x[C], A[:, C] @ x[C]) if C.size else (0.0, 0.0)
             self.faces.append((free, pattern == 0, pattern == 1, x, K, QC, AC))
 
-    def solve(self, r, b=None, feas_tol: float = 1e-8, bound_tol: float = 1e-9):
-        """`active_set_qp_oracle`'s result for r (None is zero) and b (unused without A)."""
+    def solve(self, r, b=None):
+        """`active_set_qp_oracle`'s result for r (None is zero) and b (unused
+        without A). Without A, Ax = b holds trivially and is not checked."""
         Q, A, m = self.Q, self.A, self.A.shape[0]
         r = _vec(r) if r is not None else np.zeros(Q.shape[0])
         b = _vec(b) if m else np.zeros(0)
-        below, above = self.lower - bound_tol, self.upper + bound_tol
+        below, above = self.lower - _BOUND_TOL, self.upper + _BOUND_TOL
         points, multipliers, n_singular = [], [], 0
         for free, at_lower, at_upper, x_clamped, K, QC, AC in self.faces:
             nf = K.shape[0] - m
@@ -120,10 +125,10 @@ class BoxFaces:
                 continue
             grad = Q @ x + r + A.T @ mu
             # at lower the residual must push up, at upper down; free: zero
-            if ((grad[at_lower] < -bound_tol).any() or (grad[at_upper] > bound_tol).any()
+            if ((grad[at_lower] < -_BOUND_TOL).any() or (grad[at_upper] > _BOUND_TOL).any()
                     or (np.abs(grad[free]) > 1e-7 * max(1.0, np.abs(grad).max())).any()):
                 continue
-            if np.linalg.norm(A @ x - b) > feas_tol:
+            if m and np.linalg.norm(A @ x - b) > _FEAS_TOL:
                 continue
             # degenerate patterns rediscover the same point; keep the first
             if any(np.linalg.norm(x - p) <= 1e-8 for p in points):
@@ -133,18 +138,18 @@ class BoxFaces:
         return points, multipliers, n_singular
 
 
-def active_set_qp_oracle(Q, r, A, b, lower, upper, feas_tol: float = 1e-8,
-                         bound_tol: float = 1e-9):
+def active_set_qp_oracle(Q, r, A, b, lower, upper):
     """Enumerate stationary points of a small box-QP by active-set patterns.
 
     Problem: min x'Qx/2 + r'x  s.t.  Ax = b (optional), lower <= x <= upper.
     All 3^n lower/upper/free patterns are tried in lexicographic order; each
     yields an equality-constrained KKT solve on the free coordinates. Points
-    are kept when they satisfy bounds, multiplier signs and Ax = b within
-    feas_tol. Returns (points, multipliers, n_singular_skipped); multipliers
-    are the equality-constraint duals (empty vector when A is None).
+    are kept when they satisfy the bounds and the multiplier signs within
+    _BOUND_TOL = 1e-9, and Ax = b within _FEAS_TOL = 1e-8. Returns (points,
+    multipliers, n_singular_skipped); multipliers are the equality-constraint
+    duals (empty vector when A is None).
     """
-    return BoxFaces(Q, A, lower, upper).solve(r, b, feas_tol, bound_tol)
+    return BoxFaces(Q, A, lower, upper).solve(r, b)
 
 
 def check_free_curvature(H, lower, upper) -> None:
@@ -195,13 +200,14 @@ class KKTReport:
         assert self.stationarity_residual >= 0 and self.feasibility >= 0
 
 
-def kkt_residual(problem: Problem, x, lam, active_tol: float = 1e-9) -> KKTReport:
+def kkt_residual(problem: Problem, x, lam) -> KKTReport:
     """Upper bound on dist(0, grad h(x) + A'lam + subdiff g(x)), plus ||Ax-b||.
 
-    Box indicators are handled through normal cones with active-set detection;
-    separable kinds through per-coordinate subgradient intervals. PointwiseMin
-    near a piece crossing gets a conservative min-over-pieces bound and a
-    nonsmooth flag.
+    Box indicators are handled through normal cones, a bound counting as
+    active within _ACTIVE_TOL = 1e-9 times max(1, max |x_i|); separable
+    kinds through per-coordinate subgradient intervals. PointwiseMin near a
+    piece crossing gets a conservative min-over-pieces bound and a nonsmooth
+    flag.
     """
     x = _vec(x)
     lam = _vec(lam)
@@ -223,20 +229,19 @@ def kkt_residual(problem: Problem, x, lam, active_tol: float = 1e-9) -> KKTRepor
             quad, box = g.pieces[i]
             piece_part = box if box is not None else Zero()
             piece_grad = grad + quad.gradient(x)
-            best_res = min(best_res, _residual_against(piece_part, x, piece_grad,
-                                                       active_tol))
+            best_res = min(best_res, _residual_against(piece_part, x, piece_grad))
         stat = float(best_res)
     else:
-        stat = _residual_against(g, x, grad, active_tol, complementarity)
+        stat = _residual_against(g, x, grad, complementarity)
 
     return KKTReport(stat, feas, complementarity, flag)
 
 
-def _residual_against(g, x, grad, active_tol, complementarity=None) -> float:
+def _residual_against(g, x, grad, complementarity=None) -> float:
     """Norm of the residual of -grad against the subdifferential of g at x.
 
     A box indicator goes through its normal cone, with active bounds
-    detected within active_tol, and records each active coordinate in
+    detected within _ACTIVE_TOL, and records each active coordinate in
     `complementarity` when one is given; other kinds go through their
     per-coordinate subgradient intervals.
     """
@@ -244,8 +249,8 @@ def _residual_against(g, x, grad, active_tol, complementarity=None) -> float:
         res = np.empty_like(x)
         scale = max(1.0, float(np.abs(x).max()))
         for i in range(x.shape[0]):
-            at_lo = np.isfinite(g.lower[i]) and x[i] <= g.lower[i] + active_tol * scale
-            at_hi = np.isfinite(g.upper[i]) and x[i] >= g.upper[i] - active_tol * scale
+            at_lo = np.isfinite(g.lower[i]) and x[i] <= g.lower[i] + _ACTIVE_TOL * scale
+            at_hi = np.isfinite(g.upper[i]) and x[i] >= g.upper[i] - _ACTIVE_TOL * scale
             if at_lo and at_hi:
                 res[i], side = 0.0, "fixed"
             elif at_lo:
@@ -290,19 +295,19 @@ class RateFit:
     r2: float
 
 
-def rate_fit(values, burn_in: int = 0, min_points: int = 20) -> RateFit:
+def rate_fit(values, burn_in: int = 0) -> RateFit:
     """Classify decay as geometric or power-law by log-space least squares.
 
     Fits log y against k (geometric: y ~ tau^k) and against log k (power law:
     y ~ k^p) on the positive entries after burn_in, and returns whichever has
-    the better r^2. Raises InsufficientData below min_points samples.
+    the better r^2. Raises InsufficientData below _MIN_FIT_POINTS = 20 samples.
     """
     y = np.asarray(values, dtype=float)[burn_in:]
     k = np.arange(burn_in, burn_in + y.shape[0], dtype=float)
     mask = np.isfinite(y) & (y > 0) & (k > 0)
     y, k = y[mask], k[mask]
-    if y.shape[0] < min_points:
-        raise InsufficientData(f"{y.shape[0]} positive points, need {min_points}")
+    if y.shape[0] < _MIN_FIT_POINTS:
+        raise InsufficientData(f"{y.shape[0]} positive points, need {_MIN_FIT_POINTS}")
     logy = np.log(y)
 
     def fit(xs):

@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+_FEASIBILITY_TOL = 1e-8       # feasibility_probe's relative least-squares residual
+_RANK_TOL = 1e-10             # eigenvalues at or below this times the largest are zero
+_BOX_PROX_TOL = 1e-12         # _box_quad_prox's step-length stopping rule
+_BOX_PROX_MAX_ITER = 200_000  # and its iteration cap
+
+
 def _vec(v) -> np.ndarray:
     out = np.asarray(v, dtype=float)
     if out.ndim == 0:
@@ -91,15 +97,16 @@ class LinearConstraint:
         eigs = np.linalg.eigvalsh(A @ A.T if self.m <= self.n else A.T @ A)
         return float(eigs.max()), _smallest_positive(eigs)
 
-    def feasibility_probe(self, tol: float = 1e-8) -> tuple[bool, float]:
+    def feasibility_probe(self) -> tuple[bool, float]:
         """Least-squares check that Ax = b admits a solution.
 
         Returns (ok, residual) where residual is ||A x_ls - b|| at the
-        least-squares point, relative to max(1, ||b||).
+        least-squares point, relative to max(1, ||b||), and ok means it is
+        at most _FEASIBILITY_TOL = 1e-8.
         """
         x_ls, *_ = np.linalg.lstsq(self.A, self.b, rcond=None)
         res = self.residual(x_ls) / max(1.0, float(np.linalg.norm(self.b)))
-        return res <= tol, res
+        return res <= _FEASIBILITY_TOL, res
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +466,12 @@ class PointwiseMin(ProxFunction):
         return best_x
 
 
-def _box_quad_prox(quad: QuadraticForm, box: BoxIndicator, gamma: float,
-                   v: np.ndarray, tol: float = 1e-12, max_iter: int = 200000):
+def _box_quad_prox(quad: QuadraticForm, box: BoxIndicator, gamma: float, v: np.ndarray):
     """Prox of (quadratic + box indicator) by projected gradient.
 
     The regularized objective is strongly convex for valid gamma, so the
-    iteration converges linearly; run to stationarity tolerance `tol`. The
+    iteration converges linearly; run until a step moves x by at most
+    _BOX_PROX_TOL times the step length, or for _BOX_PROX_MAX_ITER steps. The
     step is 1/||Q + I/gamma||_2, read off Q's stored extreme eigenvalues.
     """
     n = v.shape[0]
@@ -472,10 +479,10 @@ def _box_quad_prox(quad: QuadraticForm, box: BoxIndicator, gamma: float,
     c = quad.r - v / gamma
     t = 1.0 / max(abs(quad.eig_min + 1.0 / gamma), abs(quad.eig_max + 1.0 / gamma))
     x = np.clip(v, box.lower, box.upper)
-    for _ in range(max_iter):
+    for _ in range(_BOX_PROX_MAX_ITER):
         g = H @ x + c
         x_new = np.clip(x - t * g, box.lower, box.upper)
-        if np.linalg.norm(x_new - x) <= tol * t:
+        if np.linalg.norm(x_new - x) <= _BOX_PROX_TOL * t:
             return x_new
         x = x_new
     return x
@@ -649,8 +656,8 @@ def objective_value(problem: Problem, x) -> float:
     return problem.objective_value(x)
 
 
-def smallest_positive_eigenvalue(M, rank_tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of symmetric PSD M above rank_tol * largest.
+def smallest_positive_eigenvalue(M) -> float:
+    """Smallest eigenvalue of symmetric PSD M above _RANK_TOL * largest.
 
     The threshold is relative; eigenvalues at or below it count as numerical
     zeros. Raises AllZeroMatrix when nothing clears it.
@@ -658,12 +665,12 @@ def smallest_positive_eigenvalue(M, rank_tol: float = 1e-10) -> float:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
         raise ValueError("matrix must be symmetric")
-    return _smallest_positive(np.linalg.eigvalsh(M), rank_tol)
+    return _smallest_positive(np.linalg.eigvalsh(M))
 
 
-def _smallest_positive(eigs: np.ndarray, rank_tol: float = 1e-10) -> float:
+def _smallest_positive(eigs: np.ndarray) -> float:
     """smallest_positive_eigenvalue's rule, on eigenvalues already computed."""
-    cutoff = rank_tol * max(float(eigs.max()), 0.0)
+    cutoff = _RANK_TOL * max(float(eigs.max()), 0.0)
     positive = eigs[eigs > cutoff]
     if positive.size == 0:
         raise AllZeroMatrix("no eigenvalue clears the rank threshold")

@@ -48,7 +48,6 @@ __all__ = [
     "IterateState",
     "StepReport",
     "EpsilonSchedule",
-    "ProxIALMParams",
     "StopRule",
     "MonitorFlags",
     "SolverConfig",
@@ -123,17 +122,6 @@ class EpsilonSchedule:
 
 
 @dataclass(frozen=True)
-class ProxIALMParams:
-    """Primal step s; the prox weight is the plan's 1/gamma, the dual step beta."""
-
-    s: float
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("s must be positive")
-
-
-@dataclass(frozen=True)
 class StopRule:
     max_iters: int = 2000
     stat_tol: float = 1e-6
@@ -157,8 +145,7 @@ class SolverConfig:
     algorithm: str
     plan: PenaltyPlan
     subproblem: Union[str, object] = "auto"
-    epsilon_schedule: Optional[Callable[[int], float]] = None
-    prox_ialm_params: Optional[ProxIALMParams] = None
+    epsilon_schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     stop: StopRule = field(default_factory=StopRule)
     monitors: MonitorFlags = field(default_factory=MonitorFlags)
 
@@ -276,8 +263,8 @@ def alm_step(ctx: EnvelopeContext, state: IterateState,
     return _advance(ctx, state, x_new, None, eta=1.0)
 
 
-def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
-                   params: ProxIALMParams) -> tuple[IterateState, StepReport]:
+def prox_ialm_step(ctx: EnvelopeContext,
+                   state: IterateState) -> tuple[IterateState, StepReport]:
     """Projected prox-linear baseline step, prox weight p = 1/gamma.
 
         xbar = (beta A'A + p I) x + grad h(x) + A'lam - p z - beta A'b
@@ -285,12 +272,15 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
 
     followed by the shared z and lambda updates (dual step beta, as in the
     printed scheme). Proj_C is the identity when the prox part is Zero. The
+    primal step is Zhang and Luo's s = 1 / (2 (L_h + p + beta ||A||^2)),
+    from the problem's L_h = ||Q||_2 and the context's ||A||_2^2. The
     product with H is the context's rank-m `H_matvec`, grad h(x) is the
     state's carried gradient when it has one, and the step evaluates h's
     gradient once, at x', and carries it on: one product with Q a step.
     """
     p = ctx.problem
     beta, weight = ctx.beta, 1.0 / ctx.plan.gamma
+    s = 1.0 / (2.0 * (p.L_h + weight + beta * ctx.A_norm2))
     bounds = p.box_bounds()
     if bounds is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
@@ -299,12 +289,12 @@ def prox_ialm_step(ctx: EnvelopeContext, state: IterateState,
     grad = p.smooth_gradient(x) if state.grad_h is None else state.grad_h
 
     xbar = ctx.H_matvec(x) + grad + A.T @ lam - weight * z - beta * ctx.Atb
-    x_new = np.clip(x - params.s * xbar, *bounds)
+    x_new = np.clip(x - s * xbar, *bounds)
     grad_new = p.smooth_gradient(x_new)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     dx = x_new - x
-    v = (x - x_new) / params.s + (grad_new - grad) + beta * (A.T @ (A @ dx)) \
+    v = (x - x_new) / s + (grad_new - grad) + beta * (A.T @ (A @ dx)) \
         - weight * (x - z)
     return _advance(ctx, state, x_new, v, grad_h=grad_new)
 
@@ -337,8 +327,6 @@ def _alm_hessian(problem, beta) -> np.ndarray:
 
 
 def _check_prox_ialm(config, problem) -> None:
-    if config.prox_ialm_params is None:
-        raise ValueError("prox_ialm needs prox_ialm_params")
     if not problem.composite or problem.quadratic_terms() is None:
         raise NotComposite("prox_ialm needs a quadratic smooth part")
     if problem.box_bounds() is None:
@@ -352,9 +340,6 @@ def _lyapunov_energy(family: str):
         return lyapunov(ctx, f"{family}-{'s2' if bounded else 's1'}", new.x, new.z,
                         new.lam, z_prev=state.z, x_prev=state.x, f=f)
     return energy
-
-
-_DEFAULT_EPSILON = EpsilonSchedule()
 
 
 @dataclass(frozen=True)
@@ -381,7 +366,7 @@ ALGORITHMS = {
         lambda p: p.rho_total, True, _lyapunov_energy("meal"), progress_monitor=True),
     "imeal": Algorithm(
         lambda ctx, st, cfg, warm: imeal_step(
-            ctx, st, (cfg.epsilon_schedule or _DEFAULT_EPSILON)(st.k), warm_start=warm),
+            ctx, st, cfg.epsilon_schedule(st.k), warm_start=warm),
         lambda p: p.rho_total, True, _lyapunov_energy("imeal")),
     # the linearized updates only see g's curvature
     "limeal": Algorithm(
@@ -395,7 +380,7 @@ ALGORITHMS = {
         accepts=(),
         check=lambda cfg, p: _alm_hessian(p, cfg.plan.beta_for(p.constraint))),
     "prox_ialm": Algorithm(
-        lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st, cfg.prox_ialm_params),
+        lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st),
         lambda p: p.rho_g, False,
         lambda ctx, st, new, f: potential_P(ctx, new.x, new.z, new.lam, f),
         accepts=(), check=_check_prox_ialm),

@@ -222,10 +222,7 @@ def test_criterion_9_fixed_point_invariance():
         x_star, lam_star = pts[idx], mults[idx]
         state = m.IterateState(x_star, x_star.copy(), lam_star)
         gamma = 0.5 / max(problem.rho_total, 1.0)
-        q_norm = float(np.linalg.norm(problem.smooth.Q, 2))
-        p_coef = 2.0 * q_norm
-        a_norm2 = float(np.linalg.norm(problem.constraint.A, 2)) ** 2
-        params = m.ProxIALMParams(s=1.0 / (2 * (q_norm + p_coef + 50 * a_norm2)))
+        p_coef = 2.0 * float(np.linalg.norm(problem.smooth.Q, 2))
         inner = m.InnerProxGradient(tol=1e-12, max_inner=400000)
         plan = m.PenaltyPlan.fixed(50.0, gamma=gamma, eta=1.0)
         ctx = EnvelopeContext(problem, plan, inner)
@@ -236,7 +233,7 @@ def test_criterion_9_fixed_point_invariance():
             "alm": lambda: m.alm_step(ctx, state),
             "prox_ialm": lambda: m.prox_ialm_step(
                 EnvelopeContext(problem, m.PenaltyPlan.fixed(50.0, 1.0 / p_coef, 1.0)),
-                state, params),
+                state),
         }
         for algo, step in steps.items():
             new, _ = step()

@@ -554,22 +554,22 @@ class TestNoBoundSolve:
 
 class TestPenaltyCalculus:
     def test_alpha_from_beta_hand_value(self):
-        assert alpha_from_beta(50.0, 50.0, 0.5, 1.0, 0.5) == pytest.approx(0.0401)
+        assert alpha_from_beta(50.0, 0.5, 1.0, 0.5) == pytest.approx(0.0401)
 
     def test_alpha_eta_limit(self):
         # as eta -> 2 the gamma term vanishes
-        got = alpha_from_beta(10.0, 12.0, 0.7, 2.0 - 1e-12, 0.5)
-        assert got == pytest.approx((10.0 + 12.0) / (2 * 0.5 * 100.0), rel=1e-9)
+        got = alpha_from_beta(10.0, 0.7, 2.0 - 1e-12, 0.5)
+        assert got == pytest.approx((10.0 + 10.0) / (2 * 0.5 * 100.0), rel=1e-9)
 
     def test_alpha_roughly_halves_when_beta_doubles(self):
-        a1 = alpha_from_beta(100.0, 100.0, 0.5, 1.0, 0.5)
-        a2 = alpha_from_beta(200.0, 200.0, 0.5, 1.0, 0.5)
+        a1 = alpha_from_beta(100.0, 0.5, 1.0, 0.5)
+        a2 = alpha_from_beta(200.0, 0.5, 1.0, 0.5)
         assert a2 < a1
 
     @pytest.mark.parametrize("beta, c", [(1e300, 0.5), (1.0, 0.0), (1.0, -0.5)])
     def test_alpha_out_of_range(self, beta, c):
         with pytest.raises(PenaltyOutOfRange):
-            alpha_from_beta(beta, beta, 0.5, 1.0, c)
+            alpha_from_beta(beta, 0.5, 1.0, c)
 
     def test_beta_hand_value(self):
         # frozen from direct evaluation: (1 + sqrt(1.01)) / 0.04, +1e-6 margin
@@ -579,7 +579,7 @@ class TestPenaltyCalculus:
     @pytest.mark.parametrize("target", [1e-3, 1e-2, 0.1, 0.5, 1.0])
     def test_round_trip_strictly_below_target(self, target):
         beta = beta_for_target_alpha(target, 0.5, 1.0, 0.5)
-        assert alpha_from_beta(beta, beta, 0.5, 1.0, 0.5) < target
+        assert alpha_from_beta(beta, 0.5, 1.0, 0.5) < target
 
     def test_monotone_decreasing_in_c(self):
         b1 = beta_for_target_alpha(0.04, 0.5, 1.0, 0.5)
@@ -589,7 +589,7 @@ class TestPenaltyCalculus:
     def test_horizon_mode_achieves_target_exactly(self):
         K, alpha_star, gamma, eta, c = 25, 0.05, 0.5, 1.0, 0.5
         beta = beta_for_target_alpha(alpha_star, gamma, eta, c, horizon_K=K)
-        assert alpha_from_beta(beta, beta, gamma, eta, c) == pytest.approx(
+        assert alpha_from_beta(beta, gamma, eta, c) == pytest.approx(
             alpha_star / K, rel=1e-12)
 
     def test_nonpositive_alpha(self):

@@ -90,14 +90,11 @@ class TestBuilders:
         p = m.build_exp2(seed=42)
         Q, _, _ = p.smooth.quadratic_terms()
         q_norm = float(np.linalg.norm(Q, 2))
-        a_norm2 = float(np.linalg.norm(p.constraint.A, 2)) ** 2
         labels = dict(exp2_configs(p))
         lim = labels["limeal_beta50_eta1"]
         assert lim.plan.gamma == pytest.approx(1.0 / (2.0 * q_norm))
         pia = labels["ialm"]
         assert 1.0 / pia.plan.gamma == pytest.approx(2.0 * q_norm)
-        assert pia.prox_ialm_params.s == pytest.approx(
-            1.0 / (2.0 * (q_norm + 2.0 * q_norm + 50.0 * a_norm2)))
 
 
 class TestBundles:

@@ -15,6 +15,7 @@ from mealopt.fileio import (
     save_problem,
     save_trace,
 )
+from mealopt.solvers import ALGORITHMS
 
 
 def catalog_problems():
@@ -164,7 +165,6 @@ class TestCLI:
         assert "--beta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--algorithm", "prox_ialm", "--beta", "1"],
         ["solve", "--algorithm", "meal", "--beta", "1", "--max-iters", "0"],
         ["solve", "--algorithm", "meal", "--horizon-K", "0", "--alpha-target", "1"],
         ["exp1", "--max-iters", "0"],
@@ -186,7 +186,7 @@ class TestCLI:
         [*NAN_RUNS, "--epsilon0", "nan"],
         [*NAN_RUNS, "--stat-tol", "nan"],
         [*NAN_RUNS, "--feas-tol", "nan"],
-    ], ids=["prox-ialm-params", "solve-max-iters", "horizon-k", "exp1-max-iters",
+    ], ids=["solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
             "cap-variant-with-beta", "cap-variant-with-horizon-k", "beta-overflow",
             "horizon-beta-overflow", "gamma-underflow", "horizon-target-underflow",
@@ -210,6 +210,15 @@ class TestCLI:
             assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err == "error: alpha target 1 and c_gamma_A = 0 give no finite beta\n"
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_every_algorithm_solves_from_the_cli(self, algorithm, tmp_path):
+        save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
+        code = main(["solve", "--input", str(tmp_path / "qp.json"),
+                     "--algorithm", algorithm, "--beta", "1", "--gamma", "0.01",
+                     "--max-iters", "20", "--output-dir", str(tmp_path)])
+        assert code in (0, 3)
+        assert (tmp_path / f"{algorithm}_trace.csv").exists()
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["exp1", "--frobnicate"]) == 2

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,7 +142,7 @@ class TestBoxQPGlobalMin:
         x, val = box_qp_global_min(box_qp_faces(H, lower, upper), c)
         assert np.all(lower <= x) and np.all(x <= upper)
         axes = [np.linspace(lo, hi, 41) for lo, hi in zip(lower, upper)]
-        grid = np.array(list(itertools.product(*axes)))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
         grid_min = float(np.min(0.5 * np.einsum("ki,ij,kj->k", grid, H, grid)
                                 + grid @ c))
         assert val <= grid_min + 1e-12 * max(1.0, abs(grid_min))

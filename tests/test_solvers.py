@@ -205,33 +205,24 @@ class TestProxIALMStep:
         qn = float(np.linalg.norm(prob.smooth.Q, 2))
         p_coef = 2.0 * qn
         an2 = float(np.linalg.norm(prob.constraint.A, 2)) ** 2
-        params = m.ProxIALMParams(s=1.0 / (2 * (qn + p_coef + 50 * an2)))
+        s = 1.0 / (2 * (qn + p_coef + 50 * an2))
         plan = m.PenaltyPlan.fixed(50.0, gamma=1.0 / p_coef, eta=1.0)
-        return prob, plan, params
-
-    def test_tiny_step_barely_moves_interior_point(self):
-        prob, plan, params = self._setup()
-        ctx = EnvelopeContext(prob, plan)
-        x = np.full(prob.n, 0.5)
-        state = m.IterateState(x, x.copy(), np.zeros(prob.m))
-        tiny = m.ProxIALMParams(s=1e-12)
-        new, _ = prox_ialm_step(ctx, state, tiny)
-        assert np.linalg.norm(new.x - x) <= 1e-9
+        return prob, plan, s
 
     def test_eta_one_alias_is_bitwise(self):
-        prob, plan, params = self._setup()
+        prob, plan, _ = self._setup()
         ctx = EnvelopeContext(prob, plan)
         rng = np.random.default_rng(27)
         s1 = s2 = m.IterateState(rng.uniform(0, 1, prob.n),
                                  rng.uniform(0, 1, prob.n), np.zeros(prob.m))
         for _ in range(25):
-            s1, _ = prox_ialm_step(ctx, s1, params)
-            s2, _ = prox_ialm_step(ctx, s2, params)
+            s1, _ = prox_ialm_step(ctx, s1)
+            s2, _ = prox_ialm_step(ctx, s2)
             assert np.array_equal(s1.x, s2.x)
             assert np.array_equal(s1.lam, s2.lam)
 
     def test_matches_transcribed_update(self):
-        prob, plan, params = self._setup(seed=28)
+        prob, plan, s = self._setup(seed=28)
         ctx = EnvelopeContext(prob, plan)
         Q, r, _ = prob.smooth.quadratic_terms()
         A, b = prob.constraint.A, prob.constraint.b
@@ -239,11 +230,11 @@ class TestProxIALMStep:
         x = rng.uniform(0, 1, prob.n)
         z = rng.uniform(0, 1, prob.n)
         lam = rng.normal(size=prob.m)
-        new, _ = prox_ialm_step(ctx, m.IterateState(x, z, lam), params)
+        new, _ = prox_ialm_step(ctx, m.IterateState(x, z, lam))
         beta, p_coef = 50.0, 1.0 / plan.gamma
         xbar = (beta * A.T @ A + p_coef * np.eye(prob.n)) @ x + Q @ x \
             + A.T @ lam - p_coef * z - (beta * A.T @ b - r)
-        x_next = np.clip(x - params.s * xbar, 0.0, 1.0)
+        x_next = np.clip(x - s * xbar, 0.0, 1.0)
         np.testing.assert_allclose(new.x, x_next, atol=1e-12)
 
 
@@ -441,7 +432,7 @@ class TestRun:
     @pytest.mark.parametrize("bad", [0.0, float("nan")])
     def test_positive_fields_reject_zero_and_nan(self, bad):
         for build in (lambda v: m.StopRule(stat_tol=v), lambda v: m.StopRule(feas_tol=v),
-                      m.EpsilonSchedule, m.ProxIALMParams,
+                      m.EpsilonSchedule,
                       lambda v: m.PenaltyPlan.fixed(v, gamma=0.5, eta=1.0),
                       lambda v: m.PenaltyPlan.fixed(1.0, gamma=v, eta=1.0)):
             with pytest.raises(ValueError):
@@ -452,9 +443,6 @@ class TestRun:
             m.PenaltyPlan.fixed(50.0, gamma=0.5, eta=2.0)
         with pytest.raises(ValueError):
             m.PenaltyPlan.fixed(-1.0, gamma=0.5, eta=1.0)
-        with pytest.raises(ValueError):
-            m.SolverConfig("prox_ialm", m.PenaltyPlan.fixed(1.0, 0.5, 1.0)).validate(
-                m.build_exp2(seed=1, m=2, n=4))
 
     def test_lyapunov_column_nonincreasing_on_compliant_run(self, exp1_problem):
         # beta chosen from the cap calculus: the recorded Lyapunov values
@@ -800,9 +788,7 @@ def test_validated_run_ends_in_a_status(algorithm, spec, prob, frac, horizon):
     gamma = frac / max(ALGORITHMS[algorithm].modulus(prob), 1.0)
     plan = (m.PenaltyPlan.horizon(5, 100.0, gamma, 1.0) if horizon
             else m.PenaltyPlan.fixed(10.0, gamma, 1.0))
-    cfg = m.SolverConfig(algorithm, plan, subproblem=spec,
-                         prox_ialm_params=m.ProxIALMParams(s=1e-3),
-                         stop=m.StopRule(max_iters=5))
+    cfg = m.SolverConfig(algorithm, plan, subproblem=spec, stop=m.StopRule(max_iters=5))
     try:
         cfg.validate(prob)
     except (MealoptError, ValueError):
