@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="with --alpha-target and a fixed beta: use the "
                             "smaller of the target and this variant's "
                             "admissible cap")
-    solve.add_argument("--epsilon0", type=_positive("--epsilon0"), default=1e-2)
+    solve.add_argument("--epsilon0", type=_positive("--epsilon0"))
     solve.add_argument("--max-iters", type=_positive("--max-iters", int), default=2000)
     solve.add_argument("--stat-tol", type=_positive("--stat-tol"), default=1e-6)
     solve.add_argument("--feas-tol", type=_positive("--feas-tol"), default=1e-6)
@@ -121,7 +121,9 @@ def _out_dir(value) -> Path:
 
 
 def _cmd_solve(args) -> int:
-    # every penalty flag given must take effect
+    # every penalty and schedule flag given must take effect
+    if args.epsilon0 is not None and args.algorithm != "imeal":
+        return _error(f"--epsilon0 sets imeal's schedule; {args.algorithm} has none")
     if args.beta is not None and (args.horizon_k is not None
                                   or args.alpha_target is not None):
         return _error("--beta fixes the penalty; drop --horizon-K and --alpha-target")
@@ -153,9 +155,9 @@ def _cmd_solve(args) -> int:
     try:
         config = SolverConfig(
             args.algorithm, plan, subproblem=sub,
-            epsilon_schedule=EpsilonSchedule(args.epsilon0),
-            stop=StopRule(args.max_iters, args.stat_tol, args.feas_tol),
-        )
+            epsilon_schedule=(EpsilonSchedule() if args.epsilon0 is None
+                              else EpsilonSchedule(args.epsilon0)),
+            stop=StopRule(args.max_iters, args.stat_tol, args.feas_tol))
         config.validate(problem)
     except ValueError as exc:
         return _error(exc)

@@ -20,7 +20,7 @@ and config. `SolverConfig.validate` and `run` read the entry.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -136,6 +136,9 @@ class StopRule:
 
 @dataclass(frozen=True)
 class MonitorFlags:
+    """Per-step checks kept in `Trace.monitors`. `one_step_progress` reads each
+    step's drop in the `lyapunov` column, so it needs meal's s1 Lyapunov there."""
+
     one_step_progress: bool = False
     dual_by_primal: bool = False
 
@@ -168,12 +171,13 @@ class SolverConfig:
             )
         algo.check(self, problem)
         if self.monitors.one_step_progress and not (
-                algo.progress_monitor and self.plan.mode == "fixed"):
-            raise ValueError("one_step_progress monitor applies to meal with fixed beta")
+                algo.progress_monitor and self.plan.mode == "fixed"
+                and _lyapunov_case(problem) == "s1"):
+            raise ValueError("one_step_progress needs meal, a fixed beta and the s1 Lyapunov")
         if self.monitors.dual_by_primal:
             problem.implicit_lipschitz_constant()  # raises MissingMetadata
 
-    def resolve_subproblem(self, problem: Problem):
+    def resolve_subproblem(self):
         return InnerProxGradient() if self.subproblem == "auto" else self.subproblem
 
 
@@ -183,16 +187,15 @@ class SolverConfig:
 
 
 def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
-             grad_z: Optional[np.ndarray], eta: Optional[float] = None,
-             sub=None, grad_h=None) -> tuple[IterateState, StepReport]:
-    """The shared z and lam updates to x_new (dual step beta, eta the plan's
-    unless given) and the step's report. grad_z is the z-block of the
+             grad_z: Optional[np.ndarray], sub=None,
+             grad_h=None) -> tuple[IterateState, StepReport]:
+    """The shared z and lam updates to x_new (dual step beta, the plan's
+    eta) and the step's report. grad_z is the z-block of the
     envelope gradient; None means zero, so the stationarity norm is the
     feasibility. The report carries the subproblem result's inexactness and
     inner iterations; the new state carries grad_h, h's gradient at x_new.
     """
-    p = ctx.problem
-    eta = ctx.plan.eta if eta is None else eta
+    p, eta = ctx.problem, ctx.plan.eta
     gl = p.constraint.A @ x_new - p.constraint.b
     new = IterateState(x_new, (1.0 - eta) * state.z + eta * x_new,
                        state.lam + ctx.beta * gl, state.k + 1, grad_h)
@@ -208,43 +211,42 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
         inner_iterations=0 if sub is None else sub.inner_iterations)
 
 
-def meal_step(ctx: EnvelopeContext, state: IterateState, warm_start=None,
+def meal_step(ctx: EnvelopeContext, state: IterateState,
               tol: Optional[float] = None) -> tuple[IterateState, StepReport]:
     """One proximal step on the envelope of the augmented Lagrangian.
 
-    Exact up to the inner solver's own tolerance; with `tol` the subproblem
-    residual is certified below it instead (the iMEAL step).
+    Solved from state.x, exact up to the inner solver's own tolerance; with
+    `tol` the subproblem residual is certified below it instead (iMEAL).
     """
-    sub = solve_subproblem(ctx, state.z, state.lam, tol=tol, warm_start=warm_start)
+    sub = solve_subproblem(ctx, state.z, state.lam, tol=tol, warm_start=state.x)
     return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.plan.gamma, sub=sub)
 
 
-def imeal_step(ctx: EnvelopeContext, state: IterateState, eps_k: float,
-               warm_start=None) -> tuple[IterateState, StepReport]:
+def imeal_step(ctx: EnvelopeContext, state: IterateState,
+               eps_k: float) -> tuple[IterateState, StepReport]:
     """Inexact step: the subproblem residual is certified below eps_k."""
-    return meal_step(ctx, state, warm_start=warm_start, tol=eps_k)
+    return meal_step(ctx, state, tol=eps_k)
 
 
-def limeal_step(ctx: EnvelopeContext, state: IterateState,
-                warm_start=None) -> tuple[IterateState, StepReport]:
+def limeal_step(ctx: EnvelopeContext,
+                state: IterateState) -> tuple[IterateState, StepReport]:
     """Prox-linear step: h is replaced by its first-order model at x^k.
 
-    h's gradient at x^k is the state's carried one when it has one; the step
-    evaluates h's gradient once, at x^{k+1}, and carries it on.
+    Solved from state.x. h's gradient at x^k is the state's carried one when
+    it has one; the step evaluates it once, at x^{k+1}, and carries it on.
     """
     p = ctx.problem
     if not p.composite:
         raise NotComposite("limeal_step needs a composite objective")
     grad = p.smooth_gradient(state.x) if state.grad_h is None else state.grad_h
-    sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad,
-                           warm_start=warm_start)
+    sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad, warm_start=state.x)
     grad_new = p.smooth_gradient(sub.x)
     gz = (state.z - sub.x) / ctx.plan.gamma + (grad_new - grad)
     return _advance(ctx, state, sub.x, gz, sub=sub, grad_h=grad_new)
 
 
-def alm_step(ctx: EnvelopeContext, state: IterateState,
-             warm_start=None) -> tuple[IterateState, StepReport]:
+def alm_step(ctx: EnvelopeContext,
+             state: IterateState) -> tuple[IterateState, StepReport]:
     """Classic step: global minimization of the augmented Lagrangian.
 
     Supported where the global-min oracle applies: quadratic objective with
@@ -259,8 +261,8 @@ def alm_step(ctx: EnvelopeContext, state: IterateState,
         faces = ctx._alm_faces = BoxFaces(_alm_hessian(p, ctx.beta), None, *p.box_bounds())
     c = p.quadratic_terms()[1] + p.constraint.A.T @ state.lam - ctx.beta * ctx.Atb
     x_new, _ = box_qp_global_min(faces, c)
-    # global minimization leaves zero dual residual at x'; eta = 1 sets z' = x'
-    return _advance(ctx, state, x_new, None, eta=1.0)
+    # global minimization leaves zero dual residual at x'; _check_alm's eta = 1 sets z' = x'
+    return _advance(ctx, state, x_new, None)
 
 
 def prox_ialm_step(ctx: EnvelopeContext,
@@ -326,6 +328,12 @@ def _alm_hessian(problem, beta) -> np.ndarray:
     return H
 
 
+def _check_alm(config, problem) -> None:
+    if config.plan.eta != 1.0:
+        raise ValueError(f"alm takes eta = 1 (z' = x'), got eta={config.plan.eta}")
+    _alm_hessian(problem, config.plan.beta_for(problem.constraint))
+
+
 def _check_prox_ialm(config, problem) -> None:
     if not problem.composite or problem.quadratic_terms() is None:
         raise NotComposite("prox_ialm needs a quadratic smooth part")
@@ -333,11 +341,14 @@ def _check_prox_ialm(config, problem) -> None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
 
 
+def _lyapunov_case(problem) -> str:
+    return "s2" if problem.prox_part.implicit_class.kind == "bounded" else "s1"
+
+
 def _lyapunov_energy(family: str):
     """The family's Lyapunov value at the new state (usable from k + 1 >= 1)."""
     def energy(ctx, state, new, f):
-        bounded = ctx.problem.prox_part.implicit_class.kind == "bounded"
-        return lyapunov(ctx, f"{family}-{'s2' if bounded else 's1'}", new.x, new.z,
+        return lyapunov(ctx, f"{family}-{_lyapunov_case(ctx.problem)}", new.x, new.z,
                         new.lam, z_prev=state.z, x_prev=state.x, f=f)
     return energy
 
@@ -350,7 +361,7 @@ class Algorithm:
     when called, so a wrapper set on this module sees every call.
     """
 
-    step: Callable          # (ctx, state, config, warm) -> (IterateState, StepReport)
+    step: Callable          # (ctx, state, config) -> (IterateState, StepReport)
     modulus: Callable       # Problem -> rho; gamma must stay below 1/rho
     running_min: bool       # stationarity column is the running minimum
     energy: Callable        # (ctx, state, new, f(new.x)) -> the lyapunov column value
@@ -362,25 +373,23 @@ class Algorithm:
 
 ALGORITHMS = {
     "meal": Algorithm(
-        lambda ctx, st, cfg, warm: meal_step(ctx, st, warm_start=warm),
+        lambda ctx, st, cfg: meal_step(ctx, st),
         lambda p: p.rho_total, True, _lyapunov_energy("meal"), progress_monitor=True),
     "imeal": Algorithm(
-        lambda ctx, st, cfg, warm: imeal_step(
-            ctx, st, cfg.epsilon_schedule(st.k), warm_start=warm),
+        lambda ctx, st, cfg: imeal_step(ctx, st, cfg.epsilon_schedule(st.k)),
         lambda p: p.rho_total, True, _lyapunov_energy("imeal")),
     # the linearized updates only see g's curvature
     "limeal": Algorithm(
-        lambda ctx, st, cfg, warm: limeal_step(ctx, st, warm_start=warm),
+        lambda ctx, st, cfg: limeal_step(ctx, st),
         lambda p: p.rho_g, False, _lyapunov_energy("limeal"),
         accepts=(InnerProxGradient, Paper72FastPath), check=_check_limeal),
     # no proximal term: the global-min oracle handles any curvature
     "alm": Algorithm(
-        lambda ctx, st, cfg, warm: alm_step(ctx, st), lambda p: 0.0, False,
+        lambda ctx, st, cfg: alm_step(ctx, st), lambda p: 0.0, False,
         lambda ctx, st, new, f: augmented_lagrangian(ctx, new.x, new.lam, f),
-        accepts=(),
-        check=lambda cfg, p: _alm_hessian(p, cfg.plan.beta_for(p.constraint))),
+        accepts=(), check=_check_alm),
     "prox_ialm": Algorithm(
-        lambda ctx, st, cfg, warm: prox_ialm_step(ctx, st),
+        lambda ctx, st, cfg: prox_ialm_step(ctx, st),
         lambda p: p.rho_g, False,
         lambda ctx, st, new, f: potential_P(ctx, new.x, new.z, new.lam, f),
         accepts=(), check=_check_prox_ialm),
@@ -428,7 +437,7 @@ class Trace:
 
 
 def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
-    """Iterate until both tolerances are met, or a budget/guard trips.
+    """Iterate from init, None (zeros) or (x0, z0, lam0), until the tolerances are met.
 
     Row k holds the objective, feasibility and multiplier norm of the state
     after k steps; its stationarity, xz_gap and (from k >= 1) lyapunov
@@ -441,22 +450,18 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     ends at max_iters (or the horizon K) as MaxIters. A terminal row holds
     the final state.
 
-    Each step's objective is computed once and passed to the energy. For a
-    quadratic h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx +
-    r, it is g(x) + x'(grad h(x) + r)/2 + c, with no product with Q.
+    Each step's objective and energy are computed once. For a quadratic
+    h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx + r, the
+    objective is g(x) + x'(grad h(x) + r)/2 + c, with no product with Q.
     """
     config.validate(problem)
-    ctx = EnvelopeContext(problem, config.plan, config.resolve_subproblem(problem))
+    ctx = EnvelopeContext(problem, config.plan, config.resolve_subproblem())
     algo = ALGORITHMS[config.algorithm]
 
     if init is None:
-        state = IterateState(np.zeros(problem.n), np.zeros(problem.n),
-                             np.zeros(problem.m), 0)
-    elif isinstance(init, IterateState):
-        state = replace(init, k=0, grad_h=None)
-    else:
-        x0, z0, lam0 = init
-        state = IterateState(x0, z0, lam0, 0)
+        init = (np.zeros(problem.n), np.zeros(problem.n), np.zeros(problem.m))
+    x0, z0, lam0 = init
+    state = IterateState(x0, z0, lam0)
     if state.x.shape != (problem.n,) or state.z.shape != (problem.n,) \
             or state.lam.shape != (problem.m,):
         raise ValueError(
@@ -478,10 +483,8 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     osc_streak, oscillating = 0, False
     status, converged_at = "MaxIters", None
     E_curr = None          # energy column value at the current state (from k >= 1)
-    E_s1 = None            # s1 Lyapunov at the current state, for the progress monitor
     prev_state = None
     best_measure = np.inf
-    warm = None
     # the current state's objective, feasibility and multiplier norm; record_row
     # writes them, and each step carries them over from its new state
     quad = problem.quadratic_terms() if problem.composite else None
@@ -508,7 +511,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         cols["wall_time"].append(time.perf_counter() - t0)
 
     for k in range(budget):
-        new_state, report = algo.step(ctx, state, config, warm)
+        new_state, report = algo.step(ctx, state, config)
         inner.append(report.inner_iterations)
 
         raw = report.stationarity_norm
@@ -522,15 +525,10 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         E_next = algo.energy(ctx, state, new_state, f_next)
         record_row(k, stat_col, E_curr, float(np.linalg.norm(new_state.x - state.z)))
 
-        if config.monitors.one_step_progress:
-            # the s1 Lyapunov at the new state is step k + 1's E_k
-            E_s1_next = lyapunov(ctx, "meal-s1", new_state.x, new_state.z,
-                                 new_state.lam, z_prev=state.z, f=f_next)
-            if k >= 1:
-                lhs = E_s1 - E_s1_next
-                rhs = (gamma * eta * (2.0 - eta) / 4.0) * raw ** 2
-                monitors["one_step_progress"].append((k, lhs, rhs, lhs >= rhs - 1e-9))
-            E_s1 = E_s1_next
+        if config.monitors.one_step_progress and k >= 1:
+            lhs = E_curr - E_next
+            rhs = (gamma * eta * (2.0 - eta) / 4.0) * raw ** 2
+            monitors["one_step_progress"].append((k, lhs, rhs, lhs >= rhs - 1e-9))
         if config.monitors.dual_by_primal and k >= 1:
             dl = float(np.sum((new_state.lam - state.lam) ** 2))
             bound = (2.0 / ctx.c_gamma_A) * (
@@ -557,7 +555,6 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
 
         prev_state, state, E_curr = state, new_state, E_next
         f, feas, lam_norm = f_next, report.feasibility, lam_norm_next
-        warm = state.x
         if status != "MaxIters":
             break
 

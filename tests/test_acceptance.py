@@ -227,9 +227,9 @@ def test_criterion_9_fixed_point_invariance():
         plan = m.PenaltyPlan.fixed(50.0, gamma=gamma, eta=1.0)
         ctx = EnvelopeContext(problem, plan, inner)
         steps = {
-            "meal": lambda: m.meal_step(ctx, state, warm_start=x_star),
-            "imeal": lambda: m.imeal_step(ctx, state, 1e-12, warm_start=x_star),
-            "limeal": lambda: m.limeal_step(ctx, state, warm_start=x_star),
+            "meal": lambda: m.meal_step(ctx, state),
+            "imeal": lambda: m.imeal_step(ctx, state, 1e-12),
+            "limeal": lambda: m.limeal_step(ctx, state),
             "alm": lambda: m.alm_step(ctx, state),
             "prox_ialm": lambda: m.prox_ialm_step(
                 EnvelopeContext(problem, m.PenaltyPlan.fixed(50.0, 1.0 / p_coef, 1.0)),

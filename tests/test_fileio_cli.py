@@ -170,11 +170,14 @@ class TestCLI:
         ["exp1", "--max-iters", "0"],
         ["exp2", "--n", "3"],
         ["exp2", "--m", "0"],
-        # penalty flags that would be ignored; without them each command runs
+        # penalty and schedule flags that would be ignored; without them each
+        # command runs
         [*RUNS, "--beta", "1", "--alpha-target", "1"],
         [*RUNS, "--beta", "1", "--horizon-K", "5", "--alpha-target", "1"],
         [*RUNS, "--beta", "1", "--cap-variant", "meal-b"],
         [*RUNS, "--horizon-K", "5", "--alpha-target", "1", "--cap-variant", "meal-b"],
+        [*RUNS, "--beta", "1", "--epsilon0", "0.1"],
+        ["solve", "--algorithm", "alm", "--beta", "1", "--max-iters", "5", "--eta", "0.5"],
         # penalties whose alpha is not a positive finite float
         [*PENALTY, "--beta", "1e300"],
         [*PENALTY, "--horizon-K", "3", "--alpha-target", "1e-300"],
@@ -188,7 +191,8 @@ class TestCLI:
         [*NAN_RUNS, "--feas-tol", "nan"],
     ], ids=["solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
-            "cap-variant-with-beta", "cap-variant-with-horizon-k", "beta-overflow",
+            "cap-variant-with-beta", "cap-variant-with-horizon-k",
+            "epsilon0-without-imeal", "alm-eta-half", "beta-overflow",
             "horizon-beta-overflow", "gamma-underflow", "horizon-target-underflow",
             "target-underflow", "epsilon0-nan", "stat-tol-nan", "feas-tol-nan"])
     def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):

@@ -46,7 +46,7 @@ class TestMealStep:
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(50.0, 0.3, 1.0),
                               m.InnerProxGradient(tol=1e-12, max_inner=300000))
         state = m.IterateState(x_star, x_star.copy(), lam_star)
-        new, _ = meal_step(ctx, state, warm_start=x_star)
+        new, _ = meal_step(ctx, state)
         assert np.linalg.norm(new.x - x_star) <= 1e-8
         assert np.linalg.norm(new.lam - lam_star) <= 1e-8
 
@@ -593,6 +593,41 @@ def _carried_value_cases():
     ]
 
 
+L1_PROBLEM = m.Problem(m.LinearConstraint([[1.0, 2.0, -1.0]], [0.5]), m.L1(weight=0.5),
+                       m.QuadraticSmooth(np.eye(3)))
+
+
+@pytest.mark.parametrize("algorithm, step", [
+    ("meal", lambda ctx, st, cfg: meal_step(ctx, st)),
+    ("imeal", lambda ctx, st, cfg: imeal_step(ctx, st, cfg.epsilon_schedule(st.k))),
+    ("limeal", lambda ctx, st, cfg: limeal_step(ctx, st)),
+], ids=["meal", "imeal", "limeal"])
+def test_chained_steps_are_the_run(algorithm, step):
+    # a step reads only its context and state, so direct calls retrace run
+    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(5.0, 0.3, 0.5),
+                         stop=m.StopRule(4, 1e-14, 1e-14))
+    init = (np.ones(3), np.ones(3), np.zeros(1))
+    tr = m.run(L1_PROBLEM, cfg, init=init)
+    ctx = EnvelopeContext(L1_PROBLEM, cfg.plan, cfg.resolve_subproblem())
+    state = m.IterateState(*init)
+    for _ in range(4):
+        state, _ = step(ctx, state, cfg)
+    assert tr.terminal.k == state.k == 4
+    np.testing.assert_array_equal(state.x, tr.terminal.x)
+    np.testing.assert_array_equal(state.lam, tr.terminal.lam)
+
+
+@pytest.mark.parametrize("prob, cfg, match", [
+    (m.build_exp1(), m.SolverConfig("alm", m.PenaltyPlan.fixed(50.0, 0.5, 0.5)), "eta"),
+    (L1_PROBLEM, m.SolverConfig(
+        "meal", m.PenaltyPlan.fixed(5.0, 0.3, 1.0),
+        monitors=m.MonitorFlags(one_step_progress=True)), "s1 Lyapunov"),
+], ids=["alm-eta-half", "progress-monitor-bounded-class"])
+def test_validate_rejects_a_setting_the_run_cannot_honour(prob, cfg, match):
+    with pytest.raises(ValueError, match=match):
+        cfg.validate(prob)
+
+
 def test_one_gram_eigendecomposition_per_alm_horizon_run(monkeypatch):
     # validation reads the horizon beta from the constraint's kept spectrum,
     # and the run's context reuses it
@@ -700,7 +735,7 @@ class TestCarriedRowValues:
 
         if not cfg.monitors.one_step_progress:
             return
-        ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem(prob))
+        ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
 
         def energy(k):
             st = states[k]
