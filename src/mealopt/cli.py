@@ -300,7 +300,3 @@ def main(argv=None) -> int:
         return _cmd_prox_table(args)
     except MealoptError as exc:
         return _error(exc)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

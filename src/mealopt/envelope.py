@@ -209,9 +209,9 @@ class InnerProxGradient(SubproblemSpec):
             shift = shift + grad_h
 
         quad = p.quadratic_terms()      # h's, or g's when g is the objective
+        include_Q = exact_h or not p.composite      # exact_h when g is a box
+        c = shift + quad[1] if quad is not None and include_Q else shift
         if quad is not None and (not p.composite or isinstance(g, Zero)):
-            include_Q = exact_h or not p.composite
-            c = shift + quad[1] if include_Q else shift
             _, matvec, solve = ctx._system(include_Q)
             x = solve(-c)
             s_vec = matvec(x) + c
@@ -233,8 +233,7 @@ class InnerProxGradient(SubproblemSpec):
 
         done = 0
         if quad is not None and isinstance(g, BoxIndicator):
-            c = shift + quad[1] if exact_h else shift
-            x, s_vec, s_norm, done = _face_steps(ctx, x, c, exact_h, t, stop_tol,
+            x, s_vec, s_norm, done = _face_steps(ctx, x, c, include_Q, t, stop_tol,
                                                  min(_FACE_STEPS, self.max_inner))
             if s_norm <= stop_tol:
                 return SubproblemResult(x, s_vec, s_norm, done)
@@ -543,23 +542,23 @@ class EnvelopeContext:
 # ---------------------------------------------------------------------------
 
 
-def augmented_lagrangian(ctx: EnvelopeContext, x, lam, f=None) -> float:
-    """L_beta(x, lam) = f(x) + <lam, Ax-b> + (beta/2)||Ax-b||^2 at ctx.beta.
+def augmented_lagrangian(ctx: EnvelopeContext, state, f=None) -> float:
+    """L_beta(x, lam) = f(x) + <lam, Ax-b> + (beta/2)||Ax-b||^2 at ctx.beta and
+    the IterateState's x and lam, with its carried Ax - b when it has one.
 
     `f` is the objective at x when the caller already has it."""
-    x, lam = _vec(x), _vec(lam)
-    resid = ctx.problem.constraint.A @ x - ctx.problem.constraint.b
+    resid = state.residual
+    if resid is None:
+        resid = ctx.problem.constraint.A @ state.x - ctx.problem.constraint.b
     if f is None:
-        f = ctx.problem.objective_value(x)
-    return f + float(lam @ resid) + 0.5 * ctx.beta * float(resid @ resid)
+        f = ctx.problem.objective_value(state.x)
+    return f + float(state.lam @ resid) + 0.5 * ctx.beta * float(resid @ resid)
 
 
-def potential_P(ctx: EnvelopeContext, x, z, lam, f=None) -> float:
+def potential_P(ctx: EnvelopeContext, state, f=None) -> float:
     """P_beta(x, z, lam) = L_beta(x, lam) + ||x - z||^2 / (2 gamma) at ctx.beta."""
-    x, z = _vec(x), _vec(z)
-    return augmented_lagrangian(ctx, x, lam, f) + float(
-        np.sum((x - z) ** 2)
-    ) / (2.0 * ctx.plan.gamma)
+    return augmented_lagrangian(ctx, state, f) + float(
+        np.sum((state.x - state.z) ** 2)) / (2.0 * ctx.plan.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +610,9 @@ LYAPUNOV_COEFFICIENTS = {f"{family}-s{i}": float(c) for family, pair in _COEFFIC
                          for i, c in enumerate(pair, 1)}
 
 
-def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,
-             x_prev=None, f=None) -> float:
-    """Lyapunov value E^k for the given variant at state (x, z, lam).
+def lyapunov(ctx: EnvelopeContext, variant: str, state, prev, f=None) -> float:
+    """Lyapunov value E^k for the given variant at `state` = (x, z, lam),
+    the IterateState that the step from `prev` = (x_prev, z_prev, ...) made.
 
     E^k = P_beta(x, z, lam) + coef * alpha * (||z - z_prev||^2
           [+ gamma^2 L_h^2 ||x - x_prev||^2 for limeal variants]),
@@ -624,16 +623,13 @@ def lyapunov(ctx: EnvelopeContext, variant: str, x, z, lam, z_prev,
     """
     if variant not in LYAPUNOV_COEFFICIENTS:
         raise ValueError(f"unknown Lyapunov variant {variant!r}")
-    if z_prev is None:
-        raise WindowTooShort("Lyapunov needs z_prev (k >= 1)")
+    if prev is None:
+        raise WindowTooShort("Lyapunov needs the previous state (k >= 1)")
     coef = LYAPUNOV_COEFFICIENTS[variant]
-    x, z, z_prev = _vec(x), _vec(z), _vec(z_prev)
-    extra = float(np.sum((z - z_prev) ** 2))
+    extra = float(np.sum((state.z - prev.z) ** 2))
     if variant.startswith("limeal"):
-        if x_prev is None:
-            raise WindowTooShort("limeal Lyapunov needs x_prev (k >= 1)")
         if not ctx.problem.composite:
             raise NotComposite("limeal Lyapunov needs a composite objective")
         L_h = ctx.problem.L_h
-        extra += ctx.plan.gamma ** 2 * L_h ** 2 * float(np.sum((x - _vec(x_prev)) ** 2))
-    return potential_P(ctx, x, z, lam, f) + coef * ctx.alpha * extra
+        extra += ctx.plan.gamma ** 2 * L_h ** 2 * float(np.sum((state.x - prev.x) ** 2))
+    return potential_P(ctx, state, f) + coef * ctx.alpha * extra

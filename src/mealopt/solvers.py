@@ -71,11 +71,11 @@ TRACE_COLUMNS = (
 
 @dataclass(frozen=True)
 class IterateState:
-    """Primal iterate, envelope center and multiplier after k steps.
-
-    `grad_h` is h's gradient at x, carried when the step that made the state
-    evaluated it (LiMEAL and Prox-iALM), so that the next step need not
-    evaluate it again; None otherwise, and for a state built from an init.
+    """Primal iterate, envelope center and multiplier after k steps, as
+    finite float vectors. A step's state carries A x - b as `residual`, and
+    h's gradient at x as `grad_h` when the step evaluated it (LiMEAL and
+    Prox-iALM); the energies and the next step read them. Each is None
+    otherwise, and for a state built from an init.
     """
 
     x: np.ndarray
@@ -83,6 +83,7 @@ class IterateState:
     lam: np.ndarray
     k: int = 0
     grad_h: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    residual: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", _vec(self.x))
@@ -95,11 +96,9 @@ class IterateState:
 
 @dataclass
 class StepReport:
-    """Per-step byproducts: envelope gradient blocks and norms, and the
+    """Per-step byproducts: envelope gradient and residual norms, and the
     subproblem solve's inner iterations (0 for steps with no inner loop)."""
 
-    grad_phi_z: np.ndarray
-    grad_phi_lambda: np.ndarray
     stationarity_norm: float
     feasibility: float
     inexact_residual_norm: Optional[float] = None
@@ -193,19 +192,17 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
     eta) and the step's report. grad_z is the z-block of the
     envelope gradient; None means zero, so the stationarity norm is the
     feasibility. The report carries the subproblem result's inexactness and
-    inner iterations; the new state carries grad_h, h's gradient at x_new.
+    inner iterations; the new state carries grad_h and A x_new - b.
     """
     p, eta = ctx.problem, ctx.plan.eta
     gl = p.constraint.A @ x_new - p.constraint.b
     new = IterateState(x_new, (1.0 - eta) * state.z + eta * x_new,
-                       state.lam + ctx.beta * gl, state.k + 1, grad_h)
+                       state.lam + ctx.beta * gl, state.k + 1, grad_h, gl)
     feas = float(np.linalg.norm(gl))
-    if grad_z is None:
-        grad_z, norm = np.zeros(p.n), feas
-    else:
-        norm = float(np.sqrt(np.sum(grad_z ** 2) + np.sum(gl ** 2)))
+    norm = feas if grad_z is None else float(
+        np.sqrt(np.sum(grad_z ** 2) + np.sum(gl ** 2)))
     return new, StepReport(
-        grad_z, gl, norm, feas,
+        norm, feas,
         inexact_residual_norm=None if sub is None else sub.residual_norm,
         inner_budget_exhausted=sub is not None and sub.budget_exhausted,
         inner_iterations=0 if sub is None else sub.inner_iterations)
@@ -348,8 +345,7 @@ def _lyapunov_case(problem) -> str:
 def _lyapunov_energy(family: str):
     """The family's Lyapunov value at the new state (usable from k + 1 >= 1)."""
     def energy(ctx, state, new, f):
-        return lyapunov(ctx, f"{family}-{_lyapunov_case(ctx.problem)}", new.x, new.z,
-                        new.lam, z_prev=state.z, x_prev=state.x, f=f)
+        return lyapunov(ctx, f"{family}-{_lyapunov_case(ctx.problem)}", new, state, f=f)
     return energy
 
 
@@ -386,12 +382,12 @@ ALGORITHMS = {
     # no proximal term: the global-min oracle handles any curvature
     "alm": Algorithm(
         lambda ctx, st, cfg: alm_step(ctx, st), lambda p: 0.0, False,
-        lambda ctx, st, new, f: augmented_lagrangian(ctx, new.x, new.lam, f),
+        lambda ctx, st, new, f: augmented_lagrangian(ctx, new, f),
         accepts=(), check=_check_alm),
     "prox_ialm": Algorithm(
         lambda ctx, st, cfg: prox_ialm_step(ctx, st),
         lambda p: p.rho_g, False,
-        lambda ctx, st, new, f: potential_P(ctx, new.x, new.z, new.lam, f),
+        lambda ctx, st, new, f: potential_P(ctx, new, f),
         accepts=(), check=_check_prox_ialm),
 }
 

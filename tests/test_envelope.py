@@ -37,17 +37,19 @@ def zero_problem(n=2):
 class TestAugmentedLagrangian:
     def test_zero_everything(self):
         ctx = EnvelopeContext(zero_problem(), m.PenaltyPlan.fixed(7.0, 0.5, 1.0))
-        assert m.augmented_lagrangian(ctx, [0.0, 0.0], [3.0, -1.0]) == 0.0
+        st = m.IterateState([0.0, 0.0], [0.0, 0.0], [3.0, -1.0])
+        assert m.augmented_lagrangian(ctx, st) == 0.0
 
     def test_exp1_hand_value(self, exp1_problem):
         ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
         # f(1,0) = 1, residual 1, lam = 0: 1 + 25
-        assert m.augmented_lagrangian(ctx, [1.0, 0.0], [0.0]) == pytest.approx(26.0)
+        st = m.IterateState([1.0, 0.0], [1.0, 0.0], [0.0])
+        assert m.augmented_lagrangian(ctx, st) == pytest.approx(26.0)
 
     def test_feasible_point_ignores_penalty(self, exp1_problem):
         for lam, beta in [(0.0, 1.0), (5.0, 400.0), (-3.0, 17.0)]:
             ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(beta, 0.25, 1.0))
-            got = m.augmented_lagrangian(ctx, [0.3, 0.3], [lam])
+            got = m.augmented_lagrangian(ctx, m.IterateState([0.3, 0.3], [0.3, 0.3], [lam]))
             assert got == pytest.approx(exp1_problem.objective_value([0.3, 0.3]),
                                         abs=1e-14)
 
@@ -55,13 +57,12 @@ class TestAugmentedLagrangian:
 class TestPotential:
     def test_reduces_to_lagrangian_when_z_is_x(self, exp1_problem):
         ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
-        x = np.array([0.4, -0.2])
-        assert potential_P(ctx, x, x, [1.0]) == pytest.approx(
-            m.augmented_lagrangian(ctx, x, [1.0]))
+        st = m.IterateState([0.4, -0.2], [0.4, -0.2], [1.0])
+        assert potential_P(ctx, st) == pytest.approx(m.augmented_lagrangian(ctx, st))
 
     def test_hand_value(self):
         ctx = EnvelopeContext(zero_problem(), m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
-        got = potential_P(ctx, [0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
+        got = potential_P(ctx, m.IterateState([0.0, 0.0], [1.0, 0.0], [0.0, 0.0]))
         assert got == pytest.approx(1.0)
 
     def test_depends_only_on_residual_shift(self):
@@ -73,8 +74,8 @@ class TestPotential:
         c2 = EnvelopeContext(p2, plan)
         x1, x2 = np.array([0.7, 0.1]), np.array([1.7, 0.1])
         z = np.array([0.0, 0.0])
-        r1 = potential_P(c1, x1, x1 - z, [2.0])
-        r2 = potential_P(c2, x2, x2 - z, [2.0])
+        r1 = potential_P(c1, m.IterateState(x1, x1 - z, [2.0]))
+        r2 = potential_P(c2, m.IterateState(x2, x2 - z, [2.0]))
         assert r1 == pytest.approx(r2, abs=1e-12)
 
 
@@ -137,7 +138,7 @@ class TestSolveSubproblem:
 
         def phi(z):
             res = solve_subproblem(ctx, z, lam)
-            return potential_P(ctx, res.x, z, lam)
+            return potential_P(ctx, m.IterateState(res.x, z, lam))
 
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -154,7 +155,7 @@ class TestSolveSubproblem:
         z = np.array([0.7, -0.4])
         lam = np.array([1.0])
         res = solve_subproblem(ctx, z, lam)
-        base = potential_P(ctx, res.x, z, lam)
+        base = potential_P(ctx, m.IterateState(res.x, z, lam))
         mu = 1.0 / gamma - exp1_problem.rho_total
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -164,7 +165,7 @@ class TestSolveSubproblem:
             cand = res.x + delta * d
             if not np.isfinite(exp1_problem.objective_value(cand)):
                 continue
-            val = potential_P(ctx, cand, z, lam)
+            val = potential_P(ctx, m.IterateState(cand, z, lam))
             assert val - base >= 0.5 * mu * delta ** 2 - 1e-9
 
     def test_fast_path_equals_direct_on_zero_prox(self):
@@ -488,7 +489,7 @@ class TestEnvelopeStepIdentity:
                               m.InnerProxGradient(tol=1e-12, max_inner=200000))
 
         def phi(w):
-            return potential_P(ctx, solve_subproblem(ctx, w, lam).x, w, lam)
+            return potential_P(ctx, m.IterateState(solve_subproblem(ctx, w, lam).x, w, lam))
 
         res = solve_subproblem(ctx, z, lam)
         assert not res.budget_exhausted
@@ -669,7 +670,7 @@ class TestStationarityStream:
     def test_accepts_step_reports(self):
         from mealopt.solvers import StepReport
 
-        reports = [StepReport(np.zeros(1), np.zeros(1), v, v) for v in (3.0, 1.0, 2.0)]
+        reports = [StepReport(v, v) for v in (3.0, 1.0, 2.0)]
         np.testing.assert_allclose(stationarity_stream(reports), [3.0, 1.0, 1.0])
 
 
@@ -688,20 +689,22 @@ class TestLyapunov:
         self.x = rng.normal(size=self.prob.n)
         self.z = rng.normal(size=self.prob.n)
         self.lam = rng.normal(size=self.prob.m)
+        self.state = m.IterateState(self.x, self.z, self.lam)
+
+    def prev(self, z_prev):
+        """A predecessor state with center z_prev (the meal and imeal
+        variants read nothing else of it)."""
+        return m.IterateState(self.x, z_prev, self.lam)
 
     def test_reduces_to_potential_when_stationary(self):
-        got = lyapunov(self.ctx, "meal-s1", self.x, self.z, self.lam,
-                       z_prev=self.z)
-        assert got == pytest.approx(potential_P(self.ctx, self.x, self.z,
-                                                self.lam))
+        got = lyapunov(self.ctx, "meal-s1", self.state, self.prev(self.z))
+        assert got == pytest.approx(potential_P(self.ctx, self.state))
 
     def test_s1_s2_differ_by_alpha_term(self):
         z_prev = self.z + 0.3
         alpha = self.ctx.alpha
-        e1 = lyapunov(self.ctx, "meal-s1", self.x, self.z, self.lam,
-                      z_prev=z_prev)
-        e2 = lyapunov(self.ctx, "meal-s2", self.x, self.z, self.lam,
-                      z_prev=z_prev)
+        e1 = lyapunov(self.ctx, "meal-s1", self.state, self.prev(z_prev))
+        e2 = lyapunov(self.ctx, "meal-s2", self.state, self.prev(z_prev))
         gap = alpha * float(np.sum((self.z - z_prev) ** 2))
         assert e2 - e1 == pytest.approx(gap, rel=1e-12)
 
@@ -710,10 +713,9 @@ class TestLyapunov:
         alpha = self.ctx.alpha
         vals = {}
         for variant in ("meal-s1", "meal-s2", "imeal-s1", "imeal-s2"):
-            vals[variant] = lyapunov(self.ctx, variant, self.x, self.z, self.lam,
-                                     z_prev=z_prev)
+            vals[variant] = lyapunov(self.ctx, variant, self.state, self.prev(z_prev))
         assert vals["meal-s2"] == pytest.approx(vals["imeal-s1"], rel=1e-12)
-        base = potential_P(self.ctx, self.x, self.z, self.lam)
+        base = potential_P(self.ctx, self.state)
         gap = alpha * float(np.sum((self.z - z_prev) ** 2))
         for variant, coef in (("meal-s1", 2), ("meal-s2", 3),
                               ("imeal-s1", 3), ("imeal-s2", 4)):
@@ -724,16 +726,14 @@ class TestLyapunov:
         x, z, lam = np.array([0.5, 0.5]), np.array([0.2, 0.1]), np.array([1.0])
         x_prev, z_prev = x + 0.2, z - 0.1
         alpha = ctx.alpha
-        got = lyapunov(ctx, "limeal-s1", x, z, lam, z_prev=z_prev, x_prev=x_prev)
+        got = lyapunov(ctx, "limeal-s1", m.IterateState(x, z, lam),
+                       m.IterateState(x_prev, z_prev, lam))
         L_h = exp1_problem.L_h
-        expected = potential_P(ctx, x, z, lam) + 3 * alpha * (
+        expected = potential_P(ctx, m.IterateState(x, z, lam)) + 3 * alpha * (
             float(np.sum((z - z_prev) ** 2))
             + 0.25 ** 2 * L_h ** 2 * float(np.sum((x - x_prev) ** 2)))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
-            lyapunov(self.ctx, "meal-s1", self.x, self.z, self.lam, z_prev=None)
-        with pytest.raises(WindowTooShort):
-            lyapunov(self.ctx, "limeal-s1", self.x, self.z, self.lam,
-                     z_prev=self.z, x_prev=None)
+            lyapunov(self.ctx, "meal-s1", self.state, prev=None)

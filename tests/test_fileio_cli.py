@@ -148,6 +148,20 @@ NAN_RUNS = ["solve", "--algorithm", "imeal", "--gamma", "0.05", "--beta", "1"]
 
 
 class TestCLI:
+    def test_runs_as_a_module(self):
+        # `python -m mealopt` from the source tree, as tier-1 and the benchmark use it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-m", "mealopt", "--version"],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0
+        assert out.stdout.strip() == "0.1.0"
+
     def test_exp1_writes_traces(self, tmp_path, capsys):
         code = main(["exp1", "--output-dir", str(tmp_path), "--max-iters", "600"])
         assert code == 0

@@ -73,9 +73,12 @@ class TestMealStep:
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(10.0, 0.4, 1.3))
         state = m.IterateState(np.zeros(prob.n), np.ones(prob.n) * 0.3,
                                np.zeros(prob.m))
-        _, rep = meal_step(ctx, state)
+        new, rep = meal_step(ctx, state)
         lhs = rep.stationarity_norm ** 2
-        rhs = np.sum(rep.grad_phi_z ** 2) + np.sum(rep.grad_phi_lambda ** 2)
+        # the envelope gradient's blocks, recomputed from the two states
+        grad_z = (state.z - new.x) / ctx.plan.gamma
+        grad_lam = prob.constraint.A @ new.x - prob.constraint.b
+        rhs = np.sum(grad_z ** 2) + np.sum(grad_lam ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -738,13 +741,38 @@ class TestCarriedRowValues:
         ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
 
         def energy(k):
-            st = states[k]
-            return lyapunov(ctx, "meal-s1", st.x, st.z, st.lam, z_prev=states[k - 1].z)
+            # without the carried residual, so that the energy is recomputed
+            return lyapunov(ctx, "meal-s1", replace(states[k], residual=None),
+                            states[k - 1])
 
         entries = tr.monitors["one_step_progress"]
         assert [entry[0] for entry in entries] == list(range(1, self.STEPS))
         for k, lhs, _, _ in entries:
             assert lhs == energy(k) - energy(k + 1)
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_steps_carry_the_residual_the_energy_reads(algorithm):
+    # every step's state carries A x - b, and the energy that reads it is
+    # bitwise the energy that forms it again
+    from dataclasses import replace
+
+    from mealopt.experiments import EXP1_INIT
+
+    prob = m.build_exp1()
+    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
+    cfg.validate(prob)
+    ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+    algo = ALGORITHMS[algorithm]
+    A, b = prob.constraint.A, prob.constraint.b
+    state = m.IterateState(*EXP1_INIT)
+    assert state.residual is None
+    for _ in range(3):
+        new, _ = algo.step(ctx, state, cfg)
+        np.testing.assert_array_equal(new.residual, A @ new.x - b)
+        assert algo.energy(ctx, state, new, None) == algo.energy(
+            ctx, state, replace(new, residual=None), None)
+        state = new
 
 
 class TestInnerIterationsInTrace:
