@@ -214,12 +214,12 @@ def _cmd_check(_args) -> int:
         ("zero", Zero(), 0.9),
     ]
     for name, g, gamma in kinds:
+        vs = [(rng.uniform() - 0.5) * 12.0 for _ in range(60)]
+        wants = grid_prox_oracle(lambda t: g.value([t]), gamma, np.array(vs),
+                                 half_range=8.0, step=1e-2)
         worst = 0.0
-        for _ in range(60):
-            v = (rng.uniform() - 0.5) * 12.0
+        for v, want in zip(vs, wants):
             got = g.prox(gamma, [v])[0]
-            want = grid_prox_oracle(lambda t: g.value([t]), gamma, v,
-                                    half_range=8.0, step=1e-2)
             worst = max(worst, abs(got - want))
         check(f"prox[{name}] vs grid oracle (max |diff| {worst:.2e})", worst <= 1e-3)
 

@@ -184,7 +184,12 @@ class InnerProxGradient(SubproblemSpec):
     nearest element of the box normal cone at x has ||s|| <= tol. When an
     active set repeats, or after _FACE_STEPS steps, the accelerated loop
     goes on from the clipped point. Each face step makes one prox call and
-    counts as one inner iteration, so max_inner bounds the total.
+    counts as one inner iteration, so max_inner bounds the total. The
+    context keeps the blocks of the last face solved on (the free mask, the
+    clamped point, M_FF and M_FC x_C), one entry for the exact and one for
+    the linearized M: O(n^2) memory a context, whatever the number of faces.
+    A face step on the same face reuses them, and `np.linalg.solve` on the
+    same block gives the same bits.
     """
 
     tol: float = 1e-10
@@ -281,14 +286,15 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
         if key in seen:
             break
         seen.add(key)
-        free = ~(at_lo | at_hi)
-        if free.all():
+        face = ctx._last_face.get(exact)
+        if face is None or face[0] != key:
+            face = ctx._last_face[exact] = _face_blocks(M, key, at_lo, at_hi, lo, hi)
+        _, free, x_clamped, M_FF, M_FC_x = face
+        if M_FF is None:
             x = solve(-c)
         else:
-            x = np.where(at_lo, lo, hi)
-            fixed = ~free
-            x[free] = np.linalg.solve(M[np.ix_(free, free)],
-                                      -(c[free] + M[np.ix_(free, fixed)] @ x[fixed]))
+            x = x_clamped.copy()
+            x[free] = np.linalg.solve(M_FF, -(c[free] + M_FC_x))
         x = np.clip(x, lo, hi)
         grad = matvec(x) + c
         s = np.where(x <= lo, np.minimum(grad, 0.0),
@@ -297,6 +303,18 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
         if s_norm <= tol:
             break
     return x, s, s_norm, k
+
+
+def _face_blocks(M, key, at_lo, at_hi, lo, hi):
+    """The `_last_face` entry of a face: (key, free mask, the point holding
+    the clamped values, M_FF, M_FC x_C); the last three are None on the
+    all-free face, which is solved on M's Cholesky factor."""
+    free = ~(at_lo | at_hi)
+    if free.all():
+        return key, free, None, None, None
+    x = np.where(at_lo, lo, hi)
+    fixed = ~free
+    return key, free, x, M[np.ix_(free, free)], M[np.ix_(free, fixed)] @ x[fixed]
 
 
 @dataclass(frozen=True)
@@ -467,6 +485,8 @@ class EnvelopeContext:
 
     The dense n x n matrices `AtA` and `H` and the `_systems` are formed on
     first use, only by InnerProxGradient's solves with M = H + Q or with H.
+    Its face steps keep the blocks of the last face they solved on in
+    `_last_face`, one entry per M: at most two n x n blocks a context.
     Those solves certify the residual M x + c, so they solve on M's Cholesky
     factor, which is backward stable; the residual of the rank-m solve grows
     with cond(H), and can miss a tolerance near round-off that the factor
@@ -523,6 +543,12 @@ class EnvelopeContext:
     @cached_property
     def _systems(self) -> dict:
         """include_Q -> the `_system` entry, filled on first use."""
+        return {}
+
+    @cached_property
+    def _last_face(self) -> dict:
+        """include_Q -> the blocks of the last face `_face_steps` solved on
+        (`_face_blocks`): one entry per flag, O(n^2) memory each."""
         return {}
 
     def _system(self, include_Q: bool):

@@ -47,28 +47,38 @@ _ACTIVE_TOL = 1e-9    # kkt_residual's active-bound test, relative to max(1, max
 _MIN_FIT_POINTS = 20  # rate_fit's fewest positive samples
 
 
-def grid_prox_oracle(g_1d: Callable[[float], float], gamma: float, v: float,
-                     half_range: float = 10.0, step: float = 1e-4) -> float:
+def grid_prox_oracle(g_1d: Callable[[float], float], gamma: float, v,
+                     half_range: float = 10.0, step: float = 1e-4) -> float | np.ndarray:
     """Brute-force 1-D prox: grid argmin plus one ternary-search refinement.
 
-    Minimizes g(t) + (t - v)^2 / (2 gamma) over [-half_range, half_range].
-    Raises RangeTooSmall when the argmin lands on the interval boundary.
+    Minimizes g(t) + (t - v)^2 / (2 gamma) over [-half_range, half_range],
+    for a scalar v (a float back) or for each entry of a 1-D array of v (an
+    array back); g is evaluated on the grid once. `float_power` squares with
+    the C pow, as the scalar `(t - v) ** 2` does (the array `** 2` multiplies
+    and may differ in the last bit), so every grid value is the one a scalar
+    loop forms. The refinement stops once an iteration leaves (lo, hi)
+    unchanged: every later one would repeat it. Raises RangeTooSmall when an
+    argmin lands on the interval boundary.
     """
     ts = np.arange(-half_range, half_range + step, step)
-    vals = np.array([g_1d(t) + (t - v) ** 2 / (2.0 * gamma) for t in ts])
-    i = int(np.argmin(vals))
-    if i == 0 or i == len(ts) - 1:
-        raise RangeTooSmall(f"argmin at grid boundary t={ts[i]}")
-    obj = lambda t: g_1d(t) + (t - v) ** 2 / (2.0 * gamma)
-    lo, hi = ts[i - 1], ts[i + 1]
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if obj(m1) < obj(m2):
-            hi = m2
-        else:
-            lo = m1
-    return float(0.5 * (lo + hi))
+    gs = np.array([g_1d(t) for t in ts], dtype=float)
+    out = []
+    for vi in np.atleast_1d(np.asarray(v, dtype=float)):
+        vals = gs + np.float_power(ts - vi, 2) / (2.0 * gamma)
+        i = int(np.argmin(vals))
+        if i == 0 or i == len(ts) - 1:
+            raise RangeTooSmall(f"argmin at grid boundary t={ts[i]}")
+        obj = lambda t: g_1d(t) + (t - vi) ** 2 / (2.0 * gamma)
+        lo, hi = ts[i - 1], ts[i + 1]
+        for _ in range(200):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            new = (lo, m2) if obj(m1) < obj(m2) else (m1, hi)
+            if new == (lo, hi):
+                break
+            lo, hi = new
+        out.append(float(0.5 * (lo + hi)))
+    return out[0] if np.ndim(v) == 0 else np.array(out)
 
 
 class BoxFaces:

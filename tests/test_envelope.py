@@ -458,6 +458,59 @@ class TestFaceSolve:
         np.testing.assert_allclose(res.x, _plain_prox_gradient(
             prob, 50.0, gamma, z, lam, 1e-12)[0], rtol=0, atol=1e-8)
 
+    @staticmethod
+    def _boxqp4_config(algorithm):
+        # the criterion-7 box-QP settings
+        prob = make_box_qp(4)
+        return prob, m.SolverConfig(
+            algorithm, m.PenaltyPlan.fixed(50.0, 0.5 / max(prob.rho_total, 1.0), 1.0),
+            subproblem=m.InnerProxGradient(tol=1e-9, max_inner=200000),
+            stop=m.StopRule(max_iters=4000, stat_tol=1e-8, feas_tol=1e-8))
+
+    def test_face_blocks_are_built_once_per_face(self, monkeypatch):
+        # the context keeps the last face's blocks, so a run whose faces
+        # hardly move indexes M about twice per face, not twice per step
+        prob, cfg = self._boxqp4_config("meal")
+        lo, hi = prob.box_bounds()
+        ix_calls, faces = [], set()
+        real_ix, box_prox = np.ix_, m.BoxIndicator.prox
+
+        def prox(g, *args):
+            y = box_prox(g, *args)
+            faces.add((y <= lo).tobytes() + (y >= hi).tobytes())
+            return y
+
+        monkeypatch.setattr(np, "ix_", lambda *a: ix_calls.append(1) or real_ix(*a))
+        monkeypatch.setattr(m.BoxIndicator, "prox", prox)
+        tr = m.run(prob, cfg)
+        assert tr.status == "Converged" and tr.n_rows - 1 > 1000
+        assert 0 < len(ix_calls) <= 2 * len(faces)
+
+    @pytest.mark.parametrize("algorithm", ["meal", "limeal"])
+    def test_a_warm_context_steps_as_a_fresh_one(self, algorithm):
+        # each step on a fresh context is bitwise the step on the run's
+        # context, whose last face came from the step before; and a context
+        # warmed on another state's face steps as a fresh one too
+        from mealopt.solvers import ALGORITHMS
+
+        prob, cfg = self._boxqp4_config(algorithm)
+        step = ALGORITHMS[algorithm].step
+        warm = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+        states = [m.IterateState(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))]
+        for _ in range(30):
+            states.append(step(warm, states[-1], cfg)[0])
+        far = m.IterateState(np.ones(prob.n), np.ones(prob.n), np.full(prob.m, 5.0))
+        for k, state in enumerate(states[:-1]):
+            fresh = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+            got = step(fresh, state, cfg)[0]
+            if k % 10 == 0:
+                step(warm, far, cfg)
+                again = step(warm, state, cfg)[0]
+                np.testing.assert_array_equal(again.x, got.x)
+            for name in ("x", "z", "lam"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(states[k + 1], name))
+
 
 @st.composite
 def _strongly_convex_box_qps(draw):

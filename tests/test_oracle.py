@@ -22,6 +22,16 @@ class TestGridProxOracle:
         got = m.grid_prox_oracle(lambda t: scad.value([t]), 0.5, 1.4)
         assert got == pytest.approx(0.9, abs=1e-4)
 
+    def test_an_array_of_v_is_the_scalar_calls(self):
+        # one grid evaluation for all v, and every output bitwise the scalar call's
+        scad = m.SCAD(lam=1.0, a=3.7)
+        g = lambda t: scad.value([t])
+        vs = np.random.default_rng(0).uniform(-6.0, 6.0, size=12)
+        got = m.grid_prox_oracle(g, 0.5, vs, half_range=8.0, step=1e-2)
+        want = [m.grid_prox_oracle(g, 0.5, v, half_range=8.0, step=1e-2) for v in vs]
+        assert isinstance(want[0], float) and got.shape == vs.shape
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_boundary_argmin_raises(self):
         with pytest.raises(RangeTooSmall):
             m.grid_prox_oracle(lambda t: -4.0 * t, 1.0, 0.0, half_range=2.0, step=0.1)

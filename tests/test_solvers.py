@@ -13,6 +13,7 @@ from mealopt.errors import (
 )
 from mealopt.solvers import (
     ALGORITHMS,
+    IterateState,
     alm_step,
     imeal_step,
     limeal_step,
@@ -775,6 +776,33 @@ def test_steps_carry_the_residual_the_energy_reads(algorithm):
         state = new
 
 
+class TestStepBuiltState:
+    """A step builds its state without converting the step's float vectors,
+    and checks them as the public constructor does."""
+
+    def test_fields_match_the_public_constructor(self):
+        rng = np.random.default_rng(3)
+        x, z, grad_h = (rng.uniform(-1, 1, size=4) for _ in range(3))
+        lam, resid = rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
+        built = IterateState._of_step(x, z, lam, 3, grad_h, resid)
+        public = m.IterateState(x, z, lam, 3, grad_h, resid)
+        assert type(built) is m.IterateState and built.k == public.k == 3
+        for name in ("x", "z", "lam", "grad_h", "residual"):
+            got, want = getattr(built, name), getattr(public, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["x", "z", "lam"])
+    def test_non_finite_raises_as_the_public_constructor(self, name, bad):
+        arrays = {"x": np.zeros(3), "z": np.zeros(3), "lam": np.zeros(2)}
+        arrays[name][1] = bad
+        for build in (lambda x, z, lam: IterateState._of_step(x, z, lam, 1, None, None),
+                      m.IterateState):
+            with pytest.raises(ValueError, match="^iterate state must be finite$"):
+                build(arrays["x"], arrays["z"], arrays["lam"])
+
+
 class TestInnerIterationsInTrace:
     """Trace.inner_iterations holds each step's subproblem inner iterations."""
 
@@ -786,8 +814,14 @@ class TestInnerIterationsInTrace:
         pytest.param(make_box_qp(3), m.SolverConfig(
             "imeal", m.PenaltyPlan.fixed(50.0, 0.1, 1.0),
             stop=m.StopRule(max_iters=40)), None, id="imeal-boxqp3"),
+        pytest.param(make_box_qp(5), m.SolverConfig(
+            "limeal", m.PenaltyPlan.fixed(50.0, 0.1, 1.0),
+            subproblem=m.InnerProxGradient(tol=1e-9, max_inner=200000),
+            stop=m.StopRule(max_iters=40)), None, id="limeal-boxqp5"),
     ])
     def test_sum_equals_the_subproblem_results(self, prob, cfg, init, monkeypatch):
+        # the benchmark counts inner iterations by wrapping this module
+        # global, so the steps must solve through it
         from mealopt import solvers
 
         seen = []
