@@ -25,6 +25,7 @@ from .errors import (
     InvalidSubproblemPath,
     MealoptError,
     MissingMetadata,
+    NonFiniteValue,
     NonPositiveAlpha,
     NotComposite,
     PenaltyOutOfRange,

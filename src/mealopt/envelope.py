@@ -209,7 +209,7 @@ class InnerProxGradient(SubproblemSpec):
 
         # grad S(x) = H x + shift [+ grad h(x)]; shift is formed once per solve
         exact_h = p.composite and grad_h is None
-        shift = p.constraint.A.T @ lam - beta * ctx.Atb - z / gamma
+        shift = p.constraint.A.T @ lam - ctx.beta_Atb - z / gamma
         if grad_h is not None:
             shift = shift + grad_h
 
@@ -225,7 +225,8 @@ class InnerProxGradient(SubproblemSpec):
         stop_tol = self.tol if tol is None else tol
         x = _vec(warm_start).copy() if warm_start is not None else z.copy()
         if isinstance(g, BoxIndicator):
-            x = np.clip(x, g.lower, g.upper)
+            lo, hi = ctx.bounds
+            x = np.minimum(np.maximum(x, lo), hi)
 
         def grad(xx):
             out = ctx.H_matvec(xx) + shift
@@ -274,13 +275,12 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
     """Up to `steps` face steps on min x'Mx/2 + c'x over the box (see
     InnerProxGradient): (x, s, ||s||, steps taken). Stops once ||s|| <= tol
     or when an active set repeats."""
-    p = ctx.problem
-    lo, hi = p.box_bounds()
+    g, (lo, hi) = ctx.problem.prox_part, ctx.bounds
     M, matvec, solve = ctx._system(exact)
     grad = matvec(x) + c
     seen = set()
     for k in range(1, steps + 1):
-        y = p.prox_part.prox(t, x - t * grad)
+        y = g.prox(t, x - t * grad)
         at_lo, at_hi = y <= lo, y >= hi
         key = at_lo.tobytes() + at_hi.tobytes()
         if key in seen:
@@ -295,7 +295,7 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
         else:
             x = x_clamped.copy()
             x[free] = np.linalg.solve(M_FF, -(c[free] + M_FC_x))
-        x = np.clip(x, lo, hi)
+        x = np.minimum(np.maximum(x, lo), hi)
         grad = matvec(x) + c
         s = np.where(x <= lo, np.minimum(grad, 0.0),
                      np.where(x >= hi, np.maximum(grad, 0.0), grad))
@@ -338,9 +338,9 @@ class Paper72FastPath(SubproblemSpec):
               warm_start=None) -> "SubproblemResult":
         if grad_h is None:
             raise InvalidSubproblemPath("fast path is a linearized-update scheme")
-        p = ctx.problem
-        rhs = z / ctx.plan.gamma + ctx.beta * ctx.Atb - grad_h - p.constraint.A.T @ lam
-        x = np.clip(ctx.H_solve(rhs), *p.box_bounds())
+        rhs = z / ctx.plan.gamma + ctx.beta_Atb - grad_h - ctx.problem.constraint.A.T @ lam
+        lo, hi = ctx.bounds
+        x = np.minimum(np.maximum(ctx.H_solve(rhs), lo), hi)
         return SubproblemResult(x, None, None, 0)
 
 
@@ -471,6 +471,14 @@ class EnvelopeContext:
     The subproblem spec is checked against the problem. The energies and
     every step read beta, alpha and gamma from here.
 
+    The run constants that steps read are kept here, so that a step
+    derives none of them: `Atb` = A'b, formed at construction, and, formed
+    on first use, `beta_Atb` = beta A'b and `bounds`, the problem's
+    `box_bounds()` (for a Zero prox part, two infinite vectors that it
+    builds anew at every call). ALM's first step keeps its prepared box
+    faces and h's linear term r on the context, and Prox-iALM's first step
+    its primal step s.
+
     The subproblem matrix H = beta A'A + I/gamma is the identity plus a
     rank-m term. `H_matvec` applies it as beta A'(A v) + v/gamma, and
     `H_solve` inverts it by the Sherman-Morrison-Woodbury identity
@@ -505,6 +513,18 @@ class EnvelopeContext:
         self.beta = plan.beta_for(constraint)
         self.alpha = alpha_from_beta(self.beta, plan.gamma, plan.eta, self.c_gamma_A)
         self.subproblem.check(self.problem)
+
+    # -- run constants, read by every step -------------------------------
+
+    @cached_property
+    def bounds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The problem's `box_bounds()`: (lower, upper), infinite for Zero."""
+        return self.problem.box_bounds()
+
+    @cached_property
+    def beta_Atb(self) -> np.ndarray:
+        """beta A'b, the constant term of the subproblem's gradient."""
+        return self.beta * self.Atb
 
     # -- the rank-m products and solves with H ---------------------------
 
@@ -583,8 +603,9 @@ def augmented_lagrangian(ctx: EnvelopeContext, state, f=None) -> float:
 
 def potential_P(ctx: EnvelopeContext, state, f=None) -> float:
     """P_beta(x, z, lam) = L_beta(x, lam) + ||x - z||^2 / (2 gamma) at ctx.beta."""
+    d = state.x - state.z
     return augmented_lagrangian(ctx, state, f) + float(
-        np.sum((state.x - state.z) ** 2)) / (2.0 * ctx.plan.gamma)
+        np.add.reduce(d * d)) / (2.0 * ctx.plan.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +673,12 @@ def lyapunov(ctx: EnvelopeContext, variant: str, state, prev, f=None) -> float:
     if prev is None:
         raise WindowTooShort("Lyapunov needs the previous state (k >= 1)")
     coef = LYAPUNOV_COEFFICIENTS[variant]
-    extra = float(np.sum((state.z - prev.z) ** 2))
+    dz = state.z - prev.z
+    extra = float(np.add.reduce(dz * dz))
     if variant.startswith("limeal"):
         if not ctx.problem.composite:
             raise NotComposite("limeal Lyapunov needs a composite objective")
         L_h = ctx.problem.L_h
-        extra += ctx.plan.gamma ** 2 * L_h ** 2 * float(np.sum((state.x - prev.x) ** 2))
+        dx = state.x - prev.x
+        extra += ctx.plan.gamma ** 2 * L_h ** 2 * float(np.add.reduce(dx * dx))
     return potential_P(ctx, state, f) + coef * ctx.alpha * extra

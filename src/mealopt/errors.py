@@ -36,6 +36,10 @@ class NotComposite(MealoptError):
     """Operation requires a composite objective (smooth part present)."""
 
 
+class NonFiniteValue(MealoptError, ValueError):
+    """An iterate or a prox input is not finite; `run` ends with status NonFinite."""
+
+
 class WindowTooShort(MealoptError):
     """Lyapunov values need at least one predecessor state (k >= 1)."""
 

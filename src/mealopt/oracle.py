@@ -194,7 +194,7 @@ def box_qp_global_min(faces: BoxFaces, c):
         raise SubproblemNonconvexUnsupported("no feasible stationary point found")
     values = [float(0.5 * x @ faces.Q @ x + c @ x) for x in points]
     best = values.index(min(values))
-    return np.clip(points[best], faces.lower, faces.upper), values[best]
+    return np.minimum(np.maximum(points[best], faces.lower), faces.upper), values[best]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AllZeroMatrix, GammaTooLarge, MissingMetadata
+from .errors import AllZeroMatrix, GammaTooLarge, MissingMetadata, NonFiniteValue
 
 __all__ = [
     "LinearConstraint",
@@ -169,11 +169,12 @@ class ProxFunction:
         raise NotImplementedError
 
     def prox(self, gamma: float, v) -> np.ndarray:
-        """Unique minimizer of g(x) + ||x - v||^2 / (2 gamma)."""
+        """Unique minimizer of g(x) + ||x - v||^2 / (2 gamma); NonFiniteValue
+        unless v is finite."""
         self.check_gamma(gamma)
         v = _vec(v)
         if not np.isfinite(v).all():
-            raise ValueError("prox input must be finite")
+            raise NonFiniteValue("prox input must be finite")
         return self._prox(float(gamma), v)
 
     def check_gamma(self, gamma: float) -> None:
@@ -289,12 +290,13 @@ class BoxIndicator(ProxFunction):
 
     def value(self, x) -> float:
         x = _vec(x)
-        if np.all(x >= self.lower) and np.all(x <= self.upper):
+        if (x >= self.lower).all() and (x <= self.upper).all():
             return 0.0
         return _INF
 
     def _prox(self, gamma, v):
-        return np.clip(v, self.lower, self.upper)
+        # np.clip's bits, without its Python wrapper
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
 
 @dataclass

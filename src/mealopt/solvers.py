@@ -39,6 +39,7 @@ from .envelope import (
 from .errors import (
     GammaTooLarge,
     InvalidSubproblemPath,
+    NonFiniteValue,
     NotComposite,
     SubproblemNonconvexUnsupported,
 )
@@ -92,14 +93,14 @@ class IterateState:
         object.__setattr__(self, "lam", _vec(self.lam))
         for v in (self.x, self.z, self.lam):
             if not np.isfinite(v).all():
-                raise ValueError("iterate state must be finite")
+                raise NonFiniteValue("iterate state must be finite")
 
     @classmethod
     def _of_step(cls, x, z, lam, k, grad_h, residual) -> IterateState:
         """The state a step made from its float vectors: no conversion, and
         the same finiteness check as the public constructor."""
         if not np.isfinite(np.concatenate((x, z, lam))).all():
-            raise ValueError("iterate state must be finite")
+            raise NonFiniteValue("iterate state must be finite")
         state = object.__new__(cls)
         state.__dict__.update(x=x, z=z, lam=lam, k=k, grad_h=grad_h, residual=residual)
         return state
@@ -210,8 +211,9 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
     new = IterateState._of_step(x_new, (1.0 - eta) * state.z + eta * x_new,
                                 state.lam + ctx.beta * gl, state.k + 1, grad_h, gl)
     feas = math.sqrt(gl @ gl)
+    # np.add.reduce(v * v) is np.sum(v ** 2) bit for bit; v @ v sums in another order
     norm = feas if grad_z is None else math.sqrt(
-        np.sum(grad_z ** 2) + np.sum(gl ** 2))
+        np.add.reduce(grad_z * grad_z) + np.add.reduce(gl * gl))
     return new, StepReport(
         norm, feas,
         inexact_residual_norm=None if sub is None else sub.residual_norm,
@@ -247,10 +249,10 @@ def limeal_step(ctx: EnvelopeContext,
     p = ctx.problem
     if not p.composite:
         raise NotComposite("limeal_step needs a composite objective")
-    grad = p.smooth_gradient(state.x) if state.grad_h is None else state.grad_h
+    grad = p.smooth.gradient(state.x) if state.grad_h is None else state.grad_h
     # the module global, which the benchmark wraps to count inner iterations
     sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad, warm_start=state.x)
-    grad_new = p.smooth_gradient(sub.x)
+    grad_new = p.smooth.gradient(sub.x)
     gz = (state.z - sub.x) / ctx.plan.gamma + (grad_new - grad)
     return _advance(ctx, state, sub.x, gz, sub=sub, grad_h=grad_new)
 
@@ -263,13 +265,16 @@ def alm_step(ctx: EnvelopeContext,
     an (optional) box, at enumeration scale. The subproblem may be nonconvex;
     the oracle enumerates all face-stationary candidates. Only the linear
     term moves with lam, so the context's first step checks the Hessian (the
-    step may be called without validate) and prepares the faces for the run.
+    step may be called without validate), prepares the faces for the run and
+    keeps them with h's linear term r.
     """
     p = ctx.problem
-    faces = getattr(ctx, "_alm_faces", None)
-    if faces is None:
-        faces = ctx._alm_faces = BoxFaces(_alm_hessian(p, ctx.beta), None, *p.box_bounds())
-    c = p.quadratic_terms()[1] + p.constraint.A.T @ state.lam - ctx.beta * ctx.Atb
+    alm = getattr(ctx, "_alm", None)
+    if alm is None:
+        alm = ctx._alm = (BoxFaces(_alm_hessian(p, ctx.beta), None, *ctx.bounds),
+                          p.quadratic_terms()[1])
+    faces, r = alm
+    c = r + p.constraint.A.T @ state.lam - ctx.beta_Atb
     x_new, _ = box_qp_global_min(faces, c)
     # global minimization leaves zero dual residual at x'; _check_alm's eta = 1 sets z' = x'
     return _advance(ctx, state, x_new, None)
@@ -285,24 +290,27 @@ def prox_ialm_step(ctx: EnvelopeContext,
     followed by the shared z and lambda updates (dual step beta, as in the
     printed scheme). Proj_C is the identity when the prox part is Zero. The
     primal step is Zhang and Luo's s = 1 / (2 (L_h + p + beta ||A||^2)),
-    from the problem's L_h = ||Q||_2 and the context's ||A||_2^2. The
-    product with H is the context's rank-m `H_matvec`, grad h(x) is the
-    state's carried gradient when it has one, and the step evaluates h's
-    gradient once, at x', and carries it on: one product with Q a step.
+    from the problem's L_h = ||Q||_2 and the context's ||A||_2^2, formed by
+    the context's first step and kept. The product with H is the context's
+    rank-m `H_matvec`, grad h(x) is the state's carried gradient when it has
+    one, and the step evaluates h's gradient once, at x', and carries it on:
+    one product with Q a step.
     """
     p = ctx.problem
     beta, weight = ctx.beta, 1.0 / ctx.plan.gamma
-    s = 1.0 / (2.0 * (p.L_h + weight + beta * ctx.A_norm2))
-    bounds = p.box_bounds()
-    if bounds is None:
+    s = getattr(ctx, "_prox_ialm_s", None)
+    if s is None:
+        s = ctx._prox_ialm_s = 1.0 / (2.0 * (p.L_h + weight + beta * ctx.A_norm2))
+    if ctx.bounds is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
+    lo, hi = ctx.bounds
     A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
-    grad = p.smooth_gradient(x) if state.grad_h is None else state.grad_h
+    grad = p.smooth.gradient(x) if state.grad_h is None else state.grad_h
 
-    xbar = ctx.H_matvec(x) + grad + A.T @ lam - weight * z - beta * ctx.Atb
-    x_new = np.clip(x - s * xbar, *bounds)
-    grad_new = p.smooth_gradient(x_new)
+    xbar = ctx.H_matvec(x) + grad + A.T @ lam - weight * z - ctx.beta_Atb
+    x_new = np.minimum(np.maximum(x - s * xbar, lo), hi)     # np.clip's bits
+    grad_new = p.smooth.gradient(x_new)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     dx = x_new - x
@@ -357,8 +365,10 @@ def _lyapunov_case(problem) -> str:
 
 def _lyapunov_energy(family: str):
     """The family's Lyapunov value at the new state (usable from k + 1 >= 1)."""
+    variants = {case: f"{family}-{case}" for case in ("s1", "s2")}
+
     def energy(ctx, state, new, f):
-        return lyapunov(ctx, f"{family}-{_lyapunov_case(ctx.problem)}", new, state, f=f)
+        return lyapunov(ctx, variants[_lyapunov_case(ctx.problem)], new, state, f=f)
     return energy
 
 
@@ -420,7 +430,7 @@ class Trace:
 
     algorithm: str
     columns: dict
-    status: str                       # Converged | MaxIters | InnerBudgetExhausted | DivergenceDetected
+    status: str     # Converged | MaxIters | InnerBudgetExhausted | DivergenceDetected | NonFinite
     converged_at: Optional[int]
     oscillating: bool
     monitors: dict
@@ -456,8 +466,10 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     new multiplier norm or objective magnitude passes DIVERGENCE_LIMIT,
     Converged (converged_at = k) when the stationarity column and row k's
     feasibility are both below their tolerances. With none of them the run
-    ends at max_iters (or the horizon K) as MaxIters. A terminal row holds
-    the final state.
+    ends at max_iters (or the horizon K) as MaxIters. A step that meets a
+    non-finite iterate or prox input (NonFiniteValue) ends the run as
+    NonFinite, with the last finite state as the terminal state. A terminal
+    row holds the final state, so the trace has a row for every state.
 
     Each step's objective and energy are computed once. For a quadratic
     h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx + r, the
@@ -520,7 +532,11 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         cols["wall_time"].append(time.perf_counter() - t0)
 
     for k in range(budget):
-        new_state, report = algo.step(ctx, state, config)
+        try:
+            new_state, report = algo.step(ctx, state, config)
+        except NonFiniteValue:
+            status = "NonFinite"
+            break
         inner.append(report.inner_iterations)
 
         raw = report.stationarity_norm
@@ -540,10 +556,12 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
             rhs = (gamma * eta * (2.0 - eta) / 4.0) * raw ** 2
             monitors["one_step_progress"].append((k, lhs, rhs, lhs >= rhs - 1e-9))
         if config.monitors.dual_by_primal and k >= 1:
-            dl = float(np.sum((new_state.lam - state.lam) ** 2))
+            dlam, dx = new_state.lam - state.lam, new_state.x - state.x
+            dz = state.z - prev_state.z
+            dl = float(np.add.reduce(dlam * dlam))
             bound = (2.0 / ctx.c_gamma_A) * (
-                (gamma * L_f + 1.0) ** 2 * float(np.sum((new_state.x - state.x) ** 2))
-                + float(np.sum((state.z - prev_state.z) ** 2))
+                (gamma * L_f + 1.0) ** 2 * float(np.add.reduce(dx * dx))
+                + float(np.add.reduce(dz * dz))
             )
             monitors["dual_by_primal"].append((k, dl, bound, dl <= bound + 1e-9))
 
@@ -568,8 +586,10 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         if status != "MaxIters":
             break
 
-    # terminal row for the final state; the measure column repeats
-    record_row(k + 1, cols["stationarity"][-1], E_curr, np.nan)
+    # terminal row for the final state; the measure column repeats (NaN when
+    # the first step met a non-finite value)
+    stat = cols["stationarity"]
+    record_row(state.k, stat[-1] if stat else np.nan, E_curr, np.nan)
 
     columns = {name: np.asarray(vals, dtype=float if name != "k" else int)
                for name, vals in cols.items()}

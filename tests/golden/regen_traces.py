@@ -6,7 +6,8 @@ Run from the repository root:
 
 It runs the `exp1` bundle and the `exp2` bundle at seed 42 (m = 5, n = 20),
 writes their CSVs to a temporary directory and records each run as
-`tests/test_golden_traces.py` reads it.
+`tests/test_golden_traces.py` reads it, after the platform that made them:
+the numpy, scipy and BLAS versions and the machine.
 """
 
 import json
@@ -19,11 +20,11 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT))
 
 from mealopt.experiments import ExperimentSpec, run_experiment  # noqa: E402
-from tests.test_golden_traces import GOLDEN, bundle_records  # noqa: E402
+from tests.test_golden_traces import GOLDEN, bundle_records, platform_record  # noqa: E402
 
 
 def main() -> None:
-    records = {}
+    records = {"platform": platform_record()}
     with tempfile.TemporaryDirectory() as out:
         for spec in (ExperimentSpec("exp1"), ExperimentSpec("exp2", seed=42)):
             bundle = run_experiment(spec, out_dir=out)

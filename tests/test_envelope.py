@@ -21,6 +21,7 @@ from mealopt.envelope import (
 from mealopt.errors import (
     GammaTooLarge,
     MissingMetadata,
+    NonFiniteValue,
     NonPositiveAlpha,
     NotComposite,
     PenaltyOutOfRange,
@@ -371,6 +372,9 @@ class TestAcceleratedInnerLoop:
         np.testing.assert_allclose(res.x, x_ref, rtol=0, atol=1e-12)
 
     def test_nan_gradient_raises_at_the_prox(self):
+        """h's gradient turns NaN at its fourth call, at the third step's x.
+        The fourth step's prox input is NaN, so the prox raises; `run` ends
+        NonFinite with the third step's state as its terminal state."""
         base = m.build_exp1()
         calls = []
 
@@ -381,9 +385,27 @@ class TestAcceleratedInnerLoop:
         smooth = m.SmoothFunction(base.smooth.value, gradient, 2.0)
         prob = m.Problem(base.constraint, base.prox_part, smooth)
         cfg = m.SolverConfig("limeal", m.PenaltyPlan.fixed(50.0, 0.2, 1.0))
-        with pytest.raises(ValueError, match="prox input must be finite"):
-            m.run(prob, cfg, init=(np.array([1.0, -1.0]), np.array([1.0, -1.0]),
-                                   np.zeros(1)))
+        init = (np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(1))
+        tr = m.run(prob, cfg, init=init)
+        assert tr.status == "NonFinite" and tr.converged_at is None
+        assert tr.terminal.k == 3 and len(calls) == 4
+        assert list(tr.column("k")) == [0, 1, 2, 3]
+        assert len(tr.inner_iterations) == 3
+
+        # the same steps called directly: the third one's state is the
+        # terminal state, and the fourth raises at the prox
+        calls.clear()
+        ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+        state = m.IterateState(*init)
+        for _ in range(3):
+            state, _ = m.limeal_step(ctx, state)
+        for got, want in ((tr.terminal.x, state.x), (tr.terminal.z, state.z),
+                          (tr.terminal.lam, state.lam)):
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(NonFiniteValue, match="prox input must be finite"):
+            m.limeal_step(ctx, state)
+        assert issubclass(NonFiniteValue, ValueError)
 
 
 @st.composite

@@ -272,6 +272,27 @@ class TestCLI:
         assert code == 3
         assert (tmp_path / "alm_trace.csv").exists()
 
+    def test_solve_non_finite_exits_3_trace_still_written(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # h's gradient turns NaN at its fourth call, at the third step's x;
+        # the fourth step's prox input is NaN and the run ends NonFinite
+        save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
+        calls, real = [], m.QuadraticForm.gradient
+
+        def gradient(self, x):
+            calls.append(1)
+            g = real(self, x)
+            return np.full_like(g, np.nan) if len(calls) > 3 else g
+
+        monkeypatch.setattr(m.QuadraticForm, "gradient", gradient)
+        code = main(["solve", "--input", str(tmp_path / "qp.json"),
+                     "--algorithm", "limeal", "--beta", "20", "--gamma", "0.05",
+                     "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("limeal: NonFinite after 3 steps, ")
+        cols = load_trace_columns(tmp_path / "limeal_trace.csv")
+        assert list(cols["k"]) == [0, 1, 2, 3]
+
     def test_schema_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -7,20 +7,40 @@ CSV's columns 1-7 (everything but wall_time). The values are compared to a
 relative 1e-9, the digests exactly. A change that moves bits on
 purpose regenerates the record with `tests/golden/regen_traces.py`, says so
 and states its bound; the value tolerance stays as it is.
+
+The digests pin one platform's floating point: numpy, its BLAS and the CPU
+kernels that BLAS picks. The record's "platform" entry names the numpy,
+scipy and BLAS that made them, and a digest failure names that platform
+next to the one that ran.
 """
 
 import hashlib
 import json
 import math
+import platform
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from mealopt.experiments import ExperimentSpec, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden" / "traces.json"
 SAMPLE_ROWS = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
 VALUE_RTOL = 1e-9
+
+
+def platform_record() -> dict:
+    """The numpy, scipy and BLAS versions (numpy's and scipy's own) and the
+    machine the traces are computed on."""
+    def blas(module):
+        info = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{info.get('name')} {info.get('version')}"
+
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "numpy_blas": blas(numpy), "scipy_blas": blas(scipy),
+            "machine": platform.machine()}
 
 
 def trace_record(trace, csv_path) -> dict:
@@ -55,8 +75,14 @@ def records(tmp_path_factory, exp2_bundle):
 
 
 @pytest.fixture(scope="module")
-def golden():
+def golden_file():
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden(golden_file):
+    """The golden runs: experiment -> label -> record."""
+    return {exp: runs for exp, runs in golden_file.items() if exp != "platform"}
 
 
 def _close(got: str, want: str) -> bool:
@@ -87,9 +113,13 @@ def test_golden_trace_values(records, golden):
                 assert not bad, f"{where} row {row}: (column, got, golden) {bad}"
 
 
-def test_golden_trace_bytes(records, golden):
+def test_golden_trace_bytes(records, golden, golden_file):
     digests = {(exp, label): rec["sha256"]
                for exp, runs in records.items() for label, rec in runs.items()}
     want = {(exp, label): rec["sha256"]
             for exp, runs in golden.items() for label, rec in runs.items()}
-    assert digests == want
+    differ = sorted("/".join(key) for key in want.keys() | digests.keys()
+                    if digests.get(key) != want.get(key))
+    assert digests == want, (
+        f"digests of {differ} differ; made on {golden_file.get('platform')}, "
+        f"run on {platform_record()}")

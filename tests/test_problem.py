@@ -95,6 +95,38 @@ class TestProxExamples:
                                                          abs=1e-8)
 
 
+class TestBoxProxIsClip:
+    """The box prox is np.minimum(np.maximum(v, lower), upper), which must
+    give np.clip(v, lower, upper) byte for byte: signed zeros, infinite
+    values and bounds, NaN, and the vector lengths that end SIMD loops in a
+    scalar tail. Each length lays the values out in every rotation, so each
+    value meets each bound pair in every lane."""
+
+    SIGNED = (0.0, -0.0, 1.0, -1.0)
+    BOUNDS = SIGNED + (np.inf, -np.inf)
+
+    @staticmethod
+    def _rotations(values, n):
+        base = np.resize(np.array(values), n)
+        return [np.roll(base, shift) for shift in range(len(values))]
+
+    @pytest.mark.parametrize("n", (1, 3, 4, 8, 17, 33))
+    def test_prox_is_np_clip_byte_for_byte(self, n):
+        pairs = [(lo, hi) for lo in self.BOUNDS for hi in self.BOUNDS if not lo > hi]
+        boxes = [m.BoxIndicator(np.full(n, lo), np.full(n, hi)) for lo, hi in pairs]
+        # every bound pair at once, one per coordinate
+        lo, hi = (self._rotations([pair[i] for pair in pairs], n)[0] for i in (0, 1))
+        boxes.append(m.BoxIndicator(lo, hi))
+        for box in boxes:
+            for v in self._rotations(self.SIGNED, n):
+                got = box.prox(0.5, v)
+                assert got.tobytes() == np.clip(v, box.lower, box.upper).tobytes()
+            # the prox rejects non-finite input; its clip still matches there
+            for v in self._rotations(self.BOUNDS + (np.nan,), n):
+                got = box._prox(0.5, v)
+                assert got.tobytes() == np.clip(v, box.lower, box.upper).tobytes()
+
+
 @pytest.mark.parametrize("cls", [m.Zero, m.BoxIndicator, m.L1])
 def test_convex_kinds_take_no_modulus(cls):
     with pytest.raises(TypeError):

@@ -8,6 +8,7 @@ from mealopt.envelope import EnvelopeContext
 from mealopt.errors import (
     GammaTooLarge,
     MealoptError,
+    NonFiniteValue,
     NotComposite,
     SubproblemNonconvexUnsupported,
 )
@@ -893,3 +894,128 @@ def test_validated_run_ends_in_a_status(algorithm, spec, prob, frac, horizon):
     tr = m.run(prob, cfg)
     assert tr.status in STATUSES
     assert tr.n_rows >= 2
+
+
+def _wrapper_free_cases():
+    from mealopt.experiments import EXP1_INIT, exp1_configs, exp2_configs
+
+    stop = m.StopRule(max_iters=50, stat_tol=1e-300, feas_tol=1e-300)
+    exp1, exp2 = m.build_exp1(), m.build_exp2(42, 5, 20)
+    paper = dict(exp2_configs(exp2, stop))
+    plan = m.PenaltyPlan.fixed(50.0, 0.5 / exp2.rho_total, 1.0)
+    monitored = m.SolverConfig(
+        "meal", m.PenaltyPlan.fixed(50.0, 0.2, 1.0), stop=stop,
+        monitors=m.MonitorFlags(one_step_progress=True, dual_by_primal=True))
+    return [
+        pytest.param("meal_step", exp2, m.SolverConfig("meal", plan, stop=stop), None,
+                     id="meal"),
+        pytest.param("imeal_step", exp2, m.SolverConfig("imeal", plan, stop=stop), None,
+                     id="imeal"),
+        pytest.param("limeal_step", exp2, paper["limeal_beta50_eta1"], None,
+                     id="limeal"),
+        pytest.param("alm_step", exp1, dict(exp1_configs(stop))["alm_beta50"], EXP1_INIT,
+                     id="alm"),
+        pytest.param("prox_ialm_step", exp2, paper["ialm"], None, id="prox_ialm"),
+        pytest.param("meal_step", exp1, monitored, EXP1_INIT, id="meal-monitored-exp1"),
+    ]
+
+
+@pytest.mark.parametrize("step, prob, cfg, init", _wrapper_free_cases())
+def test_the_step_loop_calls_no_numpy_python_wrapper(step, prob, cfg, init, monkeypatch):
+    """After a run's first step, which prepares the run's constants, no call
+    lands in numpy's fromnumeric.py, the Python wrappers of np.sum, np.clip,
+    np.all and the like: the steps, energies, monitors and row bookkeeping
+    call numpy's kernels. The call events are counted, not timed."""
+    import os
+    import sys
+
+    from mealopt import solvers
+
+    stepped = []
+    original = getattr(solvers, step)
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        stepped.append(1)
+        return out
+
+    monkeypatch.setattr(solvers, step, counted)
+    later, landed = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and stepped:
+            later.append(1)
+            if os.path.basename(frame.f_code.co_filename) == "fromnumeric.py":
+                landed.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        tr = m.run(prob, cfg, init=init)
+    finally:
+        sys.setprofile(None)
+    assert tr.n_rows - 1 == len(stepped) == 50
+    assert len(later) > 50 and landed == []
+
+
+@st.composite
+def _gradient_turns(draw):
+    """A convex composite problem (n <= 6, a box, Zero or L1 prox part) whose
+    h is a general SmoothFunction, so its gradient is a black box to every
+    step; the gradient call from which h's gradient is `bad`, and `bad`."""
+    n = draw(st.integers(1, 6))
+    mcon = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(("box", "zero", "l1")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-1, 1, size=(mcon, n))
+    b = A @ rng.uniform(0, 1, size=n)
+    G = rng.uniform(-1, 1, size=(n, n))
+    quad = m.QuadraticSmooth(G @ G.T / n + 0.1 * np.eye(n), rng.uniform(-1, 1, size=n))
+    prox_part = {"box": lambda: m.BoxIndicator(np.zeros(n), np.ones(n)),
+                 "zero": m.Zero, "l1": lambda: m.L1(weight=0.5)}[kind]()
+    turn = draw(st.integers(1, 30))
+    bad = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return m.LinearConstraint(A, b), prox_part, quad, turn, bad
+
+
+@pytest.mark.parametrize("algorithm", ("meal", "imeal", "limeal"))
+@settings(max_examples=25)
+@given(case=_gradient_turns())
+def test_a_non_finite_gradient_ends_the_run_non_finite(algorithm, case):
+    """When h's gradient turns NaN or inf at a drawn call, and stays so, the
+    run ends NonFinite instead of raising. Its terminal state is the last
+    finite state, the one that direct step calls reach before the next step
+    raises NonFiniteValue, and the trace has a row for every state up to it.
+    Each step evaluates the gradient at least once, so a 40-step budget
+    always meets the turn."""
+    constraint, prox_part, quad, turn, bad = case
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        g = quad.gradient(x)
+        return np.full_like(g, bad) if len(calls) >= turn else g
+
+    prob = m.Problem(constraint, prox_part,
+                     m.SmoothFunction(quad.value, gradient, quad.lipschitz_grad_constant))
+    gamma = 0.5 / max(ALGORITHMS[algorithm].modulus(prob), 1.0)
+    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(10.0, gamma, 1.0),
+                         stop=m.StopRule(max_iters=40, stat_tol=1e-300, feas_tol=1e-300))
+    tr = m.run(prob, cfg)
+    assert len(calls) >= turn
+    assert tr.status == "NonFinite" and tr.converged_at is None
+    K = tr.terminal.k
+    assert list(tr.column("k")) == list(range(K + 1))
+    assert len(tr.inner_iterations) == K
+
+    calls.clear()
+    ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+    state = m.IterateState(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
+    step = ALGORITHMS[algorithm].step
+    for _ in range(K):
+        state, _ = step(ctx, state, cfg)
+    for got, want in ((tr.terminal.x, state.x), (tr.terminal.z, state.z),
+                      (tr.terminal.lam, state.lam)):
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(NonFiniteValue):
+        step(ctx, state, cfg)
