@@ -41,6 +41,7 @@ from .problem import (
     BoxIndicator,
     Problem,
     Zero,
+    _FLOAT,
     _vec,
 )
 
@@ -223,7 +224,10 @@ class InnerProxGradient(SubproblemSpec):
             return SubproblemResult(x, s_vec, math.sqrt(s_vec @ s_vec), 1)
 
         stop_tol = self.tol if tol is None else tol
-        x = _vec(warm_start).copy() if warm_start is not None else z.copy()
+        x = z if warm_start is None else warm_start
+        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
+            x = _vec(x)
+        x = x.copy()
         if isinstance(g, BoxIndicator):
             lo, hi = ctx.bounds
             x = np.minimum(np.maximum(x, lo), hi)
@@ -475,9 +479,10 @@ class EnvelopeContext:
     derives none of them: `Atb` = A'b, formed at construction, and, formed
     on first use, `beta_Atb` = beta A'b and `bounds`, the problem's
     `box_bounds()` (for a Zero prox part, two infinite vectors that it
-    builds anew at every call). ALM's first step keeps its prepared box
-    faces and h's linear term r on the context, and Prox-iALM's first step
-    its primal step s.
+    builds anew at every call). ALM's first step keeps `_alm` on the
+    context: its prepared box faces, h's linear term r and the minimizers of
+    the last two distinct linear terms its steps solved for. Prox-iALM's
+    first step keeps its primal step s.
 
     The subproblem matrix H = beta A'A + I/gamma is the identity plus a
     rank-m term. `H_matvec` applies it as beta A'(A v) + v/gamma, and
@@ -632,9 +637,14 @@ def solve_subproblem(ctx: EnvelopeContext, z, lam, grad_h=None,
     bound gives M x + c, zero up to solve accuracy); the fast path returns an
     uncertified None residual.
     """
-    if grad_h is not None:
+    if type(z) is not np.ndarray or z.ndim != 1 or z.dtype != _FLOAT:
+        z = _vec(z)
+    if type(lam) is not np.ndarray or lam.ndim != 1 or lam.dtype != _FLOAT:
+        lam = _vec(lam)
+    if grad_h is not None and (type(grad_h) is not np.ndarray or grad_h.ndim != 1
+                               or grad_h.dtype != _FLOAT):
         grad_h = _vec(grad_h)
-    return ctx.subproblem.solve(ctx, _vec(z), _vec(lam), grad_h, tol, warm_start)
+    return ctx.subproblem.solve(ctx, z, lam, grad_h, tol, warm_start)
 
 
 # ---------------------------------------------------------------------------

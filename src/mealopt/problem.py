@@ -45,7 +45,13 @@ _BOX_PROX_TOL = 1e-12         # _box_quad_prox's step-length stopping rule
 _BOX_PROX_MAX_ITER = 200_000  # and its iteration cap
 
 
+_FLOAT = np.dtype(float)
+
+
 def _vec(v) -> np.ndarray:
+    """v as a float vector (a scalar becomes length 1). The per-step callers
+    skip it for a v that already is one, a 1-D ndarray with dtype _FLOAT,
+    which it would return unchanged."""
     out = np.asarray(v, dtype=float)
     if out.ndim == 0:
         out = out.reshape(1)
@@ -259,7 +265,9 @@ class QuadraticForm(ProxFunction):
         return np.linalg.solve(self.Q + np.eye(n) / gamma, v / gamma - self.r)
 
     def gradient(self, x):
-        return self.Q @ _vec(x) + self.r
+        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
+            x = _vec(x)
+        return self.Q @ x + self.r
 
     def subgradient_interval(self, x):
         g = self.gradient(x)
@@ -289,7 +297,8 @@ class BoxIndicator(ProxFunction):
             raise ValueError("lower > upper leaves an empty domain")
 
     def value(self, x) -> float:
-        x = _vec(x)
+        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
+            x = _vec(x)
         if (x >= self.lower).all() and (x <= self.upper).all():
             return 0.0
         return _INF
@@ -618,7 +627,8 @@ class Problem:
         return None
 
     def objective_value(self, x) -> float:
-        x = _vec(x)
+        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
+            x = _vec(x)
         val = self.prox_part.value(x)
         if self.composite:
             val = val + self.smooth.value(x)

@@ -267,15 +267,29 @@ def alm_step(ctx: EnvelopeContext,
     term moves with lam, so the context's first step checks the Hessian (the
     step may be called without validate), prepares the faces for the run and
     keeps them with h's linear term r.
+
+    With the faces fixed, x' is a function of the linear term c alone, so the
+    context also keeps the minimizers of the last two distinct c, keyed by
+    c's bytes: a multiplier that repeats (ALM's two-cycle on exp1 repeats
+    bit for bit) reuses its minimizer instead of enumerating the faces again.
+    Two is the window the run's oscillation detector looks back over. A step
+    returns a copy, so writing into a returned state cannot change a later step.
     """
     p = ctx.problem
     alm = getattr(ctx, "_alm", None)
     if alm is None:
         alm = ctx._alm = (BoxFaces(_alm_hessian(p, ctx.beta), None, *ctx.bounds),
-                          p.quadratic_terms()[1])
-    faces, r = alm
+                          p.quadratic_terms()[1], {})
+    faces, r, minimizers = alm
     c = r + p.constraint.A.T @ state.lam - ctx.beta_Atb
-    x_new, _ = box_qp_global_min(faces, c)
+    key = c.tobytes()
+    x_new = minimizers.get(key)
+    if x_new is None:
+        x_new, _ = box_qp_global_min(faces, c)
+        if len(minimizers) == 2:
+            del minimizers[next(iter(minimizers))]   # the oldest
+        minimizers[key] = x_new
+    x_new = x_new.copy()
     # global minimization leaves zero dual residual at x'; _check_alm's eta = 1 sets z' = x'
     return _advance(ctx, state, x_new, None)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mealopt as m
@@ -678,6 +678,111 @@ def test_alm_prepares_its_faces_once_per_run(monkeypatch):
                              stop=m.StopRule(max_iters=steps))
         assert m.run(prob, cfg, init=EXP1_INIT).n_rows - 1 == steps
         assert counts == {"faces": 1, "free_blocks": 2}
+
+
+def _recorded_run(prob, cfg, init, monkeypatch):
+    """The states of each of run's ALM steps, in order."""
+    from mealopt import solvers
+
+    states, real = [], solvers.alm_step
+
+    def recorded(ctx, state):
+        new, report = real(ctx, state)
+        states.append(new)
+        return new, report
+
+    monkeypatch.setattr(solvers, "alm_step", recorded)
+    m.run(prob, cfg, init=init)
+    return states
+
+
+def _fresh_context_chain(prob, cfg, init, steps):
+    """Chained alm_step calls, each on a new context: no step sees a kept
+    minimizer."""
+    state, states = m.IterateState(*init), []
+    for _ in range(steps):
+        ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+        state, _ = alm_step(ctx, state)
+        states.append(state)
+    return states
+
+
+def _assert_same_states(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.k == b.k
+        for name in ("x", "z", "lam", "residual"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@st.composite
+def alm_box_qps(draw):
+    """A random box-QP that ALM takes: n <= 4, an indefinite quadratic over a
+    box with some infinite bounds, m <= n feasible rows, and a beta that
+    validate accepts (the free coordinates' curvature is checked)."""
+    n = draw(st.integers(1, 4))
+    mcon = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.uniform(-1, 1, size=(n, n))
+    A = rng.uniform(-1, 1, size=(mcon, n))
+    x_feasible = rng.uniform(0, 1, size=n)
+    lower = np.where(rng.uniform(size=n) < 0.25, -np.inf, 0.0)
+    upper = np.where(rng.uniform(size=n) < 0.25, np.inf, 1.0)
+    prob = m.Problem(m.LinearConstraint(A, A @ x_feasible), m.BoxIndicator(lower, upper),
+                     m.QuadraticSmooth(0.5 * (G + G.T), rng.uniform(-1, 1, size=n)))
+    beta = draw(st.floats(0.5, 100.0))
+    cfg = m.SolverConfig("alm", m.PenaltyPlan.fixed(beta, 0.5, 1.0),
+                         stop=m.StopRule(40, 1e-12, 1e-12))
+    try:
+        cfg.validate(prob)
+    except SubproblemNonconvexUnsupported:
+        assume(False)
+    return prob, cfg
+
+
+class TestAlmMinimizerReuse:
+    """ALM's x' is a function of its linear term c; a context keeps the
+    minimizers of its last two distinct c and reuses them."""
+
+    def test_exp1_enumerates_once_per_distinct_linear_term(self, monkeypatch):
+        # steps 0-12 each meet a new c, every later step one of the last two
+        from mealopt import solvers
+        from mealopt.experiments import EXP1_INIT, exp1_configs
+
+        calls, real = [], solvers.box_qp_global_min
+        monkeypatch.setattr(solvers, "box_qp_global_min",
+                            lambda faces, c: calls.append(1) or real(faces, c))
+        tr = m.run(m.build_exp1(), dict(exp1_configs())["alm_beta50"], init=EXP1_INIT)
+        assert tr.n_rows - 1 == 2000 and tr.oscillating
+        assert len(calls) == 13
+
+    def test_run_is_the_fresh_context_chain_on_exp1(self, monkeypatch):
+        from mealopt.experiments import EXP1_INIT, exp1_configs
+
+        cfg = dict(exp1_configs(m.StopRule(max_iters=200)))["alm_beta50"]
+        got = _recorded_run(m.build_exp1(), cfg, EXP1_INIT, monkeypatch)
+        _assert_same_states(got, _fresh_context_chain(m.build_exp1(), cfg, EXP1_INIT, 200))
+
+    @settings(max_examples=15)
+    @given(case=alm_box_qps())
+    def test_run_is_the_fresh_context_chain(self, case):
+        prob, cfg = case
+        init = (np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got = _recorded_run(prob, cfg, init, monkeypatch)
+        _assert_same_states(got, _fresh_context_chain(prob, cfg, init, len(got)))
+
+    def test_writing_into_a_returned_state_leaves_later_steps(self, exp1_problem):
+        # on the two-cycle, steps k and k + 2 reuse one kept minimizer
+        ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.5, 1.0))
+        state = m.IterateState(np.zeros(2), np.zeros(2), np.zeros(1))
+        for _ in range(30):
+            state, _ = alm_step(ctx, state)
+        later, _ = alm_step(ctx, alm_step(ctx, state)[0])
+        want = later.x.copy()
+        state.x[:] = np.nan
+        again, _ = alm_step(ctx, alm_step(ctx, state)[0])
+        assert again.x.tobytes() == want.tobytes()
 
 
 class TestOneQProductPerStep:
