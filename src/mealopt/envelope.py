@@ -314,7 +314,7 @@ def _face_blocks(M, key, at_lo, at_hi, lo, hi):
     the clamped values, M_FF, M_FC x_C); the last three are None on the
     all-free face, which is solved on M's Cholesky factor."""
     free = ~(at_lo | at_hi)
-    if free.all():
+    if np.logical_and.reduce(free):
         return key, free, None, None, None
     x = np.where(at_lo, lo, hi)
     fixed = ~free
@@ -593,24 +593,37 @@ class EnvelopeContext:
 # ---------------------------------------------------------------------------
 
 
-def augmented_lagrangian(ctx: EnvelopeContext, state, f=None) -> float:
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """a @ b along the last axis: one value for 1-D a and b, one per row for
+    stacked rows. numpy forms each row's product with the kernel of the 1-D
+    a @ b, so the values are the same bit for bit."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def augmented_lagrangian(ctx: EnvelopeContext, state, f=None):
     """L_beta(x, lam) = f(x) + <lam, Ax-b> + (beta/2)||Ax-b||^2 at ctx.beta and
-    the IterateState's x and lam, with its carried Ax - b when it has one.
+    the state's x and lam, with its carried Ax - b when it has one.
 
-    `f` is the objective at x when the caller already has it."""
-    resid = state.residual
+    `state` is an IterateState, or a block of states: any object whose x,
+    z, lam and residual stack one state per row, for which every energy gives
+    an array of the per-state values, bit for bit. `f` is the objective at
+    x (one per row) when the caller already has it."""
+    x, resid = state.x, state.residual
     if resid is None:
-        resid = ctx.problem.constraint.A @ state.x - ctx.problem.constraint.b
+        constraint = ctx.problem.constraint
+        resid = np.matmul(constraint.A, x[..., None])[..., 0] - constraint.b
     if f is None:
-        f = ctx.problem.objective_value(state.x)
-    return f + float(state.lam @ resid) + 0.5 * ctx.beta * float(resid @ resid)
+        objective = ctx.problem.objective_value
+        f = objective(x) if x.ndim == 1 else np.array([objective(row) for row in x])
+    return f + _rowdot(state.lam, resid) + (0.5 * ctx.beta) * _rowdot(resid, resid)
 
 
-def potential_P(ctx: EnvelopeContext, state, f=None) -> float:
-    """P_beta(x, z, lam) = L_beta(x, lam) + ||x - z||^2 / (2 gamma) at ctx.beta."""
+def potential_P(ctx: EnvelopeContext, state, f=None):
+    """P_beta(x, z, lam) = L_beta(x, lam) + ||x - z||^2 / (2 gamma) at ctx.beta,
+    for a state or a block of states (see augmented_lagrangian)."""
     d = state.x - state.z
-    return augmented_lagrangian(ctx, state, f) + float(
-        np.add.reduce(d * d)) / (2.0 * ctx.plan.gamma)
+    return augmented_lagrangian(ctx, state, f) + np.add.reduce(
+        d * d, axis=-1) / (2.0 * ctx.plan.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +680,7 @@ LYAPUNOV_COEFFICIENTS = {f"{family}-s{i}": float(c) for family, pair in _COEFFIC
                          for i, c in enumerate(pair, 1)}
 
 
-def lyapunov(ctx: EnvelopeContext, variant: str, state, prev, f=None) -> float:
+def lyapunov(ctx: EnvelopeContext, variant: str, state, prev, f=None):
     """Lyapunov value E^k for the given variant at `state` = (x, z, lam),
     the IterateState that the step from `prev` = (x_prev, z_prev, ...) made.
 
@@ -675,8 +688,9 @@ def lyapunov(ctx: EnvelopeContext, variant: str, state, prev, f=None) -> float:
           [+ gamma^2 L_h^2 ||x - x_prev||^2 for limeal variants]),
 
     at the context's beta and alpha; `f` is the objective at x when the caller
-    already has it. Defined from k >= 1; callers without a predecessor must
-    not ask (WindowTooShort).
+    already has it. `state` and `prev` may be blocks of states, row i of
+    `state` made from row i of `prev` (see augmented_lagrangian). Defined
+    from k >= 1; callers without a predecessor must not ask (WindowTooShort).
     """
     if variant not in LYAPUNOV_COEFFICIENTS:
         raise ValueError(f"unknown Lyapunov variant {variant!r}")
@@ -684,11 +698,11 @@ def lyapunov(ctx: EnvelopeContext, variant: str, state, prev, f=None) -> float:
         raise WindowTooShort("Lyapunov needs the previous state (k >= 1)")
     coef = LYAPUNOV_COEFFICIENTS[variant]
     dz = state.z - prev.z
-    extra = float(np.add.reduce(dz * dz))
+    extra = np.add.reduce(dz * dz, axis=-1)
     if variant.startswith("limeal"):
         if not ctx.problem.composite:
             raise NotComposite("limeal Lyapunov needs a composite objective")
         L_h = ctx.problem.L_h
         dx = state.x - prev.x
-        extra += ctx.plan.gamma ** 2 * L_h ** 2 * float(np.add.reduce(dx * dx))
+        extra = extra + ctx.plan.gamma ** 2 * L_h ** 2 * np.add.reduce(dx * dx, axis=-1)
     return potential_P(ctx, state, f) + coef * ctx.alpha * extra

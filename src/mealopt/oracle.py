@@ -126,17 +126,20 @@ class BoxFaces:
                 sol = np.linalg.solve(K, rhs) if K.size else np.zeros(0)
             except np.linalg.LinAlgError:
                 sol = None
-            if sol is None or not np.isfinite(sol).all():
+            if sol is None or not np.logical_and.reduce(np.isfinite(sol)):
                 n_singular += 1
                 continue
             x = x_clamped.copy()
             x[free], mu = sol[:nf], sol[nf:]
-            if (x < below).any() or (x > above).any():
+            if np.logical_or.reduce(x < below) or np.logical_or.reduce(x > above):
                 continue
             grad = Q @ x + r + A.T @ mu
             # at lower the residual must push up, at upper down; free: zero
-            if ((grad[at_lower] < -_BOUND_TOL).any() or (grad[at_upper] > _BOUND_TOL).any()
-                    or (np.abs(grad[free]) > 1e-7 * max(1.0, np.abs(grad).max())).any()):
+            # ufunc reductions: ndarray.any() and .max() run numpy's Python wrappers
+            if (np.logical_or.reduce(grad[at_lower] < -_BOUND_TOL)
+                    or np.logical_or.reduce(grad[at_upper] > _BOUND_TOL)
+                    or np.logical_or.reduce(np.abs(grad[free]) > 1e-7 * max(
+                        1.0, np.maximum.reduce(np.abs(grad))))):
                 continue
             if m and np.linalg.norm(A @ x - b) > _FEAS_TOL:
                 continue

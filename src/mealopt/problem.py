@@ -178,8 +178,9 @@ class ProxFunction:
         """Unique minimizer of g(x) + ||x - v||^2 / (2 gamma); NonFiniteValue
         unless v is finite."""
         self.check_gamma(gamma)
-        v = _vec(v)
-        if not np.isfinite(v).all():
+        if type(v) is not np.ndarray or v.ndim != 1 or v.dtype != _FLOAT:
+            v = _vec(v)
+        if not np.logical_and.reduce(np.isfinite(v)):
             raise NonFiniteValue("prox input must be finite")
         return self._prox(float(gamma), v)
 
@@ -257,7 +258,8 @@ class QuadraticForm(ProxFunction):
             self.implicit_class = ImplicitClass.lipschitz(self.spectral_norm)
 
     def value(self, x) -> float:
-        x = _vec(x)
+        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
+            x = _vec(x)
         return float(0.5 * x @ self.Q @ x + self.r @ x + self.c)
 
     def _prox(self, gamma, v):
@@ -299,7 +301,7 @@ class BoxIndicator(ProxFunction):
     def value(self, x) -> float:
         if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
             x = _vec(x)
-        if (x >= self.lower).all() and (x <= self.upper).all():
+        if np.logical_and.reduce(x >= self.lower) and np.logical_and.reduce(x <= self.upper):
             return 0.0
         return _INF
 

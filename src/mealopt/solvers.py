@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .envelope import (
     InnerProxGradient,
     Paper72FastPath,
     PenaltyPlan,
+    _rowdot,
     augmented_lagrangian,
     lyapunov,
     potential_P,
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+ROW_BLOCK = 64  # steps whose energies, xz_gap and monitor values are formed together
 
 TRACE_COLUMNS = (
     "k", "objective", "feasibility", "stationarity", "lyapunov",
@@ -99,7 +101,7 @@ class IterateState:
     def _of_step(cls, x, z, lam, k, grad_h, residual) -> IterateState:
         """The state a step made from its float vectors: no conversion, and
         the same finiteness check as the public constructor."""
-        if not np.isfinite(np.concatenate((x, z, lam))).all():
+        if not np.logical_and.reduce(np.isfinite(np.concatenate((x, z, lam)))):
             raise NonFiniteValue("iterate state must be finite")
         state = object.__new__(cls)
         state.__dict__.update(x=x, z=z, lam=lam, k=k, grad_h=grad_h, residual=residual)
@@ -397,7 +399,8 @@ class Algorithm:
     step: Callable          # (ctx, state, config) -> (IterateState, StepReport)
     modulus: Callable       # Problem -> rho; gamma must stay below 1/rho
     running_min: bool       # stationarity column is the running minimum
-    energy: Callable        # (ctx, state, new, f(new.x)) -> the lyapunov column value
+    energy: Callable        # (ctx, state, new, f(new.x)) -> the lyapunov column value;
+                            # for blocks of states, one value per row
     # subproblem spec types it takes; "auto" is InnerProxGradient
     accepts: tuple = (InnerProxGradient,)
     check: Callable = lambda config, problem: None  # raises when a requirement is unmet
@@ -469,6 +472,98 @@ class Trace:
         return [entry for entry in self.monitors.get(name, []) if not entry[-1]]
 
 
+class _States(NamedTuple):
+    """A block of states, one per row of each field: what the energies read."""
+
+    x: np.ndarray
+    z: np.ndarray
+    lam: np.ndarray
+    residual: Optional[np.ndarray]
+
+
+class _RowBlock:
+    """The trace values that no stopping rule reads, formed a block of up to
+    ROW_BLOCK steps at a time: the energies (the `lyapunov` column from row
+    1 on), the xz_gap values, the oscillation flag and the monitor entries.
+
+    It keeps x, z and lam of the block's new states after the two states
+    before them (one at the run's start), and the new states' residuals,
+    objectives and raw stationarity norms; never a state's grad_h. Each
+    value is the one its step would give alone, bit for bit: the energies
+    take the block through the module globals, and the row norms are
+    `_rowdot` and `np.add.reduce(..., axis=-1)`.
+    """
+
+    def __init__(self, ctx: EnvelopeContext, algo: Algorithm, flags: MonitorFlags,
+                 state: IterateState):
+        self.ctx, self.algo, self.flags = ctx, algo, flags
+        self.L_f = ctx.problem.implicit_lipschitz_constant() if flags.dual_by_primal else None
+        self.x, self.z, self.lam = [state.x], [state.z], [state.lam]
+        self.residual, self.f, self.raw = [], [], []
+        self.k0 = 0                 # the state in row 0 of x, z and lam
+        self.energies, self.gaps = [], []
+        self.monitors = {"one_step_progress": [], "dual_by_primal": []}
+        self.osc_streak, self.oscillating = 0, False
+
+    def add(self, state: IterateState, f: float, raw: float) -> None:
+        """Keep a step's new state, its objective and raw stationarity norm."""
+        self.x.append(state.x)
+        self.z.append(state.z)
+        self.lam.append(state.lam)
+        self.residual.append(state.residual)
+        self.f.append(f)
+        self.raw.append(raw)
+        if len(self.f) == ROW_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Form the values of the block's steps, and keep its last two states."""
+        if not self.f:
+            return
+        ctx, flags = self.ctx, self.flags
+        X, Z, Lam = np.array(self.x), np.array(self.z), np.array(self.lam)
+        h = len(X) - len(self.f)
+        prev = _States(X[h - 1:-1], Z[h - 1:-1], Lam[h - 1:-1], None)
+        new = _States(X[h:], Z[h:], Lam[h:], np.array(self.residual))
+        E = self.algo.energy(ctx, prev, new, np.array(self.f))
+        gap = new.x - prev.z
+        self.gaps.extend(np.sqrt(_rowdot(gap, gap)).tolist())
+
+        # the checks of the steps k >= 1, which leave rows 2, 3, ...
+        ks = range(self.k0 + 1, self.k0 + len(X) - 1)
+        back2, back1 = Lam[2:] - Lam[:-2], Lam[2:] - Lam[1:-1]
+        for hit in ((np.sqrt(_rowdot(back2, back2)) <= 1e-6)
+                    & (np.sqrt(_rowdot(back1, back1)) >= 1e-3)).tolist():
+            self.osc_streak = self.osc_streak + 1 if hit else 0
+            if self.osc_streak >= 20:
+                self.oscillating = True
+        gamma, eta = ctx.plan.gamma, ctx.plan.eta
+        if flags.one_step_progress:
+            E_run = np.concatenate((self.energies[-1:], E))
+            lhs = E_run[:-1] - E_run[1:]
+            # Python's raw ** 2: the array's ** 2 may differ in the last bit
+            rhs = (gamma * eta * (2.0 - eta) / 4.0) * np.array(
+                [raw ** 2 for raw in self.raw[len(self.raw) - len(ks):]])
+            self.monitors["one_step_progress"].extend(
+                zip(ks, lhs.tolist(), rhs.tolist(), (lhs >= rhs - 1e-9).tolist()))
+        if flags.dual_by_primal:
+            dx, dz = X[2:] - X[1:-1], Z[1:-1] - Z[:-2]
+            dl = np.add.reduce(back1 * back1, axis=-1)
+            bound = (2.0 / ctx.c_gamma_A) * (
+                (gamma * self.L_f + 1.0) ** 2 * np.add.reduce(dx * dx, axis=-1)
+                + np.add.reduce(dz * dz, axis=-1)
+            )
+            self.monitors["dual_by_primal"].extend(
+                zip(ks, dl.tolist(), bound.tolist(), (dl <= bound + 1e-9).tolist()))
+        self.energies.extend(E.tolist())
+
+        self.k0 += len(X) - 2
+        del self.x[:-2], self.z[:-2], self.lam[:-2]
+        self.residual.clear()
+        self.f.clear()
+        self.raw.clear()
+
+
 def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     """Iterate from init, None (zeros) or (x0, z0, lam0), until the tolerances are met.
 
@@ -485,7 +580,10 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     NonFinite, with the last finite state as the terminal state. A terminal
     row holds the final state, so the trace has a row for every state.
 
-    Each step's objective and energy are computed once. For a quadratic
+    Each step's objective and multiplier norm are computed once, at the
+    step, for the status checks. Each row's energy, xz_gap, oscillation and
+    monitor values are computed once too, a block of ROW_BLOCK steps at a
+    time (`_RowBlock`), since no status reads them. For a quadratic
     h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx + r, the
     objective is g(x) + x'(grad h(x) + r)/2 + c, with no product with Q.
     """
@@ -507,18 +605,10 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     if config.plan.mode == "horizon":
         budget = min(budget, config.plan.K)
 
-    gamma, eta = ctx.plan.gamma, ctx.plan.eta
-    L_f = None
-    if config.monitors.dual_by_primal:
-        L_f = problem.implicit_lipschitz_constant()
-
+    rows = _RowBlock(ctx, algo, config.monitors, state)
     cols = {name: [] for name in TRACE_COLUMNS}
     inner = []             # inner iterations of each step
-    monitors: dict = {"one_step_progress": [], "dual_by_primal": []}
-    osc_streak, oscillating = 0, False
     status, converged_at = "MaxIters", None
-    E_curr = None          # energy column value at the current state (from k >= 1)
-    prev_state = None
     best_measure = np.inf
     # the current state's objective, feasibility and multiplier norm; record_row
     # writes them, and each step carries them over from its new state
@@ -535,14 +625,12 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     lam_norm = math.sqrt(state.lam @ state.lam)
     t0 = time.perf_counter()
 
-    def record_row(k, stat_col, lyap, gap):
+    def record_row(k, stat_col):
         cols["k"].append(k)
         cols["objective"].append(f)
         cols["feasibility"].append(feas)
         cols["stationarity"].append(stat_col)
-        cols["lyapunov"].append(np.nan if lyap is None else lyap)
         cols["lambda_norm"].append(lam_norm)
-        cols["xz_gap"].append(gap)
         cols["wall_time"].append(time.perf_counter() - t0)
 
     for k in range(budget):
@@ -561,31 +649,8 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
             stat_col = raw
 
         f_next = objective(new_state)
-        E_next = algo.energy(ctx, state, new_state, f_next)
-        gap = new_state.x - state.z
-        record_row(k, stat_col, E_curr, math.sqrt(gap @ gap))
-
-        if config.monitors.one_step_progress and k >= 1:
-            lhs = E_curr - E_next
-            rhs = (gamma * eta * (2.0 - eta) / 4.0) * raw ** 2
-            monitors["one_step_progress"].append((k, lhs, rhs, lhs >= rhs - 1e-9))
-        if config.monitors.dual_by_primal and k >= 1:
-            dlam, dx = new_state.lam - state.lam, new_state.x - state.x
-            dz = state.z - prev_state.z
-            dl = float(np.add.reduce(dlam * dlam))
-            bound = (2.0 / ctx.c_gamma_A) * (
-                (gamma * L_f + 1.0) ** 2 * float(np.add.reduce(dx * dx))
-                + float(np.add.reduce(dz * dz))
-            )
-            monitors["dual_by_primal"].append((k, dl, bound, dl <= bound + 1e-9))
-
-        # oscillation detector on the multiplier sequence
-        if k >= 1:
-            back2, back1 = new_state.lam - prev_state.lam, new_state.lam - state.lam
-            d2, d1 = math.sqrt(back2 @ back2), math.sqrt(back1 @ back1)
-            osc_streak = osc_streak + 1 if (d2 <= 1e-6 and d1 >= 1e-3) else 0
-            if osc_streak >= 20:
-                oscillating = True
+        record_row(k, stat_col)
+        rows.add(new_state, f_next, raw)
 
         lam_norm_next = math.sqrt(new_state.lam @ new_state.lam)
         if report.inner_budget_exhausted:
@@ -595,7 +660,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         elif stat_col <= config.stop.stat_tol and feas <= config.stop.feas_tol:
             status, converged_at = "Converged", k
 
-        prev_state, state, E_curr = state, new_state, E_next
+        state = new_state
         f, feas, lam_norm = f_next, report.feasibility, lam_norm_next
         if status != "MaxIters":
             break
@@ -603,9 +668,12 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     # terminal row for the final state; the measure column repeats (NaN when
     # the first step met a non-finite value)
     stat = cols["stationarity"]
-    record_row(state.k, stat[-1] if stat else np.nan, E_curr, np.nan)
+    record_row(state.k, stat[-1] if stat else np.nan)
+    rows.flush()
+    cols["lyapunov"] = [np.nan] + rows.energies
+    cols["xz_gap"] = rows.gaps + [np.nan]
 
     columns = {name: np.asarray(vals, dtype=float if name != "k" else int)
                for name, vals in cols.items()}
-    return Trace(config.algorithm, columns, status, converged_at, oscillating,
-                 monitors, state, inner)
+    return Trace(config.algorithm, columns, status, converged_at, rows.oscillating,
+                 rows.monitors, state, inner)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import mealopt as m
 from mealopt import envelope
 from mealopt.envelope import (
     _VARIANTS,
+    LYAPUNOV_COEFFICIENTS,
     EnvelopeContext,
+    _rowdot,
     alpha_cap,
     alpha_from_beta,
     beta_for_target_alpha,
@@ -29,6 +32,7 @@ from mealopt.errors import (
 )
 from mealopt.oracle import active_set_qp_oracle, finite_diff_check
 from tests.conftest import make_box_qp, make_convex_qp
+from tests.test_golden_traces import platform_record
 
 
 def zero_problem(n=2):
@@ -812,3 +816,89 @@ class TestLyapunov:
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             lyapunov(self.ctx, "meal-s1", self.state, prev=None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 20, 33, 800])
+def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
+    """`_rowdot` and np.add.reduce(..., axis=-1) on a block of rows, and on
+    its row-slice views, give each row's 1-D a @ b and np.add.reduce bit for
+    bit, and a stacked product with A gives each row's A @ x. `run` forms its
+    energies and row norms a block at a time on this; a numpy or BLAS whose
+    kernels break it fails here, not as a logic bug in the golden traces."""
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((65, n)) * rng.uniform(1e-3, 1e3, size=(65, 1))
+    Y = rng.standard_normal((65, n))
+    A = rng.standard_normal((min(n, 7), n))
+    where = f"n={n} on {platform_record()}"
+    for a, b in ((X, Y), (X[1:], X[:-1]), (X[:-1], Y[1:]), (X[1:], X[1:])):
+        dots, sums = _rowdot(a, b), np.add.reduce(a * b, axis=-1)
+        products = np.matmul(A, a[..., None])[..., 0]
+        for i in range(len(a)):
+            assert dots[i] == a[i] @ b[i], f"_rowdot differs from a @ b, {where}"
+            assert sums[i] == np.add.reduce(a[i] * b[i]), \
+                f"the row-wise np.add.reduce differs from the 1-D one, {where}"
+            assert np.array_equal(products[i], A @ a[i]), \
+                f"the stacked product differs from A @ x, {where}"
+    assert _rowdot(X[0], Y[0]) == X[0] @ Y[0], f"1-D _rowdot differs, {where}"
+
+
+@st.composite
+def _state_blocks(draw):
+    """A composite box QP, a penalty plan and a block of 1 to 9 state pairs
+    (prev row i, new row i; x, z, lam and residual stacked one state per
+    row) with the new states' residuals; some x leave the box, where the
+    objective is inf."""
+    n = draw(st.integers(1, 8))
+    mcon = draw(st.integers(1, n))
+    rows = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    prob = make_box_qp(int(rng.integers(2 ** 31)), n=n, mcon=mcon)
+    plan = m.PenaltyPlan.fixed(draw(st.sampled_from((1.0, 10.0, 50.0))),
+                               draw(st.sampled_from((0.05, 0.25))),
+                               draw(st.sampled_from((0.5, 1.0, 1.5))))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    X, Z = (rng.uniform(-0.2, 1.2, size=(rows + 1, n)) for _ in range(2))
+    Lam = scale * rng.standard_normal((rows + 1, mcon))
+    A, b = prob.constraint.A, prob.constraint.b
+    resid = np.array([A @ x - b for x in X[1:]])
+    prev = SimpleNamespace(x=X[:-1], z=Z[:-1], lam=Lam[:-1], residual=None)
+    new = SimpleNamespace(x=X[1:], z=Z[1:], lam=Lam[1:], residual=resid)
+    return prob, plan, prev, new
+
+
+@settings(max_examples=60)
+@given(case=_state_blocks(), carried=st.booleans(), with_f=st.booleans())
+def test_block_energies_equal_the_per_state_energies(case, carried, with_f):
+    """Every energy of a block of states is the array of its per-state values,
+    bit for bit: the six Lyapunov variants, potential_P and the augmented
+    Lagrangian, with the residual carried or formed again and with the
+    objective given or evaluated."""
+    prob, plan, prev, new = case
+    try:
+        ctx = EnvelopeContext(prob, plan)
+    except m.MealoptError:
+        return
+    if not carried:
+        new = SimpleNamespace(x=new.x, z=new.z, lam=new.lam, residual=None)
+    f_rows = np.array([prob.objective_value(x) for x in new.x]) if with_f else None
+    one = [m.IterateState(new.x[i], new.z[i], new.lam[i], i + 1,
+                          residual=None if new.residual is None else new.residual[i])
+           for i in range(len(new.x))]
+    before = [m.IterateState(prev.x[i], prev.z[i], prev.lam[i], i)
+              for i in range(len(prev.x))]
+
+    def f(i):
+        return None if f_rows is None else f_rows[i]
+
+    energies = {
+        "augmented_lagrangian": (
+            lambda st, pv, fr: m.augmented_lagrangian(ctx, st, fr)),
+        "potential_P": lambda st, pv, fr: potential_P(ctx, st, fr),
+    }
+    for variant in LYAPUNOV_COEFFICIENTS:
+        energies[variant] = lambda st, pv, fr, v=variant: lyapunov(ctx, v, st, pv, fr)
+    for name, energy in energies.items():
+        block = energy(new, prev, f_rows)
+        per_state = [energy(one[i], before[i], f(i)) for i in range(len(one))]
+        assert block.shape == (len(one),)
+        assert np.array_equal(block, per_state), name

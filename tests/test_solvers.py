@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -1029,7 +1031,8 @@ def _wrapper_free_cases():
 def test_the_step_loop_calls_no_numpy_python_wrapper(step, prob, cfg, init, monkeypatch):
     """After a run's first step, which prepares the run's constants, no call
     lands in numpy's fromnumeric.py, the Python wrappers of np.sum, np.clip,
-    np.all and the like: the steps, energies, monitors and row bookkeeping
+    np.all and the like, or in its _methods.py, those of ndarray.all(),
+    .sum() and the like: the steps, energies, monitors and row bookkeeping
     call numpy's kernels. The call events are counted, not timed."""
     import os
     import sys
@@ -1050,7 +1053,8 @@ def test_the_step_loop_calls_no_numpy_python_wrapper(step, prob, cfg, init, monk
     def profile(frame, event, arg):
         if event == "call" and stepped:
             later.append(1)
-            if os.path.basename(frame.f_code.co_filename) == "fromnumeric.py":
+            if os.path.basename(frame.f_code.co_filename) in ("fromnumeric.py",
+                                                              "_methods.py"):
                 landed.append(frame.f_code.co_name)
 
     sys.setprofile(profile)
@@ -1124,3 +1128,126 @@ def test_a_non_finite_gradient_ends_the_run_non_finite(algorithm, case):
         np.testing.assert_array_equal(got, want)
     with pytest.raises(NonFiniteValue):
         step(ctx, state, cfg)
+
+
+def _scored_one_state_at_a_time(prob, cfg, init, f_column):
+    """The lyapunov and xz_gap columns, the oscillation flag and the monitor
+    entries of chained step calls, each value formed from its own states
+    one step at a time, with the objective of each state as the run's
+    `f_column` holds it. The chain stops at max_iters steps or at the first
+    step that raises NonFiniteValue."""
+    ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+    algo = ALGORITHMS[cfg.algorithm]
+    states, raws = [m.IterateState(*init)], []
+    for _ in range(cfg.stop.max_iters):
+        try:
+            new, report = algo.step(ctx, states[-1], cfg)
+        except NonFiniteValue:
+            break
+        states.append(new)
+        raws.append(report.stationarity_norm)
+    energies = [np.nan] + [float(algo.energy(ctx, prev, new, f_column[k + 1]))
+                           for k, (prev, new) in enumerate(zip(states, states[1:]))]
+    gaps = [math.sqrt((new.x - prev.z) @ (new.x - prev.z))
+            for prev, new in zip(states, states[1:])] + [np.nan]
+
+    gamma, eta = ctx.plan.gamma, ctx.plan.eta
+    L_f = prob.implicit_lipschitz_constant() if cfg.monitors.dual_by_primal else None
+    streak, oscillating = 0, False
+    monitors = {"one_step_progress": [], "dual_by_primal": []}
+    for k in range(1, len(states) - 1):
+        before, prev, new = states[k - 1], states[k], states[k + 1]
+        back2, back1 = new.lam - before.lam, new.lam - prev.lam
+        d2, d1 = math.sqrt(back2 @ back2), math.sqrt(back1 @ back1)
+        streak = streak + 1 if (d2 <= 1e-6 and d1 >= 1e-3) else 0
+        oscillating = oscillating or streak >= 20
+        if cfg.monitors.one_step_progress:
+            lhs = energies[k] - energies[k + 1]
+            rhs = (gamma * eta * (2.0 - eta) / 4.0) * raws[k] ** 2
+            monitors["one_step_progress"].append((k, lhs, rhs, lhs >= rhs - 1e-9))
+        if cfg.monitors.dual_by_primal:
+            dlam, dx, dz = new.lam - prev.lam, new.x - prev.x, prev.z - before.z
+            dl = float(np.add.reduce(dlam * dlam))
+            bound = (2.0 / ctx.c_gamma_A) * (
+                (gamma * L_f + 1.0) ** 2 * float(np.add.reduce(dx * dx))
+                + float(np.add.reduce(dz * dz)))
+            monitors["dual_by_primal"].append((k, dl, bound, dl <= bound + 1e-9))
+    return energies, gaps, oscillating, monitors
+
+
+def _block_boundary_cases():
+    from mealopt.experiments import EXP1_INIT, exp1_configs, exp2_configs
+
+    stop = m.StopRule(max_iters=1, stat_tol=1e-300, feas_tol=1e-300)
+    exp1, exp2 = m.build_exp1(), m.build_exp2(42, 5, 20)
+    paper = dict(exp2_configs(exp2, stop))
+    zeros = (np.zeros(exp2.n), np.zeros(exp2.n), np.zeros(exp2.m))
+    monitored = m.SolverConfig(
+        "meal", m.PenaltyPlan.fixed(50.0, 0.2, 1.0), stop=stop,
+        monitors=m.MonitorFlags(one_step_progress=True, dual_by_primal=True))
+    return [
+        pytest.param(exp1, monitored, EXP1_INIT, id="meal-monitored"),
+        pytest.param(exp1, dict(exp1_configs(stop))["alm_beta50"], EXP1_INIT,
+                     id="alm-oscillating"),
+        pytest.param(exp2, paper["limeal_beta50_eta1"], zeros, id="limeal"),
+        pytest.param(exp2, paper["ialm"], zeros, id="prox_ialm"),
+    ]
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("prob, cfg, init", _block_boundary_cases())
+def test_block_rows_equal_the_rows_of_one_step_at_a_time(prob, cfg, init, steps):
+    """Runs that end on either side of a block boundary (ROW_BLOCK = 64
+    steps) give the lyapunov and xz_gap columns, the oscillation flag and the
+    monitor entries of their states scored one step at a time, bit for bit."""
+    from dataclasses import replace
+
+    from mealopt.solvers import ROW_BLOCK
+
+    assert ROW_BLOCK == 64
+    cfg = replace(cfg, stop=replace(cfg.stop, max_iters=steps))
+    tr = m.run(prob, cfg, init=init)
+    assert tr.status == "MaxIters" and tr.n_rows == steps + 1
+    energies, gaps, oscillating, monitors = _scored_one_state_at_a_time(
+        prob, cfg, init, tr.column("objective"))
+    np.testing.assert_array_equal(tr.column("lyapunov"), energies)
+    np.testing.assert_array_equal(tr.column("xz_gap"), gaps)
+    assert tr.oscillating == oscillating
+    assert tr.monitors == monitors
+    if cfg.algorithm == "alm" and steps > 64:
+        assert tr.oscillating
+    if cfg.monitors.one_step_progress:
+        assert len(tr.monitors["one_step_progress"]) == steps - 1
+
+
+@pytest.mark.parametrize("turn", [1, 7000])
+def test_a_non_finite_run_keeps_the_rows_of_its_finite_states(turn):
+    """A monitored MEAL run whose gradient turns NaN at the `turn`-th call
+    ends NonFinite, at its first step (turn 1) or past a block boundary,
+    with the rows and monitor entries of the states before it as one step
+    at a time scores them."""
+    prob0 = make_convex_qp(5)
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        g = prob0.smooth.gradient(x)
+        return np.full_like(g, np.nan) if len(calls) >= turn else g
+
+    prob = m.Problem(prob0.constraint, m.Zero(),
+                     m.SmoothFunction(prob0.smooth.value, gradient, prob0.L_h))
+    cfg = m.SolverConfig(
+        "meal", m.PenaltyPlan.fixed(10.0, 0.2, 1.0),
+        stop=m.StopRule(max_iters=400, stat_tol=1e-300, feas_tol=1e-300),
+        monitors=m.MonitorFlags(one_step_progress=True, dual_by_primal=True))
+    init = (np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
+    tr = m.run(prob, cfg, init=init)
+    assert tr.status == "NonFinite"
+    assert tr.n_rows == 1 if turn == 1 else 65 < tr.n_rows < 400
+    calls.clear()
+    energies, gaps, oscillating, monitors = _scored_one_state_at_a_time(
+        prob, cfg, init, tr.column("objective"))
+    np.testing.assert_array_equal(tr.column("lyapunov"), energies)
+    np.testing.assert_array_equal(tr.column("xz_gap"), gaps)
+    assert tr.oscillating == oscillating
+    assert tr.monitors == monitors
