@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
@@ -172,25 +172,23 @@ class InnerProxGradient(SubproblemSpec):
     or g a QuadraticForm and no h), the subproblem minimizes x'Mx/2 + c'x
     with M = H + Q [H alone for a linearized step] and c = shift + r
     [shift], where grad S(x) = H x + shift [+ grad h(x)]. Then x = -M^{-1} c
-    by one solve on the cached Cholesky factor, the residual is s = M x + c,
-    and the step counts one inner iteration whatever the tolerance.
+    by one solve on M's Cholesky factor (the context's `_system` entry), the
+    residual is s = M x + c, and the step counts one inner iteration
+    whatever the tolerance.
 
     When h is quadratic and g is a box, S is a strongly convex quadratic
     over a box, grad S(x) = M x + c as above, and the loop is preceded by up
     to _FACE_STEPS face steps (a primal-dual active-set finish:
     Hintermueller, Ito and Kunisch 2002; Bertsekas 1982). A face step takes the bounds
     that y = prox_{t g}(x - t grad S(x)) sits on as active, solves M x = -c
-    on the free coordinates with the active ones fixed (the cached Cholesky
-    factor when all are free), clips, and returns once s = grad S(x) + the
-    nearest element of the box normal cone at x has ||s|| <= tol. When an
-    active set repeats, or after _FACE_STEPS steps, the accelerated loop
-    goes on from the clipped point. Each face step makes one prox call and
-    counts as one inner iteration, so max_inner bounds the total. The
-    context keeps the blocks of the last face solved on (the free mask, the
-    clamped point, M_FF and M_FC x_C), one entry for the exact and one for
-    the linearized M: O(n^2) memory a context, whatever the number of faces.
-    A face step on the same face reuses them, and `np.linalg.solve` on the
-    same block gives the same bits.
+    on the free coordinates with the active ones fixed (M's Cholesky factor
+    when all are free), clips, and returns once s = grad S(x) + the nearest
+    element of the box normal cone at x has ||s|| <= tol. When an active set
+    repeats, or after _FACE_STEPS steps, the accelerated loop goes on from
+    the clipped point. Each face step makes one prox call and counts as one
+    inner iteration, so max_inner bounds the total. M's entry keeps the
+    blocks of the last face solved on, and a face step on the same face
+    reuses them: `np.linalg.solve` on the same block gives the same bits.
     """
 
     tol: float = 1e-10
@@ -218,9 +216,9 @@ class InnerProxGradient(SubproblemSpec):
         include_Q = exact_h or not p.composite      # exact_h when g is a box
         c = shift + quad[1] if quad is not None and include_Q else shift
         if quad is not None and (not p.composite or isinstance(g, Zero)):
-            _, matvec, solve = ctx._system(include_Q)
-            x = solve(-c)
-            s_vec = matvec(x) + c
+            system = ctx._system(include_Q)
+            x = system.solve(-c)
+            s_vec = system.matvec(x) + c
             return SubproblemResult(x, s_vec, math.sqrt(s_vec @ s_vec), 1)
 
         stop_tol = self.tol if tol is None else tol
@@ -280,8 +278,8 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
     InnerProxGradient): (x, s, ||s||, steps taken). Stops once ||s|| <= tol
     or when an active set repeats."""
     g, (lo, hi) = ctx.problem.prox_part, ctx.bounds
-    M, matvec, solve = ctx._system(exact)
-    grad = matvec(x) + c
+    system = ctx._system(exact)
+    grad = system.matvec(x) + c
     seen = set()
     for k in range(1, steps + 1):
         y = g.prox(t, x - t * grad)
@@ -290,17 +288,17 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
         if key in seen:
             break
         seen.add(key)
-        face = ctx._last_face.get(exact)
+        face = system.face
         if face is None or face[0] != key:
-            face = ctx._last_face[exact] = _face_blocks(M, key, at_lo, at_hi, lo, hi)
+            face = system.face = _face_blocks(system.M, key, at_lo, at_hi, lo, hi)
         _, free, x_clamped, M_FF, M_FC_x = face
         if M_FF is None:
-            x = solve(-c)
+            x = system.solve(-c)
         else:
             x = x_clamped.copy()
             x[free] = np.linalg.solve(M_FF, -(c[free] + M_FC_x))
         x = np.minimum(np.maximum(x, lo), hi)
-        grad = matvec(x) + c
+        grad = system.matvec(x) + c
         s = np.where(x <= lo, np.minimum(grad, 0.0),
                      np.where(x >= hi, np.maximum(grad, 0.0), grad))
         s_norm = math.sqrt(s @ s)
@@ -310,7 +308,7 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
 
 
 def _face_blocks(M, key, at_lo, at_hi, lo, hi):
-    """The `_last_face` entry of a face: (key, free mask, the point holding
+    """The `_System.face` entry of a face: (key, free mask, the point holding
     the clamped values, M_FF, M_FC x_C); the last three are None on the
     all-free face, which is solved on M's Cholesky factor."""
     free = ~(at_lo | at_hi)
@@ -464,6 +462,18 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 
 
 @dataclass
+class _System:
+    """A context's subproblem matrix M: its product, the solve on its
+    Cholesky factor, and the blocks of the last face `_face_steps` solved on
+    (`_face_blocks`, None before the first)."""
+
+    M: np.ndarray
+    matvec: Callable[[np.ndarray], np.ndarray]
+    solve: Callable[[np.ndarray], np.ndarray]
+    face: Optional[tuple] = None
+
+
+@dataclass
 class EnvelopeContext:
     """Problem + penalty plan + subproblem spec: the one place that knows
     the subproblem's linear algebra.
@@ -471,13 +481,13 @@ class EnvelopeContext:
     Fixed at construction: `A_norm2` and `sigma_min_pos` from the
     constraint's `gram_spectrum` (one eigendecomposition of the smaller of
     AA' and A'A, kept by the constraint); `c_gamma_A` and `beta`, the plan's
-    `c_gamma_A` and `beta_for`; and `alpha = alpha_from_beta(beta, ...)`.
+    `c_gamma_A` and `beta_for`; `alpha = alpha_from_beta(beta, ...)`; and
+    `beta_Atb` = beta A'b, the constant term of the subproblem's gradient.
     The subproblem spec is checked against the problem. The energies and
     every step read beta, alpha and gamma from here.
 
     The run constants that steps read are kept here, so that a step
-    derives none of them: `Atb` = A'b, formed at construction, and, formed
-    on first use, `beta_Atb` = beta A'b and `bounds`, the problem's
+    derives none of them. Formed on first use: `bounds`, the problem's
     `box_bounds()` (for a Zero prox part, two infinite vectors that it
     builds anew at every call). ALM's first step keeps `_alm` on the
     context: its prepared box faces, h's linear term r and the minimizers of
@@ -496,14 +506,13 @@ class EnvelopeContext:
     every m, m >= n included. `H_solve` is Paper72FastPath's solve, and
     `H_matvec` makes every product with H alone.
 
-    The dense n x n matrices `AtA` and `H` and the `_systems` are formed on
-    first use, only by InnerProxGradient's solves with M = H + Q or with H.
-    Its face steps keep the blocks of the last face they solved on in
-    `_last_face`, one entry per M: at most two n x n blocks a context.
-    Those solves certify the residual M x + c, so they solve on M's Cholesky
-    factor, which is backward stable; the residual of the rank-m solve grows
-    with cond(H), and can miss a tolerance near round-off that the factor
-    meets.
+    InnerProxGradient's solves with M = H + Q (an exact step) or M = H (a
+    linearized one) read `_system(exact)`, one entry per flag formed on
+    first use: M, its product, the solve on its Cholesky factor and the
+    blocks of the last face solved on. Those solves certify the residual
+    M x + c, and M's Cholesky factor is backward stable; the residual of the
+    rank-m solve grows with cond(H), and can miss a tolerance near round-off
+    that the factor meets.
     """
 
     problem: Problem
@@ -512,12 +521,13 @@ class EnvelopeContext:
 
     def __post_init__(self):
         constraint, plan = self.problem.constraint, self.plan
-        self.Atb = constraint.A.T @ constraint.b
+        self._systems = {}
         self.A_norm2, self.sigma_min_pos = constraint.gram_spectrum
         self.c_gamma_A = plan.c_gamma_A(constraint)
         self.beta = plan.beta_for(constraint)
         self.alpha = alpha_from_beta(self.beta, plan.gamma, plan.eta, self.c_gamma_A)
         self.subproblem.check(self.problem)
+        self.beta_Atb = self.beta * (constraint.A.T @ constraint.b)
 
     # -- run constants, read by every step -------------------------------
 
@@ -525,11 +535,6 @@ class EnvelopeContext:
     def bounds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """The problem's `box_bounds()`: (lower, upper), infinite for Zero."""
         return self.problem.box_bounds()
-
-    @cached_property
-    def beta_Atb(self) -> np.ndarray:
-        """beta A'b, the constant term of the subproblem's gradient."""
-        return self.beta * self.Atb
 
     # -- the rank-m products and solves with H ---------------------------
 
@@ -553,39 +558,22 @@ class EnvelopeContext:
                      check_finite=False)
         return math.sqrt(bg) * solve_triangular(L, A, lower=True, check_finite=False)
 
-    # -- dense matrices, for the paths that need one ---------------------
+    # -- the dense subproblem matrix, for the paths that need one --------
 
-    @cached_property
-    def AtA(self) -> np.ndarray:
-        A = self.problem.constraint.A
-        return A.T @ A
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """beta A'A + I/gamma, the subproblem's Hessian apart from f."""
-        return self.beta * self.AtA + np.eye(self.problem.n) / self.plan.gamma
-
-    @cached_property
-    def _systems(self) -> dict:
-        """include_Q -> the `_system` entry, filled on first use."""
-        return {}
-
-    @cached_property
-    def _last_face(self) -> dict:
-        """include_Q -> the blocks of the last face `_face_steps` solved on
-        (`_face_blocks`): one entry per flag, O(n^2) memory each."""
-        return {}
-
-    def _system(self, include_Q: bool):
-        """(M, product with M, solve with M) for M = H + Q, or H alone; formed
+    def _system(self, exact: bool) -> _System:
+        """The entry of M = beta A'A + I/gamma, + Q for an exact step; formed
         on the first call and kept. The solve is on M's Cholesky factor; the
-        product with H alone is `H_matvec`."""
-        if include_Q not in self._systems:
-            M = self.H + self.problem.quadratic_terms()[0] if include_Q else self.H
-            solve = partial(cho_solve, cho_factor(M), check_finite=False)
-            self._systems[include_Q] = (
-                M, M.__matmul__ if include_Q else self.H_matvec, solve)
-        return self._systems[include_Q]
+        product with M for a linearized step is `H_matvec`."""
+        entry = self._systems.get(exact)
+        if entry is None:
+            A = self.problem.constraint.A
+            M = self.beta * (A.T @ A) + np.eye(self.problem.n) / self.plan.gamma
+            if exact:
+                M = M + self.problem.quadratic_terms()[0]
+            entry = self._systems[exact] = _System(
+                M, M.__matmul__ if exact else self.H_matvec,
+                partial(cho_solve, cho_factor(M), check_finite=False))
+        return entry
 
 
 # ---------------------------------------------------------------------------

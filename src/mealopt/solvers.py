@@ -93,19 +93,27 @@ class IterateState:
         object.__setattr__(self, "x", _vec(self.x))
         object.__setattr__(self, "z", _vec(self.z))
         object.__setattr__(self, "lam", _vec(self.lam))
-        for v in (self.x, self.z, self.lam):
-            if not np.isfinite(v).all():
-                raise NonFiniteValue("iterate state must be finite")
+        self._check_finite()
 
     @classmethod
     def _of_step(cls, x, z, lam, k, grad_h, residual) -> IterateState:
         """The state a step made from its float vectors: no conversion, and
         the same finiteness check as the public constructor."""
-        if not np.logical_and.reduce(np.isfinite(np.concatenate((x, z, lam)))):
-            raise NonFiniteValue("iterate state must be finite")
         state = object.__new__(cls)
         state.__dict__.update(x=x, z=z, lam=lam, k=k, grad_h=grad_h, residual=residual)
+        state._check_finite()
         return state
+
+    def _check_finite(self) -> None:
+        """NonFiniteValue unless x, z, lam and the carried grad_h and
+        residual are finite: the next step and the row's objective read them."""
+        vectors = (self.x, self.z, self.lam)
+        if self.grad_h is not None:
+            vectors += (self.grad_h,)
+        if self.residual is not None:
+            vectors += (self.residual,)
+        if not np.logical_and.reduce(np.isfinite(np.concatenate(vectors))):
+            raise NonFiniteValue("iterate state must be finite")
 
 
 @dataclass
@@ -576,8 +584,9 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     Converged (converged_at = k) when the stationarity column and row k's
     feasibility are both below their tolerances. With none of them the run
     ends at max_iters (or the horizon K) as MaxIters. A step that meets a
-    non-finite iterate or prox input (NonFiniteValue) ends the run as
-    NonFinite, with the last finite state as the terminal state. A terminal
+    non-finite iterate, carried gradient or residual, or prox input
+    (NonFiniteValue) ends the run as NonFinite, with the last finite state
+    as the terminal state. A terminal
     row holds the final state, so the trace has a row for every state.
 
     Each step's objective and multiplier norm are computed once, at the

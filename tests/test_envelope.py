@@ -204,9 +204,12 @@ class TestSolveSubproblem:
     def test_subproblem_matrix_formed_on_first_use(self, monkeypatch):
         prob = make_box_qp(1)
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(5.0, 0.1, 1.0))
-        assert "H" not in vars(ctx)
+        assert ctx._systems == {}
         solve_subproblem(ctx, np.zeros(prob.n), np.zeros(prob.m))
-        np.testing.assert_array_equal(ctx.H, 5.0 * ctx.AtA + np.eye(prob.n) / 0.1)
+        assert list(ctx._systems) == [True]
+        A, Q = prob.constraint.A, prob.smooth.quadratic_terms()[0]
+        want = 5.0 * (A.T @ A) + np.eye(prob.n) / 0.1 + Q
+        assert ctx._system(True).M.tobytes() == want.tobytes()
 
         # the fast path and Prox-iALM form no n x n matrix
         from mealopt import solvers
@@ -222,7 +225,7 @@ class TestSolveSubproblem:
         assert [type(ctx.subproblem) for ctx in made] == [m.Paper72FastPath,
                                                           m.InnerProxGradient]
         for ctx in made:
-            assert not {"AtA", "H", "_systems"} & set(vars(ctx))
+            assert ctx._systems == {}
 
 
 @st.composite
@@ -375,10 +378,11 @@ class TestAcceleratedInnerLoop:
         assert res.inner_iterations == plain_iters
         np.testing.assert_allclose(res.x, x_ref, rtol=0, atol=1e-12)
 
-    def test_nan_gradient_raises_at_the_prox(self):
+    def test_nan_gradient_raises_at_the_state_check(self):
         """h's gradient turns NaN at its fourth call, at the third step's x.
-        The fourth step's prox input is NaN, so the prox raises; `run` ends
-        NonFinite with the third step's state as its terminal state."""
+        The third step's state would carry it, so its state check raises;
+        `run` ends NonFinite with the second step's state, whose carried
+        gradient is finite, as its terminal state."""
         base = m.build_exp1()
         calls = []
 
@@ -392,22 +396,23 @@ class TestAcceleratedInnerLoop:
         init = (np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(1))
         tr = m.run(prob, cfg, init=init)
         assert tr.status == "NonFinite" and tr.converged_at is None
-        assert tr.terminal.k == 3 and len(calls) == 4
-        assert list(tr.column("k")) == [0, 1, 2, 3]
-        assert len(tr.inner_iterations) == 3
+        assert tr.terminal.k == 2 and len(calls) == 4
+        assert list(tr.column("k")) == [0, 1, 2]
+        assert len(tr.inner_iterations) == 2
+        assert np.isfinite(tr.terminal.grad_h).all()
 
-        # the same steps called directly: the third one's state is the
-        # terminal state, and the fourth raises at the prox
+        # the same steps called directly: the second one's state is the
+        # terminal state, and the third raises at its state check
         calls.clear()
         ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
         state = m.IterateState(*init)
-        for _ in range(3):
+        for _ in range(2):
             state, _ = m.limeal_step(ctx, state)
         for got, want in ((tr.terminal.x, state.x), (tr.terminal.z, state.z),
                           (tr.terminal.lam, state.lam)):
             assert np.isfinite(got).all()
             np.testing.assert_array_equal(got, want)
-        with pytest.raises(NonFiniteValue, match="prox input must be finite"):
+        with pytest.raises(NonFiniteValue, match="iterate state must be finite"):
             m.limeal_step(ctx, state)
         assert issubclass(NonFiniteValue, ValueError)
 
@@ -536,6 +541,23 @@ class TestFaceSolve:
             for name in ("x", "z", "lam"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(states[k + 1], name))
+
+    def test_one_context_keeps_one_entry_per_flag(self):
+        # meal_step and limeal_step in turn on one context: an entry for the
+        # exact and one for the linearized M, and each step bitwise the step
+        # on a fresh context
+        prob, cfg = self._boxqp4_config("meal")
+        ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+        state = m.IterateState(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
+        for k in range(20):
+            step = m.meal_step if k % 2 == 0 else m.limeal_step
+            got = step(ctx, state)[0]
+            want = step(EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem()), state)[0]
+            for name in ("x", "z", "lam", "residual"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            state = got
+        assert sorted(ctx._systems) == [False, True]
+        assert ctx._system(False).M.tobytes() != ctx._system(True).M.tobytes()
 
 
 @st.composite

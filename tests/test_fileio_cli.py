@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mealopt as m
-from mealopt import fileio
+from mealopt import cli, fileio
 from mealopt.cli import main
 from mealopt.errors import SchemaError
 from mealopt.fileio import (
@@ -275,7 +275,7 @@ class TestCLI:
     def test_solve_non_finite_exits_3_trace_still_written(self, tmp_path, capsys,
                                                           monkeypatch):
         # h's gradient turns NaN at its fourth call, at the third step's x;
-        # the fourth step's prox input is NaN and the run ends NonFinite
+        # the third step's state would carry it and the run ends NonFinite
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
         calls, real = [], m.QuadraticForm.gradient
 
@@ -285,13 +285,16 @@ class TestCLI:
             return np.full_like(g, np.nan) if len(calls) > 3 else g
 
         monkeypatch.setattr(m.QuadraticForm, "gradient", gradient)
+        traces, real_run = [], cli.run
+        monkeypatch.setattr(cli, "run", lambda *a: traces.append(real_run(*a)) or traces[-1])
         code = main(["solve", "--input", str(tmp_path / "qp.json"),
                      "--algorithm", "limeal", "--beta", "20", "--gamma", "0.05",
                      "--output-dir", str(tmp_path)])
         assert code == 3
-        assert capsys.readouterr().out.startswith("limeal: NonFinite after 3 steps, ")
+        assert capsys.readouterr().out.startswith("limeal: NonFinite after 2 steps, ")
         cols = load_trace_columns(tmp_path / "limeal_trace.csv")
-        assert list(cols["k"]) == [0, 1, 2, 3]
+        assert list(cols["k"]) == [0, 1, 2]
+        assert np.isfinite(traces[0].terminal.grad_h).all()
 
     def test_schema_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

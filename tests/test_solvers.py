@@ -1130,6 +1130,35 @@ def test_a_non_finite_gradient_ends_the_run_non_finite(algorithm, case):
         step(ctx, state, cfg)
 
 
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+@pytest.mark.parametrize("label", ("ialm", "prox_ialm_eta0.5", "limeal_beta50_eta1"))
+def test_a_carried_non_finite_gradient_ends_the_run_non_finite(label, bad, monkeypatch):
+    """On a quadratic h, whose row objective `run` forms from the state's
+    carried gradient, a gradient that turns non-finite at its sixth call ends
+    the run NonFinite, not DivergenceDetected: the state that would carry it
+    fails its check, so the last row's objective and the terminal state's
+    gradient are finite, and no RuntimeWarning is raised on the way."""
+    import warnings
+
+    from mealopt.experiments import exp2_configs
+
+    prob = m.build_exp2(42, 5, 20)
+    calls, real = [], prob.smooth.gradient
+
+    def gradient(x):
+        calls.append(1)
+        g = real(x)
+        return np.full_like(g, bad) if len(calls) >= 6 else g
+
+    monkeypatch.setattr(prob.smooth, "gradient", gradient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = m.run(prob, dict(exp2_configs(prob))[label])
+    assert tr.status == "NonFinite" and tr.terminal.k == 4
+    assert math.isfinite(tr.column("objective")[-1])
+    assert np.isfinite(tr.terminal.grad_h).all()
+
+
 def _scored_one_state_at_a_time(prob, cfg, init, f_column):
     """The lyapunov and xz_gap columns, the oscillation flag and the monitor
     entries of chained step calls, each value formed from its own states
