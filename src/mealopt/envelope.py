@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_factor, cholesky, get_lapack_funcs, solve_triangular
 
 from .errors import (
     GammaTooLarge,
@@ -172,9 +172,9 @@ class InnerProxGradient(SubproblemSpec):
     or g a QuadraticForm and no h), the subproblem minimizes x'Mx/2 + c'x
     with M = H + Q [H alone for a linearized step] and c = shift + r
     [shift], where grad S(x) = H x + shift [+ grad h(x)]. Then x = -M^{-1} c
-    by one solve on M's Cholesky factor (the context's `_system` entry), the
-    residual is s = M x + c, and the step counts one inner iteration
-    whatever the tolerance.
+    by one `potrs` solve on M's Cholesky factor (the context's `_system`
+    entry), the residual is s = M x + c, and the step counts one inner
+    iteration whatever the tolerance.
 
     When h is quadratic and g is a box, S is a strongly convex quadratic
     over a box, grad S(x) = M x + c as above, and the loop is preceded by up
@@ -463,14 +463,25 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 
 @dataclass
 class _System:
-    """A context's subproblem matrix M: its product, the solve on its
-    Cholesky factor, and the blocks of the last face `_face_steps` solved on
+    """A context's subproblem matrix M: its product, its Cholesky factor
+    (`cho_factor(M)`'s factor and `lower` flag) with the LAPACK `potrs` that
+    solves on it, and the blocks of the last face `_face_steps` solved on
     (`_face_blocks`, None before the first)."""
 
     M: np.ndarray
     matvec: Callable[[np.ndarray], np.ndarray]
-    solve: Callable[[np.ndarray], np.ndarray]
+    factor: np.ndarray
+    lower: bool
+    potrs: Callable
     face: Optional[tuple] = None
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """M^{-1} v by `potrs` on the kept factor: the LAPACK call that
+        scipy's Cholesky solve makes, with the same inputs, so the same bits."""
+        x, info = self.potrs(self.factor, v, lower=self.lower)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
 
 
 @dataclass
@@ -508,11 +519,12 @@ class EnvelopeContext:
 
     InnerProxGradient's solves with M = H + Q (an exact step) or M = H (a
     linearized one) read `_system(exact)`, one entry per flag formed on
-    first use: M, its product, the solve on its Cholesky factor and the
-    blocks of the last face solved on. Those solves certify the residual
-    M x + c, and M's Cholesky factor is backward stable; the residual of the
-    rank-m solve grows with cond(H), and can miss a tolerance near round-off
-    that the factor meets.
+    first use: M, its product, its Cholesky factor with LAPACK's `potrs`
+    (a solve is one `potrs` call on the kept factor, the bits of scipy's
+    Cholesky solve without its Python wrapper) and the blocks of the last face solved on.
+    Those solves certify the residual M x + c, and M's Cholesky factor is
+    backward stable; the residual of the rank-m solve grows with cond(H),
+    and can miss a tolerance near round-off that the factor meets.
     """
 
     problem: Problem
@@ -562,17 +574,19 @@ class EnvelopeContext:
 
     def _system(self, exact: bool) -> _System:
         """The entry of M = beta A'A + I/gamma, + Q for an exact step; formed
-        on the first call and kept. The solve is on M's Cholesky factor; the
-        product with M for a linearized step is `H_matvec`."""
+        on the first call and kept. The solve is `potrs` on M's Cholesky
+        factor, selected once here; the product with M for a linearized step
+        is `H_matvec`."""
         entry = self._systems.get(exact)
         if entry is None:
             A = self.problem.constraint.A
             M = self.beta * (A.T @ A) + np.eye(self.problem.n) / self.plan.gamma
             if exact:
                 M = M + self.problem.quadratic_terms()[0]
+            factor, lower = cho_factor(M)
+            potrs, = get_lapack_funcs(("potrs",), (factor,))
             entry = self._systems[exact] = _System(
-                M, M.__matmul__ if exact else self.H_matvec,
-                partial(cho_solve, cho_factor(M), check_finite=False))
+                M, M.__matmul__ if exact else self.H_matvec, factor, lower, potrs)
         return entry
 
 

@@ -29,26 +29,30 @@ def _report(num, ok, detail=""):
 # ---------------------------------------------------------------------------
 
 
-def _monitored_meal(problem, gamma, eta, init=None, iters=200):
+def monitored_config(problem, gamma, eta):
     """MEAL with beta from the cap calculus and both monitors enabled."""
     probe = m.PenaltyPlan.fixed(1.0, gamma=gamma, eta=eta)
     cap = alpha_cap(problem, probe, "meal-a")
     c = EnvelopeContext(problem, probe).c_gamma_A
     beta = beta_for_target_alpha(cap, gamma, eta, c)
     plan = m.PenaltyPlan.fixed(beta, gamma=gamma, eta=eta)
-    cfg = m.SolverConfig(
+    return m.SolverConfig(
         "meal", plan,
         subproblem=m.InnerProxGradient(tol=1e-11, max_inner=300000),
         monitors=m.MonitorFlags(one_step_progress=True, dual_by_primal=True),
-        stop=m.StopRule(max_iters=iters, stat_tol=1e-13, feas_tol=1e-13))
-    return m.run(problem, cfg, init=init)
+        stop=m.StopRule(max_iters=200, stat_tol=1e-13, feas_tol=1e-13))
+
+
+MONITORED_QPS = ((1, 0.5), (2, 1.0), (3, 1.5))   # make_convex_qp seed, eta
 
 
 @pytest.fixture(scope="module")
 def monitored_runs():
-    runs = [("exp1", _monitored_meal(m.build_exp1(), 0.25, 1.0, init=EXP1_INIT))]
-    for seed, eta in ((1, 0.5), (2, 1.0), (3, 1.5)):
-        runs.append((f"qp{seed}", _monitored_meal(make_convex_qp(seed), 0.5, eta)))
+    exp1 = m.build_exp1()
+    runs = [("exp1", m.run(exp1, monitored_config(exp1, 0.25, 1.0), init=EXP1_INIT))]
+    for seed, eta in MONITORED_QPS:
+        problem = make_convex_qp(seed)
+        runs.append((f"qp{seed}", m.run(problem, monitored_config(problem, 0.5, eta))))
     return runs
 
 
@@ -163,19 +167,31 @@ def test_criterion_6_moreau_machinery():
                    f"{worst_step:.2e} over 100 pts x {len(scalar_kinds())} kinds")
 
 
+def criterion_7_config(seed):
+    """Box-QP `seed` of criterion 7 and its config: MEAL on even seeds,
+    LiMEAL on odd ones."""
+    problem = make_box_qp(seed)
+    gamma = 0.5 / max(problem.rho_total, 1.0)
+    algo = "meal" if seed % 2 == 0 else "limeal"
+    return problem, m.SolverConfig(
+        algo, m.PenaltyPlan.fixed(50.0, gamma=gamma, eta=1.0),
+        subproblem=m.InnerProxGradient(tol=1e-9, max_inner=200000),
+        stop=m.StopRule(max_iters=4000, stat_tol=1e-8, feas_tol=1e-8))
+
+
+# each run's total inner iterations (face steps plus accelerated-loop
+# iterations): a change to the face-step certificate moves only these
+CRITERION_7_INNER = [74, 103, 38, 33, 2734, 118, 179, 30, 42, 129]
+
+
 def test_criterion_7_oracle_equivalence():
     worst_dist, worst_kkt = 0.0, 0.0
-    statuses = []
+    statuses, inner = [], []
     for seed in range(10):
-        problem = make_box_qp(seed)
-        gamma = 0.5 / max(problem.rho_total, 1.0)
-        algo = "meal" if seed % 2 == 0 else "limeal"
-        cfg = m.SolverConfig(
-            algo, m.PenaltyPlan.fixed(50.0, gamma=gamma, eta=1.0),
-            subproblem=m.InnerProxGradient(tol=1e-9, max_inner=200000),
-            stop=m.StopRule(max_iters=4000, stat_tol=1e-8, feas_tol=1e-8))
+        problem, cfg = criterion_7_config(seed)
         tr = m.run(problem, cfg)
         statuses.append(tr.status)
+        inner.append(sum(tr.inner_iterations))
         pts, _, _ = m.active_set_qp_oracle(
             problem.smooth.Q, problem.smooth.r, problem.constraint.A,
             problem.constraint.b, problem.prox_part.lower, problem.prox_part.upper)
@@ -184,9 +200,10 @@ def test_criterion_7_oracle_equivalence():
         worst_dist = max(worst_dist, dist)
         worst_kkt = max(worst_kkt, rep.stationarity_residual)
     ok = (all(s == "Converged" for s in statuses)
-          and worst_dist <= 1e-5 and worst_kkt <= 1e-5)
+          and worst_dist <= 1e-5 and worst_kkt <= 1e-5
+          and inner == CRITERION_7_INNER)
     _report(7, ok, f"10 box-QPs: worst dist {worst_dist:.2e}, "
-                   f"worst KKT {worst_kkt:.2e}")
+                   f"worst KKT {worst_kkt:.2e}, inner iterations {inner}")
 
 
 def test_criterion_8_complexity_trend(monitored_runs):

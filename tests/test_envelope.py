@@ -840,6 +840,45 @@ class TestLyapunov:
             lyapunov(self.ctx, "meal-s1", self.state, prev=None)
 
 
+def _kernel_contexts():
+    from tests.test_acceptance import MONITORED_QPS, criterion_7_config, monitored_config
+
+    cases = [pytest.param(*criterion_7_config(seed), id=f"boxqp{seed}")
+             for seed in range(10)]
+    for seed, eta in MONITORED_QPS:
+        prob = make_convex_qp(seed)
+        cases.append(pytest.param(prob, monitored_config(prob, 0.5, eta), id=f"qp{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("prob, cfg", _kernel_contexts())
+def test_system_solve_gives_cho_solves_bits(prob, cfg):
+    """`_System.solve`, LAPACK's potrs on the kept factor, gives
+    scipy's `cho_solve(cho_factor(M), v)` bit for bit on both entries of the
+    criterion-7 box-QPs' and the monitored convex QPs' contexts. The face
+    steps' all-free face and the no-bound solve rest on it."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+    rng = np.random.default_rng(prob.n)
+    V = rng.standard_normal((300, prob.n)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1))
+    where = f"on {platform_record()}"
+    for exact in (True, False):
+        system = ctx._system(exact)
+        factor = cho_factor(system.M)
+        for v in V:
+            assert system.solve(v).tobytes() == cho_solve(factor, v).tobytes(), \
+                f"potrs on the kept factor differs from cho_solve, exact={exact} {where}"
+
+
+def test_system_solve_raises_on_an_illegal_potrs_argument():
+    ctx = EnvelopeContext(make_box_qp(0), m.PenaltyPlan.fixed(5.0, 0.1, 1.0))
+    system = ctx._system(True)
+    system.potrs = lambda *args, **kwargs: (None, -2)
+    with pytest.raises(ValueError, match="illegal value in 2th argument"):
+        system.solve(np.ones(4))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 20, 33, 800])
 def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
     """`_rowdot` and np.add.reduce(..., axis=-1) on a block of rows, and on

@@ -1280,3 +1280,48 @@ def test_a_non_finite_run_keeps_the_rows_of_its_finite_states(turn):
     np.testing.assert_array_equal(tr.column("xz_gap"), gaps)
     assert tr.oscillating == oscillating
     assert tr.monitors == monitors
+
+
+@pytest.mark.parametrize("steps, hits", [(25, 19), (26, 20)])
+def test_a_multiplier_two_cycle_is_flagged_at_its_twentieth_hit(steps, hits):
+    """exp1's ALM enters its multiplier two-cycle at step 6. A run of 25
+    steps has 19 consecutive hits, lam^{k+1} back within 1e-6 of lam^{k-1}
+    and at least 1e-3 from lam^k, and is not flagged; one more step makes
+    the 20th hit and flags it."""
+    from mealopt.experiments import EXP1_INIT, exp1_configs
+
+    prob = m.build_exp1()
+    cfg = dict(exp1_configs(m.StopRule(max_iters=steps)))["alm_beta50"]
+    tr = m.run(prob, cfg, init=EXP1_INIT)
+    assert tr.status == "MaxIters" and tr.n_rows == steps + 1
+
+    ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+    states = [m.IterateState(*EXP1_INIT)]
+    for _ in range(steps):
+        states.append(alm_step(ctx, states[-1])[0])
+    lams = [state.lam for state in states]
+    streak = 0
+    for before, prev, new in zip(lams, lams[1:], lams[2:]):
+        hit = np.linalg.norm(new - before) <= 1e-6 and np.linalg.norm(new - prev) >= 1e-3
+        streak = streak + 1 if hit else 0
+    assert streak == hits
+    assert tr.oscillating == (hits == 20)
+
+
+def test_wall_time_starts_within_the_run_and_never_falls():
+    """The wall_time column holds seconds since the run's start: its first
+    value is at least 0 and below the time the whole call took, and it
+    never decreases."""
+    import time
+
+    from mealopt.experiments import EXP1_INIT, exp1_configs
+
+    cfg = dict(exp1_configs(m.StopRule(max_iters=300)))["alm_beta50"]
+    start = time.perf_counter()
+    tr = m.run(m.build_exp1(), cfg, init=EXP1_INIT)
+    elapsed = time.perf_counter() - start
+    wall = tr.column("wall_time")
+    assert len(wall) == 301
+    assert 0.0 <= wall[0] < elapsed
+    assert wall[-1] < elapsed
+    assert np.all(np.diff(wall) >= 0.0)
