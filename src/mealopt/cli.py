@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,9 @@ from .envelope import (
     beta_for_target_alpha,
 )
 from .errors import MealoptError
-from .experiments import ExperimentSpec, run_experiment
-from .fileio import _prox_in, load_problem, save_trace
+from .experiments import (DEFAULT_SEED, DEFAULT_STOP, EXP2_STOP, ExperimentSpec,
+                          run_experiment)
+from .fileio import _PROX_KINDS, _prox_in, load_problem, save_trace
 from .problem import MCP, SCAD, BoxIndicator, L1, Zero
 from .solvers import ALGORITHMS, EpsilonSchedule, SolverConfig, StopRule, run
 
@@ -90,17 +92,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"reproduce benchmark {name}")
         p.add_argument("--output-dir", default=None)
         p.add_argument("--max-iters", type=_positive("--max-iters", int),
-                       default=2000 if name == "exp1" else 4000)
+                       default=(EXP2_STOP if name == "exp2" else DEFAULT_STOP).max_iters)
         if name == "exp2":
-            p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--m", type=_positive("--m", int), default=5)
-            p.add_argument("--n", type=_positive("--n", int), default=20)
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--m", type=_positive("--m", int))
+            p.add_argument("--n", type=_positive("--n", int))
 
     sub.add_parser("check", help="run the oracle certification suite")
 
     prox = sub.add_parser("prox-table", help="dump prox values over a 1-D grid")
-    prox.add_argument("--kind", required=True, choices=("zero", "box", "l1",
-                                                        "scad", "mcp"))
+    prox.add_argument("--kind", required=True, choices=(*_PROX_KINDS, "box"))
     prox.add_argument("--gamma", type=_positive("--gamma"), default=0.5)
     prox.add_argument("--lam", type=_positive("--lam"), default=1.0)
     prox.add_argument("--a", type=_positive("--a"), default=3.7)
@@ -173,12 +174,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args, which: str) -> int:
-    stop = StopRule(max_iters=args.max_iters, stat_tol=1e-6, feas_tol=1e-6)
     try:
-        if which == "exp2":
-            spec = ExperimentSpec("exp2", seed=args.seed, m=args.m, n=args.n, stop=stop)
-        else:
-            spec = ExperimentSpec("exp1", stop=stop)
+        spec = (ExperimentSpec("exp2", seed=args.seed, m=args.m, n=args.n)
+                if which == "exp2" else ExperimentSpec("exp1"))
+        spec = replace(spec, stop=replace(spec.stop, max_iters=args.max_iters))
     except ValueError as exc:
         return _error(exc)
     out = _out_dir(args.output_dir)

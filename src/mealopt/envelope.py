@@ -225,7 +225,6 @@ class InnerProxGradient(SubproblemSpec):
         x = z if warm_start is None else warm_start
         if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
             x = _vec(x)
-        x = x.copy()
         if isinstance(g, BoxIndicator):
             lo, hi = ctx.bounds
             x = np.minimum(np.maximum(x, lo), hi)

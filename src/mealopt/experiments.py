@@ -129,7 +129,7 @@ def exp1_configs(stop: StopRule = DEFAULT_STOP):
     return out
 
 
-def exp2_configs(problem: Problem, stop: StopRule = DEFAULT_STOP):
+def exp2_configs(problem: Problem, stop: StopRule = EXP2_STOP):
     """Settings for the quadratic program comparison.
 
     Prox-linear: beta=50, gamma = 1/(2 ||Q||),  eta in {0.5, 1, 1.5} on the

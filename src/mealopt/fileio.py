@@ -92,28 +92,34 @@ def _implicit_out(cls: ImplicitClass) -> dict:
     return {"kind": cls.kind, "constant": cls.constant}
 
 
+# the prox kinds a file states by their float fields alone
+_PROX_KINDS = {"zero": (Zero, ()), "l1": (L1, ("weight",)),
+              "scad": (SCAD, ("lam", "a")), "mcp": (MCP, ("lam", "a"))}
+
+
+def _quadratic_in(obj: dict, where: str) -> tuple:
+    """(Q, r, c) of an objective.smooth or quadratic_form entry."""
+    return _need(obj, "Q", where), obj.get("r"), float(obj.get("c", 0.0))
+
+
+def _quadratic_out(Q, r, c) -> dict:
+    return {"Q": Q.tolist(), "r": r.tolist(), "c": c}
+
+
 def _prox_in(obj: dict, where: str):
     kind = _need(obj, "kind", where)
     try:
-        if kind == "zero":
-            return Zero()
+        if isinstance(kind, str) and kind in _PROX_KINDS:
+            cls, fields = _PROX_KINDS[kind]
+            return cls(**{f: float(_need(obj, f, where)) for f in fields})
         if kind == "quadratic_form":
-            return QuadraticForm(Q=_need(obj, "Q", where), r=obj.get("r"),
-                                 c=float(obj.get("c", 0.0)))
+            return QuadraticForm(*_quadratic_in(obj, where))
         if kind == "box":
             lower = _bound_in(_need(obj, "lower", where), f"{where}.lower", -1.0)
             upper = _bound_in(_need(obj, "upper", where), f"{where}.upper", +1.0)
             return BoxIndicator(lower=lower, upper=upper,
                                 implicit_class=_implicit_in(obj.get("implicit_class"),
                                                             f"{where}.implicit_class"))
-        if kind == "l1":
-            return L1(weight=float(_need(obj, "weight", where)))
-        if kind == "scad":
-            return SCAD(lam=float(_need(obj, "lam", where)),
-                        a=float(_need(obj, "a", where)))
-        if kind == "mcp":
-            return MCP(lam=float(_need(obj, "lam", where)),
-                       a=float(_need(obj, "a", where)))
         if kind == "pointwise_min":
             pieces = []
             for i, piece in enumerate(_need(obj, "pieces", where)):
@@ -131,21 +137,15 @@ def _prox_in(obj: dict, where: str):
 
 
 def _prox_out(g) -> dict:
-    if isinstance(g, Zero):
-        return {"kind": "zero"}
+    for kind, (cls, fields) in _PROX_KINDS.items():
+        if isinstance(g, cls):
+            return {"kind": kind, **{f: getattr(g, f) for f in fields}}
     if isinstance(g, QuadraticForm):
-        return {"kind": "quadratic_form", "Q": g.Q.tolist(), "r": g.r.tolist(),
-                "c": g.c}
+        return {"kind": "quadratic_form", **_quadratic_out(g.Q, g.r, g.c)}
     if isinstance(g, BoxIndicator):
         return {"kind": "box", "lower": _bound_out(g.lower),
                 "upper": _bound_out(g.upper),
                 "implicit_class": _implicit_out(g.implicit_class)}
-    if isinstance(g, L1):
-        return {"kind": "l1", "weight": g.weight}
-    if isinstance(g, SCAD):
-        return {"kind": "scad", "lam": g.lam, "a": g.a}
-    if isinstance(g, MCP):
-        return {"kind": "mcp", "lam": g.lam, "a": g.a}
     if isinstance(g, PointwiseMin):
         return {"kind": "pointwise_min", "pieces": [
             {"quadratic": _prox_out(q), "box": _prox_out(b) if b is not None else None}
@@ -180,9 +180,7 @@ def load_problem(path) -> Problem:
             raise SchemaError("objective.smooth.kind",
                               f"only 'quadratic' is serializable, got {kind!r}")
         try:
-            smooth = QuadraticSmooth(_need(smooth_obj, "Q", "objective.smooth"),
-                                     smooth_obj.get("r"),
-                                     float(smooth_obj.get("c", 0.0)))
+            smooth = QuadraticSmooth(*_quadratic_in(smooth_obj, "objective.smooth"))
         except (TypeError, ValueError) as exc:
             raise SchemaError("objective.smooth", str(exc)) from None
 
@@ -211,9 +209,7 @@ def save_problem(problem: Problem, path) -> None:
         if terms is None:
             raise SchemaError("objective.smooth",
                               "only quadratic smooth parts are serializable")
-        Q, r, c = terms
-        data["objective"]["smooth"] = {"kind": "quadratic", "Q": Q.tolist(),
-                                       "r": r.tolist(), "c": c}
+        data["objective"]["smooth"] = {"kind": "quadratic", **_quadratic_out(*terms)}
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 

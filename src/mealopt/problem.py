@@ -508,7 +508,8 @@ def _box_quad_prox(quad: QuadraticForm, box: BoxIndicator, gamma: float, v: np.n
 
 @dataclass
 class SmoothFunction:
-    """Differentiable objective part with a Lipschitz gradient constant."""
+    """Differentiable objective part with a Lipschitz gradient constant. Its
+    gradient may return any float sequence; Problem.smooth_gradient converts it once."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -637,9 +638,13 @@ class Problem:
         return float(val)
 
     def smooth_gradient(self, x) -> np.ndarray:
-        if not self.composite:
+        """h's gradient at x as a float vector; the one call of smooth.gradient."""
+        if self.smooth is None:
             return np.zeros(self.n)
-        return _vec(self.smooth.gradient(_vec(x)))
+        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
+            x = _vec(x)
+        g = self.smooth.gradient(x)
+        return g if type(g) is np.ndarray and g.ndim == 1 and g.dtype == _FLOAT else _vec(g)
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,10 @@ def limeal_step(ctx: EnvelopeContext,
     p = ctx.problem
     if not p.composite:
         raise NotComposite("limeal_step needs a composite objective")
-    grad = p.smooth.gradient(state.x) if state.grad_h is None else state.grad_h
+    grad = p.smooth_gradient(state.x) if state.grad_h is None else state.grad_h
     # the module global, which the benchmark wraps to count inner iterations
     sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad, warm_start=state.x)
-    grad_new = p.smooth.gradient(sub.x)
+    grad_new = p.smooth_gradient(sub.x)
     gz = (state.z - sub.x) / ctx.plan.gamma + (grad_new - grad)
     return _advance(ctx, state, sub.x, gz, sub=sub, grad_h=grad_new)
 
@@ -330,11 +330,11 @@ def prox_ialm_step(ctx: EnvelopeContext,
     lo, hi = ctx.bounds
     A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
-    grad = p.smooth.gradient(x) if state.grad_h is None else state.grad_h
+    grad = p.smooth_gradient(x) if state.grad_h is None else state.grad_h
 
     xbar = ctx.H_matvec(x) + grad + A.T @ lam - weight * z - ctx.beta_Atb
     x_new = np.minimum(np.maximum(x - s * xbar, lo), hi)     # np.clip's bits
-    grad_new = p.smooth.gradient(x_new)
+    grad_new = p.smooth_gradient(x_new)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     dx = x_new - x

@@ -3,6 +3,7 @@ import pytest
 
 import mealopt as m
 from mealopt.experiments import (
+    EXP2_STOP,
     ExperimentSpec,
     exp2_configs,
     run_experiment,
@@ -95,6 +96,8 @@ class TestBuilders:
         assert lim.plan.gamma == pytest.approx(1.0 / (2.0 * q_norm))
         pia = labels["ialm"]
         assert 1.0 / pia.plan.gamma == pytest.approx(2.0 * q_norm)
+        # the budget `mealopt exp2` and ExperimentSpec("exp2") run with
+        assert {cfg.stop for cfg in labels.values()} == {EXP2_STOP}
 
 
 class TestBundles:

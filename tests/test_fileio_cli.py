@@ -98,6 +98,12 @@ class TestProblemRoundTrip:
                                     "objective": {"prox": {"kind": "entropy"}}}))
         with pytest.raises(SchemaError, match="unknown prox kind"):
             load_problem(path)
+        # a kind that is not a string, which no table lookup may choke on
+        path.write_text(json.dumps({"constraint": {"A": [[1.0]], "b": [0.0]},
+                                    "objective": {"prox": {"kind": ["l1"]}}}))
+        with pytest.raises(SchemaError, match="unknown prox kind") as err:
+            load_problem(path)
+        assert err.value.field == "objective.prox.kind"
 
 
 class TestTraceCSV:

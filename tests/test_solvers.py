@@ -1159,6 +1159,37 @@ def test_a_carried_non_finite_gradient_ends_the_run_non_finite(label, bad, monke
     assert np.isfinite(tr.terminal.grad_h).all()
 
 
+@pytest.mark.parametrize("form", ("list", "tuple", "float32"))
+def test_limeal_takes_h_gradient_as_any_float_sequence(form):
+    """LiMEAL on exp2's problem, with h a SmoothFunction whose gradient
+    returns a list, a tuple or a float32 array, ends in the status and every
+    trace column but wall_time of the run whose gradient returns the same
+    values as a float64 vector: h's gradient is converted once, where it is
+    evaluated."""
+    from mealopt.experiments import exp2_configs
+    from mealopt.solvers import TRACE_COLUMNS
+
+    base = m.build_exp2(42, 5, 20)
+    quad = base.smooth
+    convert = {"list": lambda g: g.tolist(), "tuple": lambda g: tuple(g.tolist()),
+               "float32": lambda g: g.astype(np.float32)}[form]
+    plan = dict(exp2_configs(base))["limeal_beta50_eta1"].plan
+    cfg = m.SolverConfig("limeal", plan, subproblem=m.InnerProxGradient(),
+                         stop=m.StopRule(max_iters=30))
+
+    def run_with(gradient):
+        smooth = m.SmoothFunction(quad.value, gradient, quad.lipschitz_grad_constant)
+        return m.run(m.Problem(base.constraint, base.prox_part, smooth), cfg)
+
+    got = run_with(lambda x: convert(quad.gradient(x)))
+    want = run_with(lambda x: np.asarray(convert(quad.gradient(x)), dtype=float))
+    assert got.status == want.status == "MaxIters"
+    for name in TRACE_COLUMNS:
+        if name != "wall_time":
+            np.testing.assert_array_equal(got.column(name), want.column(name))
+    assert got.inner_iterations == want.inner_iterations
+
+
 def _scored_one_state_at_a_time(prob, cfg, init, f_column):
     """The lyapunov and xz_gap columns, the oscillation flag and the monitor
     entries of chained step calls, each value formed from its own states
