@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cholesky, get_lapack_funcs, solve_triangular
@@ -208,7 +208,7 @@ class InnerProxGradient(SubproblemSpec):
 
         # grad S(x) = H x + shift [+ grad h(x)]; shift is formed once per solve
         exact_h = p.composite and grad_h is None
-        shift = p.constraint.A.T @ lam - ctx.beta_Atb - z / gamma
+        shift = p.constraint.A.T.dot(lam) - ctx.beta_Atb - z / ctx.factors.gamma
         if grad_h is not None:
             shift = shift + grad_h
 
@@ -219,7 +219,7 @@ class InnerProxGradient(SubproblemSpec):
             system = ctx._system(include_Q)
             x = system.solve(-c)
             s_vec = system.matvec(x) + c
-            return SubproblemResult(x, s_vec, math.sqrt(s_vec @ s_vec), 1)
+            return SubproblemResult(x, s_vec, math.sqrt(s_vec.dot(s_vec)), 1)
 
         stop_tol = self.tol if tol is None else tol
         x = z if warm_start is None else warm_start
@@ -256,11 +256,11 @@ class InnerProxGradient(SubproblemSpec):
             grad_new = grad(x_new)
             back = y - x_new
             s_vec = back / t - grad_y + grad_new
-            s_norm = math.sqrt(s_vec @ s_vec)
+            s_norm = math.sqrt(s_vec.dot(s_vec))
             if s_norm <= stop_tol:
                 return SubproblemResult(x_new, s_vec, s_norm, it)
             step = x_new - x
-            if momentum and back @ step <= 0:     # else restart: y' = x+
+            if momentum and back.dot(step) <= 0:     # else restart: y' = x+
                 y = x_new + momentum * step
                 grad_y = grad(y)
             else:
@@ -300,7 +300,7 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
         grad = system.matvec(x) + c
         s = np.where(x <= lo, np.minimum(grad, 0.0),
                      np.where(x >= hi, np.maximum(grad, 0.0), grad))
-        s_norm = math.sqrt(s @ s)
+        s_norm = math.sqrt(s.dot(s))
         if s_norm <= tol:
             break
     return x, s, s_norm, k
@@ -339,7 +339,7 @@ class Paper72FastPath(SubproblemSpec):
               warm_start=None) -> "SubproblemResult":
         if grad_h is None:
             raise InvalidSubproblemPath("fast path is a linearized-update scheme")
-        rhs = z / ctx.plan.gamma + ctx.beta_Atb - grad_h - ctx.problem.constraint.A.T @ lam
+        rhs = z / ctx.factors.gamma + ctx.beta_Atb - grad_h - ctx.problem.constraint.A.T.dot(lam)
         lo, hi = ctx.bounds
         x = np.minimum(np.maximum(ctx.H_solve(rhs), lo), hi)
         return SubproblemResult(x, None, None, 0)
@@ -483,6 +483,17 @@ class _System:
         return x
 
 
+class _Factors(NamedTuple):
+    """A context's scalar factors as 0-d float64 arrays: a vector times or
+    over one gives the Python float's bits, and numpy converts no float."""
+
+    beta: np.ndarray
+    gamma: np.ndarray
+    eta: np.ndarray
+    one_minus_eta: np.ndarray
+    inv_gamma: np.ndarray
+
+
 @dataclass
 class EnvelopeContext:
     """Problem + penalty plan + subproblem spec: the one place that knows
@@ -494,7 +505,10 @@ class EnvelopeContext:
     `c_gamma_A` and `beta_for`; `alpha = alpha_from_beta(beta, ...)`; and
     `beta_Atb` = beta A'b, the constant term of the subproblem's gradient.
     The subproblem spec is checked against the problem. The energies and
-    every step read beta, alpha and gamma from here.
+    every step read beta, alpha and gamma from here. `factors` holds beta,
+    gamma, eta, 1 - eta and 1/gamma as 0-d float64 arrays (`_Factors`), the
+    form in which a step multiplies or divides a vector by them; `beta` and
+    the plan's fields stay Python floats.
 
     The run constants that steps read are kept here, so that a step
     derives none of them. Formed on first use: `bounds`, the problem's
@@ -502,7 +516,7 @@ class EnvelopeContext:
     builds anew at every call). ALM's first step keeps `_alm` on the
     context: its prepared box faces, h's linear term r and the minimizers of
     the last two distinct linear terms its steps solved for. Prox-iALM's
-    first step keeps its primal step s.
+    first step keeps its primal step s, as a 0-d array like `factors`.
 
     The subproblem matrix H = beta A'A + I/gamma is the identity plus a
     rank-m term. `H_matvec` applies it as beta A'(A v) + v/gamma, and
@@ -539,6 +553,8 @@ class EnvelopeContext:
         self.alpha = alpha_from_beta(self.beta, plan.gamma, plan.eta, self.c_gamma_A)
         self.subproblem.check(self.problem)
         self.beta_Atb = self.beta * (constraint.A.T @ constraint.b)
+        self.factors = _Factors(*(np.array(v, dtype=_FLOAT) for v in (
+            self.beta, plan.gamma, plan.eta, 1.0 - plan.eta, 1.0 / plan.gamma)))
 
     # -- run constants, read by every step -------------------------------
 
@@ -551,13 +567,13 @@ class EnvelopeContext:
 
     def H_matvec(self, v: np.ndarray) -> np.ndarray:
         """H v = beta A'(A v) + v/gamma."""
-        A = self.problem.constraint.A
-        return self.beta * (A.T @ (A @ v)) + v / self.plan.gamma
+        A, c = self.problem.constraint.A, self.factors
+        return c.beta * A.T.dot(A.dot(v)) + v / c.gamma
 
     def H_solve(self, v: np.ndarray) -> np.ndarray:
         """H^{-1} v = gamma (v - C'(C v)), by the identity in the class docstring."""
         C = self._woodbury
-        return self.plan.gamma * (v - C.T @ (C @ v))
+        return self.factors.gamma * (v - C.T.dot(C.dot(v)))
 
     @cached_property
     def _woodbury(self) -> np.ndarray:
@@ -585,7 +601,7 @@ class EnvelopeContext:
             factor, lower = cho_factor(M)
             potrs, = get_lapack_funcs(("potrs",), (factor,))
             entry = self._systems[exact] = _System(
-                M, M.__matmul__ if exact else self.H_matvec, factor, lower, potrs)
+                M, M.dot if exact else self.H_matvec, factor, lower, potrs)
         return entry
 
 

@@ -260,7 +260,7 @@ class QuadraticForm(ProxFunction):
     def value(self, x) -> float:
         if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
             x = _vec(x)
-        return float(0.5 * x @ self.Q @ x + self.r @ x + self.c)
+        return float((0.5 * x).dot(self.Q).dot(x) + self.r.dot(x) + self.c)
 
     def _prox(self, gamma, v):
         n = self.Q.shape[0]
@@ -269,7 +269,7 @@ class QuadraticForm(ProxFunction):
     def gradient(self, x):
         if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
             x = _vec(x)
-        return self.Q @ x + self.r
+        return self.Q.dot(x) + self.r
 
     def subgradient_interval(self, x):
         g = self.gradient(x)

@@ -98,10 +98,14 @@ class IterateState:
     @classmethod
     def _of_step(cls, x, z, lam, k, grad_h, residual) -> IterateState:
         """The state a step made from its float vectors: no conversion, and
-        the same finiteness check as the public constructor."""
+        the public constructor's finiteness check, inline."""
         state = object.__new__(cls)
         state.__dict__.update(x=x, z=z, lam=lam, k=k, grad_h=grad_h, residual=residual)
-        state._check_finite()
+        vectors = (x, z, lam) if residual is None else (x, z, lam, residual)
+        if grad_h is not None:
+            vectors += (grad_h,)
+        if not np.logical_and.reduce(np.isfinite(np.concatenate(vectors))):
+            raise NonFiniteValue("iterate state must be finite")
         return state
 
     def _check_finite(self) -> None:
@@ -216,19 +220,16 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
     feasibility. The report carries the subproblem result's inexactness and
     inner iterations; the new state carries grad_h and A x_new - b.
     """
-    p, eta = ctx.problem, ctx.plan.eta
-    gl = p.constraint.A @ x_new - p.constraint.b
-    new = IterateState._of_step(x_new, (1.0 - eta) * state.z + eta * x_new,
-                                state.lam + ctx.beta * gl, state.k + 1, grad_h, gl)
-    feas = math.sqrt(gl @ gl)
-    # np.add.reduce(v * v) is np.sum(v ** 2) bit for bit; v @ v sums in another order
+    constraint, c = ctx.problem.constraint, ctx.factors
+    gl = constraint.A.dot(x_new) - constraint.b
+    new = IterateState._of_step(x_new, c.one_minus_eta * state.z + c.eta * x_new,
+                                state.lam + c.beta * gl, state.k + 1, grad_h, gl)
+    feas = math.sqrt(gl.dot(gl))
+    # np.add.reduce(v * v) is np.sum(v ** 2) bit for bit; v.dot(v) sums in another order
     norm = feas if grad_z is None else math.sqrt(
         np.add.reduce(grad_z * grad_z) + np.add.reduce(gl * gl))
-    return new, StepReport(
-        norm, feas,
-        inexact_residual_norm=None if sub is None else sub.residual_norm,
-        inner_budget_exhausted=sub is not None and sub.budget_exhausted,
-        inner_iterations=0 if sub is None else sub.inner_iterations)
+    return new, StepReport(norm, feas, None, False, 0) if sub is None else StepReport(
+        norm, feas, sub.residual_norm, sub.budget_exhausted, sub.inner_iterations)
 
 
 def meal_step(ctx: EnvelopeContext, state: IterateState,
@@ -240,7 +241,7 @@ def meal_step(ctx: EnvelopeContext, state: IterateState,
     """
     # the module global, which the benchmark wraps to count inner iterations
     sub = solve_subproblem(ctx, state.z, state.lam, tol=tol, warm_start=state.x)
-    return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.plan.gamma, sub=sub)
+    return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.factors.gamma, sub=sub)
 
 
 def imeal_step(ctx: EnvelopeContext, state: IterateState,
@@ -263,7 +264,7 @@ def limeal_step(ctx: EnvelopeContext,
     # the module global, which the benchmark wraps to count inner iterations
     sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad, warm_start=state.x)
     grad_new = p.smooth_gradient(sub.x)
-    gz = (state.z - sub.x) / ctx.plan.gamma + (grad_new - grad)
+    gz = (state.z - sub.x) / ctx.factors.gamma + (grad_new - grad)
     return _advance(ctx, state, sub.x, gz, sub=sub, grad_h=grad_new)
 
 
@@ -291,7 +292,7 @@ def alm_step(ctx: EnvelopeContext,
         alm = ctx._alm = (BoxFaces(_alm_hessian(p, ctx.beta), None, *ctx.bounds),
                           p.quadratic_terms()[1], {})
     faces, r, minimizers = alm
-    c = r + p.constraint.A.T @ state.lam - ctx.beta_Atb
+    c = r + p.constraint.A.T.dot(state.lam) - ctx.beta_Atb
     key = c.tobytes()
     x_new = minimizers.get(key)
     if x_new is None:
@@ -320,11 +321,11 @@ def prox_ialm_step(ctx: EnvelopeContext,
     one, and the step evaluates h's gradient once, at x', and carries it on:
     one product with Q a step.
     """
-    p = ctx.problem
-    beta, weight = ctx.beta, 1.0 / ctx.plan.gamma
+    p, c = ctx.problem, ctx.factors
     s = getattr(ctx, "_prox_ialm_s", None)
     if s is None:
-        s = ctx._prox_ialm_s = 1.0 / (2.0 * (p.L_h + weight + beta * ctx.A_norm2))
+        s = ctx._prox_ialm_s = np.array(
+            1.0 / (2.0 * (p.L_h + 1.0 / ctx.plan.gamma + ctx.beta * ctx.A_norm2)))
     if ctx.bounds is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
     lo, hi = ctx.bounds
@@ -332,14 +333,14 @@ def prox_ialm_step(ctx: EnvelopeContext,
     x, z, lam = state.x, state.z, state.lam
     grad = p.smooth_gradient(x) if state.grad_h is None else state.grad_h
 
-    xbar = ctx.H_matvec(x) + grad + A.T @ lam - weight * z - ctx.beta_Atb
+    xbar = ctx.H_matvec(x) + grad + A.T.dot(lam) - c.inv_gamma * z - ctx.beta_Atb
     x_new = np.minimum(np.maximum(x - s * xbar, lo), hi)     # np.clip's bits
     grad_new = p.smooth_gradient(x_new)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     dx = x_new - x
-    v = (x - x_new) / s + (grad_new - grad) + beta * (A.T @ (A @ dx)) \
-        - weight * (x - z)
+    v = (x - x_new) / s + (grad_new - grad) + c.beta * A.T.dot(A.dot(dx)) \
+        - c.inv_gamma * (x - z)
     return _advance(ctx, state, x_new, v, grad_h=grad_new)
 
 
@@ -496,7 +497,9 @@ class _RowBlock:
 
     It keeps x, z and lam of the block's new states after the two states
     before them (one at the run's start), and the new states' residuals,
-    objectives and raw stationarity norms; never a state's grad_h. Each
+    objectives and raw stationarity norms; never a state's grad_h. `run`
+    appends a step's values to these lists and flushes a full block; flush
+    empties them in place, so appends bound once per run stay valid. Each
     value is the one its step would give alone, bit for bit: the energies
     take the block through the module globals, and the row norms are
     `_rowdot` and `np.add.reduce(..., axis=-1)`.
@@ -512,17 +515,6 @@ class _RowBlock:
         self.energies, self.gaps = [], []
         self.monitors = {"one_step_progress": [], "dual_by_primal": []}
         self.osc_streak, self.oscillating = 0, False
-
-    def add(self, state: IterateState, f: float, raw: float) -> None:
-        """Keep a step's new state, its objective and raw stationarity norm."""
-        self.x.append(state.x)
-        self.z.append(state.z)
-        self.lam.append(state.lam)
-        self.residual.append(state.residual)
-        self.f.append(f)
-        self.raw.append(raw)
-        if len(self.f) == ROW_BLOCK:
-            self.flush()
 
     def flush(self) -> None:
         """Form the values of the block's steps, and keep its last two states."""
@@ -619,54 +611,65 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     inner = []             # inner iterations of each step
     status, converged_at = "MaxIters", None
     best_measure = np.inf
-    # the current state's objective, feasibility and multiplier norm; record_row
-    # writes them, and each step carries them over from its new state
+    step, running_min = algo.step, algo.running_min
+    stat_tol, feas_tol = config.stop.stat_tol, config.stop.feas_tol
     quad = problem.quadratic_terms() if problem.composite else None
+    r, c = (None, None) if quad is None else quad[1:]
+    prox_value = problem.prox_part.value
+    # a row's and a block's list appends, bound once per run
+    add_k, add_f, add_feas, add_stat, add_lam, add_time = (cols[name].append for name in (
+        "k", "objective", "feasibility", "stationarity", "lambda_norm", "wall_time"))
+    keep_x, keep_z, keep_lam, keep_residual, keep_f, keep_raw = (
+        block.append for block in (rows.x, rows.z, rows.lam, rows.residual, rows.f, rows.raw))
+    add_inner, block_f, clock = inner.append, rows.f, time.perf_counter
 
-    def objective(st):
-        if quad is None or st.grad_h is None:
-            return problem.objective_value(st.x)
-        _, r, c = quad
-        return float(problem.prox_part.value(st.x) + 0.5 * (st.x @ (st.grad_h + r)) + c)
-
+    # the current state's objective, feasibility and multiplier norm; a row
+    # records them, and each step carries them over from its new state
     f = problem.objective_value(state.x)
     feas = problem.constraint.residual(state.x)
-    lam_norm = math.sqrt(state.lam @ state.lam)
-    t0 = time.perf_counter()
-
-    def record_row(k, stat_col):
-        cols["k"].append(k)
-        cols["objective"].append(f)
-        cols["feasibility"].append(feas)
-        cols["stationarity"].append(stat_col)
-        cols["lambda_norm"].append(lam_norm)
-        cols["wall_time"].append(time.perf_counter() - t0)
+    lam_norm = math.sqrt(state.lam.dot(state.lam))
+    t0 = clock()
 
     for k in range(budget):
         try:
-            new_state, report = algo.step(ctx, state, config)
+            new_state, report = step(ctx, state, config)
         except NonFiniteValue:
             status = "NonFinite"
             break
-        inner.append(report.inner_iterations)
+        add_inner(report.inner_iterations)
 
-        raw = report.stationarity_norm
-        if algo.running_min:
-            best_measure = min(best_measure, raw)
+        raw = stat_col = report.stationarity_norm
+        if running_min:
+            if raw < best_measure:      # min(best_measure, raw)
+                best_measure = raw
             stat_col = best_measure
+
+        x, grad_h, lam = new_state.x, new_state.grad_h, new_state.lam
+        if quad is None or grad_h is None:
+            f_next = problem.objective_value(x)
         else:
-            stat_col = raw
+            f_next = float(prox_value(x) + 0.5 * x.dot(grad_h + r) + c)
+        add_k(k)
+        add_f(f)
+        add_feas(feas)
+        add_stat(stat_col)
+        add_lam(lam_norm)
+        add_time(clock() - t0)
+        keep_x(x)
+        keep_z(new_state.z)
+        keep_lam(lam)
+        keep_residual(new_state.residual)
+        keep_f(f_next)
+        keep_raw(raw)
+        if len(block_f) == ROW_BLOCK:
+            rows.flush()
 
-        f_next = objective(new_state)
-        record_row(k, stat_col)
-        rows.add(new_state, f_next, raw)
-
-        lam_norm_next = math.sqrt(new_state.lam @ new_state.lam)
+        lam_norm_next = math.sqrt(lam.dot(lam))
         if report.inner_budget_exhausted:
             status = "InnerBudgetExhausted"
         elif lam_norm_next > DIVERGENCE_LIMIT or abs(f_next) > DIVERGENCE_LIMIT:
             status = "DivergenceDetected"
-        elif stat_col <= config.stop.stat_tol and feas <= config.stop.feas_tol:
+        elif stat_col <= stat_tol and feas <= feas_tol:
             status, converged_at = "Converged", k
 
         state = new_state
@@ -677,7 +680,12 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     # terminal row for the final state; the measure column repeats (NaN when
     # the first step met a non-finite value)
     stat = cols["stationarity"]
-    record_row(state.k, stat[-1] if stat else np.nan)
+    add_k(state.k)
+    add_f(f)
+    add_feas(feas)
+    add_stat(stat[-1] if stat else np.nan)
+    add_lam(lam_norm)
+    add_time(clock() - t0)
     rows.flush()
     cols["lyapunov"] = [np.nan] + rows.energies
     cols["xz_gap"] = rows.gaps + [np.nan]

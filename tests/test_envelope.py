@@ -902,7 +902,10 @@ def test_system_solve_raises_on_an_illegal_potrs_argument():
 def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
     """`_rowdot` and np.add.reduce(..., axis=-1) on a block of rows, and on
     its row-slice views, give each row's 1-D a @ b and np.add.reduce bit for
-    bit, and a stacked product with A gives each row's A @ x. `run` forms its
+    bit, and a stacked product with A gives each row's A @ x. The steps'
+    ndarray.dot gives @'s bits (a[i].dot(b[i]), A.dot(x), A.T.dot(lam) on
+    the transposed view, (0.5 * x).dot(Q)), and a vector times or over a
+    0-d float64 array gives the Python float's bits. `run` forms its
     energies and row norms a block at a time on this; a numpy or BLAS whose
     kernels break it fails here, not as a logic bug in the golden traces."""
     rng = np.random.default_rng(n)
@@ -920,6 +923,22 @@ def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
             assert np.array_equal(products[i], A @ a[i]), \
                 f"the stacked product differs from A @ x, {where}"
     assert _rowdot(X[0], Y[0]) == X[0] @ Y[0], f"1-D _rowdot differs, {where}"
+
+    # the steps' kernels: ndarray.dot for @, and 0-d float64 scalar factors
+    G = rng.standard_normal((n, n))
+    Q, lam = G + G.T, rng.standard_normal(len(A))
+    assert A.T.dot(lam).tobytes() == (A.T @ lam).tobytes(), \
+        f"A.T.dot(lam) differs from A.T @ lam, {where}"
+    for i, (x, y) in enumerate(zip(X, Y)):
+        assert x.dot(y) == x @ y, f"a[i].dot(b[i]) differs from a[i] @ b[i], {where}"
+        assert A.dot(x).tobytes() == (A @ x).tobytes(), f"A.dot(x) differs from A @ x, {where}"
+        assert (0.5 * x).dot(Q).tobytes() == (0.5 * x @ Q).tobytes(), \
+            f"(0.5 * x).dot(Q) differs from 0.5 * x @ Q, {where}"
+        c = float(abs(X[i - 1, 0]))
+        assert (np.array(c) * y).tobytes() == (c * y).tobytes(), \
+            f"np.array(c) * v differs from c * v, {where}"
+        assert (y / np.array(c)).tobytes() == (y / c).tobytes(), \
+            f"v / np.array(c) differs from v / c, {where}"
 
 
 @st.composite

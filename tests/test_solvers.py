@@ -1066,6 +1066,38 @@ def test_the_step_loop_calls_no_numpy_python_wrapper(step, prob, cfg, init, monk
     assert len(later) > 50 and landed == []
 
 
+def _per_step_functions():
+    from mealopt import envelope, problem, solvers
+
+    return [
+        solvers.IterateState._of_step, solvers._advance, solvers.meal_step,
+        solvers.limeal_step, solvers.alm_step, solvers.prox_ialm_step, solvers.run,
+        envelope.InnerProxGradient.solve, envelope._face_steps,
+        envelope.Paper72FastPath.solve, envelope.EnvelopeContext.H_matvec,
+        envelope.EnvelopeContext.H_solve, problem.QuadraticForm.gradient,
+        problem.QuadraticForm.value,
+    ]
+
+
+@pytest.mark.parametrize("fn", _per_step_functions(), ids=lambda fn: fn.__qualname__)
+def test_per_step_products_go_through_ndarray_dot(fn):
+    """The functions a step runs make their products with ndarray.dot, not
+    @: the same BLAS call (gemv or ddot) at half numpy's dispatch cost on
+    the paper's small vectors. The stacked block kernels (np.matmul) and the
+    set-up products are outside these functions. Read from the source, so
+    the check is the same on every platform."""
+    import ast
+    import inspect
+    import textwrap
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.MatMult)]
+    assert lines == [], (f"{fn.__qualname__} multiplies with @ at line(s) {lines} "
+                         "of its source; use ndarray.dot")
+
+
 @st.composite
 def _gradient_turns(draw):
     """A convex composite problem (n <= 6, a box, Zero or L1 prox part) whose
