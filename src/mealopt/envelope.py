@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_factor, cholesky, get_lapack_funcs, solve_triangular
 
 from .errors import (
@@ -188,7 +189,9 @@ class InnerProxGradient(SubproblemSpec):
     the clipped point. Each face step makes one prox call and counts as one
     inner iteration, so max_inner bounds the total. M's entry keeps the
     blocks of the last face solved on, and a face step on the same face
-    reuses them: `np.linalg.solve` on the same block gives the same bits.
+    reuses them; `_face_solve`, the gufunc under `np.linalg.solve`, gives
+    `np.linalg.solve`'s bits on the same block. What a solve reads from the
+    context alone is formed once per context and kind of step (`_inner_plan`).
     """
 
     tol: float = 1e-10
@@ -202,21 +205,16 @@ class InnerProxGradient(SubproblemSpec):
 
     def solve(self, ctx, z, lam, grad_h=None, tol=None,
               warm_start=None) -> "SubproblemResult":
-        p = ctx.problem
-        beta, gamma = ctx.beta, ctx.plan.gamma
-        g = p.prox_part
+        plan = ctx._plans.get(grad_h is None) or _inner_plan(ctx, grad_h is None)
+        exact_h, r, system, bounds, t, momentum = plan
 
         # grad S(x) = H x + shift [+ grad h(x)]; shift is formed once per solve
-        exact_h = p.composite and grad_h is None
+        p = ctx.problem
         shift = p.constraint.A.T.dot(lam) - ctx.beta_Atb - z / ctx.factors.gamma
         if grad_h is not None:
             shift = shift + grad_h
-
-        quad = p.quadratic_terms()      # h's, or g's when g is the objective
-        include_Q = exact_h or not p.composite      # exact_h when g is a box
-        c = shift + quad[1] if quad is not None and include_Q else shift
-        if quad is not None and (not p.composite or isinstance(g, Zero)):
-            system = ctx._system(include_Q)
+        c = shift if r is None else shift + r
+        if system is not None and bounds is None:       # a quadratic, no bound
             x = system.solve(-c)
             s_vec = system.matvec(x) + c
             return SubproblemResult(x, s_vec, math.sqrt(s_vec.dot(s_vec)), 1)
@@ -225,30 +223,18 @@ class InnerProxGradient(SubproblemSpec):
         x = z if warm_start is None else warm_start
         if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
             x = _vec(x)
-        if isinstance(g, BoxIndicator):
-            lo, hi = ctx.bounds
-            x = np.minimum(np.maximum(x, lo), hi)
+        g, done = p.prox_part, 0
+        if bounds is not None:
+            x = np.minimum(np.maximum(x, bounds[0]), bounds[1])
+            if system is not None:          # a box QP: face steps first
+                x, s_vec, s_norm, done = _face_steps(g, system, bounds, t, x, c, stop_tol,
+                                                     min(_FACE_STEPS, self.max_inner))
+                if s_norm <= stop_tol:
+                    return SubproblemResult(x, s_vec, s_norm, done)
 
         def grad(xx):
             out = ctx.H_matvec(xx) + shift
             return out + p.smooth_gradient(xx) if exact_h else out
-
-        L_h = p.L_h if exact_h else 0.0
-        L = beta * ctx.A_norm2 + 1.0 / gamma + L_h
-        mu = 1.0 / gamma - L_h
-        t = 1.0 / L
-
-        done = 0
-        if quad is not None and isinstance(g, BoxIndicator):
-            x, s_vec, s_norm, done = _face_steps(ctx, x, c, include_Q, t, stop_tol,
-                                                 min(_FACE_STEPS, self.max_inner))
-            if s_norm <= stop_tol:
-                return SubproblemResult(x, s_vec, s_norm, done)
-
-        momentum = 0.0
-        if g.weak_convexity_modulus == 0 and mu > 0:
-            q = math.sqrt(mu / L)
-            momentum = (1.0 - q) / (1.0 + q)
 
         y, grad_y = x, grad(x)
         for it in range(done + 1, self.max_inner + 1):
@@ -269,15 +255,53 @@ class InnerProxGradient(SubproblemSpec):
         return SubproblemResult(x, s_vec, s_norm, self.max_inner, budget_exhausted=True)
 
 
+def _inner_plan(ctx, exact: bool) -> tuple:
+    """InnerProxGradient.solve's plan on `ctx` for calls without grad_h
+    (`exact`) or with it, kept in `ctx._plans[exact]`: (exact_h, r, system,
+    bounds, t, momentum). exact_h: S holds h itself; r: the linear term c
+    adds to shift; system: M's `_system` entry, for the no-bound solve or
+    the face steps; bounds: the box; t = 1/L. None marks what is unused."""
+    p, gamma = ctx.problem, ctx.plan.gamma
+    g = p.prox_part
+    exact_h = p.composite and exact
+    quad = p.quadratic_terms()      # h's, or g's when g is the objective
+    include_Q = exact_h or not p.composite      # exact_h when g is a box
+    bounds = ctx.bounds if isinstance(g, BoxIndicator) else None
+    system = None       # M's entry, for the no-bound solve or the face steps
+    if quad is not None and (not p.composite or isinstance(g, Zero) or bounds is not None):
+        system = ctx._system(include_Q)
+    L_h = p.L_h if exact_h else 0.0
+    L = ctx.beta * ctx.A_norm2 + 1.0 / gamma + L_h
+    mu = 1.0 / gamma - L_h
+    momentum = 0.0
+    if g.weak_convexity_modulus == 0 and mu > 0:
+        q = math.sqrt(mu / L)
+        momentum = (1.0 - q) / (1.0 + q)
+    r = quad[1] if system is not None and include_Q else None
+    plan = ctx._plans[exact] = (exact_h, r, system, bounds, 1.0 / L, momentum)
+    return plan
+
+
 _FACE_STEPS = 8  # face steps before InnerProxGradient's accelerated loop
 
 
-def _face_steps(ctx, x, c, exact, t, tol, steps):
-    """Up to `steps` face steps on min x'Mx/2 + c'x over the box (see
-    InnerProxGradient): (x, s, ||s||, steps taken). Stops once ||s|| <= tol
-    or when an active set repeats."""
-    g, (lo, hi) = ctx.problem.prox_part, ctx.bounds
-    system = ctx._system(exact)
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# The face solve: np.linalg.solve's gufunc for one right-hand side, under the
+# error state np.linalg.solve sets, without its Python wrapper, whose checks
+# and casts do nothing on a float64 block. A singular block raises LinAlgError.
+_face_solve = np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                          divide="ignore", under="ignore")(
+    partial(_umath_linalg.solve1, signature="dd->d"))
+
+
+def _face_steps(g, system, bounds, t, x, c, tol, steps):
+    """Up to `steps` face steps on min x'Mx/2 + c'x over g's box `bounds`, M
+    the `system` entry (see InnerProxGradient): (x, s, ||s||, steps taken).
+    Stops once ||s|| <= tol or when an active set repeats."""
+    lo, hi = bounds
     grad = system.matvec(x) + c
     seen = set()
     for k in range(1, steps + 1):
@@ -295,11 +319,13 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
             x = system.solve(-c)
         else:
             x = x_clamped.copy()
-            x[free] = np.linalg.solve(M_FF, -(c[free] + M_FC_x))
+            x[free] = _face_solve(M_FF, -(c[free] + M_FC_x))
         x = np.minimum(np.maximum(x, lo), hi)
         grad = system.matvec(x) + c
-        s = np.where(x <= lo, np.minimum(grad, 0.0),
-                     np.where(x >= hi, np.maximum(grad, 0.0), grad))
+        # s = grad, with min(grad, 0) where x is at lo and max(grad, 0) at hi
+        s = grad.copy()
+        np.maximum(grad, 0.0, out=s, where=x >= hi)
+        np.minimum(grad, 0.0, out=s, where=x <= lo)
         s_norm = math.sqrt(s.dot(s))
         if s_norm <= tol:
             break
@@ -309,7 +335,8 @@ def _face_steps(ctx, x, c, exact, t, tol, steps):
 def _face_blocks(M, key, at_lo, at_hi, lo, hi):
     """The `_System.face` entry of a face: (key, free mask, the point holding
     the clamped values, M_FF, M_FC x_C); the last three are None on the
-    all-free face, which is solved on M's Cholesky factor."""
+    all-free face, which is solved on M's Cholesky factor. `_face_steps`
+    solves on M_FF with `_face_solve`."""
     free = ~(at_lo | at_hi)
     if np.logical_and.reduce(free):
         return key, free, None, None, None
@@ -535,6 +562,7 @@ class EnvelopeContext:
     first use: M, its product, its Cholesky factor with LAPACK's `potrs`
     (a solve is one `potrs` call on the kept factor, the bits of scipy's
     Cholesky solve without its Python wrapper) and the blocks of the last face solved on.
+    InnerProxGradient keeps its plans for the two kinds of step in `_plans`.
     Those solves certify the residual M x + c, and M's Cholesky factor is
     backward stable; the residual of the rank-m solve grows with cond(H),
     and can miss a tolerance near round-off that the factor meets.
@@ -546,7 +574,7 @@ class EnvelopeContext:
 
     def __post_init__(self):
         constraint, plan = self.problem.constraint, self.plan
-        self._systems = {}
+        self._systems, self._plans = {}, {}
         self.A_norm2, self.sigma_min_pos = constraint.gram_spectrum
         self.c_gamma_A = plan.c_gamma_A(constraint)
         self.beta = plan.beta_for(constraint)

@@ -578,6 +578,34 @@ class TestFaceSolve:
         assert sorted(ctx._systems) == [False, True]
         assert ctx._system(False).M.tobytes() != ctx._system(True).M.tobytes()
 
+    def test_a_run_plans_its_solves_once(self, monkeypatch):
+        # the context keeps InnerProxGradient's plan, so a run reads the
+        # problem's quadratic terms a bounded number of times, not once a step
+        prob, cfg = self._boxqp4_config("meal")
+        calls, terms = [], m.Problem.quadratic_terms
+        monkeypatch.setattr(m.Problem, "quadratic_terms",
+                            lambda p: calls.append(1) or terms(p))
+        tr = m.run(prob, cfg)
+        assert tr.status == "Converged" and tr.n_rows - 1 > 1000
+        assert 0 < len(calls) <= 4
+
+    def test_exact_and_linearized_solves_keep_their_own_plans(self):
+        # solves with and without grad_h in turn on one context, each bitwise
+        # the same solve on a fresh context: neither plan serves the other
+        prob, cfg = self._boxqp4_config("meal")
+        ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+        rng = np.random.default_rng(4)
+        for k in range(12):
+            z, lam = rng.uniform(-0.2, 1.2, prob.n), rng.standard_normal(prob.m)
+            grad_h = prob.smooth_gradient(rng.uniform(0, 1, prob.n)) if k % 3 else None
+            got = solve_subproblem(ctx, z, lam, grad_h=grad_h)
+            fresh = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+            want = solve_subproblem(fresh, z, lam, grad_h=grad_h)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.residual.tobytes() == want.residual.tobytes()
+            assert got.inner_iterations == want.inner_iterations
+        assert sorted(ctx._plans) == [False, True]
+
 
 @st.composite
 def _strongly_convex_box_qps(draw):
@@ -939,6 +967,49 @@ def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
             f"np.array(c) * v differs from c * v, {where}"
         assert (y / np.array(c)).tobytes() == (y / c).tobytes(), \
             f"v / np.array(c) differs from v / c, {where}"
+
+
+def test_face_solve_gives_np_linalg_solves_bits(monkeypatch):
+    """`envelope._face_solve`, the gufunc under np.linalg.solve called
+    without its Python wrapper, gives np.linalg.solve's bits on every face
+    block that the criterion-7 box-QPs and exp1's LiMEAL runs solve on, and
+    on 1,200 random SPD blocks of n 1-8 with right-hand sides scaled 1e-6 to
+    1e6. The face steps solve every face but the all-free one with it."""
+    from mealopt.experiments import EXP1_INIT, exp1_configs
+    from tests.test_acceptance import criterion_7_config
+
+    where = f"on {platform_record()}"
+    met, face_solve = [], envelope._face_solve
+    monkeypatch.setattr(envelope, "_face_solve",
+                        lambda M, b: met.append((M, b)) or face_solve(M, b))
+    runs = [criterion_7_config(seed) + (None,) for seed in range(10)]
+    runs += [(m.build_exp1(), cfg, EXP1_INIT) for _, cfg in exp1_configs()
+             if cfg.algorithm == "limeal"]
+    for prob, cfg, init in runs:
+        m.run(prob, cfg, init=init)
+    assert len(met) > 1000
+    for M, b in met:
+        assert face_solve(M, b).tobytes() == np.linalg.solve(M, b).tobytes(), \
+            f"the face solve differs from np.linalg.solve on a face block, {where}"
+
+    rng = np.random.default_rng(24)
+    for k in range(1200):
+        n = k % 8 + 1
+        G = rng.standard_normal((n, n))
+        M = G @ G.T + rng.uniform(1e-3, 10.0) * np.eye(n)
+        b = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
+        assert face_solve(M, b).tobytes() == np.linalg.solve(M, b).tobytes(), \
+            f"the face solve differs from np.linalg.solve, n={n} {where}"
+
+
+def test_face_solve_raises_on_a_singular_block():
+    # as np.linalg.solve does, under its error state: no RuntimeWarning
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            envelope._face_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
 @st.composite

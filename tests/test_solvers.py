@@ -1098,6 +1098,29 @@ def test_per_step_products_go_through_ndarray_dot(fn):
                          "of its source; use ndarray.dot")
 
 
+def _face_solvers():
+    from mealopt import envelope
+
+    return [envelope._face_steps, envelope.InnerProxGradient.solve]
+
+
+@pytest.mark.parametrize("fn", _face_solvers(), ids=lambda fn: fn.__qualname__)
+def test_face_solves_skip_the_np_linalg_solve_wrapper(fn):
+    """The box-QP face steps solve through `envelope._face_solve`, the
+    gufunc under np.linalg.solve, not through its Python wrapper, which
+    costs more than the solve at the face blocks' sizes. Read from the
+    source, so the check is the same on every platform."""
+    import ast
+    import inspect
+    import textwrap
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "linalg" in ast.unparse(node.func)]
+    assert lines == [], (f"{fn.__qualname__} calls numpy.linalg at line(s) {lines} "
+                         "of its source; use envelope._face_solve")
+
+
 @st.composite
 def _gradient_turns(draw):
     """A convex composite problem (n <= 6, a box, Zero or L1 prox part) whose
