@@ -96,13 +96,16 @@ def build_exp2(seed: int = DEFAULT_SEED, m: int = 5, n: int = 20) -> Problem:
     """Random box-QP: Q symmetrized uniform, b = A x_tilde so Ax=b is feasible.
 
     Draw order (row major): G (n x n) -> Q = (G + G')/2, r (n), A (m x n),
-    x_tilde (n); box [0, 1]^n.
+    x_tilde (n); box [0, 1]^n. Q is halved in place and G dropped before Q
+    is checked and decomposed, so at most two n x n arrays are alive.
     """
     if not m < n:
         raise ValueError("exp2 requires m < n")
     rng = SplitMix64(seed)
     G = rng.uniform_array(n, n)
-    Q = 0.5 * (G + G.T)
+    Q = G + G.T
+    del G
+    Q *= 0.5
     r = rng.uniform_array(n)
     A = rng.uniform_array(m, n)
     x_tilde = rng.uniform_array(n)

@@ -233,7 +233,8 @@ class Zero(ProxFunction):
 class QuadraticForm(ProxFunction):
     """g(x) = x'Qx/2 + r'x + c with symmetric Q (possibly indefinite); one
     eigendecomposition gives its modulus, `spectral_norm` = ||Q||_2 and the
-    extreme eigenvalues `eig_min` and `eig_max`."""
+    extreme eigenvalues `eig_min` and `eig_max`. The symmetry check holds one
+    n x n scratch array, dropped before the decomposition."""
 
     Q: np.ndarray = None
     r: np.ndarray = None
@@ -245,7 +246,11 @@ class QuadraticForm(ProxFunction):
         n = self.Q.shape[0]
         if self.Q.shape != (n, n):
             raise ValueError("Q must be square")
-        if np.abs(self.Q - self.Q.T).max() > 1e-12 * max(1.0, np.abs(self.Q).max()):
+        D = self.Q - self.Q.T                       # one n x n scratch, freed
+        asym = np.abs(D, out=D).max()               # before eigvalsh copies Q
+        scale = max(1.0, np.abs(self.Q, out=D).max())
+        del D
+        if asym > 1e-12 * scale:
             raise ValueError("Q must be symmetric")
         self.r = _vec(self.r) if self.r is not None else np.zeros(n)
         if self.r.shape != (n,):

@@ -45,14 +45,21 @@ class SplitMix64:
     def uniform_array(self, *shape: int) -> np.ndarray:
         """Array of uniforms filled in row-major order: the values, and the
         state left behind, of `uniform()` called once per element. The k-th
-        state is s0 + k*GOLDEN; numpy's uint64 arithmetic wraps mod 2^64."""
+        state is s0 + k*GOLDEN; numpy's uint64 arithmetic wraps mod 2^64.
+        The mixing runs in place with one scratch array, whose buffer then
+        holds the doubles, so at most two arrays of the output's size are
+        alive."""
         n = math.prod(shape)
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) \
-                * np.uint64(_GOLDEN)
-            if n:
-                self._state = int(z[-1])
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
-        return ((z >> np.uint64(11)) * 2.0 ** -53).reshape(shape)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        if n:
+            self._state = int(z[-1])
+        t = np.empty_like(z)
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+        z >>= np.uint64(11)
+        return np.multiply(z, 2.0 ** -53, out=t.view(np.float64)).reshape(shape)

@@ -1,5 +1,6 @@
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,21 @@ def pytest_configure(config):
     home = tempfile.TemporaryDirectory(prefix="hypothesis-")
     config.add_cleanup(home.cleanup)
     set_hypothesis_home_dir(home.name)
+
+
+def new_memory_peak(fn):
+    """Peak bytes that `fn()` allocates on top of what is traced when it
+    starts, as `tracemalloc` sees them. numpy reports its data buffers to
+    `tracemalloc`; LAPACK's work arrays (`eigvalsh`'s copy of its matrix,
+    say) are allocated outside it and are not counted."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,15 @@ from mealopt.experiments import (
 )
 from mealopt.fileio import load_trace_columns
 from mealopt.rng import SplitMix64
+from tests.conftest import new_memory_peak
+
+# the memory bounds are in units of n x n doubles at n = 600
+_N_MEM = 600
+_NN_BYTES = 8 * _N_MEM * _N_MEM
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
 class TestSplitMix64:
@@ -42,6 +53,12 @@ class TestSplitMix64:
         np.testing.assert_array_equal(got.ravel(), want)
         assert vec._state == loop._state
         assert vec.next_u64() == loop.next_u64()
+
+    def test_uniform_array_holds_two_arrays_at_most(self):
+        """The draw mixes in place with one scratch array (`tracemalloc`
+        sees numpy's buffers; see `new_memory_peak`)."""
+        peak = new_memory_peak(lambda: SplitMix64(3).uniform_array(_N_MEM, _N_MEM))
+        assert peak <= 2.1 * _NN_BYTES
 
 
 class TestBuilders:
@@ -86,6 +103,34 @@ class TestBuilders:
         assert a.constraint.b.tobytes() == b.constraint.b.tobytes()
         c = m.build_exp2(seed=12, m=3, n=6)
         assert a.smooth.Q.tobytes() != c.smooth.Q.tobytes()
+
+    @pytest.mark.parametrize("n, digests", [
+        (20, {"Q": "f99da4a00318c673202dad4af87d289d90cc5f270f9b509d330b12b33c8761c6",
+              "r": "a5bf41a5351f6d0f54d98b5b88d111f1183920bb5c4f54926a0b81e2edfc9041",
+              "A": "4bb27bd5072be7f4efe39eee6dd11123f5fbc779c4c31c9df38bdf49626138dd"}),
+        (800, {"Q": "36928a1ab5b2e95748717918ff0f8a18a6edf72ab50bcb560822116abae696b1",
+               "r": "73ee55d44707265306850f6d940612b6c206d82d0691c923827f48c219f3f555",
+               "A": "ff9111d24b8e8cd8e9b2b31005613d745ef72f6e4cb474298622ead41104c714"}),
+    ])
+    def test_exp2_bits_pinned(self, n, digests):
+        """Q, r and A come from SplitMix64 and IEEE adds and multiplies only,
+        so their bytes are the same on every platform. b goes through BLAS,
+        so it is checked against A x_tilde with x_tilde drawn again from the
+        same stream."""
+        p = m.build_exp2(42, 5, n)
+        Q, r, _ = p.smooth.quadratic_terms()
+        A, b = p.constraint.A, p.constraint.b
+        assert {"Q": _sha256(Q), "r": _sha256(r), "A": _sha256(A)} == digests
+        rng = SplitMix64(42)
+        for shape in ((n, n), (n,), (5, n)):
+            rng.uniform_array(*shape)
+        np.testing.assert_array_equal(b, A.dot(rng.uniform_array(n)))
+
+    def test_exp2_holds_two_n_by_n_arrays_at_most(self):
+        """G and Q while Q is formed, Q and one scratch while Q is checked;
+        `eigvalsh`'s own copy of Q is LAPACK's and not seen here."""
+        peak = new_memory_peak(lambda: m.build_exp2(42, 5, _N_MEM))
+        assert peak <= 2.1 * _NN_BYTES
 
     def test_exp2_parameter_derivation(self):
         p = m.build_exp2(seed=42)

@@ -9,6 +9,8 @@ import mealopt as m
 from mealopt.errors import AllZeroMatrix, GammaTooLarge
 from mealopt.oracle import finite_diff_check, grid_prox_oracle
 from mealopt.problem import moreau_value_grad
+from mealopt.rng import SplitMix64
+from tests.conftest import new_memory_peak
 
 
 def piecewise_mcp():
@@ -408,6 +410,47 @@ class TestOneQuadratic:
     def test_quadratic_smooth_checks_q_and_r(self, Q, r, message):
         with pytest.raises(ValueError, match=message):
             m.QuadraticSmooth(Q, r)
+
+
+def _asymmetric(kind, amount):
+    """A symmetric 600 x 600 Q from SplitMix64 with Q[599, 0] moved off
+    Q[0, 599]. "neg" scales Q to (-100, 0], so its largest magnitude is a
+    negative entry above 1, and moves the entry by `amount` times it; "diag"
+    puts -1e6 on the diagonal of a Q in [0, 2) and moves the entry by
+    `amount`; "nan" sets both entries to NaN."""
+    G = SplitMix64(5).uniform_array(600, 600)
+    Q = G + G.T
+    if kind == "neg":
+        Q *= -50.0
+        amount = amount * np.abs(Q).max()
+    elif kind == "diag":
+        np.fill_diagonal(Q, -1e6)
+    else:
+        Q[0, 599] = np.nan
+    Q[599, 0] = Q[0, 599] + amount
+    return Q
+
+
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("kind, amount", [("neg", 1e-13), ("diag", 1e-7)])
+    def test_asymmetry_within_the_scaled_tolerance_accepted(self, kind, amount):
+        m.QuadraticForm(Q=_asymmetric(kind, amount))
+
+    @pytest.mark.parametrize("kind, amount", [("neg", 1e-11), ("diag", 1e-5)])
+    def test_asymmetry_beyond_the_scaled_tolerance_rejected(self, kind, amount):
+        with pytest.raises(ValueError, match="symmetric"):
+            m.QuadraticForm(Q=_asymmetric(kind, amount))
+
+    def test_nan_pair_reaches_the_decomposition(self):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            m.QuadraticForm(Q=_asymmetric("nan", 0.0))
+
+    def test_check_holds_one_scratch_array(self):
+        """New memory while Q is checked and decomposed: the symmetry check's
+        one n x n scratch array (`tracemalloc` sees numpy's buffers, not
+        `eigvalsh`'s LAPACK copy of Q; see `new_memory_peak`)."""
+        Q = _asymmetric("neg", 0.0)
+        assert new_memory_peak(lambda: m.QuadraticForm(Q=Q)) <= 1.1 * 8 * 600 * 600
 
 
 class TestProblemSizes:
