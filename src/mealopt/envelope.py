@@ -36,11 +36,14 @@ from .errors import (
     NonPositiveAlpha,
     NotComposite,
     PenaltyOutOfRange,
+    SubproblemNonconvexUnsupported,
     WindowTooShort,
 )
+from .oracle import ACTIVE_SET_MAX_N, BoxFaces, check_free_curvature
 from .problem import (
     BoxIndicator,
     Problem,
+    QuadraticSmooth,
     Zero,
     _FLOAT,
     _vec,
@@ -173,9 +176,9 @@ class InnerProxGradient(SubproblemSpec):
     or g a QuadraticForm and no h), the subproblem minimizes x'Mx/2 + c'x
     with M = H + Q [H alone for a linearized step] and c = shift + r
     [shift], where grad S(x) = H x + shift [+ grad h(x)]. Then x = -M^{-1} c
-    by one `potrs` solve on M's Cholesky factor (the context's `_system`
-    entry), the residual is s = M x + c, and the step counts one inner
-    iteration whatever the tolerance.
+    by one `potrs` solve on M's Cholesky factor (the plan's `_System`), the
+    residual is s = M x + c, and the step counts one inner iteration
+    whatever the tolerance.
 
     When h is quadratic and g is a box, S is a strongly convex quadratic
     over a box, grad S(x) = M x + c as above, and the loop is preceded by up
@@ -187,11 +190,11 @@ class InnerProxGradient(SubproblemSpec):
     element of the box normal cone at x has ||s|| <= tol. When an active set
     repeats, or after _FACE_STEPS steps, the accelerated loop goes on from
     the clipped point. Each face step makes one prox call and counts as one
-    inner iteration, so max_inner bounds the total. M's entry keeps the
+    inner iteration, so max_inner bounds the total. M's `_System` keeps the
     blocks of the last face solved on, and a face step on the same face
     reuses them; `_face_solve`, the gufunc under `np.linalg.solve`, gives
     `np.linalg.solve`'s bits on the same block. What a solve reads from the
-    context alone is formed once per context and kind of step (`_inner_plan`).
+    context alone is its plan, the context's `_exact_plan` or `_linearized_plan`.
     """
 
     tol: float = 1e-10
@@ -205,8 +208,8 @@ class InnerProxGradient(SubproblemSpec):
 
     def solve(self, ctx, z, lam, grad_h=None, tol=None,
               warm_start=None) -> "SubproblemResult":
-        plan = ctx._plans.get(grad_h is None) or _inner_plan(ctx, grad_h is None)
-        exact_h, r, system, bounds, t, momentum = plan
+        exact_h, r, system, bounds, t, momentum = (
+            ctx._exact_plan if grad_h is None else ctx._linearized_plan)
 
         # grad S(x) = H x + shift [+ grad h(x)]; shift is formed once per solve
         p = ctx.problem
@@ -234,7 +237,7 @@ class InnerProxGradient(SubproblemSpec):
 
         def grad(xx):
             out = ctx.H_matvec(xx) + shift
-            return out + p.smooth_gradient(xx) if exact_h else out
+            return out + ctx.h_gradient(xx) if exact_h else out
 
         y, grad_y = x, grad(x)
         for it in range(done + 1, self.max_inner + 1):
@@ -257,19 +260,25 @@ class InnerProxGradient(SubproblemSpec):
 
 def _inner_plan(ctx, exact: bool) -> tuple:
     """InnerProxGradient.solve's plan on `ctx` for calls without grad_h
-    (`exact`) or with it, kept in `ctx._plans[exact]`: (exact_h, r, system,
-    bounds, t, momentum). exact_h: S holds h itself; r: the linear term c
-    adds to shift; system: M's `_system` entry, for the no-bound solve or
-    the face steps; bounds: the box; t = 1/L. None marks what is unused."""
+    (`exact`) or with it: (exact_h, r, system, bounds, t, momentum). exact_h:
+    S holds h itself; r: the linear term c adds to shift; system: the
+    `_System` of M = beta A'A + I/gamma [+ Q], for the no-bound solve or the
+    face steps; bounds: the box; t = 1/L. None marks what is unused."""
     p, gamma = ctx.problem, ctx.plan.gamma
     g = p.prox_part
     exact_h = p.composite and exact
     quad = p.quadratic_terms()      # h's, or g's when g is the objective
     include_Q = exact_h or not p.composite      # exact_h when g is a box
     bounds = ctx.bounds if isinstance(g, BoxIndicator) else None
-    system = None       # M's entry, for the no-bound solve or the face steps
+    system = None
     if quad is not None and (not p.composite or isinstance(g, Zero) or bounds is not None):
-        system = ctx._system(include_Q)
+        A = p.constraint.A
+        M = ctx.beta * (A.T @ A) + np.eye(p.n) / gamma
+        if include_Q:
+            M = M + quad[0]
+        factor, lower = cho_factor(M)
+        potrs, = get_lapack_funcs(("potrs",), (factor,))
+        system = _System(M, M.dot if include_Q else ctx.H_matvec, factor, lower, potrs)
     L_h = p.L_h if exact_h else 0.0
     L = ctx.beta * ctx.A_norm2 + 1.0 / gamma + L_h
     mu = 1.0 / gamma - L_h
@@ -278,8 +287,7 @@ def _inner_plan(ctx, exact: bool) -> tuple:
         q = math.sqrt(mu / L)
         momentum = (1.0 - q) / (1.0 + q)
     r = quad[1] if system is not None and include_Q else None
-    plan = ctx._plans[exact] = (exact_h, r, system, bounds, 1.0 / L, momentum)
-    return plan
+    return exact_h, r, system, bounds, 1.0 / L, momentum
 
 
 _FACE_STEPS = 8  # face steps before InnerProxGradient's accelerated loop
@@ -299,7 +307,7 @@ _face_solve = np.errstate(call=_raise_singular, invalid="call", over="ignore",
 
 def _face_steps(g, system, bounds, t, x, c, tol, steps):
     """Up to `steps` face steps on min x'Mx/2 + c'x over g's box `bounds`, M
-    the `system` entry (see InnerProxGradient): (x, s, ||s||, steps taken).
+    the plan's `system` (see InnerProxGradient): (x, s, ||s||, steps taken).
     Stops once ||s|| <= tol or when an active set repeats."""
     lo, hi = bounds
     grad = system.matvec(x) + c
@@ -487,9 +495,26 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _alm_hessian(problem, beta) -> np.ndarray:
+    """H = Q + beta A'A, the Hessian of x -> L_beta(x, lam), once ALM's
+    requirements hold: a quadratic objective over a box, at enumeration scale,
+    and no step's subproblem unbounded below (`check_free_curvature`)."""
+    terms, bounds = problem.quadratic_terms(), problem.box_bounds()
+    if terms is None or bounds is None:
+        raise SubproblemNonconvexUnsupported(
+            "alm global minimization supports quadratic objectives over a box")
+    if problem.n > ACTIVE_SET_MAX_N:
+        raise SubproblemNonconvexUnsupported(
+            f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={problem.n}")
+    A = problem.constraint.A
+    H = terms[0] + beta * (A.T @ A)
+    check_free_curvature(H, *bounds)
+    return H
+
+
 @dataclass
 class _System:
-    """A context's subproblem matrix M: its product, its Cholesky factor
+    """A plan's subproblem matrix M: its product, its Cholesky factor
     (`cho_factor(M)`'s factor and `lower` flag) with the LAPACK `potrs` that
     solves on it, and the blocks of the last face `_face_steps` solved on
     (`_face_blocks`, None before the first)."""
@@ -537,13 +562,13 @@ class EnvelopeContext:
     form in which a step multiplies or divides a vector by them; `beta` and
     the plan's fields stay Python floats.
 
-    The run constants that steps read are kept here, so that a step
-    derives none of them. Formed on first use: `bounds`, the problem's
-    `box_bounds()` (for a Zero prox part, two infinite vectors that it
-    builds anew at every call). ALM's first step keeps `_alm` on the
-    context: its prepared box faces, h's linear term r and the minimizers of
-    the last two distinct linear terms its steps solved for. Prox-iALM's
-    first step keeps its primal step s, as a 0-d array like `factors`.
+    `h_gradient` is h's gradient: a `QuadraticSmooth`'s own, which returns
+    a float vector, else `Problem.smooth_gradient`, which converts. Every
+    other run constant is a `cached_property`, formed on first use: `bounds`,
+    the problem's `box_bounds()`; `_woodbury`; InnerProxGradient's plans
+    `_exact_plan` and `_linearized_plan` (`_inner_plan`); ALM's `_alm`; and
+    Prox-iALM's primal step `_prox_ialm_s`, a 0-d array like `factors`.
+    Nothing else sets an attribute on a context.
 
     The subproblem matrix H = beta A'A + I/gamma is the identity plus a
     rank-m term. `H_matvec` applies it as beta A'(A v) + v/gamma, and
@@ -557,15 +582,14 @@ class EnvelopeContext:
     every m, m >= n included. `H_solve` is Paper72FastPath's solve, and
     `H_matvec` makes every product with H alone.
 
-    InnerProxGradient's solves with M = H + Q (an exact step) or M = H (a
-    linearized one) read `_system(exact)`, one entry per flag formed on
-    first use: M, its product, its Cholesky factor with LAPACK's `potrs`
-    (a solve is one `potrs` call on the kept factor, the bits of scipy's
-    Cholesky solve without its Python wrapper) and the blocks of the last face solved on.
-    InnerProxGradient keeps its plans for the two kinds of step in `_plans`.
-    Those solves certify the residual M x + c, and M's Cholesky factor is
-    backward stable; the residual of the rank-m solve grows with cond(H),
-    and can miss a tolerance near round-off that the factor meets.
+    A plan of InnerProxGradient's with M = H + Q (an exact step) or M = H
+    (a linearized one) owns M's `_System`: M, its product, its Cholesky
+    factor with LAPACK's `potrs` (a solve is one `potrs` call on the kept
+    factor, the bits of scipy's Cholesky solve without its Python wrapper)
+    and the blocks of the last face solved on. Those solves certify the
+    residual M x + c, and M's Cholesky factor is backward stable; the
+    residual of the rank-m solve grows with cond(H), and can miss a
+    tolerance near round-off that the factor meets.
     """
 
     problem: Problem
@@ -574,7 +598,6 @@ class EnvelopeContext:
 
     def __post_init__(self):
         constraint, plan = self.problem.constraint, self.plan
-        self._systems, self._plans = {}, {}
         self.A_norm2, self.sigma_min_pos = constraint.gram_spectrum
         self.c_gamma_A = plan.c_gamma_A(constraint)
         self.beta = plan.beta_for(constraint)
@@ -583,6 +606,9 @@ class EnvelopeContext:
         self.beta_Atb = self.beta * (constraint.A.T @ constraint.b)
         self.factors = _Factors(*(np.array(v, dtype=_FLOAT) for v in (
             self.beta, plan.gamma, plan.eta, 1.0 - plan.eta, 1.0 / plan.gamma)))
+        smooth = self.problem.smooth
+        self.h_gradient = smooth.gradient if type(smooth) is QuadraticSmooth \
+            else self.problem.smooth_gradient
 
     # -- run constants, read by every step -------------------------------
 
@@ -590,6 +616,23 @@ class EnvelopeContext:
     def bounds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """The problem's `box_bounds()`: (lower, upper), infinite for Zero."""
         return self.problem.box_bounds()
+
+    _exact_plan = cached_property(partial(_inner_plan, exact=True))
+    _linearized_plan = cached_property(partial(_inner_plan, exact=False))
+
+    @cached_property
+    def _alm(self) -> tuple:
+        """ALM's box faces of H = Q + beta A'A, h's linear term r, and the
+        minimizers of the last two distinct linear terms its steps solved for."""
+        p = self.problem
+        return (BoxFaces(_alm_hessian(p, self.beta), None, *self.bounds),
+                p.quadratic_terms()[1], {})
+
+    @cached_property
+    def _prox_ialm_s(self) -> np.ndarray:
+        """s = 1 / (2 (L_h + 1/gamma + beta ||A||^2))."""
+        return np.array(1.0 / (2.0 * (self.problem.L_h + 1.0 / self.plan.gamma
+                                      + self.beta * self.A_norm2)))
 
     # -- the rank-m products and solves with H ---------------------------
 
@@ -612,25 +655,6 @@ class EnvelopeContext:
         L = cholesky(np.eye(self.problem.m) + bg * (A @ A.T), lower=True,
                      check_finite=False)
         return math.sqrt(bg) * solve_triangular(L, A, lower=True, check_finite=False)
-
-    # -- the dense subproblem matrix, for the paths that need one --------
-
-    def _system(self, exact: bool) -> _System:
-        """The entry of M = beta A'A + I/gamma, + Q for an exact step; formed
-        on the first call and kept. The solve is `potrs` on M's Cholesky
-        factor, selected once here; the product with M for a linearized step
-        is `H_matvec`."""
-        entry = self._systems.get(exact)
-        if entry is None:
-            A = self.problem.constraint.A
-            M = self.beta * (A.T @ A) + np.eye(self.problem.n) / self.plan.gamma
-            if exact:
-                M = M + self.problem.quadratic_terms()[0]
-            factor, lower = cho_factor(M)
-            potrs, = get_lapack_funcs(("potrs",), (factor,))
-            entry = self._systems[exact] = _System(
-                M, M.dot if exact else self.H_matvec, factor, lower, potrs)
-        return entry
 
 
 # ---------------------------------------------------------------------------

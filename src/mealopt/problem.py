@@ -643,7 +643,7 @@ class Problem:
         return float(val)
 
     def smooth_gradient(self, x) -> np.ndarray:
-        """h's gradient at x as a float vector; the one call of smooth.gradient."""
+        """h's gradient at x as a float vector, converted once from smooth.gradient's."""
         if self.smooth is None:
             return np.zeros(self.n)
         if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:

@@ -31,6 +31,7 @@ from .envelope import (
     InnerProxGradient,
     Paper72FastPath,
     PenaltyPlan,
+    _alm_hessian,
     _rowdot,
     augmented_lagrangian,
     lyapunov,
@@ -42,10 +43,9 @@ from .errors import (
     InvalidSubproblemPath,
     NonFiniteValue,
     NotComposite,
-    SubproblemNonconvexUnsupported,
 )
 from .problem import Problem, _vec
-from .oracle import ACTIVE_SET_MAX_N, BoxFaces, box_qp_global_min, check_free_curvature
+from .oracle import box_qp_global_min
 
 __all__ = [
     "IterateState",
@@ -257,13 +257,12 @@ def limeal_step(ctx: EnvelopeContext,
     Solved from state.x. h's gradient at x^k is the state's carried one when
     it has one; the step evaluates it once, at x^{k+1}, and carries it on.
     """
-    p = ctx.problem
-    if not p.composite:
+    if not ctx.problem.composite:
         raise NotComposite("limeal_step needs a composite objective")
-    grad = p.smooth_gradient(state.x) if state.grad_h is None else state.grad_h
+    grad = ctx.h_gradient(state.x) if state.grad_h is None else state.grad_h
     # the module global, which the benchmark wraps to count inner iterations
     sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad, warm_start=state.x)
-    grad_new = p.smooth_gradient(sub.x)
+    grad_new = ctx.h_gradient(sub.x)
     gz = (state.z - sub.x) / ctx.factors.gamma + (grad_new - grad)
     return _advance(ctx, state, sub.x, gz, sub=sub, grad_h=grad_new)
 
@@ -275,24 +274,19 @@ def alm_step(ctx: EnvelopeContext,
     Supported where the global-min oracle applies: quadratic objective with
     an (optional) box, at enumeration scale. The subproblem may be nonconvex;
     the oracle enumerates all face-stationary candidates. Only the linear
-    term moves with lam, so the context's first step checks the Hessian (the
-    step may be called without validate), prepares the faces for the run and
-    keeps them with h's linear term r.
+    term moves with lam, so the context's `_alm` checks the Hessian once (the
+    step may be called without validate) and keeps the faces prepared for
+    the run with h's linear term r.
 
-    With the faces fixed, x' is a function of the linear term c alone, so the
-    context also keeps the minimizers of the last two distinct c, keyed by
+    With the faces fixed, x' is a function of the linear term c alone, so
+    `_alm` also keeps the minimizers of the last two distinct c, keyed by
     c's bytes: a multiplier that repeats (ALM's two-cycle on exp1 repeats
     bit for bit) reuses its minimizer instead of enumerating the faces again.
     Two is the window the run's oscillation detector looks back over. A step
     returns a copy, so writing into a returned state cannot change a later step.
     """
-    p = ctx.problem
-    alm = getattr(ctx, "_alm", None)
-    if alm is None:
-        alm = ctx._alm = (BoxFaces(_alm_hessian(p, ctx.beta), None, *ctx.bounds),
-                          p.quadratic_terms()[1], {})
-    faces, r, minimizers = alm
-    c = r + p.constraint.A.T.dot(state.lam) - ctx.beta_Atb
+    faces, r, minimizers = ctx._alm
+    c = r + ctx.problem.constraint.A.T.dot(state.lam) - ctx.beta_Atb
     key = c.tobytes()
     x_new = minimizers.get(key)
     if x_new is None:
@@ -315,27 +309,23 @@ def prox_ialm_step(ctx: EnvelopeContext,
     followed by the shared z and lambda updates (dual step beta, as in the
     printed scheme). Proj_C is the identity when the prox part is Zero. The
     primal step is Zhang and Luo's s = 1 / (2 (L_h + p + beta ||A||^2)),
-    from the problem's L_h = ||Q||_2 and the context's ||A||_2^2, formed by
-    the context's first step and kept. The product with H is the context's
+    from the problem's L_h = ||Q||_2 and the context's ||A||_2^2, kept as
+    the context's `_prox_ialm_s`. The product with H is the context's
     rank-m `H_matvec`, grad h(x) is the state's carried gradient when it has
     one, and the step evaluates h's gradient once, at x', and carries it on:
     one product with Q a step.
     """
-    p, c = ctx.problem, ctx.factors
-    s = getattr(ctx, "_prox_ialm_s", None)
-    if s is None:
-        s = ctx._prox_ialm_s = np.array(
-            1.0 / (2.0 * (p.L_h + 1.0 / ctx.plan.gamma + ctx.beta * ctx.A_norm2)))
+    p, c, s = ctx.problem, ctx.factors, ctx._prox_ialm_s
     if ctx.bounds is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
     lo, hi = ctx.bounds
     A = p.constraint.A
     x, z, lam = state.x, state.z, state.lam
-    grad = p.smooth_gradient(x) if state.grad_h is None else state.grad_h
+    grad = ctx.h_gradient(x) if state.grad_h is None else state.grad_h
 
     xbar = ctx.H_matvec(x) + grad + A.T.dot(lam) - c.inv_gamma * z - ctx.beta_Atb
     x_new = np.minimum(np.maximum(x - s * xbar, lo), hi)     # np.clip's bits
-    grad_new = p.smooth_gradient(x_new)
+    grad_new = ctx.h_gradient(x_new)
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
     dx = x_new - x
@@ -352,23 +342,6 @@ def prox_ialm_step(ctx: EnvelopeContext,
 def _check_limeal(config, problem) -> None:
     if not problem.composite:
         raise NotComposite("limeal needs a composite objective")
-
-
-def _alm_hessian(problem, beta) -> np.ndarray:
-    """H = Q + beta A'A, the Hessian of x -> L_beta(x, lam), once ALM's
-    requirements hold: a quadratic objective over a box, at enumeration scale,
-    and no step's subproblem unbounded below (`check_free_curvature`)."""
-    terms, bounds = problem.quadratic_terms(), problem.box_bounds()
-    if terms is None or bounds is None:
-        raise SubproblemNonconvexUnsupported(
-            "alm global minimization supports quadratic objectives over a box")
-    if problem.n > ACTIVE_SET_MAX_N:
-        raise SubproblemNonconvexUnsupported(
-            f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={problem.n}")
-    A = problem.constraint.A
-    H = terms[0] + beta * (A.T @ A)
-    check_free_curvature(H, *bounds)
-    return H
 
 
 def _check_alm(config, problem) -> None:

@@ -35,6 +35,11 @@ from tests.conftest import make_box_qp, make_convex_qp
 from tests.test_golden_traces import platform_record
 
 
+def plan_system(ctx, name):
+    """The `_System` of the context's plan `name`, (exact_h, r, system, ...)."""
+    return getattr(ctx, name)[2]
+
+
 def zero_problem(n=2):
     return m.Problem(m.LinearConstraint(np.eye(n), np.zeros(n)), m.Zero())
 
@@ -202,14 +207,15 @@ class TestSolveSubproblem:
                                                   rel=1e-13, abs=0)
 
     def test_subproblem_matrix_formed_on_first_use(self, monkeypatch):
+        plans = {"_exact_plan", "_linearized_plan"}
         prob = make_box_qp(1)
         ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(5.0, 0.1, 1.0))
-        assert ctx._systems == {}
+        assert not plans & set(vars(ctx))
         solve_subproblem(ctx, np.zeros(prob.n), np.zeros(prob.m))
-        assert list(ctx._systems) == [True]
+        assert plans & set(vars(ctx)) == {"_exact_plan"}
         A, Q = prob.constraint.A, prob.smooth.quadratic_terms()[0]
         want = 5.0 * (A.T @ A) + np.eye(prob.n) / 0.1 + Q
-        assert ctx._system(True).M.tobytes() == want.tobytes()
+        assert plan_system(ctx, "_exact_plan").M.tobytes() == want.tobytes()
 
         # the fast path and Prox-iALM form no n x n matrix
         from mealopt import solvers
@@ -225,7 +231,7 @@ class TestSolveSubproblem:
         assert [type(ctx.subproblem) for ctx in made] == [m.Paper72FastPath,
                                                           m.InnerProxGradient]
         for ctx in made:
-            assert ctx._systems == {}
+            assert not plans & set(vars(ctx))
 
 
 @st.composite
@@ -562,9 +568,9 @@ class TestFaceSolve:
                                               getattr(states[k + 1], name))
 
     def test_one_context_keeps_one_entry_per_flag(self):
-        # meal_step and limeal_step in turn on one context: an entry for the
-        # exact and one for the linearized M, and each step bitwise the step
-        # on a fresh context
+        # meal_step and limeal_step in turn on one context: a plan for the
+        # exact and one for the linearized step, each with its own M, and
+        # each step bitwise the step on a fresh context
         prob, cfg = self._boxqp4_config("meal")
         ctx = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
         state = m.IterateState(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
@@ -575,8 +581,10 @@ class TestFaceSolve:
             for name in ("x", "z", "lam", "residual"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             state = got
-        assert sorted(ctx._systems) == [False, True]
-        assert ctx._system(False).M.tobytes() != ctx._system(True).M.tobytes()
+        exact = plan_system(ctx, "_exact_plan")
+        linearized = plan_system(ctx, "_linearized_plan")
+        assert exact is not linearized
+        assert linearized.M.tobytes() != exact.M.tobytes()
 
     def test_a_run_plans_its_solves_once(self, monkeypatch):
         # the context keeps InnerProxGradient's plan, so a run reads the
@@ -604,7 +612,8 @@ class TestFaceSolve:
             assert got.x.tobytes() == want.x.tobytes()
             assert got.residual.tobytes() == want.residual.tobytes()
             assert got.inner_iterations == want.inner_iterations
-        assert sorted(ctx._plans) == [False, True]
+        assert {"_exact_plan", "_linearized_plan"} <= set(vars(ctx))
+        assert ctx._exact_plan is not ctx._linearized_plan
 
 
 @st.composite
@@ -901,8 +910,8 @@ def _kernel_contexts():
 @pytest.mark.parametrize("prob, cfg", _kernel_contexts())
 def test_system_solve_gives_cho_solves_bits(prob, cfg):
     """`_System.solve`, LAPACK's potrs on the kept factor, gives
-    scipy's `cho_solve(cho_factor(M), v)` bit for bit on both entries of the
-    criterion-7 box-QPs' and the monitored convex QPs' contexts. The face
+    scipy's `cho_solve(cho_factor(M), v)` bit for bit on the systems of both
+    plans of the criterion-7 box-QPs' and the monitored convex QPs' contexts. The face
     steps' all-free face and the no-bound solve rest on it."""
     from scipy.linalg import cho_factor, cho_solve
 
@@ -910,17 +919,17 @@ def test_system_solve_gives_cho_solves_bits(prob, cfg):
     rng = np.random.default_rng(prob.n)
     V = rng.standard_normal((300, prob.n)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1))
     where = f"on {platform_record()}"
-    for exact in (True, False):
-        system = ctx._system(exact)
+    for name in ("_exact_plan", "_linearized_plan"):
+        system = plan_system(ctx, name)
         factor = cho_factor(system.M)
         for v in V:
             assert system.solve(v).tobytes() == cho_solve(factor, v).tobytes(), \
-                f"potrs on the kept factor differs from cho_solve, exact={exact} {where}"
+                f"potrs on the kept factor differs from cho_solve, {name} {where}"
 
 
 def test_system_solve_raises_on_an_illegal_potrs_argument():
     ctx = EnvelopeContext(make_box_qp(0), m.PenaltyPlan.fixed(5.0, 0.1, 1.0))
-    system = ctx._system(True)
+    system = plan_system(ctx, "_exact_plan")
     system.potrs = lambda *args, **kwargs: (None, -2)
     with pytest.raises(ValueError, match="illegal value in 2th argument"):
         system.solve(np.ones(4))

@@ -656,13 +656,13 @@ def test_alm_prepares_its_faces_once_per_run(monkeypatch):
     # the subproblem's Hessian and box are fixed for the run: a 5-step and a
     # 200-step run make one face preparation and the same free-block
     # curvature checks (validate's and the first step's)
-    from mealopt import solvers
+    from mealopt import envelope
     from mealopt.experiments import EXP1_INIT
 
     problems = {steps: m.build_exp1() for steps in (5, 200)}
     gram = problems[5].constraint.A @ problems[5].constraint.A.T
     counts = {}
-    real_faces, real_eigvalsh = solvers.BoxFaces, np.linalg.eigvalsh
+    real_faces, real_eigvalsh = envelope.BoxFaces, np.linalg.eigvalsh
 
     def faces(*args):
         counts["faces"] += 1
@@ -672,7 +672,7 @@ def test_alm_prepares_its_faces_once_per_run(monkeypatch):
         counts["free_blocks"] += not np.array_equal(M, gram)
         return real_eigvalsh(M)
 
-    monkeypatch.setattr(solvers, "BoxFaces", faces)
+    monkeypatch.setattr(envelope, "BoxFaces", faces)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     for steps, prob in problems.items():
         counts.update(faces=0, free_blocks=0)
@@ -1243,6 +1243,79 @@ def test_limeal_takes_h_gradient_as_any_float_sequence(form):
         if name != "wall_time":
             np.testing.assert_array_equal(got.column(name), want.column(name))
     assert got.inner_iterations == want.inner_iterations
+
+
+@pytest.mark.parametrize("spec", [None, m.InnerProxGradient()], ids=["paper72", "inner-box"])
+def test_a_limeal_run_on_a_quadratic_h_skips_problem_smooth_gradient(spec, monkeypatch):
+    """The context binds a QuadraticSmooth's own gradient, whose result is
+    already a float vector: a LiMEAL run on exp2 evaluates h's gradient at
+    every step and never through Problem.smooth_gradient's frame."""
+    from dataclasses import replace
+
+    from mealopt.experiments import exp2_configs
+
+    prob = m.build_exp2(42, 5, 20)
+    wrapped, grads, real = [], [], m.Problem.smooth_gradient
+    monkeypatch.setattr(m.Problem, "smooth_gradient",
+                        lambda self, x: wrapped.append(1) or real(self, x))
+    gradient = prob.smooth.gradient
+    monkeypatch.setattr(prob.smooth, "gradient", lambda x: grads.append(1) or gradient(x))
+    cfg = dict(exp2_configs(prob, m.StopRule(max_iters=30)))["limeal_beta50_eta1"]
+    tr = m.run(prob, cfg if spec is None else replace(cfg, subproblem=spec))
+    assert tr.n_rows - 1 == 30
+    assert len(grads) == 30 + 1 and wrapped == []
+
+
+def _context_attribute_cases():
+    from dataclasses import replace
+
+    from mealopt.experiments import EXP1_INIT, exp1_configs, exp2_configs
+    from tests.test_acceptance import criterion_7_config
+
+    boxqp, meal = criterion_7_config(4)
+    exp2 = m.build_exp2(42, 5, 20)
+    paper = dict(exp2_configs(exp2, m.StopRule(max_iters=20)))
+    exp1 = m.build_exp1()
+    alm = dict(exp1_configs(m.StopRule(max_iters=20)))["alm_beta50"]
+    limeal = paper["limeal_beta50_eta1"]
+    return [
+        pytest.param(boxqp, meal, None, id="meal"),
+        pytest.param(boxqp, replace(meal, algorithm="imeal"), None, id="imeal"),
+        pytest.param(exp2, limeal, None, id="limeal-paper72"),
+        pytest.param(exp2, replace(limeal, subproblem=m.InnerProxGradient()), None,
+                     id="limeal-inner"),
+        pytest.param(exp1, alm, EXP1_INIT, id="alm"),
+        pytest.param(exp2, paper["ialm"], None, id="prox_ialm"),
+    ]
+
+
+@pytest.mark.parametrize("prob, cfg, init", _context_attribute_cases())
+def test_every_attribute_of_a_context_is_declared(prob, cfg, init, monkeypatch):
+    """After a run, and after direct step calls, every attribute of the
+    context is a dataclass field, one that __post_init__ sets, or a
+    cached_property of EnvelopeContext: no step stashes state on it."""
+    from dataclasses import fields
+    from functools import cached_property
+
+    from mealopt import solvers
+
+    cached = {name for name, value in vars(EnvelopeContext).items()
+              if isinstance(value, cached_property)}
+    built = EnvelopeContext(prob, cfg.plan, cfg.resolve_subproblem())
+    declared = {f.name for f in fields(EnvelopeContext)} | set(vars(built)) | cached
+
+    made = []
+    monkeypatch.setattr(solvers, "EnvelopeContext",
+                        lambda *a: made.append(EnvelopeContext(*a)) or made[-1])
+    tr = m.run(prob, cfg, init=init)
+    assert tr.n_rows > 2 and len(made) == 1
+    state = m.IterateState(*init) if init is not None else m.IterateState(
+        np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
+    for _ in range(3):
+        state, _ = ALGORITHMS[cfg.algorithm].step(built, state, cfg)
+    for ctx in (made[0], built):
+        assert set(vars(ctx)) - declared == set()
+        assert set(vars(ctx)) & cached      # a step read a cached entry
 
 
 def _scored_one_state_at_a_time(prob, cfg, init, f_column):
