@@ -98,8 +98,8 @@ class PenaltyPlan:
             if self.beta is None or not self.beta > 0:
                 raise ValueError("fixed mode needs beta > 0")
         else:
-            if self.K is None or self.K < 1:
-                raise ValueError("horizon mode needs K >= 1")
+            if not isinstance(self.K, (int, np.integer)) or self.K < 1:
+                raise ValueError(f"horizon mode needs an integer K >= 1, got {self.K!r}")
             if self.alpha_target is None or not self.alpha_target > 0:
                 raise ValueError("horizon mode needs alpha_target > 0")
 
@@ -203,8 +203,8 @@ class InnerProxGradient(SubproblemSpec):
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_inner < 1:
-            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        if not isinstance(self.max_inner, (int, np.integer)) or self.max_inner < 1:
+            raise ValueError(f"max_inner must be an integer >= 1, got {self.max_inner!r}")
 
     def solve(self, ctx, z, lam, grad_h=None, tol=None,
               warm_start=None) -> "SubproblemResult":

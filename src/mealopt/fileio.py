@@ -64,10 +64,10 @@ def _bound_in(value, where: str, sign: float):
     for i, v in enumerate(value):
         if v is None:
             out.append(sign * math.inf)
-        elif isinstance(v, (int, float)):
+        elif isinstance(v, (int, float)) and math.isfinite(v):
             out.append(float(v))
         else:
-            raise SchemaError(f"{where}[{i}]", "bound must be a number or null")
+            raise SchemaError(f"{where}[{i}]", "bound must be a finite number or null")
     return out
 
 

@@ -46,6 +46,7 @@ _BOX_PROX_MAX_ITER = 200_000  # and its iteration cap
 
 
 _FLOAT = np.dtype(float)
+_INF = float("inf")
 
 
 def _vec(v) -> np.ndarray:
@@ -135,8 +136,9 @@ class ImplicitClass:
     def __post_init__(self):
         if self.kind not in ("lipschitz", "bounded", "unknown"):
             raise ValueError(f"unknown implicit class kind {self.kind!r}")
-        if self.kind != "unknown" and (self.constant is None or self.constant < 0):
-            raise ValueError("lipschitz/bounded classes need a nonnegative constant")
+        if self.kind != "unknown" and (self.constant is None
+                                       or not 0 <= self.constant < _INF):
+            raise ValueError("lipschitz/bounded classes need a finite nonnegative constant")
 
     @staticmethod
     def lipschitz(L: float) -> "ImplicitClass":
@@ -160,9 +162,11 @@ class ProxFunction:
     """A weakly convex function with value and exact proximal map.
 
     Kinds that may be nonconvex compute `weak_convexity_modulus` (rho >= 0);
-    convex kinds keep the class value 0. Subclasses implement `value` and
-    `_prox`. Prox queries with gamma >= 1/rho are rejected: uniqueness of
-    the minimizer is only guaranteed below that.
+    convex kinds keep the class value 0. Subclasses implement `value`,
+    `_prox` and, when they can bound their subdifferential coordinate by
+    coordinate, `subgradient_interval`. `prox` checks the call and then
+    runs `_prox`: it rejects gamma outside (0, 1/rho), since the minimizer
+    is only unique below 1/rho, and a non-finite v.
     """
 
     weak_convexity_modulus: float = 0.0
@@ -175,23 +179,20 @@ class ProxFunction:
         raise NotImplementedError
 
     def prox(self, gamma: float, v) -> np.ndarray:
-        """Unique minimizer of g(x) + ||x - v||^2 / (2 gamma); NonFiniteValue
-        unless v is finite."""
-        self.check_gamma(gamma)
-        if type(v) is not np.ndarray or v.ndim != 1 or v.dtype != _FLOAT:
-            v = _vec(v)
-        if not np.logical_and.reduce(np.isfinite(v)):
-            raise NonFiniteValue("prox input must be finite")
-        return self._prox(float(gamma), v)
-
-    def check_gamma(self, gamma: float) -> None:
+        """Unique minimizer of g(x) + ||x - v||^2 / (2 gamma); GammaTooLarge
+        unless 0 < gamma < 1/rho, NonFiniteValue unless v is finite."""
         rho = self.weak_convexity_modulus
-        if gamma <= 0:
+        if not gamma > 0:
             raise GammaTooLarge(f"gamma must be positive, got {gamma}")
         if rho > 0 and gamma >= 1.0 / rho:
             raise GammaTooLarge(
                 f"gamma={gamma} >= 1/rho={1.0 / rho:.6g}; prox may be set-valued"
             )
+        if type(v) is not np.ndarray or v.ndim != 1 or v.dtype != _FLOAT:
+            v = _vec(v)
+        if not np.logical_and.reduce(np.isfinite(v)):
+            raise NonFiniteValue("prox input must be finite")
+        return self._prox(float(gamma), v)
 
     def subgradient_interval(self, x) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Per-coordinate [lo, hi] bounds on the subdifferential, or None.
@@ -199,10 +200,6 @@ class ProxFunction:
         Only separable kinds implement this; it backs the KKT residual
         computation. Indicator kinds return None (handled via normal cones).
         """
-        return None
-
-    def gradient(self, x) -> Optional[np.ndarray]:
-        """Exact gradient for differentiable kinds, else None."""
         return None
 
 
@@ -225,16 +222,15 @@ class Zero(ProxFunction):
         z = np.zeros_like(x)
         return z, z
 
-    def gradient(self, x):
-        return np.zeros_like(_vec(x))
-
 
 @dataclass
 class QuadraticForm(ProxFunction):
     """g(x) = x'Qx/2 + r'x + c with symmetric Q (possibly indefinite); one
     eigendecomposition gives its modulus, `spectral_norm` = ||Q||_2 and the
-    extreme eigenvalues `eig_min` and `eig_max`. The symmetry check holds one
-    n x n scratch array, dropped before the decomposition."""
+    extreme eigenvalues `eig_min` and `eig_max`. Q, r, c and Q's eigenvalues
+    must be finite. The checks hold one n x n scratch array at a time, the
+    finiteness mask and then the symmetry check's, each dropped before the
+    next."""
 
     Q: np.ndarray = None
     r: np.ndarray = None
@@ -246,6 +242,8 @@ class QuadraticForm(ProxFunction):
         n = self.Q.shape[0]
         if self.Q.shape != (n, n):
             raise ValueError("Q must be square")
+        if not np.isfinite(self.Q).all():
+            raise ValueError("Q must be finite")
         D = self.Q - self.Q.T                       # one n x n scratch, freed
         asym = np.abs(D, out=D).max()               # before eigvalsh copies Q
         scale = max(1.0, np.abs(self.Q, out=D).max())
@@ -255,7 +253,11 @@ class QuadraticForm(ProxFunction):
         self.r = _vec(self.r) if self.r is not None else np.zeros(n)
         if self.r.shape != (n,):
             raise ValueError("r dimension mismatch")
+        if not (np.isfinite(self.r).all() and np.isfinite(self.c)):
+            raise ValueError("r and c must be finite")
         eigs = np.linalg.eigvalsh(self.Q)
+        if not np.isfinite(eigs).all():             # finite entries near the float limit
+            raise ValueError("Q's eigenvalues must be finite")
         self.eig_min, self.eig_max = float(eigs.min()), float(eigs.max())
         self.weak_convexity_modulus = max(0.0, -self.eig_min)
         self.spectral_norm = float(np.abs(eigs).max())
@@ -281,14 +283,11 @@ class QuadraticForm(ProxFunction):
         return g, g.copy()
 
 
-_INF = float("inf")
-
-
 @dataclass
 class BoxIndicator(ProxFunction):
     """Indicator of the box [lower, upper]; prox is coordinate-wise clipping.
 
-    Infinite entries encode one-sided or absent bounds.
+    Infinite entries encode one-sided or absent bounds; NaN is rejected.
     """
 
     lower: np.ndarray = None
@@ -300,6 +299,8 @@ class BoxIndicator(ProxFunction):
         self.upper = _vec(self.upper)
         if self.lower.shape != self.upper.shape:
             raise ValueError("bound shapes differ")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("lower > upper leaves an empty domain")
 
@@ -323,8 +324,8 @@ class L1(ProxFunction):
     implicit_class: ImplicitClass = field(default_factory=ImplicitClass.unknown)
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
+        if not 0 <= self.weight < _INF:
+            raise ValueError("weight must be finite and nonnegative")
         if self.implicit_class.kind == "unknown":
             self.implicit_class = ImplicitClass.bounded(self.weight)
 
@@ -336,11 +337,7 @@ class L1(ProxFunction):
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
     def subgradient_interval(self, x):
-        x = _vec(x)
-        w = self.weight
-        lo = np.where(x > 0, w, np.where(x < 0, -w, -w))
-        hi = np.where(x > 0, w, np.where(x < 0, -w, w))
-        return lo.astype(float), hi.astype(float)
+        return _separable_interval(x, lambda t: self.weight, self.weight)
 
 
 @dataclass
@@ -358,8 +355,8 @@ class SCAD(ProxFunction):
     implicit_class: ImplicitClass = field(default_factory=ImplicitClass.unknown)
 
     def __post_init__(self):
-        if self.lam <= 0 or self.a <= 2:
-            raise ValueError("SCAD needs lam > 0 and a > 2")
+        if not (0 < self.lam < _INF and 2 < self.a < _INF):
+            raise ValueError("SCAD needs finite lam > 0 and a > 2")
         self.weak_convexity_modulus = 1.0 / (self.a - 1.0)
         if self.implicit_class.kind == "unknown":
             self.implicit_class = ImplicitClass.bounded(self.lam)
@@ -383,15 +380,9 @@ class SCAD(ProxFunction):
         )
 
     def subgradient_interval(self, x):
-        x = _vec(x)
         lam, a = self.lam, self.a
-        t = np.abs(x)
-        # derivative of the penalty on t, chain-ruled through sign(x)
-        dpen = np.where(t <= lam, lam, np.where(t <= a * lam, (a * lam - t) / (a - 1), 0.0))
-        g = np.sign(x) * dpen
-        lo = np.where(x == 0, -lam, g)
-        hi = np.where(x == 0, lam, g)
-        return lo.astype(float), hi.astype(float)
+        return _separable_interval(x, lambda t: np.where(
+            t <= lam, lam, np.where(t <= a * lam, (a * lam - t) / (a - 1), 0.0)), lam)
 
 
 @dataclass
@@ -407,8 +398,8 @@ class MCP(ProxFunction):
     implicit_class: ImplicitClass = field(default_factory=ImplicitClass.unknown)
 
     def __post_init__(self):
-        if self.lam <= 0 or self.a <= 0:
-            raise ValueError("MCP needs lam > 0 and a > 0")
+        if not (0 < self.lam < _INF and 0 < self.a < _INF):
+            raise ValueError("MCP needs finite lam > 0 and a > 0")
         self.weak_convexity_modulus = 1.0 / self.a
         if self.implicit_class.kind == "unknown":
             self.implicit_class = ImplicitClass.bounded(self.lam)
@@ -426,14 +417,17 @@ class MCP(ProxFunction):
         return np.where(t <= a * lam, shrink, v)
 
     def subgradient_interval(self, x):
-        x = _vec(x)
         lam, a = self.lam, self.a
-        t = np.abs(x)
-        dpen = np.where(t <= a * lam, lam - t / a, 0.0)
-        g = np.sign(x) * dpen
-        lo = np.where(x == 0, -lam, g)
-        hi = np.where(x == 0, lam, g)
-        return lo.astype(float), hi.astype(float)
+        return _separable_interval(x, lambda t: np.where(t <= a * lam, lam - t / a, 0.0), lam)
+
+
+def _separable_interval(x, slope: Callable[[np.ndarray], np.ndarray], r: float):
+    """[lo, hi] bounds on the subdifferential of sum_i p(|x_i|), p nondecreasing
+    with derivative `slope` on t > 0 and right derivative r at 0: the single
+    value sign(x_i) * slope(|x_i|) where x_i != 0, and [-r, r] where x_i = 0."""
+    x = _vec(x)
+    g = np.sign(x) * slope(np.abs(x))
+    return np.where(x == 0, -r, g).astype(float), np.where(x == 0, r, g).astype(float)
 
 
 @dataclass
@@ -521,8 +515,8 @@ class SmoothFunction:
     lipschitz_grad_constant: float
 
     def __post_init__(self):
-        if self.lipschitz_grad_constant <= 0:
-            raise ValueError("lipschitz_grad_constant must be positive")
+        if not 0 < self.lipschitz_grad_constant < _INF:
+            raise ValueError("lipschitz_grad_constant must be finite and positive")
 
     def quadratic_terms(self) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
         """(Q, r, c) when the function is known quadratic, else None."""

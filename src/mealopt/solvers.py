@@ -80,6 +80,10 @@ class IterateState:
     h's gradient at x as `grad_h` when the step evaluated it (LiMEAL and
     Prox-iALM); the energies and the next step read them. Each is None
     otherwise, and for a state built from an init.
+
+    One finiteness rule, `_of_step`'s, covers every state: x, z, lam and the
+    carried grad_h and residual must be finite, else NonFiniteValue. The
+    public constructor converts x, z and lam to float vectors first.
     """
 
     x: np.ndarray
@@ -90,15 +94,14 @@ class IterateState:
     residual: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _vec(self.x))
-        object.__setattr__(self, "z", _vec(self.z))
-        object.__setattr__(self, "lam", _vec(self.lam))
-        self._check_finite()
+        checked = IterateState._of_step(_vec(self.x), _vec(self.z), _vec(self.lam),
+                                        self.k, self.grad_h, self.residual)
+        self.__dict__.update(x=checked.x, z=checked.z, lam=checked.lam)
 
     @classmethod
     def _of_step(cls, x, z, lam, k, grad_h, residual) -> IterateState:
-        """The state a step made from its float vectors: no conversion, and
-        the public constructor's finiteness check, inline."""
+        """The state a step made from its float vectors, with no conversion;
+        NonFiniteValue unless it and its carried vectors are finite."""
         state = object.__new__(cls)
         state.__dict__.update(x=x, z=z, lam=lam, k=k, grad_h=grad_h, residual=residual)
         vectors = (x, z, lam) if residual is None else (x, z, lam, residual)
@@ -107,17 +110,6 @@ class IterateState:
         if not np.logical_and.reduce(np.isfinite(np.concatenate(vectors))):
             raise NonFiniteValue("iterate state must be finite")
         return state
-
-    def _check_finite(self) -> None:
-        """NonFiniteValue unless x, z, lam and the carried grad_h and
-        residual are finite: the next step and the row's objective read them."""
-        vectors = (self.x, self.z, self.lam)
-        if self.grad_h is not None:
-            vectors += (self.grad_h,)
-        if self.residual is not None:
-            vectors += (self.residual,)
-        if not np.logical_and.reduce(np.isfinite(np.concatenate(vectors))):
-            raise NonFiniteValue("iterate state must be finite")
 
 
 @dataclass
@@ -153,8 +145,8 @@ class StopRule:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (self.stat_tol > 0 and self.feas_tol > 0):
             raise ValueError("tolerances must be positive")
 

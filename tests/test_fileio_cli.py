@@ -92,6 +92,26 @@ class TestProblemRoundTrip:
         with pytest.raises(SchemaError, match="n=2"):
             load_problem(path)
 
+    @pytest.mark.parametrize("prox, smooth, field", [
+        ({"kind": "box", "lower": [float("-inf"), 0.0], "upper": [None, 1.0]}, None,
+         "objective.prox.lower[0]"),
+        ({"kind": "scad", "lam": 1.0, "a": float("inf")}, None, "objective.prox"),
+        ({"kind": "quadratic_form", "Q": [[1.0, 0.0], [0.0, 1.0]], "c": float("nan")},
+         None, "objective.prox"),
+        ({"kind": "zero"}, {"kind": "quadratic", "Q": [[float("nan"), 0.0], [0.0, 1.0]]},
+         "objective.smooth"),
+        ({"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+          "implicit_class": {"kind": "bounded", "constant": float("nan")}}, None,
+         "objective.prox.implicit_class"),
+    ], ids=["bound", "scad", "quadratic-form", "smooth", "implicit-class"])
+    def test_non_finite_number_rejected(self, tmp_path, prox, smooth, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"constraint": {"A": [[1.0, 1.0]], "b": [1.0]},
+                                    "objective": {"smooth": smooth, "prox": prox}}))
+        with pytest.raises(SchemaError) as err:
+            load_problem(path)
+        assert err.value.field == field
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"constraint": {"A": [[1.0]], "b": [0.0]},
@@ -308,6 +328,18 @@ class TestCLI:
         code = main(["solve", "--input", str(bad), "--algorithm", "meal",
                      "--beta", "1.0"])
         assert code == 2
+
+    def test_nan_in_a_problem_file_exits_2(self, tmp_path, capsys):
+        # Python's json reads and writes the bare token NaN
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"constraint": {"A": [[1.0, 1.0]], "b": [1.0]},
+                                   "objective": {"prox": {"kind": "l1",
+                                                          "weight": float("nan")}}}))
+        assert "NaN" in bad.read_text()
+        code = main(["solve", "--input", str(bad), "--algorithm", "meal",
+                     "--beta", "1.0", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "schema error at objective.prox" in capsys.readouterr().err
 
     def test_limeal_direct_run_ends_in_a_status(self, tmp_path):
         # the linearized step needs only beta A'A + I/gamma to be definite

@@ -68,6 +68,12 @@ class TestProxExamples:
         g = m.SCAD(lam=1.0, a=3.7)
         assert g.prox(0.5, [1.4])[0] == pytest.approx(0.9, abs=1e-3)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("g", [m.L1(weight=1.0), m.SCAD(lam=1.0, a=3.7)], ids=["l1", "scad"])
+    def test_gamma_not_positive_rejected(self, g, gamma):
+        with pytest.raises(GammaTooLarge, match="gamma must be positive"):
+            g.prox(gamma, [1.0])
+
     def test_gamma_at_limit_rejected(self):
         g = m.SCAD(lam=1.0, a=3.7)   # rho = 1/2.7
         with pytest.raises(GammaTooLarge):
@@ -95,6 +101,55 @@ class TestProxExamples:
             assert pw.value([v]) == pytest.approx(mcp.value([v]), abs=1e-12)
             assert pw.prox(0.5, [v])[0] == pytest.approx(mcp.prox(0.5, [v])[0],
                                                          abs=1e-8)
+
+
+class TestSeparableSubgradientInterval:
+    """[lo, hi] = sign(x) * slope(|x|) off 0 and [-r, r] at 0, against hand
+    values at 0, +-lam, +-a*lam and beyond (L1's knees are at +-weight)."""
+
+    @pytest.mark.parametrize("g, x, slope, r", [
+        (m.L1(weight=0.5), [0.5, -0.5, 3.0, -3.0], [0.5, -0.5, 0.5, -0.5], 0.5),
+        # SCAD(1, 3): lam on t <= 1, (3 - t)/2 up to 3, 0 beyond
+        (m.SCAD(lam=1.0, a=3.0), [1.0, -1.0, 2.0, 3.0, -3.0, 4.0],
+         [1.0, -1.0, 0.5, 0.0, 0.0, 0.0], 1.0),
+        # MCP(1, 2): 1 - t/2 up to 2, 0 beyond
+        (m.MCP(lam=1.0, a=2.0), [1.0, -1.0, 2.0, -2.0, 5.0],
+         [0.5, -0.5, 0.0, 0.0, 0.0], 1.0),
+    ], ids=["l1", "scad", "mcp"])
+    def test_interval_matches_hand_values(self, g, x, slope, r):
+        lo, hi = g.subgradient_interval([0.0] + x + [-0.0])
+        np.testing.assert_array_equal(lo, [-r] + slope + [-r])
+        np.testing.assert_array_equal(hi, [r] + slope + [r])
+        assert lo.dtype == hi.dtype == np.float64
+
+
+class TestConstructionRejectsNonFinite:
+    """Each kind's numbers must be finite (a box's bounds may be infinite,
+    but not NaN), so a bad value fails where it is given, not in a run."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: m.L1(weight=np.nan),
+        lambda: m.L1(weight=np.inf),
+        lambda: m.SCAD(lam=np.nan),
+        lambda: m.SCAD(a=np.inf),
+        lambda: m.MCP(lam=np.inf),
+        lambda: m.MCP(a=np.nan),
+        lambda: m.ImplicitClass.lipschitz(np.nan),
+        lambda: m.ImplicitClass.bounded(np.inf),
+        lambda: m.SmoothFunction(lambda x: 0.0, lambda x: x, np.nan),
+        lambda: m.BoxIndicator([np.nan, -np.inf], [1.0, np.inf]),
+        lambda: m.BoxIndicator([0.0], [np.nan]),
+        lambda: m.QuadraticForm(Q=[[np.inf]]),
+        lambda: m.QuadraticForm(Q=[[1e308, 1e308], [1e308, 1e308]]),
+        lambda: m.QuadraticForm(Q=[[1.0]], r=[np.nan]),
+        lambda: m.QuadraticForm(Q=[[1.0]], c=np.inf),
+        lambda: m.QuadraticSmooth([[np.nan, 0.0], [0.0, 1.0]]),
+    ], ids=["l1-weight-nan", "l1-weight-inf", "scad-lam", "scad-a", "mcp-lam",
+            "mcp-a", "lipschitz", "bounded", "smooth-L", "box-lower", "box-upper",
+            "quad-Q", "quad-eigenvalue", "quad-r", "quad-c", "smooth-Q"])
+    def test_rejected(self, build):
+        with pytest.raises(ValueError, match="finite|NaN"):
+            build()
 
 
 class TestBoxProxIsClip:
@@ -441,9 +496,14 @@ class TestSymmetryCheck:
         with pytest.raises(ValueError, match="symmetric"):
             m.QuadraticForm(Q=_asymmetric(kind, amount))
 
-    def test_nan_pair_reaches_the_decomposition(self):
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            m.QuadraticForm(Q=_asymmetric("nan", 0.0))
+    @pytest.mark.parametrize("n", [2, 600])
+    def test_nan_pair_rejected_before_the_symmetry_check(self, n):
+        """NaN compares false, so a NaN pair would pass the symmetry check:
+        at n = 600 eigvalsh then fails to converge, and at n = 2 it returns
+        NaN eigenvalues. The finiteness check ahead of it rejects Q."""
+        Q = _asymmetric("nan", 0.0) if n == 600 else [[1.0, np.nan], [np.nan, 1.0]]
+        with pytest.raises(ValueError, match="^Q must be finite$"):
+            m.QuadraticForm(Q=Q)
 
     def test_check_holds_one_scratch_array(self):
         """New memory while Q is checked and decomposed: the symmetry check's

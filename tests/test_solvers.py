@@ -445,6 +445,20 @@ class TestRun:
             with pytest.raises(ValueError):
                 build(bad)
 
+    @pytest.mark.parametrize("build", [
+        lambda v: m.InnerProxGradient(max_inner=v),
+        lambda v: m.StopRule(max_iters=v),
+        lambda v: m.PenaltyPlan.horizon(v, 1.0, gamma=0.5, eta=1.0),
+    ], ids=["max_inner", "max_iters", "K"])
+    def test_counts_must_be_integers(self, build):
+        """A fractional count would pass a `< 1` check and then raise
+        TypeError from range() inside run, so it is rejected here."""
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="integer"):
+                build(bad)
+        build(3)
+        build(np.int64(3))
+
     def test_penalty_plan_validation(self):
         with pytest.raises(ValueError):
             m.PenaltyPlan.fixed(50.0, gamma=0.5, eta=2.0)
@@ -901,14 +915,15 @@ class TestStepBuiltState:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["x", "z", "lam"])
+    @pytest.mark.parametrize("name", ["x", "z", "lam", "grad_h", "residual"])
     def test_non_finite_raises_as_the_public_constructor(self, name, bad):
-        arrays = {"x": np.zeros(3), "z": np.zeros(3), "lam": np.zeros(2)}
+        arrays = {"x": np.zeros(3), "z": np.zeros(3), "lam": np.zeros(2),
+                  "grad_h": np.zeros(3), "residual": np.zeros(2)}
         arrays[name][1] = bad
-        for build in (lambda x, z, lam: IterateState._of_step(x, z, lam, 1, None, None),
-                      m.IterateState):
+        for build in (IterateState._of_step, m.IterateState):
             with pytest.raises(ValueError, match="^iterate state must be finite$"):
-                build(arrays["x"], arrays["z"], arrays["lam"])
+                build(arrays["x"], arrays["z"], arrays["lam"], 1,
+                      arrays["grad_h"], arrays["residual"])
 
 
 class TestInnerIterationsInTrace:
