@@ -133,27 +133,26 @@ def _cmd_solve(args) -> int:
         return _error("--cap-variant caps --alpha-target with a fixed beta; "
                       "it needs --alpha-target and no --horizon-K")
     problem = load_problem(args.input)
-    if args.horizon_k is not None:
-        if args.alpha_target is None:
-            return _error("--horizon-K needs --alpha-target")
-        plan = PenaltyPlan.horizon(args.horizon_k, args.alpha_target,
-                                   gamma=args.gamma, eta=args.eta)
-    else:
-        beta = args.beta
-        if beta is None:
-            if args.alpha_target is None:
-                return _error("choose a penalty: --beta, or --alpha-target "
-                              "(optionally with --cap-variant)")
-            probe = PenaltyPlan.fixed(1.0, gamma=args.gamma, eta=args.eta)
-            target = args.alpha_target
-            if args.cap_variant is not None:
-                target = min(target, alpha_cap(problem, probe, args.cap_variant))
-            c_gamma_A = probe.c_gamma_A(problem.constraint)
-            beta = beta_for_target_alpha(target, args.gamma, args.eta, c_gamma_A)
-        plan = PenaltyPlan.fixed(beta, gamma=args.gamma, eta=args.eta)
-
-    sub = "auto" if args.subproblem_path is None else _SUBPROBLEMS[args.subproblem_path]()
     try:
+        if args.horizon_k is not None:
+            if args.alpha_target is None:
+                return _error("--horizon-K needs --alpha-target")
+            plan = PenaltyPlan.horizon(args.horizon_k, args.alpha_target,
+                                       gamma=args.gamma, eta=args.eta)
+        else:
+            beta = args.beta
+            if beta is None:
+                if args.alpha_target is None:
+                    return _error("choose a penalty: --beta, or --alpha-target "
+                                  "(optionally with --cap-variant)")
+                probe = PenaltyPlan.fixed(1.0, gamma=args.gamma, eta=args.eta)
+                target = args.alpha_target
+                if args.cap_variant is not None:
+                    target = min(target, alpha_cap(problem, probe, args.cap_variant))
+                c_gamma_A = probe.c_gamma_A(problem.constraint)
+                beta = beta_for_target_alpha(target, args.gamma, args.eta, c_gamma_A)
+            plan = PenaltyPlan.fixed(beta, gamma=args.gamma, eta=args.eta)
+        sub = "auto" if args.subproblem_path is None else _SUBPROBLEMS[args.subproblem_path]()
         config = SolverConfig(
             args.algorithm, plan, subproblem=sub,
             epsilon_schedule=(EpsilonSchedule() if args.epsilon0 is None

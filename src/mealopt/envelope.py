@@ -90,18 +90,18 @@ class PenaltyPlan:
     def __post_init__(self):
         if self.mode not in ("fixed", "horizon"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if not (0.0 < self.eta < 2.0):
             raise ValueError("eta must lie in (0, 2)")
         if self.mode == "fixed":
-            if self.beta is None or not self.beta > 0:
-                raise ValueError("fixed mode needs beta > 0")
+            if self.beta is None or not 0 < self.beta < math.inf:
+                raise ValueError(f"fixed mode needs a finite beta > 0, got {self.beta}")
         else:
             if not isinstance(self.K, (int, np.integer)) or self.K < 1:
                 raise ValueError(f"horizon mode needs an integer K >= 1, got {self.K!r}")
-            if self.alpha_target is None or not self.alpha_target > 0:
-                raise ValueError("horizon mode needs alpha_target > 0")
+            if self.alpha_target is None or not 0 < self.alpha_target < math.inf:
+                raise ValueError("horizon mode needs a finite alpha_target > 0")
 
     @staticmethod
     def fixed(beta: float, gamma: float, eta: float) -> "PenaltyPlan":

@@ -59,16 +59,24 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _numbers_only(value, where: str) -> None:
+    """Raise SchemaError at the first boolean or string found in `value`, the
+    part of a problem file at field `where`. Apart from `kind` fields, every
+    leaf of a problem file is a number or null."""
+    if isinstance(value, (bool, str)):
+        raise SchemaError(where, f"must be a number, got {json.dumps(value)}")
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        if key != "kind" and isinstance(item, (dict, list, bool, str)):
+            _numbers_only(item, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
+
+
 def _bound_in(value, where: str, sign: float):
-    out = []
     for i, v in enumerate(value):
-        if v is None:
-            out.append(sign * math.inf)
-        elif isinstance(v, (int, float)) and math.isfinite(v):
-            out.append(float(v))
-        else:
+        if not (v is None or isinstance(v, (int, float)) and math.isfinite(v)):
             raise SchemaError(f"{where}[{i}]", "bound must be a finite number or null")
-    return out
+    return [sign * math.inf if v is None else float(v) for v in value]
 
 
 def _bound_out(arr) -> list:
@@ -84,7 +92,7 @@ def _implicit_in(obj, where: str) -> ImplicitClass:
     constant = _need(obj, "constant", where)
     try:
         return ImplicitClass(kind, float(constant))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(where, str(exc)) from None
 
 
@@ -163,6 +171,8 @@ def load_problem(path) -> Problem:
         raise SchemaError(str(path), f"unreadable problem file: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError(str(path), "top level must be an object")
+    for key, value in data.items():
+        _numbers_only(value, key)
 
     cons = _need(data, "constraint", "problem")
     try:

@@ -131,8 +131,8 @@ class EpsilonSchedule:
     eps0: float = 1e-2
 
     def __post_init__(self):
-        if not self.eps0 > 0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
+        if not 0 < self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be finite and positive, got {self.eps0}")
 
     def __call__(self, k: int) -> float:
         return self.eps0 / (k + 1.0)
@@ -147,8 +147,8 @@ class StopRule:
     def __post_init__(self):
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (self.stat_tol > 0 and self.feas_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.stat_tol < math.inf and 0 < self.feas_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -456,41 +456,49 @@ class _States(NamedTuple):
 
 
 class _RowBlock:
-    """The trace values that no stopping rule reads, formed a block of up to
-    ROW_BLOCK steps at a time: the energies (the `lyapunov` column from row
-    1 on), the xz_gap values, the oscillation flag and the monitor entries.
+    """The trace's columns, formed from the steps' records a block of up to
+    ROW_BLOCK steps at a time, and the values that no stopping rule reads:
+    the energies (the `lyapunov` column from row 1 on), the xz_gap values,
+    the oscillation flag and the monitor entries.
 
-    It keeps x, z and lam of the block's new states after the two states
-    before them (one at the run's start), and the new states' residuals,
-    objectives and raw stationarity norms; never a state's grad_h. `run`
-    appends a step's values to these lists and flushes a full block; flush
-    empties them in place, so appends bound once per run stay valid. Each
-    value is the one its step would give alone, bit for bit: the energies
-    take the block through the module globals, and the row norms are
-    `_rowdot` and `np.add.reduce(..., axis=-1)`.
+    A step's record is one tuple: its new state's x, z, lam and residual
+    (never grad_h), its raw stationarity norm and inner iterations, the new
+    state's objective, feasibility and multiplier norm, and its stationarity
+    column value and wall time. `run` appends it to `steps` and flushes a
+    full block; flush extends the columns from the records, keeps the
+    records of the last two states in `head` (the initial state's at the
+    start) and empties `steps` in place, so an append bound once per run
+    stays valid. Each value is the one its step would give alone, bit for
+    bit: the energies take the block through the module globals, and the
+    row norms are `_rowdot` and `np.add.reduce(..., axis=-1)`.
     """
 
     def __init__(self, ctx: EnvelopeContext, algo: Algorithm, flags: MonitorFlags,
-                 state: IterateState):
+                 record: tuple):
         self.ctx, self.algo, self.flags = ctx, algo, flags
         self.L_f = ctx.problem.implicit_lipschitz_constant() if flags.dual_by_primal else None
-        self.x, self.z, self.lam = [state.x], [state.z], [state.lam]
-        self.residual, self.f, self.raw = [], [], []
-        self.k0 = 0                 # the state in row 0 of x, z and lam
-        self.energies, self.gaps = [], []
+        self.head, self.steps = [record], []
+        self.k0 = 0                 # the state of head's first record
+        # row 0's objective, feasibility and multiplier norm are the initial
+        # record's; its stationarity and wall time are step 0's
+        f, feas, lam_norm = record[6:9]
+        self.columns = {"objective": [f], "feasibility": [feas], "lambda_norm": [lam_norm],
+                        "stationarity": [], "wall_time": []}   # in the records' order
+        self.inner, self.energies, self.gaps = [], [], []
         self.monitors = {"one_step_progress": [], "dual_by_primal": []}
         self.osc_streak, self.oscillating = 0, False
 
     def flush(self) -> None:
-        """Form the values of the block's steps, and keep its last two states."""
-        if not self.f:
+        """Form the rows of the block's steps, and keep its last two records."""
+        if not self.steps:
             return
-        ctx, flags = self.ctx, self.flags
-        X, Z, Lam = np.array(self.x), np.array(self.z), np.array(self.lam)
-        h = len(X) - len(self.f)
+        ctx, flags, h = self.ctx, self.flags, len(self.head)
+        records = self.head + self.steps
+        xs, zs, lams, residuals, raws, inner, *values = zip(*records)
+        X, Z, Lam = np.array(xs), np.array(zs), np.array(lams)
         prev = _States(X[h - 1:-1], Z[h - 1:-1], Lam[h - 1:-1], None)
-        new = _States(X[h:], Z[h:], Lam[h:], np.array(self.residual))
-        E = self.algo.energy(ctx, prev, new, np.array(self.f))
+        new = _States(X[h:], Z[h:], Lam[h:], np.array(residuals[h:]))
+        E = self.algo.energy(ctx, prev, new, np.array(values[0][h:]))
         gap = new.x - prev.z
         self.gaps.extend(np.sqrt(_rowdot(gap, gap)).tolist())
 
@@ -507,8 +515,7 @@ class _RowBlock:
             E_run = np.concatenate((self.energies[-1:], E))
             lhs = E_run[:-1] - E_run[1:]
             # Python's raw ** 2: the array's ** 2 may differ in the last bit
-            rhs = (gamma * eta * (2.0 - eta) / 4.0) * np.array(
-                [raw ** 2 for raw in self.raw[len(self.raw) - len(ks):]])
+            rhs = (gamma * eta * (2.0 - eta) / 4.0) * np.array([raw ** 2 for raw in raws[2:]])
             self.monitors["one_step_progress"].extend(
                 zip(ks, lhs.tolist(), rhs.tolist(), (lhs >= rhs - 1e-9).tolist()))
         if flags.dual_by_primal:
@@ -521,12 +528,13 @@ class _RowBlock:
             self.monitors["dual_by_primal"].extend(
                 zip(ks, dl.tolist(), bound.tolist(), (dl <= bound + 1e-9).tolist()))
         self.energies.extend(E.tolist())
+        self.inner.extend(inner[h:])
+        for column, vals in zip(self.columns.values(), values):
+            column.extend(vals[h:])
 
         self.k0 += len(X) - 2
-        del self.x[:-2], self.z[:-2], self.lam[:-2]
-        self.residual.clear()
-        self.f.clear()
-        self.raw.clear()
+        self.head = records[-2:]
+        self.steps.clear()
 
 
 def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
@@ -546,10 +554,11 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     as the terminal state. A terminal
     row holds the final state, so the trace has a row for every state.
 
-    Each step's objective and multiplier norm are computed once, at the
-    step, for the status checks. Each row's energy, xz_gap, oscillation and
-    monitor values are computed once too, a block of ROW_BLOCK steps at a
-    time (`_RowBlock`), since no status reads them. For a quadratic
+    A step leaves one record, which `_RowBlock` turns into its row a block
+    of ROW_BLOCK steps at a time. The record's objective and multiplier
+    norm are computed once, at the step, for the status checks; each row's
+    energy, xz_gap, oscillation and monitor values are computed once too, in
+    the block, since no status reads them. For a quadratic
     h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx + r, the
     objective is g(x) + x'(grad h(x) + r)/2 + c, with no product with Q.
     """
@@ -571,28 +580,19 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     if config.plan.mode == "horizon":
         budget = min(budget, config.plan.K)
 
-    rows = _RowBlock(ctx, algo, config.monitors, state)
-    cols = {name: [] for name in TRACE_COLUMNS}
-    inner = []             # inner iterations of each step
+    # the initial state's record: no step left it, so its step values are None
+    feas = problem.constraint.residual(state.x)
+    rows = _RowBlock(ctx, algo, config.monitors, (
+        state.x, state.z, state.lam, None, None, None, problem.objective_value(state.x),
+        feas, math.sqrt(state.lam.dot(state.lam)), None, None))
     status, converged_at = "MaxIters", None
-    best_measure = np.inf
+    best_measure, stat = np.inf, np.nan     # stat: the last stationarity column value
     step, running_min = algo.step, algo.running_min
     stat_tol, feas_tol = config.stop.stat_tol, config.stop.feas_tol
     quad = problem.quadratic_terms() if problem.composite else None
     r, c = (None, None) if quad is None else quad[1:]
     prox_value = problem.prox_part.value
-    # a row's and a block's list appends, bound once per run
-    add_k, add_f, add_feas, add_stat, add_lam, add_time = (cols[name].append for name in (
-        "k", "objective", "feasibility", "stationarity", "lambda_norm", "wall_time"))
-    keep_x, keep_z, keep_lam, keep_residual, keep_f, keep_raw = (
-        block.append for block in (rows.x, rows.z, rows.lam, rows.residual, rows.f, rows.raw))
-    add_inner, block_f, clock = inner.append, rows.f, time.perf_counter
-
-    # the current state's objective, feasibility and multiplier norm; a row
-    # records them, and each step carries them over from its new state
-    f = problem.objective_value(state.x)
-    feas = problem.constraint.residual(state.x)
-    lam_norm = math.sqrt(state.lam.dot(state.lam))
+    steps, keep, clock = rows.steps, rows.steps.append, time.perf_counter
     t0 = clock()
 
     for k in range(budget):
@@ -601,61 +601,48 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         except NonFiniteValue:
             status = "NonFinite"
             break
-        add_inner(report.inner_iterations)
 
-        raw = stat_col = report.stationarity_norm
+        raw = stat = report.stationarity_norm
         if running_min:
             if raw < best_measure:      # min(best_measure, raw)
                 best_measure = raw
-            stat_col = best_measure
+            stat = best_measure
 
         x, grad_h, lam = new_state.x, new_state.grad_h, new_state.lam
         if quad is None or grad_h is None:
-            f_next = problem.objective_value(x)
+            f = problem.objective_value(x)
         else:
-            f_next = float(prox_value(x) + 0.5 * x.dot(grad_h + r) + c)
-        add_k(k)
-        add_f(f)
-        add_feas(feas)
-        add_stat(stat_col)
-        add_lam(lam_norm)
-        add_time(clock() - t0)
-        keep_x(x)
-        keep_z(new_state.z)
-        keep_lam(lam)
-        keep_residual(new_state.residual)
-        keep_f(f_next)
-        keep_raw(raw)
-        if len(block_f) == ROW_BLOCK:
+            f = float(prox_value(x) + 0.5 * x.dot(grad_h + r) + c)
+        lam_norm = math.sqrt(lam.dot(lam))
+        keep((x, new_state.z, lam, new_state.residual, raw, report.inner_iterations,
+              f, report.feasibility, lam_norm, stat, clock() - t0))
+        if len(steps) == ROW_BLOCK:
             rows.flush()
 
-        lam_norm_next = math.sqrt(lam.dot(lam))
+        # `feas` is row k's: the state's before the step
         if report.inner_budget_exhausted:
             status = "InnerBudgetExhausted"
-        elif lam_norm_next > DIVERGENCE_LIMIT or abs(f_next) > DIVERGENCE_LIMIT:
+        elif lam_norm > DIVERGENCE_LIMIT or abs(f) > DIVERGENCE_LIMIT:
             status = "DivergenceDetected"
-        elif stat_col <= stat_tol and feas <= feas_tol:
+        elif stat <= stat_tol and feas <= feas_tol:
             status, converged_at = "Converged", k
 
-        state = new_state
-        f, feas, lam_norm = f_next, report.feasibility, lam_norm_next
+        state, feas = new_state, report.feasibility
         if status != "MaxIters":
             break
 
-    # terminal row for the final state; the measure column repeats (NaN when
-    # the first step met a non-finite value)
-    stat = cols["stationarity"]
-    add_k(state.k)
-    add_f(f)
-    add_feas(feas)
-    add_stat(stat[-1] if stat else np.nan)
-    add_lam(lam_norm)
-    add_time(clock() - t0)
+    # terminal row: the final state's values are in its record; the
+    # stationarity column repeats (NaN when no step finished)
+    wall_time = clock() - t0
     rows.flush()
+    cols = rows.columns
+    cols["stationarity"].append(stat)
+    cols["wall_time"].append(wall_time)
+    cols["k"] = range(len(cols["objective"]))
     cols["lyapunov"] = [np.nan] + rows.energies
     cols["xz_gap"] = rows.gaps + [np.nan]
 
-    columns = {name: np.asarray(vals, dtype=float if name != "k" else int)
-               for name, vals in cols.items()}
+    columns = {name: np.asarray(cols[name], dtype=float if name != "k" else int)
+               for name in TRACE_COLUMNS}
     return Trace(config.algorithm, columns, status, converged_at, rows.oscillating,
-                 rows.monitors, state, inner)
+                 rows.monitors, state, rows.inner)

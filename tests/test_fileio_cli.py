@@ -112,6 +112,44 @@ class TestProblemRoundTrip:
             load_problem(path)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("constraint", "A"), [["1", "-1"]], "constraint.A[0][0]"),
+        (("constraint", "b"), [True], "constraint.b[0]"),
+        (("objective", "smooth", "r"), [0.0, False], "objective.smooth.r[1]"),
+        (("objective", "smooth", "c"), "2", "objective.smooth.c"),
+        (("objective", "prox", "lower"), [False, None], "objective.prox.lower[0]"),
+        (("objective", "prox"), {"kind": "l1", "weight": True}, "objective.prox.weight"),
+        (("objective", "implicit_class", "constant"), "2",
+         "objective.implicit_class.constant"),
+        (("objective", "implicit_class", "constant"), None, "objective.implicit_class"),
+    ], ids=["matrix", "vector", "vector-bool", "scalar", "bound", "prox-field",
+            "constant", "null-constant"])
+    def test_a_number_must_be_a_json_number(self, tmp_path, capsys, path, value, field):
+        """A boolean or a string where a number goes is a schema error, not
+        read as 1.0, 0.0 or the number it spells."""
+        doc = {"constraint": {"A": [[1.0, -1.0]], "b": [0.0]},
+               "objective": {"smooth": {"kind": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                                        "r": [0.0, 0.0], "c": 0.0},
+                             "prox": {"kind": "box", "lower": [0.0, None],
+                                      "upper": [1.0, None]},
+                             "implicit_class": {"kind": "lipschitz", "constant": 2.0}}}
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
+        load_problem(good)
+        *parents, key = path
+        entry = doc
+        for name in parents:
+            entry = entry[name]
+        entry[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            load_problem(bad)
+        assert err.value.field == field
+        assert main(["solve", "--input", str(bad), "--algorithm", "meal", "--beta", "1",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"schema error at {field}" in capsys.readouterr().err
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"constraint": {"A": [[1.0]], "b": [0.0]},
@@ -229,12 +267,19 @@ class TestCLI:
         [*NAN_RUNS, "--epsilon0", "nan"],
         [*NAN_RUNS, "--stat-tol", "nan"],
         [*NAN_RUNS, "--feas-tol", "nan"],
+        # nor is infinity finite
+        [*PENALTY, "--beta", "inf"],
+        [*PENALTY, "--beta", "1", "--gamma", "inf"],
+        [*PENALTY, "--horizon-K", "5", "--alpha-target", "inf"],
+        [*NAN_RUNS, "--stat-tol", "inf", "--feas-tol", "inf"],
+        [*NAN_RUNS, "--epsilon0", "inf"],
     ], ids=["solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
             "cap-variant-with-beta", "cap-variant-with-horizon-k",
             "epsilon0-without-imeal", "alm-eta-half", "beta-overflow",
             "horizon-beta-overflow", "gamma-underflow", "horizon-target-underflow",
-            "target-underflow", "epsilon0-nan", "stat-tol-nan", "feas-tol-nan"])
+            "target-underflow", "epsilon0-nan", "stat-tol-nan", "feas-tol-nan",
+            "beta-inf", "gamma-inf", "alpha-target-inf", "tolerances-inf", "epsilon0-inf"])
     def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
         if argv[0] == "solve":

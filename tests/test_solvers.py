@@ -16,6 +16,7 @@ from mealopt.errors import (
 )
 from mealopt.solvers import (
     ALGORITHMS,
+    TRACE_COLUMNS,
     IterateState,
     alm_step,
     imeal_step,
@@ -444,6 +445,21 @@ class TestRun:
                       lambda v: m.PenaltyPlan.fixed(1.0, gamma=v, eta=1.0)):
             with pytest.raises(ValueError):
                 build(bad)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: m.PenaltyPlan.fixed(v, gamma=0.5, eta=1.0),
+        lambda v: m.PenaltyPlan.fixed(1.0, gamma=v, eta=1.0),
+        lambda v: m.PenaltyPlan.horizon(5, v, gamma=0.5, eta=1.0),
+        m.EpsilonSchedule,
+        lambda v: m.StopRule(stat_tol=v),
+        lambda v: m.StopRule(feas_tol=v),
+    ], ids=["beta", "gamma", "alpha_target", "eps0", "stat_tol", "feas_tol"])
+    def test_positive_fields_reject_infinity(self, build):
+        """An infinite penalty or tolerance is rejected where it is set, not
+        met later in run (an infinite tolerance would stop any run at once)."""
+        with pytest.raises(ValueError, match="finite"):
+            build(math.inf)
+        build(1e300)
 
     @pytest.mark.parametrize("build", [
         lambda v: m.InnerProxGradient(max_inner=v),
@@ -1016,6 +1032,11 @@ def test_validated_run_ends_in_a_status(algorithm, spec, prob, frac, horizon):
     tr = m.run(prob, cfg)
     assert tr.status in STATUSES
     assert tr.n_rows >= 2
+    # one row per state, whatever the status
+    assert all(len(tr.column(name)) == tr.n_rows for name in TRACE_COLUMNS)
+    np.testing.assert_array_equal(tr.column("k"), np.arange(tr.n_rows))
+    assert len(tr.inner_iterations) == tr.n_rows - 1
+    assert tr.terminal.k == tr.n_rows - 1
 
 
 def _wrapper_free_cases():
