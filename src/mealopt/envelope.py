@@ -201,8 +201,8 @@ class InnerProxGradient(SubproblemSpec):
     max_inner: int = 50000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if not isinstance(self.max_inner, (int, np.integer)) or self.max_inner < 1:
             raise ValueError(f"max_inner must be an integer >= 1, got {self.max_inner!r}")
 

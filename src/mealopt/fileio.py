@@ -248,16 +248,27 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def load_trace_columns(path) -> dict:
-    """Read a trace CSV back into column arrays (testing/analysis helper)."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    if header != list(TRACE_COLUMNS):
-        raise SchemaError(str(path), f"unexpected header {text[0]!r}")
-    cols = {name: [] for name in header}
-    for line in text[1:]:
-        for name, tok in zip(header, line.split(",")):
-            cols[name].append(float(tok))
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+    """Read a trace CSV back into column arrays (testing/analysis helper).
+
+    SchemaError, naming the path and the 1-based line, on an empty file, a
+    wrong header, or a row that is not len(TRACE_COLUMNS) numbers.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise SchemaError(f"{path} line 1", "empty trace file")
+    if lines[0] != CSV_HEADER:
+        raise SchemaError(f"{path} line 1", f"unexpected header {lines[0]!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != len(TRACE_COLUMNS):
+                raise ValueError(f"{len(fields)} fields, want {len(TRACE_COLUMNS)}")
+            rows.append([float(tok) for tok in fields])
+        except ValueError as exc:
+            raise SchemaError(f"{path} line {lineno}", str(exc)) from None
+    table = np.array(rows, dtype=float).reshape(len(rows), len(TRACE_COLUMNS))
+    return dict(zip(TRACE_COLUMNS, table.T.copy()))
 
 
 SUMMARY_COLUMNS = (

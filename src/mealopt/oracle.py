@@ -45,6 +45,7 @@ _FEAS_TOL = 1e-8      # ||Ax - b|| a face's point may leave
 _BOUND_TOL = 1e-9     # bound violation and wrong-signed bound residual allowed
 _ACTIVE_TOL = 1e-9    # kkt_residual's active-bound test, relative to max(1, max |x_i|)
 _MIN_FIT_POINTS = 20  # rate_fit's fewest positive samples
+_SIDES = np.array([None, "lower", "upper", "fixed"], dtype=object)  # by at_lo + 2 at_hi
 
 
 def grid_prox_oracle(g_1d: Callable[[float], float], gamma: float, v,
@@ -217,10 +218,11 @@ def kkt_residual(problem: Problem, x, lam) -> KKTReport:
     """Upper bound on dist(0, grad h(x) + A'lam + subdiff g(x)), plus ||Ax-b||.
 
     Box indicators are handled through normal cones, a bound counting as
-    active within _ACTIVE_TOL = 1e-9 times max(1, max |x_i|); separable
-    kinds through per-coordinate subgradient intervals. PointwiseMin near a
-    piece crossing gets a conservative min-over-pieces bound and a nonsmooth
-    flag.
+    active within _ACTIVE_TOL = 1e-9 times max(1, max |x_i|), and the report's
+    `complementarity` maps each active coordinate to its side and gradient
+    entry; separable kinds go through per-coordinate subgradient intervals.
+    PointwiseMin near a piece crossing gets a conservative min-over-pieces
+    bound and a nonsmooth flag.
     """
     x = _vec(x)
     lam = _vec(lam)
@@ -253,28 +255,22 @@ def kkt_residual(problem: Problem, x, lam) -> KKTReport:
 def _residual_against(g, x, grad, complementarity=None) -> float:
     """Norm of the residual of -grad against the subdifferential of g at x.
 
-    A box indicator goes through its normal cone, with active bounds
-    detected within _ACTIVE_TOL, and records each active coordinate in
-    `complementarity` when one is given; other kinds go through their
-    per-coordinate subgradient intervals.
+    A box indicator goes through its normal cone, a finite bound active
+    within _ACTIVE_TOL * max(1, max |x_i|), and records each active i as
+    complementarity[i] = (side, grad_i) when a dict is given; other kinds go
+    through their per-coordinate subgradient intervals.
     """
     if isinstance(g, BoxIndicator):
-        res = np.empty_like(x)
-        scale = max(1.0, float(np.abs(x).max()))
-        for i in range(x.shape[0]):
-            at_lo = np.isfinite(g.lower[i]) and x[i] <= g.lower[i] + _ACTIVE_TOL * scale
-            at_hi = np.isfinite(g.upper[i]) and x[i] >= g.upper[i] - _ACTIVE_TOL * scale
-            if at_lo and at_hi:
-                res[i], side = 0.0, "fixed"
-            elif at_lo:
-                res[i], side = max(0.0, -grad[i]), "lower"
-            elif at_hi:
-                res[i], side = max(0.0, grad[i]), "upper"
-            else:
-                res[i] = abs(grad[i])
-                continue
-            if complementarity is not None:
-                complementarity[i] = (side, float(grad[i]))
+        tol = _ACTIVE_TOL * max(1.0, float(np.abs(x).max()))
+        at_lo = np.isfinite(g.lower) & (x <= g.lower + tol)
+        at_hi = np.isfinite(g.upper) & (x >= g.upper - tol)
+        side = at_lo + 2 * at_hi                    # 0 free, 1 lower, 2 upper, 3 fixed
+        # fmax, like max(0, .), takes a NaN to 0
+        res = np.choose(side, (np.abs(grad), np.fmax(-grad, 0.0), np.fmax(grad, 0.0), 0.0))
+        if complementarity is not None:
+            active = np.flatnonzero(side)
+            complementarity.update(zip(active.tolist(), zip(
+                _SIDES[side[active]].tolist(), grad[active].tolist())))
         return float(np.linalg.norm(res))
     interval = g.subgradient_interval(x)
     if interval is None:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,25 +208,75 @@ class TestTraceCSV:
                 for i in range(tr.n_rows)]
         assert path.read_bytes() == ("\n".join([CSV_HEADER] + rows) + "\n").encode()
 
+    @pytest.mark.parametrize("damage, line, detail", [
+        (lambda text: "", 1, "empty trace file"),
+        (lambda text: text[:text.rindex(",")], 4, "7 fields, want 8"),
+        (lambda text: text.replace("\n1,", "\n1,abc", 1), 3, "could not convert .*'abc"),
+    ], ids=["empty", "last-row-cut-short", "not-a-number"])
+    def test_malformed_trace_names_path_and_line(self, tmp_path, damage, line, detail):
+        tr = m.run(m.build_exp1(), m.SolverConfig(
+            "meal", m.PenaltyPlan.fixed(10.0, 0.25, 1.0),
+            stop=m.StopRule(max_iters=2, stat_tol=1e-300, feas_tol=1e-300)),
+            init=(np.array([1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(1)))
+        path = tmp_path / "t.csv"
+        save_trace(tr, path)
+        assert tr.n_rows == 3 and len(load_trace_columns(path)["wall_time"]) == 3
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(SchemaError, match=detail) as err:
+            load_trace_columns(path)
+        assert err.value.field == f"{path} line {line}"
+
 
 # a solve command that validates on build_exp2(seed=3, m=2, n=6)
 RUNS = ["solve", "--algorithm", "meal", "--gamma", "0.05", "--max-iters", "5"]
 PENALTY = ["solve", "--algorithm", "meal", "--gamma", "0.1"]
 NAN_RUNS = ["solve", "--algorithm", "imeal", "--gamma", "0.05", "--beta", "1"]
 
+# `mealopt prox-table --kind scad --lam 1 --a 3.7 --gamma 0.5`, the README
+# example, as the per-point loop printed it (its prox column without numpy's
+# `np.float64(...)` wrapper)
+SCAD_README_TABLE = """\
+# kind=scad gamma=0.5
+-3.0 -2.8409090909090913
+-2.75 -2.534090909090909
+-2.5 -2.227272727272727
+-2.25 -1.9204545454545452
+-2.0 -1.6136363636363635
+-1.75 -1.3068181818181819
+-1.5 -1.0
+-1.25 -0.75
+-1.0 -0.5
+-0.75 -0.25
+-0.5 -0.0
+-0.25 -0.0
+0.0 0.0
+0.25 0.0
+0.5 0.0
+0.75 0.25
+1.0 0.5
+1.25 0.75
+1.5 1.0
+1.75 1.3068181818181819
+2.0 1.6136363636363635
+2.25 1.9204545454545452
+2.5 2.227272727272727
+2.75 2.534090909090909
+3.0 2.8409090909090913
+"""
+
+
+def run_module(*argv):
+    """`python -m mealopt ARGV` from the source tree, as tier-1 and the
+    benchmark use it, with a timeout so that a command that never ends fails."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "mealopt", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=30)
+
 
 class TestCLI:
     def test_runs_as_a_module(self):
-        # `python -m mealopt` from the source tree, as tier-1 and the benchmark use it
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run([sys.executable, "-m", "mealopt", "--version"],
-                             env={**os.environ, "PYTHONPATH": str(src)},
-                             capture_output=True, text=True, timeout=60)
+        out = run_module("--version")
         assert out.returncode == 0
         assert out.stdout.strip() == "0.1.0"
 
@@ -446,7 +500,7 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "envout" / "meal_trace.csv").exists()
 
-    def test_prox_table(self, tmp_path):
+    def test_prox_table(self, tmp_path, capsys):
         out = tmp_path / "scad.txt"
         code = main(["prox-table", "--kind", "scad", "--lam", "1.0", "--a", "3.7",
                      "--gamma", "0.5", "--lo", "-2", "--hi", "2", "--step", "0.5",
@@ -455,6 +509,25 @@ class TestCLI:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("# kind=scad")
         assert len(lines) == 1 + 9
+        rows = [line.split() for line in lines[1:]]
+        assert all(len(row) == 2 and [float(tok) for tok in row] for row in rows)
+        assert main(["prox-table", "--kind", "scad", "--lam", "1", "--a", "3.7",
+                     "--gamma", "0.5"]) == 0
+        assert capsys.readouterr().out == SCAD_README_TABLE
+        assert main(["prox-table", "--kind", "l1", "--lo", "1", "--hi", "-1"]) == 0
+        assert capsys.readouterr().out == "# kind=l1 gamma=0.5\n"
+
+    @pytest.mark.parametrize("grid", [["--lo=-1e300", "--hi", "1e300", "--step", "1"],
+                                      ["--hi", "inf"], ["--step", "inf"]],
+                             ids=["oversize", "infinite-hi", "infinite-step"])
+    def test_prox_table_refuses_a_grid_it_cannot_print(self, grid, tmp_path):
+        """Exit 2 before any prox call. Run with a timeout: a grid walked by
+        `v += step` with a step under the float spacing at --lo never ends."""
+        out = tmp_path / "table.txt"
+        done = run_module("prox-table", "--kind", "l1", *grid, "--output", str(out))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+        assert not out.exists()
 
     def test_prox_table_bad_parameter_exits_2(self, capsys):
         assert main(["prox-table", "--kind", "scad", "--a", "1.5"]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,50 @@ from hypothesis import strategies as st
 
 import mealopt as m
 from mealopt.errors import InsufficientData, RangeTooSmall, SubproblemNonconvexUnsupported
-from mealopt.oracle import box_qp_faces, box_qp_global_min
+from mealopt.oracle import _ACTIVE_TOL, box_qp_faces, box_qp_global_min
+
+
+def box_residual_by_coordinate(box, x, grad):
+    """kkt_residual's box rule as a loop over coordinates: the stationarity
+    residual and the complementarity dict."""
+    res, complementarity = np.empty_like(x), {}
+    scale = max(1.0, float(np.abs(x).max()))
+    for i in range(x.shape[0]):
+        at_lo = np.isfinite(box.lower[i]) and x[i] <= box.lower[i] + _ACTIVE_TOL * scale
+        at_hi = np.isfinite(box.upper[i]) and x[i] >= box.upper[i] - _ACTIVE_TOL * scale
+        if at_lo and at_hi:
+            res[i], side = 0.0, "fixed"
+        elif at_lo:
+            res[i], side = max(0.0, -grad[i]), "lower"
+        elif at_hi:
+            res[i], side = max(0.0, grad[i]), "upper"
+        else:
+            res[i] = abs(grad[i])
+            continue
+        complementarity[i] = (side, float(grad[i]))
+    return float(np.linalg.norm(res)), complementarity
+
+
+@st.composite
+def box_points(draw):
+    """(lower, upper, x, grad): bounds infinite, finite or equal; x on a
+    bound, within a few _ACTIVE_TOL of one, or away; grad finite up to 1e150
+    in size (np.linalg.norm overflows, with a RuntimeWarning, once a square
+    passes the float range), zero of either sign, or infinite."""
+    lower, upper, x, grad = [], [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.one_of(st.just(-math.inf), st.floats(-100.0, 100.0)))
+        hi = draw(st.one_of(st.just(math.inf), st.floats(max(lo, -100.0), 100.0),
+                            st.just(lo if lo > -math.inf else 0.0)))
+        anchor = draw(st.sampled_from([b for b in (lo, hi, 0.0) if math.isfinite(b)]))
+        offset = draw(st.sampled_from([0.0, 1e-12, -1e-12, 7e-10, -7e-10, 1e-9, -1e-9,
+                                       1.5e-9, -1.5e-9, 0.5, -0.5]))
+        lower.append(lo)
+        upper.append(hi)
+        x.append(anchor + offset * max(1.0, abs(anchor)))
+        grad.append(draw(st.one_of(st.floats(-1e150, 1e150), st.sampled_from(
+            [math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e100]))))
+    return lower, upper, np.array(x), np.array(grad)
 
 
 class TestGridProxOracle:
@@ -193,6 +238,23 @@ class TestKKTResidual:
         assert rep.stationarity_residual == 0.0
         rep = m.kkt_residual(prob, [0.0], [2.0])
         assert rep.stationarity_residual == pytest.approx(1.0)
+
+    @settings(max_examples=400)
+    @given(point=box_points())
+    def test_box_rule_is_the_per_coordinate_rule(self, point):
+        """The same residual bits and the same complementarity entries, in the
+        same order, as the loop over coordinates, with no RuntimeWarning."""
+        lower, upper, x, grad = point
+        box = m.BoxIndicator(lower, upper)
+        smooth = m.SmoothFunction(lambda _: 0.0, lambda _: grad, 1.0)
+        prob = m.Problem(m.LinearConstraint(np.zeros((1, x.shape[0])), [0.0]), box, smooth)
+        rep = m.kkt_residual(prob, x, [0.0])
+        # kkt_residual adds A'lam, here a zero vector, to h's gradient
+        want, complementarity = box_residual_by_coordinate(box, x, grad + 0.0)
+        assert repr(rep.stationarity_residual) == repr(want)
+        assert list(rep.complementarity.items()) == list(complementarity.items())
+        assert all(type(i) is int and type(side) is str
+                   for i, (side, _) in rep.complementarity.items())
 
     def test_pointwise_min_crossing_flags(self):
         pieces = (

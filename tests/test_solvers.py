@@ -442,7 +442,8 @@ class TestRun:
         for build in (lambda v: m.StopRule(stat_tol=v), lambda v: m.StopRule(feas_tol=v),
                       m.EpsilonSchedule,
                       lambda v: m.PenaltyPlan.fixed(v, gamma=0.5, eta=1.0),
-                      lambda v: m.PenaltyPlan.fixed(1.0, gamma=v, eta=1.0)):
+                      lambda v: m.PenaltyPlan.fixed(1.0, gamma=v, eta=1.0),
+                      lambda v: m.InnerProxGradient(tol=v)):
             with pytest.raises(ValueError):
                 build(bad)
 
@@ -453,7 +454,8 @@ class TestRun:
         m.EpsilonSchedule,
         lambda v: m.StopRule(stat_tol=v),
         lambda v: m.StopRule(feas_tol=v),
-    ], ids=["beta", "gamma", "alpha_target", "eps0", "stat_tol", "feas_tol"])
+        lambda v: m.InnerProxGradient(tol=v),
+    ], ids=["beta", "gamma", "alpha_target", "eps0", "stat_tol", "feas_tol", "inner_tol"])
     def test_positive_fields_reject_infinity(self, build):
         """An infinite penalty or tolerance is rejected where it is set, not
         met later in run (an infinite tolerance would stop any run at once)."""
