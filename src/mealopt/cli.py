@@ -4,9 +4,9 @@ Subcommands: solve (run one algorithm on a problem file), exp1/exp2 (the two
 scripted benchmarks), check (self-certification suite), prox-table (dump prox
 values over a grid, e.g. for golden-file regeneration).
 
-Exit codes: 0 success, 2 usage/schema error, 3 solver non-convergence
-(traces are still written). Default output directory comes from the
-MEALOPT_OUT_DIR environment variable, falling back to ./runs.
+Exit codes: 0 success, 2 usage, schema or unwritable-output error, 3 solver
+non-convergence (traces are still written). Default output directory comes
+from the MEALOPT_OUT_DIR environment variable, falling back to ./runs.
 """
 
 from __future__ import annotations
@@ -159,10 +159,9 @@ def _cmd_solve(args) -> int:
             epsilon_schedule=(EpsilonSchedule() if args.epsilon0 is None
                               else EpsilonSchedule(args.epsilon0)),
             stop=StopRule(args.max_iters, args.stat_tol, args.feas_tol))
-        config.validate(problem)
+        trace = run(problem, config)    # set-up rejections raise before any step
     except ValueError as exc:
         return _error(exc)
-    trace = run(problem, config)
 
     out = _out_dir(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,5 +299,5 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_prox_table(args)
-    except MealoptError as exc:
+    except (MealoptError, OSError) as exc:    # OSError: an output path it cannot write
         return _error(exc)

@@ -13,9 +13,9 @@ This module evaluates both and implements the penalty-parameter calculus
 the potential and Lyapunov functions used as runtime descent monitors.
 
 The strongly convex inner problem belongs to an EnvelopeContext, which
-fixes beta. Its spec (InnerProxGradient or Paper72FastPath) is checked
-against the problem when the config is validated and when the context is
-built, and its `solve` is what `solve_subproblem` calls.
+fixes beta; `SolverConfig.validate` builds a run's one context. Its spec
+(InnerProxGradient or Paper72FastPath) is checked against the problem when
+the context is built, and its `solve` is what `solve_subproblem` calls.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class SubproblemSpec:
     """How the envelope subproblem is solved: one of the two specs below.
 
     `check(problem)` raises InvalidSubproblemPath unless the path applies to
-    the problem; `SolverConfig.validate` and EnvelopeContext call it.
+    the problem; EnvelopeContext calls it when built.
     `solve(ctx, z, lam, grad_h, tol, warm_start)` solves at ctx.beta; `grad_h`
     is h's gradient at the linearization point of a linearized step.
     """
@@ -495,23 +495,6 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _alm_hessian(problem, beta) -> np.ndarray:
-    """H = Q + beta A'A, the Hessian of x -> L_beta(x, lam), once ALM's
-    requirements hold: a quadratic objective over a box, at enumeration scale,
-    and no step's subproblem unbounded below (`check_free_curvature`)."""
-    terms, bounds = problem.quadratic_terms(), problem.box_bounds()
-    if terms is None or bounds is None:
-        raise SubproblemNonconvexUnsupported(
-            "alm global minimization supports quadratic objectives over a box")
-    if problem.n > ACTIVE_SET_MAX_N:
-        raise SubproblemNonconvexUnsupported(
-            f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={problem.n}")
-    A = problem.constraint.A
-    H = terms[0] + beta * (A.T @ A)
-    check_free_curvature(H, *bounds)
-    return H
-
-
 @dataclass
 class _System:
     """A plan's subproblem matrix M: its product, its Cholesky factor
@@ -623,10 +606,21 @@ class EnvelopeContext:
     @cached_property
     def _alm(self) -> tuple:
         """ALM's box faces of H = Q + beta A'A, h's linear term r, and the
-        minimizers of the last two distinct linear terms its steps solved for."""
-        p = self.problem
-        return (BoxFaces(_alm_hessian(p, self.beta), None, *self.bounds),
-                p.quadratic_terms()[1], {})
+        minimizers of the last two distinct linear terms its steps solved for.
+        SubproblemNonconvexUnsupported unless the objective is a quadratic over
+        a box at enumeration scale whose subproblems are bounded below."""
+        p, bounds = self.problem, self.bounds
+        terms = p.quadratic_terms()
+        if terms is None or bounds is None:
+            raise SubproblemNonconvexUnsupported(
+                "alm global minimization supports quadratic objectives over a box")
+        if p.n > ACTIVE_SET_MAX_N:
+            raise SubproblemNonconvexUnsupported(
+                f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={p.n}")
+        A = p.constraint.A
+        H = terms[0] + self.beta * (A.T @ A)
+        check_free_curvature(H, *bounds)
+        return BoxFaces(H, None, *bounds), terms[1], {}
 
     @cached_property
     def _prox_ialm_s(self) -> np.ndarray:

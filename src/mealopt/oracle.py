@@ -271,14 +271,19 @@ def _residual_against(g, x, grad, complementarity=None) -> float:
             active = np.flatnonzero(side)
             complementarity.update(zip(active.tolist(), zip(
                 _SIDES[side[active]].tolist(), grad[active].tolist())))
-        return float(np.linalg.norm(res))
-    interval = g.subgradient_interval(x)
-    if interval is None:
-        raise NotImplementedError(f"no subdifferential description for {type(g)}")
-    lo, hi = interval
-    target = -grad
-    res = np.maximum(lo - target, 0.0) + np.maximum(target - hi, 0.0)
-    return float(np.linalg.norm(res))
+    else:
+        interval = g.subgradient_interval(x)
+        if interval is None:
+            raise NotImplementedError(f"no subdifferential description for {type(g)}")
+        lo, hi = interval
+        target = -grad
+        res = np.maximum(lo - target, 0.0) + np.maximum(target - hi, 0.0)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(res)
+        if norm == np.inf and np.isfinite(res).all():     # the squares overflowed
+            big = np.abs(res).max()
+            norm = big * np.linalg.norm(res / big)
+    return float(norm)
 
 
 def finite_diff_check(f: Callable[[np.ndarray], float], grad,

@@ -11,10 +11,10 @@ ALGORITHMS is the one table of algorithms: the only place an algorithm name
 is looked up. An entry holds the step call, the weak-convexity modulus that
 gamma must stay below the inverse of, whether the stationarity column is a
 running minimum, the energy recorded in the `lyapunov` column (a Lyapunov
-family, the augmented Lagrangian or the potential P), the tuple of
-subproblem spec types it accepts (empty for the two algorithms that solve no
-envelope subproblem), and the algorithm's own requirements on the problem
-and config. `SolverConfig.validate` and `run` read the entry.
+family, the augmented Lagrangian or the potential P), the tuple of subproblem
+spec types it accepts (empty for the two algorithms that solve no envelope
+subproblem), and its own check on the config and context. A run is set up
+once: `SolverConfig.validate` builds the context that `run` steps with.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .envelope import (
     InnerProxGradient,
     Paper72FastPath,
     PenaltyPlan,
-    _alm_hessian,
     _rowdot,
     augmented_lagrangian,
     lyapunov,
@@ -169,30 +168,35 @@ class SolverConfig:
     stop: StopRule = field(default_factory=StopRule)
     monitors: MonitorFlags = field(default_factory=MonitorFlags)
 
-    def validate(self, problem: Problem) -> None:
+    def validate(self, problem: Problem) -> EnvelopeContext:
+        """Check the config on the problem and return the context `run` steps
+        with, in order: the algorithm, the spec it takes, gamma < 1/modulus,
+        the context (PenaltyOutOfRange unless beta and alpha are positive and
+        finite; the spec's check), the algorithm's check on it, the monitors."""
         algo = ALGORITHMS.get(self.algorithm)
         if algo is None:
             raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
-        if self.subproblem != "auto":
-            if not isinstance(self.subproblem, algo.accepts):
-                names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
-                raise InvalidSubproblemPath(
-                    f'{self.algorithm} takes the subproblem "auto" or one of: {names}; '
-                    f"got {self.subproblem!r}")
-            self.subproblem.check(problem)
+        if self.subproblem != "auto" and not isinstance(self.subproblem, algo.accepts):
+            names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
+            raise InvalidSubproblemPath(
+                f'{self.algorithm} takes the subproblem "auto" or one of: {names}; '
+                f"got {self.subproblem!r}")
         modulus = algo.modulus(problem)
         if modulus > 0 and self.plan.gamma >= 1.0 / modulus:
             raise GammaTooLarge(
                 f"gamma={self.plan.gamma} >= 1/{modulus:.6g}, the "
                 f"{self.algorithm} subproblem is not strongly convex"
             )
-        algo.check(self, problem)
+        # the module global, which the benchmark wraps to time the set-up
+        ctx = EnvelopeContext(problem, self.plan, self.resolve_subproblem())
+        algo.check(self, ctx)
         if self.monitors.one_step_progress and not (
                 algo.progress_monitor and self.plan.mode == "fixed"
                 and _lyapunov_case(problem) == "s1"):
             raise ValueError("one_step_progress needs meal, a fixed beta and the s1 Lyapunov")
         if self.monitors.dual_by_primal:
             problem.implicit_lipschitz_constant()  # raises MissingMetadata
+        return ctx
 
     def resolve_subproblem(self):
         return InnerProxGradient() if self.subproblem == "auto" else self.subproblem
@@ -266,9 +270,8 @@ def alm_step(ctx: EnvelopeContext,
     Supported where the global-min oracle applies: quadratic objective with
     an (optional) box, at enumeration scale. The subproblem may be nonconvex;
     the oracle enumerates all face-stationary candidates. Only the linear
-    term moves with lam, so the context's `_alm` checks the Hessian once (the
-    step may be called without validate) and keeps the faces prepared for
-    the run with h's linear term r.
+    term moves with lam, so the faces are prepared once, with h's linear
+    term r, in the context's `_alm` (which `validate` forms).
 
     With the faces fixed, x' is a function of the linear term c alone, so
     `_alm` also keeps the minimizers of the last two distinct c, keyed by
@@ -331,21 +334,21 @@ def prox_ialm_step(ctx: EnvelopeContext,
 # ---------------------------------------------------------------------------
 
 
-def _check_limeal(config, problem) -> None:
-    if not problem.composite:
+def _check_limeal(config, ctx) -> None:
+    if not ctx.problem.composite:
         raise NotComposite("limeal needs a composite objective")
 
 
-def _check_alm(config, problem) -> None:
+def _check_alm(config, ctx) -> None:
     if config.plan.eta != 1.0:
         raise ValueError(f"alm takes eta = 1 (z' = x'), got eta={config.plan.eta}")
-    _alm_hessian(problem, config.plan.beta_for(problem.constraint))
+    ctx._alm        # forms and checks the Hessian, and prepares the faces
 
 
-def _check_prox_ialm(config, problem) -> None:
-    if not problem.composite or problem.quadratic_terms() is None:
+def _check_prox_ialm(config, ctx) -> None:
+    if not ctx.problem.composite or ctx.problem.quadratic_terms() is None:
         raise NotComposite("prox_ialm needs a quadratic smooth part")
-    if problem.box_bounds() is None:
+    if ctx.bounds is None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
 
 
@@ -377,7 +380,7 @@ class Algorithm:
                             # for blocks of states, one value per row
     # subproblem spec types it takes; "auto" is InnerProxGradient
     accepts: tuple = (InnerProxGradient,)
-    check: Callable = lambda config, problem: None  # raises when a requirement is unmet
+    check: Callable = lambda config, ctx: None  # raises when a requirement is unmet
     progress_monitor: bool = False  # the one-step progress monitor applies
 
 
@@ -551,8 +554,8 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     ends at max_iters (or the horizon K) as MaxIters. A step that meets a
     non-finite iterate, carried gradient or residual, or prox input
     (NonFiniteValue) ends the run as NonFinite, with the last finite state
-    as the terminal state. A terminal
-    row holds the final state, so the trace has a row for every state.
+    as the terminal state. A terminal row holds the final state, so the
+    trace has a row for every state. `config.validate` sets the run up.
 
     A step leaves one record, which `_RowBlock` turns into its row a block
     of ROW_BLOCK steps at a time. The record's objective and multiplier
@@ -562,8 +565,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx + r, the
     objective is g(x) + x'(grad h(x) + r)/2 + c, with no product with Q.
     """
-    config.validate(problem)
-    ctx = EnvelopeContext(problem, config.plan, config.resolve_subproblem())
+    ctx = config.validate(problem)
     algo = ALGORITHMS[config.algorithm]
 
     if init is None:

@@ -440,6 +440,43 @@ class TestCLI:
         assert code == 2
         assert "schema error at objective.prox" in capsys.readouterr().err
 
+    def test_solve_sets_the_run_up_once(self, tmp_path, monkeypatch):
+        # one context, and one check of ALM's free-block curvature, in validate
+        from mealopt import envelope, solvers
+
+        save_problem(m.build_exp1(), tmp_path / "exp1.json")
+        calls = {"contexts": 0, "curvature": 0}
+        real_context, real_check = solvers.EnvelopeContext, envelope.check_free_curvature
+
+        def context(*args):
+            calls["contexts"] += 1
+            return real_context(*args)
+
+        def check(*args):
+            calls["curvature"] += 1
+            return real_check(*args)
+
+        monkeypatch.setattr(solvers, "EnvelopeContext", context)
+        monkeypatch.setattr(envelope, "check_free_curvature", check)
+        code = main(["solve", "--input", str(tmp_path / "exp1.json"), "--algorithm", "alm",
+                     "--beta", "50", "--max-iters", "5", "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert calls == {"contexts": 1, "curvature": 1}
+
+    @pytest.mark.parametrize("argv", [
+        [*RUNS, "--beta", "1", "--output-dir", "{afile}/sub"],
+        ["exp1", "--max-iters", "5", "--output-dir", "{afile}"],
+        ["prox-table", "--kind", "l1", "--output", "{afile}/x"],
+    ], ids=["solve", "exp1", "prox-table"])
+    def test_an_unwritable_output_path_exits_2(self, argv, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
+        if argv[0] == "solve":
+            argv = argv + ["--input", str(tmp_path / "qp.json")]
+        assert main([arg.format(afile=afile) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_limeal_direct_run_ends_in_a_status(self, tmp_path):
         # the linearized step needs only beta A'A + I/gamma to be definite
         save_problem(m.Problem(m.LinearConstraint([[1.0, 1.0]], [1.0]), m.Zero(),

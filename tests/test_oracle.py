@@ -239,6 +239,15 @@ class TestKKTResidual:
         rep = m.kkt_residual(prob, [0.0], [2.0])
         assert rep.stationarity_residual == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("prox", [m.Zero(), m.BoxIndicator([-1.0, -np.inf],
+                                                               [1.0, np.inf])],
+                             ids=["interval", "box"])
+    def test_a_large_finite_residual_has_a_finite_norm(self, prox):
+        # 1e200 squared overflows a float: the norm is of the rescaled residual
+        prob = m.Problem(m.LinearConstraint([[1.0, 0.0]], [0.0]), prox,
+                         m.QuadraticSmooth(np.eye(2), [0.0, 1e200]))
+        assert m.kkt_residual(prob, [0.0, 0.0], [0.0]).stationarity_residual == 1e200
+
     @settings(max_examples=400)
     @given(point=box_points())
     def test_box_rule_is_the_per_coordinate_rule(self, point):

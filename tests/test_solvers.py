@@ -187,10 +187,9 @@ class TestAlmStep:
     def test_exp1_subproblem_hessian_indefinite(self, exp1_problem):
         # the unreduced augmented Lagrangian Hessian has negative determinant,
         # so a plain linear solve would land on a saddle: the step must route
-        # through the global enumeration
-        from mealopt.solvers import _alm_hessian
-
-        H = _alm_hessian(exp1_problem, 50.0)
+        # through the global enumeration; the context's faces hold H
+        ctx = EnvelopeContext(exp1_problem, m.PenaltyPlan.fixed(50.0, 0.25, 1.0))
+        H = ctx._alm[0].Q
         assert np.linalg.det(H) < 0
 
     def test_exp1_lambda_cycle(self, exp1_problem):
@@ -667,6 +666,42 @@ def test_validate_rejects_a_setting_the_run_cannot_honour(prob, cfg, match):
         cfg.validate(prob)
 
 
+@pytest.mark.parametrize("algorithm, plan", [
+    ("meal", m.PenaltyPlan.fixed(1e300, 0.01, 1.0)),
+    ("meal", m.PenaltyPlan.fixed(1.0, 1e-300, 1.0)),
+    ("meal", m.PenaltyPlan.horizon(3, 1e-300, 0.01, 1.0)),
+    ("limeal", m.PenaltyPlan.fixed(1e300, 0.01, 1.0)),
+    ("prox_ialm", m.PenaltyPlan.fixed(1e300, 0.01, 1.0)),
+], ids=["meal-beta-overflow", "meal-gamma-underflow", "meal-horizon-target-underflow",
+        "limeal-beta-overflow", "prox_ialm-beta-overflow"])
+def test_validate_rejects_a_penalty_with_no_finite_alpha(algorithm, plan):
+    # validate builds the run's context, which fixes beta and alpha
+    from mealopt.errors import PenaltyOutOfRange
+
+    with pytest.raises(PenaltyOutOfRange):
+        m.SolverConfig(algorithm, plan).validate(m.build_exp2(seed=3, m=2, n=6))
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_run_steps_with_the_context_validate_returns(algorithm, monkeypatch):
+    from dataclasses import replace
+
+    from mealopt import solvers
+
+    made, used = [], []
+    real_validate, real_step = m.SolverConfig.validate, solvers.ALGORITHMS[algorithm].step
+    monkeypatch.setattr(m.SolverConfig, "validate",
+                        lambda cfg, prob: made.append(real_validate(cfg, prob)) or made[-1])
+    monkeypatch.setitem(solvers.ALGORITHMS, algorithm, replace(
+        solvers.ALGORITHMS[algorithm],
+        step=lambda ctx, st, cfg: used.append(ctx) or real_step(ctx, st, cfg)))
+    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(50.0, 0.25, 1.0),
+                         stop=m.StopRule(max_iters=3))
+    m.run(m.build_exp1(), cfg)
+    assert len(made) == 1 and isinstance(made[0], EnvelopeContext)
+    assert used and all(ctx is made[0] for ctx in used)
+
+
 def test_one_gram_eigendecomposition_per_alm_horizon_run(monkeypatch):
     # validation reads the horizon beta from the constraint's kept spectrum,
     # and the run's context reuses it
@@ -686,8 +721,8 @@ def test_one_gram_eigendecomposition_per_alm_horizon_run(monkeypatch):
 
 def test_alm_prepares_its_faces_once_per_run(monkeypatch):
     # the subproblem's Hessian and box are fixed for the run: a 5-step and a
-    # 200-step run make one face preparation and the same free-block
-    # curvature checks (validate's and the first step's)
+    # 200-step run make one face preparation and one free-block curvature
+    # check, both in validate's context
     from mealopt import envelope
     from mealopt.experiments import EXP1_INIT
 
@@ -711,7 +746,7 @@ def test_alm_prepares_its_faces_once_per_run(monkeypatch):
         cfg = m.SolverConfig("alm", m.PenaltyPlan.fixed(50.0, 0.5, 1.0),
                              stop=m.StopRule(max_iters=steps))
         assert m.run(prob, cfg, init=EXP1_INIT).n_rows - 1 == steps
-        assert counts == {"faces": 1, "free_blocks": 2}
+        assert counts == {"faces": 1, "free_blocks": 1}
 
 
 def _recorded_run(prob, cfg, init, monkeypatch):
