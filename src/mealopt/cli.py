@@ -133,6 +133,10 @@ def _cmd_solve(args) -> int:
                                          or args.horizon_k is not None):
         return _error("--cap-variant caps --alpha-target with a fixed beta; "
                       "it needs --alpha-target and no --horizon-K")
+    out = _out_dir(args.output_dir)     # checked before the run, made after it
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        return _error(f"cannot make output directory {out}: {nearest} is not a directory")
     problem = load_problem(args.input)
     try:
         if args.horizon_k is not None:
@@ -163,7 +167,6 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         return _error(exc)
 
-    out = _out_dir(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     dest = out / f"{args.algorithm}_trace.csv"
     save_trace(trace, dest)

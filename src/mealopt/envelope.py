@@ -546,7 +546,8 @@ class EnvelopeContext:
     the plan's fields stay Python floats.
 
     `h_gradient` is h's gradient: a `QuadraticSmooth`'s own, which returns
-    a float vector, else `Problem.smooth_gradient`, which converts. Every
+    a fresh float vector from one BLAS `dsymv` on one triangle of its
+    exactly symmetric Q, else `Problem.smooth_gradient`, which converts. Every
     other run constant is a `cached_property`, formed on first use: `bounds`,
     the problem's `box_bounds()`; `_woodbury`; InnerProxGradient's plans
     `_exact_plan` and `_linearized_plan` (`_inner_plan`); ALM's `_alm`; and

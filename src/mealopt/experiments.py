@@ -206,6 +206,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Optional[str] = None) -> Exper
     """
     from .fileio import save_summary, save_trace  # deferred: fileio imports solvers
 
+    if out_dir is not None:     # an unwritable path fails before any run
+        base = Path(out_dir) / spec.id
+        base.mkdir(parents=True, exist_ok=True)
     if spec.id == "exp1":
         problem = build_exp1()
         grid = [(label, problem, cfg, EXP1_INIT) for label, cfg in exp1_configs(spec.stop)]
@@ -227,8 +230,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: Optional[str] = None) -> Exper
         bundle.summary.append(_summarize(label, cfg.algorithm, trace, spec.stop))
 
     if out_dir is not None:
-        base = Path(out_dir) / spec.id
-        base.mkdir(parents=True, exist_ok=True)
         for label, trace in bundle.traces.items():
             save_trace(trace, base / f"{label}.csv")
         save_summary(bundle.summary, base / "summary.csv")

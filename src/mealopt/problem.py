@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from .errors import AllZeroMatrix, GammaTooLarge, MissingMetadata, NonFiniteValue
 
@@ -230,7 +231,15 @@ class QuadraticForm(ProxFunction):
     extreme eigenvalues `eig_min` and `eig_max`. Q, r, c and Q's eigenvalues
     must be finite. The checks hold one n x n scratch array at a time, the
     finiteness mask and then the symmetry check's, each dropped before the
-    next."""
+    next.
+
+    Q is stored C-contiguous (a copy only for other layouts) and exactly
+    symmetric: a Q whose asymmetry is nonzero but within the tolerance is
+    replaced once by (Q + Q')/2, whose bits are symmetric; an exactly
+    symmetric Q keeps its bits and its buffer. So `value`, `_prox` and
+    `gradient` describe one matrix, and `gradient` reads one triangle of it,
+    BLAS `dsymv` on the Fortran-ordered view Q', half the bytes of a full
+    product."""
 
     Q: np.ndarray = None
     r: np.ndarray = None
@@ -238,7 +247,7 @@ class QuadraticForm(ProxFunction):
     implicit_class: ImplicitClass = field(default_factory=ImplicitClass.unknown)
 
     def __post_init__(self):
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        self.Q = np.atleast_2d(np.ascontiguousarray(self.Q, dtype=float))
         n = self.Q.shape[0]
         if self.Q.shape != (n, n):
             raise ValueError("Q must be square")
@@ -250,6 +259,9 @@ class QuadraticForm(ProxFunction):
         del D
         if asym > 1e-12 * scale:
             raise ValueError("Q must be symmetric")
+        if asym > 0:
+            self.Q = self.Q + self.Q.T
+            self.Q *= 0.5
         self.r = _vec(self.r) if self.r is not None else np.zeros(n)
         if self.r.shape != (n,):
             raise ValueError("r dimension mismatch")
@@ -276,7 +288,9 @@ class QuadraticForm(ProxFunction):
     def gradient(self, x):
         if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
             x = _vec(x)
-        return self.Q.dot(x) + self.r
+        if x.shape != self.r.shape:     # dsymv would read x's first n entries
+            raise ValueError(f"x has shape {x.shape}; Q is {self.Q.shape}")
+        return dsymv(1.0, self.Q.T, x, 1.0, self.r)
 
     def subgradient_interval(self, x):
         g = self.gradient(x)

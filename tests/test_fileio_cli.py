@@ -477,6 +477,28 @@ class TestCLI:
         assert main([arg.format(afile=afile) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        [*RUNS, "--beta", "1", "--output-dir", "{afile}/sub"],
+        ["exp1", "--max-iters", "5", "--output-dir", "{afile}"],
+        ["exp2", "--m", "2", "--n", "6", "--max-iters", "5", "--output-dir", "{afile}/sub"],
+    ], ids=["solve", "exp1", "exp2"])
+    def test_an_output_dir_under_a_file_is_refused_before_any_run(self, argv, tmp_path,
+                                                                  monkeypatch):
+        from mealopt import experiments
+
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
+        if argv[0] == "solve":
+            argv = argv + ["--input", str(tmp_path / "qp.json")]
+        runs = []
+        for module in (cli, experiments):
+            real = module.run
+            monkeypatch.setattr(module, "run",
+                                lambda *a, real=real, **k: runs.append(a) or real(*a, **k))
+        assert main([arg.format(afile=afile) for arg in argv]) == 2
+        assert runs == []
+
     def test_limeal_direct_run_ends_in_a_status(self, tmp_path):
         # the linearized step needs only beta A'A + I/gamma to be definite
         save_problem(m.Problem(m.LinearConstraint([[1.0, 1.0]], [1.0]), m.Zero(),

@@ -513,6 +513,71 @@ class TestSymmetryCheck:
         assert new_memory_peak(lambda: m.QuadraticForm(Q=Q)) <= 1.1 * 8 * 600 * 600
 
 
+def _symmetric(n, seed=3):
+    """A symmetric n x n Q in [-1, 1) and r, x in [-1, 1), from SplitMix64."""
+    rng = SplitMix64(seed)
+    G = rng.uniform_array(n, n)
+    return G + G.T - 1.0, 2.0 * rng.uniform_array(n) - 1.0, 2.0 * rng.uniform_array(n) - 1.0
+
+
+def _product_bound(Q, r, x):
+    """n eps (|Q||x| + |r|), elementwise: the round-off any order of a
+    length-n dot product can make."""
+    return Q.shape[0] * np.finfo(float).eps * (np.abs(Q) @ np.abs(x) + np.abs(r))
+
+
+class TestSymmetricGradient:
+    """The gradient is BLAS dsymv on one triangle of the stored Q."""
+
+    @pytest.mark.parametrize("n", [2, 20, 800])
+    def test_gradient_is_q_x_plus_r_within_round_off(self, n):
+        Q, r, x = _symmetric(n)
+        got = m.QuadraticForm(Q=Q, r=r).gradient(x)
+        assert np.all(np.abs(got - (Q @ x + r)) <= _product_bound(Q, r, x))
+
+    def test_diagonal_q_gives_the_bits_of_q_x_plus_r(self):
+        h = m.build_exp1().smooth
+        for x in SplitMix64(4).uniform_array(50, 2) * 20.0 - 10.0:
+            assert h.gradient(x).tobytes() == (h.Q @ x + h.r).tobytes()
+
+    def test_r_is_read_not_written(self):
+        Q, r, x = _symmetric(20)
+        f = m.QuadraticForm(Q=Q, r=r)
+        r_bits = r.tobytes()
+        g = f.gradient(x)
+        first = g.tobytes()
+        assert f.r.tobytes() == r_bits and not np.shares_memory(g, f.r)
+        g[:] = 7.0
+        assert f.r.tobytes() == r_bits and f.gradient(x).tobytes() == first
+
+    @pytest.mark.parametrize("n", [19, 21])
+    def test_x_of_another_length_rejected(self, n):
+        Q, r, _ = _symmetric(20)
+        with pytest.raises(ValueError, match="shape"):
+            m.QuadraticForm(Q=Q, r=r).gradient(np.ones(n))
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed-view"])
+    def test_q_stored_c_contiguous(self, layout):
+        Q, _, _ = _symmetric(20)
+        given = np.asfortranarray(Q) if layout == "fortran" else Q.copy().T
+        assert not given.flags.c_contiguous
+        stored = m.QuadraticForm(Q=given).Q
+        assert stored.flags.c_contiguous and np.array_equal(stored, Q)
+
+    def test_asymmetry_within_the_tolerance_stored_symmetrized(self):
+        Q0 = _asymmetric("neg", 1e-13)
+        r, x = 2.0 * SplitMix64(4).uniform_array(2, 600) - 1.0
+        f = m.QuadraticForm(Q=Q0, r=r)
+        assert f.Q.tobytes() == f.Q.T.copy().tobytes()
+        S = 0.5 * (Q0 + Q0.T)
+        assert np.all(np.abs(f.gradient(x) - (S @ x + r)) <= _product_bound(S, r, x))
+
+    def test_exact_symmetry_keeps_q(self):
+        Q0 = _asymmetric("neg", 0.0)
+        bits = Q0.tobytes()
+        assert m.QuadraticForm(Q=Q0).Q is Q0 and Q0.tobytes() == bits
+
+
 class TestProblemSizes:
     CONS = m.LinearConstraint([[1.0, 1.0]], [3.0])     # x + y = 3, n = 2
 
