@@ -26,7 +26,6 @@ from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_factor, cholesky, get_lapack_funcs, solve_triangular
 
 from .errors import (
@@ -136,7 +135,9 @@ class SubproblemSpec:
     `check(problem)` raises InvalidSubproblemPath unless the path applies to
     the problem; EnvelopeContext calls it when built.
     `solve(ctx, z, lam, grad_h, tol, warm_start)` solves at ctx.beta; `grad_h`
-    is h's gradient at the linearization point of a linearized step.
+    is h's gradient at the linearization point of a linearized step. Its
+    vectors are the float vectors of their lengths that `solve_subproblem`
+    converted and checked.
     """
 
     def check(self, problem: Problem) -> None:
@@ -185,16 +186,17 @@ class InnerProxGradient(SubproblemSpec):
     to _FACE_STEPS face steps (a primal-dual active-set finish:
     Hintermueller, Ito and Kunisch 2002; Bertsekas 1982). A face step takes the bounds
     that y = prox_{t g}(x - t grad S(x)) sits on as active, solves M x = -c
-    on the free coordinates with the active ones fixed (M's Cholesky factor
-    when all are free), clips, and returns once s = grad S(x) + the nearest
-    element of the box normal cone at x has ||s|| <= tol. When an active set
-    repeats, or after _FACE_STEPS steps, the accelerated loop goes on from
-    the clipped point. Each face step makes one prox call and counts as one
-    inner iteration, so max_inner bounds the total. M's `_System` keeps the
-    blocks of the last face solved on, and a face step on the same face
-    reuses them; `_face_solve`, the gufunc under `np.linalg.solve`, gives
-    `np.linalg.solve`'s bits on the same block. What a solve reads from the
-    context alone is its plan, the context's `_exact_plan` or `_linearized_plan`.
+    on the free coordinates with the active ones fixed, clips, and returns
+    once s = grad S(x) + the nearest element of the box normal cone at x has
+    ||s|| <= tol. When an active set repeats, or after _FACE_STEPS steps, the
+    accelerated loop goes on from the clipped point. Each face step makes one
+    prox call and counts as one inner iteration, so max_inner bounds the
+    total. M_FF, M's block on the free coordinates, is positive definite as M
+    is; M's `_System` keeps the Cholesky factor of the last face's block, so
+    a face is factored once and each face step is one `potrs` (on M's own
+    factor when all coordinates are free; a face with none free is its
+    clamped point). What a solve reads from the context alone is its plan,
+    the context's `_exact_plan` or `_linearized_plan`.
     """
 
     tol: float = 1e-10
@@ -224,8 +226,6 @@ class InnerProxGradient(SubproblemSpec):
 
         stop_tol = self.tol if tol is None else tol
         x = z if warm_start is None else warm_start
-        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
-            x = _vec(x)
         g, done = p.prox_part, 0
         if bounds is not None:
             x = np.minimum(np.maximum(x, bounds[0]), bounds[1])
@@ -293,18 +293,6 @@ def _inner_plan(ctx, exact: bool) -> tuple:
 _FACE_STEPS = 8  # face steps before InnerProxGradient's accelerated loop
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-# The face solve: np.linalg.solve's gufunc for one right-hand side, under the
-# error state np.linalg.solve sets, without its Python wrapper, whose checks
-# and casts do nothing on a float64 block. A singular block raises LinAlgError.
-_face_solve = np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                          divide="ignore", under="ignore")(
-    partial(_umath_linalg.solve1, signature="dd->d"))
-
-
 def _face_steps(g, system, bounds, t, x, c, tol, steps):
     """Up to `steps` face steps on min x'Mx/2 + c'x over g's box `bounds`, M
     the plan's `system` (see InnerProxGradient): (x, s, ||s||, steps taken).
@@ -319,15 +307,14 @@ def _face_steps(g, system, bounds, t, x, c, tol, steps):
         if key in seen:
             break
         seen.add(key)
-        face = system.face
-        if face is None or face[0] != key:
-            face = system.face = _face_blocks(system.M, key, at_lo, at_hi, lo, hi)
-        _, free, x_clamped, M_FF, M_FC_x = face
-        if M_FF is None:
+        if system.face is None or system.face[0] != key:
+            system.face = _face_blocks(system.M, key, at_lo, at_hi, lo, hi)
+        _, free, x, factor, M_FC_x = system.face
+        if x is None:
             x = system.solve(-c)
-        else:
-            x = x_clamped.copy()
-            x[free] = _face_solve(M_FF, -(c[free] + M_FC_x))
+        elif factor is not None:
+            x = x.copy()
+            x[free] = system.solve(-(c[free] + M_FC_x), factor)
         x = np.minimum(np.maximum(x, lo), hi)
         grad = system.matvec(x) + c
         # s = grad, with min(grad, 0) where x is at lo and max(grad, 0) at hi
@@ -342,15 +329,20 @@ def _face_steps(g, system, bounds, t, x, c, tol, steps):
 
 def _face_blocks(M, key, at_lo, at_hi, lo, hi):
     """The `_System.face` entry of a face: (key, free mask, the point holding
-    the clamped values, M_FF, M_FC x_C); the last three are None on the
-    all-free face, which is solved on M's Cholesky factor. `_face_steps`
-    solves on M_FF with `_face_solve`."""
+    the clamped values, the Cholesky factor of M_FF, M_FC x_C). The last
+    three are None on the all-free face, which is solved on M's own factor;
+    the factor and M_FC x_C are None on a face with no free coordinate,
+    whose point is the clamped one. M_FF is factored without a finite check,
+    which M passed when the plan factored it; a block that is not positive
+    definite raises LinAlgError."""
     free = ~(at_lo | at_hi)
     if np.logical_and.reduce(free):
         return key, free, None, None, None
     x = np.where(at_lo, lo, hi)
-    fixed = ~free
-    return key, free, x, M[np.ix_(free, free)], M[np.ix_(free, fixed)] @ x[fixed]
+    if not np.logical_or.reduce(free):
+        return key, free, x, None, None
+    factor = cho_factor(M[np.ix_(free, free)], check_finite=False)[0]
+    return key, free, x, factor, M[np.ix_(free, ~free)] @ x[~free]
 
 
 @dataclass(frozen=True)
@@ -499,8 +491,9 @@ def alpha_cap(problem: Problem, plan: PenaltyPlan, variant: str) -> float:
 class _System:
     """A plan's subproblem matrix M: its product, its Cholesky factor
     (`cho_factor(M)`'s factor and `lower` flag) with the LAPACK `potrs` that
-    solves on it, and the blocks of the last face `_face_steps` solved on
-    (`_face_blocks`, None before the first)."""
+    solves on it and on a face block's factor, and the last face
+    `_face_steps` solved on, with its block's Cholesky factor (`_face_blocks`,
+    None before the first)."""
 
     M: np.ndarray
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -509,10 +502,11 @@ class _System:
     potrs: Callable
     face: Optional[tuple] = None
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        """M^{-1} v by `potrs` on the kept factor: the LAPACK call that
-        scipy's Cholesky solve makes, with the same inputs, so the same bits."""
-        x, info = self.potrs(self.factor, v, lower=self.lower)
+    def solve(self, v: np.ndarray, factor: Optional[np.ndarray] = None) -> np.ndarray:
+        """M^{-1} v, or a face block's M_FF^{-1} v on its kept `factor`, by
+        `potrs`: the LAPACK call that scipy's Cholesky solve makes, with the
+        same inputs, so the same bits."""
+        x, info = self.potrs(self.factor if factor is None else factor, v, lower=self.lower)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         return x
@@ -570,7 +564,8 @@ class EnvelopeContext:
     (a linearized one) owns M's `_System`: M, its product, its Cholesky
     factor with LAPACK's `potrs` (a solve is one `potrs` call on the kept
     factor, the bits of scipy's Cholesky solve without its Python wrapper)
-    and the blocks of the last face solved on. Those solves certify the
+    and the last face solved on, with the Cholesky factor of its block, on
+    which a face step's solve is one `potrs` call too. Those solves certify the
     residual M x + c, and M's Cholesky factor is backward stable; the
     residual of the rank-m solve grows with cond(H), and can miss a
     tolerance near round-off that the factor meets.
@@ -713,15 +708,30 @@ def solve_subproblem(ctx: EnvelopeContext, z, lam, grad_h=None,
     the subproblem subdifferential at the returned point (a quadratic with no
     bound gives M x + c, zero up to solve accuracy); the fast path returns an
     uncertified None residual.
+
+    The one entry that converts a subproblem's inputs: z, `grad_h` and
+    `warm_start` must have length n and lam length m, else ValueError.
     """
-    if type(z) is not np.ndarray or z.ndim != 1 or z.dtype != _FLOAT:
-        z = _vec(z)
-    if type(lam) is not np.ndarray or lam.ndim != 1 or lam.dtype != _FLOAT:
-        lam = _vec(lam)
-    if grad_h is not None and (type(grad_h) is not np.ndarray or grad_h.ndim != 1
+    n, m = ctx.beta_Atb.shape, ctx.problem.constraint.b.shape
+    if type(z) is not np.ndarray or z.shape != n or z.dtype != _FLOAT:
+        z = _input(z, n, "z")
+    if type(lam) is not np.ndarray or lam.shape != m or lam.dtype != _FLOAT:
+        lam = _input(lam, m, "lam")
+    if grad_h is not None and (type(grad_h) is not np.ndarray or grad_h.shape != n
                                or grad_h.dtype != _FLOAT):
-        grad_h = _vec(grad_h)
+        grad_h = _input(grad_h, n, "grad_h")
+    if warm_start is not None and (type(warm_start) is not np.ndarray
+                                   or warm_start.shape != n or warm_start.dtype != _FLOAT):
+        warm_start = _input(warm_start, n, "warm_start")
     return ctx.subproblem.solve(ctx, z, lam, grad_h, tol, warm_start)
+
+
+def _input(v, shape: tuple, name: str) -> np.ndarray:
+    """`v` as a float vector of the given shape, else ValueError."""
+    v = _vec(v)
+    if v.shape != shape:
+        raise ValueError(f"{name} has shape {v.shape}; the subproblem's is {shape}")
+    return v
 
 
 # ---------------------------------------------------------------------------

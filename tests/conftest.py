@@ -9,6 +9,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import mealopt as m
 from mealopt.experiments import ExperimentSpec, run_experiment
+from mealopt.problem import ProxFunction
 
 # the same examples on every run, and no example database
 settings.register_profile("mealopt", derandomize=True, database=None, deadline=None)
@@ -75,3 +76,14 @@ def make_box_qp(seed, n=4, mcon=2):
     b = A @ rng.uniform(0, 1, size=n)
     box = m.BoxIndicator(np.zeros(n), np.ones(n))
     return m.Problem(m.LinearConstraint(A, b), box, m.QuadraticSmooth(Q, r))
+
+
+class OpaqueProx(ProxFunction):
+    """The zero function as a prox kind with no subgradient interval and no
+    file form."""
+
+    def value(self, x):
+        return 0.0
+
+    def _prox(self, gamma, v):
+        return v.copy()

@@ -103,6 +103,36 @@ class TestSolveSubproblem:
         assert res.x[0] == pytest.approx(1.5, abs=1e-12)
         assert res.residual_norm == 0.0
 
+    @staticmethod
+    def _exp2_context(spec=None):
+        # n = 6 and m = 2
+        return EnvelopeContext(m.build_exp2(3, 2, 6), m.PenaltyPlan.fixed(50.0, 0.05, 1.0),
+                               spec or m.InnerProxGradient())
+
+    def test_a_z_of_the_wrong_length_is_rejected(self):
+        # not broadcast to a solve at z = 0 in R^6
+        ctx = self._exp2_context()
+        with pytest.raises(ValueError, match=r"z has shape \(1,\); .* is \(6,\)"):
+            solve_subproblem(ctx, [0.0], np.zeros(2))
+        with pytest.raises(ValueError, match=r"z has shape \(1,\)"):
+            m.meal_step(ctx, m.IterateState(np.zeros(1), np.zeros(1), np.zeros(2)))
+
+    def test_a_lam_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError, match=r"lam has shape \(3,\); .* is \(2,\)"):
+            solve_subproblem(self._exp2_context(), np.zeros(6), np.zeros(3))
+
+    @pytest.mark.parametrize("spec", [m.InnerProxGradient(), m.Paper72FastPath()],
+                             ids=lambda spec: type(spec).__name__)
+    def test_a_grad_h_of_the_wrong_length_is_rejected(self, spec):
+        with pytest.raises(ValueError, match=r"grad_h has shape \(1,\); .* is \(6,\)"):
+            solve_subproblem(self._exp2_context(spec), np.zeros(6), np.zeros(2),
+                             grad_h=[1.0])
+
+    def test_a_warm_start_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(ValueError, match=r"warm_start has shape \(7,\); .* is \(6,\)"):
+            solve_subproblem(self._exp2_context(), np.zeros(6), np.zeros(2),
+                             warm_start=np.zeros(7))
+
     def test_inner_matches_direct_on_qp(self):
         prob = make_convex_qp(11)
         plan = m.PenaltyPlan.fixed(20.0, 0.4, 1.0)
@@ -817,6 +847,31 @@ class TestAlphaCap:
         assert caps == self.PINNED[name, gamma, eta]
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda prob: m.PenaltyPlan("adaptive", 0.1, 1.0, beta=1.0), ValueError,
+     "unknown mode 'adaptive'"),
+    (lambda prob: alpha_cap(prob, m.PenaltyPlan.fixed(1.0, 0.1, 1.0), "meal-c"),
+     ValueError, "variant must be one of"),
+    # gamma = 0.5 = 1/rho
+    (lambda prob: alpha_cap(prob, m.PenaltyPlan.fixed(1.0, 0.5, 1.0), "meal-b"),
+     GammaTooLarge, "1/rho"),
+    (lambda prob: alpha_cap(prob, m.PenaltyPlan.fixed(1.0, 0.6, 1.0), "imeal-a"),
+     GammaTooLarge, "1/rho"),
+    (lambda prob: lyapunov(EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.1, 1.0)),
+                           "meal-s3", None, None), ValueError, "unknown Lyapunov variant"),
+    (lambda prob: lyapunov(EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.1, 1.0)),
+                           "limeal-s1", *[m.IterateState([0.0, 0.0], [0.0, 0.0], [0.0])] * 2),
+     NotComposite, "composite"),
+], ids=["plan-mode", "cap-variant", "meal-gamma", "imeal-gamma", "lyapunov-variant",
+        "lyapunov-limeal-pure"])
+def test_calculus_rejects(call, error, match):
+    # g = x^2 - y^2 and no h: a pure problem of modulus 2
+    prob = m.Problem(m.LinearConstraint([[1.0, -1.0]], [0.0]),
+                     m.QuadraticForm(Q=[[2.0, 0.0], [0.0, -2.0]]))
+    with pytest.raises(error, match=match):
+        call(prob)
+
+
 class TestStationarityStream:
     def test_prefix_minimum(self):
         np.testing.assert_allclose(stationarity_stream([3.0, 1.0, 2.0]), [3.0, 1.0, 1.0])
@@ -978,47 +1033,121 @@ def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
             f"v / np.array(c) differs from v / c, {where}"
 
 
-def test_face_solve_gives_np_linalg_solves_bits(monkeypatch):
-    """`envelope._face_solve`, the gufunc under np.linalg.solve called
-    without its Python wrapper, gives np.linalg.solve's bits on every face
-    block that the criterion-7 box-QPs and exp1's LiMEAL runs solve on, and
-    on 1,200 random SPD blocks of n 1-8 with right-hand sides scaled 1e-6 to
-    1e6. The face steps solve every face but the all-free one with it."""
+def _block_face(M, free):
+    """`_face_blocks`'s entry for the face of M that fixes the coordinates off
+    `free` at their lower bound 0, and a `_System` of M to solve on it."""
+    from scipy.linalg import cho_factor, get_lapack_funcs
+
+    factor, lower = cho_factor(M)
+    potrs, = get_lapack_funcs(("potrs",), (factor,))
+    system = envelope._System(M, M.dot, factor, lower, potrs)
+    at_lo, n = ~free, len(M)
+    key = at_lo.tobytes() + np.zeros(n, bool).tobytes()
+    return system, envelope._face_blocks(M, key, at_lo, np.zeros(n, bool),
+                                         np.zeros(n), np.ones(n))
+
+
+def test_face_solve_gives_cho_solves_bits(monkeypatch):
+    """A face step's solve, `potrs` on the Cholesky factor of M_FF that the
+    face keeps, gives `scipy.linalg.cho_solve(cho_factor(M_FF), rhs)`'s bits
+    on every face block that the criterion-7 box-QPs and exp1's LiMEAL runs
+    solve on, and on 1,200 random SPD blocks of n 1-8 with right-hand sides
+    scaled 1e-6 to 1e6."""
+    from scipy.linalg import cho_factor, cho_solve
+
     from mealopt.experiments import EXP1_INIT, exp1_configs
     from tests.test_acceptance import criterion_7_config
 
     where = f"on {platform_record()}"
-    met, face_solve = [], envelope._face_solve
-    monkeypatch.setattr(envelope, "_face_solve",
-                        lambda M, b: met.append((M, b)) or face_solve(M, b))
+    met, system_solve = [], envelope._System.solve
+
+    def solve(system, v, factor=None):
+        x = system_solve(system, v, factor)
+        if factor is not None:
+            _, free, _, face_factor, _ = system.face
+            assert factor is face_factor
+            met.append((system.M[np.ix_(free, free)], v, x))
+        return x
+
+    monkeypatch.setattr(envelope._System, "solve", solve)
     runs = [criterion_7_config(seed) + (None,) for seed in range(10)]
     runs += [(m.build_exp1(), cfg, EXP1_INIT) for _, cfg in exp1_configs()
              if cfg.algorithm == "limeal"]
     for prob, cfg, init in runs:
         m.run(prob, cfg, init=init)
     assert len(met) > 1000
-    for M, b in met:
-        assert face_solve(M, b).tobytes() == np.linalg.solve(M, b).tobytes(), \
-            f"the face solve differs from np.linalg.solve on a face block, {where}"
+    for M_FF, b, x in met:
+        assert x.tobytes() == cho_solve(cho_factor(M_FF), b).tobytes(), \
+            f"the face solve differs from cho_solve on a face block, {where}"
 
     rng = np.random.default_rng(24)
     for k in range(1200):
         n = k % 8 + 1
-        G = rng.standard_normal((n, n))
-        M = G @ G.T + rng.uniform(1e-3, 10.0) * np.eye(n)
+        G = rng.standard_normal((n + 1, n + 1))
+        M = G @ G.T + rng.uniform(1e-3, 10.0) * np.eye(n + 1)
+        free = np.arange(n + 1) != rng.integers(n + 1)
+        system, (_, _, _, factor, _) = _block_face(M, free)
         b = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
-        assert face_solve(M, b).tobytes() == np.linalg.solve(M, b).tobytes(), \
-            f"the face solve differs from np.linalg.solve, n={n} {where}"
+        assert system_solve(system, b, factor).tobytes() == \
+            cho_solve(cho_factor(M[np.ix_(free, free)]), b).tobytes(), \
+            f"the face solve differs from cho_solve, n={n} {where}"
 
 
-def test_face_solve_raises_on_a_singular_block():
-    # as np.linalg.solve does, under its error state: no RuntimeWarning
+@pytest.mark.parametrize("block", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["singular", "indefinite"])
+def test_a_face_block_not_positive_definite_raises(block):
+    # the face's factorization raises LinAlgError, and warns nothing
     import warnings
 
+    M = np.eye(3)
+    M[:2, :2] = block
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            envelope._face_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _block_face(M, np.array([True, True, False]))
+
+
+def test_each_face_is_factored_once(monkeypatch):
+    # over the criterion-7 box-QPs, each face with free and fixed coordinates
+    # is factored once, and its many face steps reuse the factor
+    from tests.test_acceptance import criterion_7_config
+
+    faces, factored, face_solves = [], [], []
+    face_blocks, cho_factor, system_solve = (envelope._face_blocks, envelope.cho_factor,
+                                             envelope._System.solve)
+
+    def blocks(*args):
+        entry = face_blocks(*args)
+        faces.append(entry[3] is not None)
+        return entry
+
+    monkeypatch.setattr(envelope, "_face_blocks", blocks)
+    monkeypatch.setattr(envelope, "cho_factor",
+                        lambda M, **kw: factored.append(1) or cho_factor(M, **kw))
+    monkeypatch.setattr(envelope._System, "solve", lambda system, v, factor=None: (
+        face_solves.append(factor is not None) or system_solve(system, v, factor)))
+    for seed in range(10):
+        m.run(*criterion_7_config(seed))
+    plans = 10
+    assert len(factored) - plans == sum(faces) > 0
+    assert sum(face_solves) > 10 * sum(faces)
+
+
+def test_a_face_with_no_free_coordinate_is_its_clamped_point():
+    # every coordinate of the prox step sits on a bound: the face step
+    # returns that vertex of the box, not the clipped unconstrained minimizer
+    prob = make_box_qp(3)
+    ctx = EnvelopeContext(prob, m.PenaltyPlan.fixed(50.0, 0.05, 1.0))
+    _, _, system, bounds, _, _ = ctx._exact_plan
+    lo, hi = bounds
+    c = -system.matvec((lo + hi) / 2)           # the minimizer is the box's centre
+    x, t = lo.copy(), 1e8
+    y = prob.prox_part.prox(t, x - t * (system.matvec(x) + c))
+    assert np.all((y <= lo) | (y >= hi))
+    x_face, _, _, steps = envelope._face_steps(prob.prox_part, system, bounds, t, x, c,
+                                               1e-9, 1)
+    assert steps == 1
+    assert np.array_equal(x_face, np.where(y <= lo, lo, hi))
 
 
 @st.composite

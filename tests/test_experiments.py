@@ -196,3 +196,16 @@ class TestBundles:
                 if name == "wall_time":
                     continue
                 np.testing.assert_array_equal(ca[name], cb[name], err_msg=fa.name)
+
+
+def test_an_unknown_experiment_id_is_rejected():
+    with pytest.raises(ValueError, match="exp1, exp2 or custom"):
+        m.ExperimentSpec("exp3")
+
+
+def test_iterations_to_tol_of_an_unknown_label():
+    bundle = m.ExperimentBundle(m.ExperimentSpec("exp1"),
+                                summary=[{"run": "meal", "iterations_to_tol": 7}])
+    assert bundle.iterations_to_tol("meal") == 7
+    with pytest.raises(KeyError, match="limeal"):
+        bundle.iterations_to_tol("limeal")

@@ -20,6 +20,7 @@ from mealopt.fileio import (
     save_trace,
 )
 from mealopt.solvers import ALGORITHMS
+from tests.conftest import OpaqueProx
 
 
 def catalog_problems():
@@ -168,6 +169,34 @@ class TestProblemRoundTrip:
         assert err.value.field == "objective.prox.kind"
 
 
+@pytest.mark.parametrize("text, field, match", [
+    ("[1, 2]", None, "top level must be an object"),
+    (json.dumps({"constraint": {"A": [[1.0, 2.0]], "b": [1.0, 2.0]},
+                 "objective": {"prox": {"kind": "zero"}}}), "constraint", "b has 2 rows"),
+    (json.dumps({"constraint": {"A": [[1.0]], "b": [0.0]},
+                 "objective": {"smooth": {"kind": "logistic"}, "prox": {"kind": "zero"}}}),
+     "objective.smooth.kind", "only 'quadratic'"),
+], ids=["top-level", "constraint", "smooth-kind"])
+def test_load_problem_rejects(tmp_path, text, field, match):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=match) as err:
+        load_problem(path)
+    assert err.value.field == (field or str(path))
+
+
+@pytest.mark.parametrize("problem, match", [
+    (m.Problem(m.LinearConstraint([[1.0]], [0.0]), OpaqueProx()), "unserializable prox kind"),
+    (m.Problem(m.LinearConstraint([[1.0]], [0.0]), m.Zero(),
+               m.SmoothFunction(lambda x: 0.0, lambda x: 0.0 * x, 1.0)),
+     "only quadratic smooth parts"),
+], ids=["prox-kind", "smooth"])
+def test_save_problem_rejects(tmp_path, problem, match):
+    with pytest.raises(SchemaError, match=match):
+        save_problem(problem, tmp_path / "p.json")
+    assert not (tmp_path / "p.json").exists()
+
+
 class TestTraceCSV:
     def test_header_fixed(self, tmp_path):
         assert CSV_HEADER == ("k,objective,feasibility,stationarity,lyapunov,"
@@ -212,7 +241,8 @@ class TestTraceCSV:
         (lambda text: "", 1, "empty trace file"),
         (lambda text: text[:text.rindex(",")], 4, "7 fields, want 8"),
         (lambda text: text.replace("\n1,", "\n1,abc", 1), 3, "could not convert .*'abc"),
-    ], ids=["empty", "last-row-cut-short", "not-a-number"])
+        (lambda text: text.replace("wall_time", "wall", 1), 1, "unexpected header"),
+    ], ids=["empty", "last-row-cut-short", "not-a-number", "header"])
     def test_malformed_trace_names_path_and_line(self, tmp_path, damage, line, detail):
         tr = m.run(m.build_exp1(), m.SolverConfig(
             "meal", m.PenaltyPlan.fixed(10.0, 0.25, 1.0),

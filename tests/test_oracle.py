@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import mealopt as m
 from mealopt.errors import InsufficientData, RangeTooSmall, SubproblemNonconvexUnsupported
 from mealopt.oracle import _ACTIVE_TOL, box_qp_faces, box_qp_global_min
+from tests.conftest import OpaqueProx
 
 
 def box_residual_by_coordinate(box, x, grad):
@@ -274,6 +275,32 @@ class TestKKTResidual:
                          m.PointwiseMin(pieces=pieces))
         rep = m.kkt_residual(prob, [0.0], [0.0])
         assert rep.nonsmooth_flag
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: box_qp_faces(np.eye(9), np.zeros(9), np.ones(9)),
+     SubproblemNonconvexUnsupported, "capped at n=8"),
+    # an infinite linear term on an unbounded coordinate: no face has a finite point
+    (lambda: box_qp_global_min(box_qp_faces([[1.0]], [-np.inf], [np.inf]), [np.inf]),
+     SubproblemNonconvexUnsupported, "no feasible stationary point"),
+    (lambda: m.kkt_residual(m.Problem(m.LinearConstraint([[1.0]], [0.0]), OpaqueProx()),
+                            [0.0], [0.0]), NotImplementedError, "OpaqueProx"),
+], ids=["faces-above-cap", "no-feasible-point", "no-interval"])
+def test_oracles_reject(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_kkt_residual_of_a_quadratic_form_objective():
+    # no h: g = x'Qx/2 + r'x is the objective, and its subgradient interval
+    # is the single point Qx + r
+    Q, r = np.array([[2.0, 0.5], [0.5, -1.0]]), np.array([0.3, -0.2])
+    A, x, lam = np.array([[1.0, 2.0]]), np.array([0.4, -0.7]), np.array([0.25])
+    prob = m.Problem(m.LinearConstraint(A, A @ x), m.QuadraticForm(Q=Q, r=r))
+    rep = m.kkt_residual(prob, x, lam)
+    assert rep.stationarity_residual == pytest.approx(
+        np.linalg.norm(Q @ x + r + A.T @ lam), rel=1e-14)
+    assert rep.feasibility == 0.0 and not rep.nonsmooth_flag
 
 
 class TestFiniteDiffCheck:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mealopt as m
-from mealopt.errors import AllZeroMatrix, GammaTooLarge
+from mealopt.errors import AllZeroMatrix, GammaTooLarge, MissingMetadata
 from mealopt.oracle import finite_diff_check, grid_prox_oracle
 from mealopt.problem import moreau_value_grad
 from mealopt.rng import SplitMix64
@@ -144,12 +144,44 @@ class TestConstructionRejectsNonFinite:
         lambda: m.QuadraticForm(Q=[[1.0]], r=[np.nan]),
         lambda: m.QuadraticForm(Q=[[1.0]], c=np.inf),
         lambda: m.QuadraticSmooth([[np.nan, 0.0], [0.0, 1.0]]),
+        lambda: m.LinearConstraint([[np.inf]], [0.0]),
+        lambda: m.LinearConstraint([[1.0]], [np.nan]),
     ], ids=["l1-weight-nan", "l1-weight-inf", "scad-lam", "scad-a", "mcp-lam",
             "mcp-a", "lipschitz", "bounded", "smooth-L", "box-lower", "box-upper",
-            "quad-Q", "quad-eigenvalue", "quad-r", "quad-c", "smooth-Q"])
+            "quad-Q", "quad-eigenvalue", "quad-r", "quad-c", "smooth-Q", "constraint-A",
+            "constraint-b"])
     def test_rejected(self, build):
         with pytest.raises(ValueError, match="finite|NaN"):
             build()
+
+
+class TestConstructionChecks:
+    """Each constructor check raises where the bad value is given."""
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: m.LinearConstraint(np.zeros((0, 2)), []), "at least 1x1"),
+        (lambda: m.ImplicitClass("smooth", 1.0), "unknown implicit class kind 'smooth'"),
+        (lambda: m.BoxIndicator([0.0, 0.0], [1.0]), "bound shapes differ"),
+        (lambda: m.BoxIndicator([0.0, 2.0], [1.0, 1.0]), "lower > upper"),
+        (lambda: m.PointwiseMin(pieces=()), "at least one piece"),
+        (lambda: m.PointwiseMin(pieces=((m.Zero(), None),)), "QuadraticForm part"),
+        (lambda: m.PointwiseMin(pieces=((m.QuadraticForm(Q=[[1.0]]), m.Zero()),)),
+         "BoxIndicator"),
+        # 2 ||Q|| overflows: the modulus of the pointwise minimum is inf
+        (lambda: m.Problem(m.LinearConstraint([[1.0]], [0.0]), m.PointwiseMin(
+            pieces=((m.QuadraticForm(Q=[[-1e308]]), None),))), "modulus must be finite"),
+        (lambda: m.smallest_positive_eigenvalue([[1.0, 2.0], [0.0, 1.0]]), "symmetric"),
+    ], ids=["empty-A", "implicit-kind", "box-shapes", "box-empty",
+            "min-no-piece", "min-not-quadratic", "min-not-box", "infinite-modulus",
+            "asymmetric-eigen"])
+    def test_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_implicit_lipschitz_constant_needs_the_lipschitz_class(self):
+        prob = m.Problem(m.LinearConstraint([[1.0]], [0.5]), m.BoxIndicator([0.0], [1.0]))
+        with pytest.raises(MissingMetadata, match="L_f"):
+            prob.implicit_lipschitz_constant()
 
 
 class TestBoxProxIsClip:

@@ -1557,3 +1557,10 @@ def test_wall_time_starts_within_the_run_and_never_falls():
     assert 0.0 <= wall[0] < elapsed
     assert wall[-1] < elapsed
     assert np.all(np.diff(wall) >= 0.0)
+
+
+def test_an_unknown_algorithm_is_rejected():
+    prob = m.Problem(m.LinearConstraint([[1.0]], [0.0]), m.Zero())
+    cfg = m.SolverConfig("sgd", m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="algorithm must be one of .*'meal'"):
+        cfg.validate(prob)
