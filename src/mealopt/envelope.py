@@ -532,7 +532,9 @@ class EnvelopeContext:
     constraint's `gram_spectrum` (one eigendecomposition of the smaller of
     AA' and A'A, kept by the constraint); `c_gamma_A` and `beta`, the plan's
     `c_gamma_A` and `beta_for`; `alpha = alpha_from_beta(beta, ...)`; and
-    `beta_Atb` = beta A'b, the constant term of the subproblem's gradient.
+    `beta_Atb` = beta A'b, the constant term of the subproblem's gradient;
+    and `input_shapes`, ((n,), (m,)), which `solve_subproblem` checks its
+    inputs against.
     The subproblem spec is checked against the problem. The energies and
     every step read beta, alpha and gamma from here. `factors` holds beta,
     gamma, eta, 1 - eta and 1/gamma as 0-d float64 arrays (`_Factors`), the
@@ -558,7 +560,8 @@ class EnvelopeContext:
     once on first use, the correction is C'(C v), two m x n products. K's
     eigenvalues are at least 1 whatever the rank of A, and K is used for
     every m, m >= n included. `H_solve` is Paper72FastPath's solve, and
-    `H_matvec` makes every product with H alone.
+    `H_matvec` makes InnerProxGradient's products with H alone; a Prox-iALM
+    step forms its H x from the residual A x - b its state carries.
 
     A plan of InnerProxGradient's with M = H + Q (an exact step) or M = H
     (a linearized one) owns M's `_System`: M, its product, its Cholesky
@@ -583,6 +586,7 @@ class EnvelopeContext:
         self.alpha = alpha_from_beta(self.beta, plan.gamma, plan.eta, self.c_gamma_A)
         self.subproblem.check(self.problem)
         self.beta_Atb = self.beta * (constraint.A.T @ constraint.b)
+        self.input_shapes = (self.beta_Atb.shape, constraint.b.shape)
         self.factors = _Factors(*(np.array(v, dtype=_FLOAT) for v in (
             self.beta, plan.gamma, plan.eta, 1.0 - plan.eta, 1.0 / plan.gamma)))
         smooth = self.problem.smooth
@@ -712,7 +716,7 @@ def solve_subproblem(ctx: EnvelopeContext, z, lam, grad_h=None,
     The one entry that converts a subproblem's inputs: z, `grad_h` and
     `warm_start` must have length n and lam length m, else ValueError.
     """
-    n, m = ctx.beta_Atb.shape, ctx.problem.constraint.b.shape
+    n, m = ctx.input_shapes
     if type(z) is not np.ndarray or z.shape != n or z.dtype != _FLOAT:
         z = _input(z, n, "z")
     if type(lam) is not np.ndarray or lam.shape != m or lam.dtype != _FLOAT:

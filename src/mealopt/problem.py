@@ -319,8 +319,7 @@ class BoxIndicator(ProxFunction):
             raise ValueError("lower > upper leaves an empty domain")
 
     def value(self, x) -> float:
-        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
-            x = _vec(x)
+        x = _vec(x)
         if np.logical_and.reduce(x >= self.lower) and np.logical_and.reduce(x <= self.upper):
             return 0.0
         return _INF
@@ -643,8 +642,7 @@ class Problem:
         return None
 
     def objective_value(self, x) -> float:
-        if type(x) is not np.ndarray or x.ndim != 1 or x.dtype != _FLOAT:
-            x = _vec(x)
+        x = _vec(x)
         val = self.prox_part.value(x)
         if self.composite:
             val = val + self.smooth.value(x)

@@ -208,16 +208,18 @@ class SolverConfig:
 
 
 def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
-             grad_z: Optional[np.ndarray], sub=None,
-             grad_h=None) -> tuple[IterateState, StepReport]:
+             grad_z: Optional[np.ndarray], sub=None, grad_h=None,
+             gl=None) -> tuple[IterateState, StepReport]:
     """The shared z and lam updates to x_new (dual step beta, the plan's
     eta) and the step's report. grad_z is the z-block of the
     envelope gradient; None means zero, so the stationarity norm is the
-    feasibility. The report carries the subproblem result's inexactness and
-    inner iterations; the new state carries grad_h and A x_new - b.
+    feasibility. gl is A x_new - b when the step already formed it, else
+    None and it is formed here. The report carries the subproblem result's
+    inexactness and inner iterations; the new state carries grad_h and gl.
     """
     constraint, c = ctx.problem.constraint, ctx.factors
-    gl = constraint.A.dot(x_new) - constraint.b
+    if gl is None:
+        gl = constraint.A.dot(x_new) - constraint.b
     new = IterateState._of_step(x_new, c.one_minus_eta * state.z + c.eta * x_new,
                                 state.lam + c.beta * gl, state.k + 1, grad_h, gl)
     feas = math.sqrt(gl.dot(gl))
@@ -305,28 +307,31 @@ def prox_ialm_step(ctx: EnvelopeContext,
     printed scheme). Proj_C is the identity when the prox part is Zero. The
     primal step is Zhang and Luo's s = 1 / (2 (L_h + p + beta ||A||^2)),
     from the problem's L_h = ||Q||_2 and the context's ||A||_2^2, kept as
-    the context's `_prox_ialm_s`. The product with H is the context's
-    rank-m `H_matvec`, grad h(x) is the state's carried gradient when it has
-    one, and the step evaluates h's gradient once, at x', and carries it on:
-    one product with Q a step.
-    """
-    p, c, s = ctx.problem, ctx.factors, ctx._prox_ialm_s
-    if ctx.bounds is None:
-        raise ValueError("prox_ialm needs a box (or absent) prox part")
-    lo, hi = ctx.bounds
-    A = p.constraint.A
-    x, z, lam = state.x, state.z, state.lam
-    grad = ctx.h_gradient(x) if state.grad_h is None else state.grad_h
+    the context's `_prox_ialm_s`.
 
-    xbar = ctx.H_matvec(x) + grad + A.T.dot(lam) - c.inv_gamma * z - ctx.beta_Atb
+    The step forms xbar from the residual res = A x - b that the state
+    carries (formed here for a state built from an init), as
+    A'(lam + beta res) + grad h(x) + p (x - z), forms A x' - b once for
+    `_advance`, and takes beta A'A (x' - x) as beta A'(A x' - b - res):
+    three products with A a step. grad h(x) is the state's carried
+    gradient when it has one, and the step evaluates h's gradient once, at
+    x', and carries it on: one product with Q a step.
+    """
+    c, s, (lo, hi) = ctx.factors, ctx._prox_ialm_s, ctx.bounds
+    A, b = ctx.problem.constraint.A, ctx.problem.constraint.b
+    x = state.x
+    grad = ctx.h_gradient(x) if state.grad_h is None else state.grad_h
+    res = A.dot(x) - b if state.residual is None else state.residual
+
+    d = c.inv_gamma * (x - state.z)
+    xbar = A.T.dot(state.lam + c.beta * res) + grad + d
     x_new = np.minimum(np.maximum(x - s * xbar, lo), hi)     # np.clip's bits
     grad_new = ctx.h_gradient(x_new)
+    gl = A.dot(x_new) - b
 
     # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
-    dx = x_new - x
-    v = (x - x_new) / s + (grad_new - grad) + c.beta * A.T.dot(A.dot(dx)) \
-        - c.inv_gamma * (x - z)
-    return _advance(ctx, state, x_new, v, grad_h=grad_new)
+    v = (x - x_new) / s + (grad_new - grad) + c.beta * A.T.dot(gl - res) - d
+    return _advance(ctx, state, x_new, v, grad_h=grad_new, gl=gl)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +566,14 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     of ROW_BLOCK steps at a time. The record's objective and multiplier
     norm are computed once, at the step, for the status checks; each row's
     energy, xz_gap, oscillation and monitor values are computed once too, in
-    the block, since no status reads them. For a quadratic
-    h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx + r, the
-    objective is g(x) + x'(grad h(x) + r)/2 + c, with no product with Q.
+    the block, since no status reads them. The objective is g(x) + h(x).
+    g is 0 at every step's x when the prox part is a box or Zero: each step
+    of every algorithm ends with a clip onto the box, and the new state is
+    finite, so the row takes g(x) as 0.0 with no box test; other prox parts
+    are evaluated. For a quadratic h = x'Qx/2 + r'x + c and a state that
+    carries grad h(x) = Qx + r, h(x) is x'(grad h(x) + r)/2 + c, with no
+    product with Q; otherwise it is h's value. Row 0's objective is
+    `Problem.objective_value` at the init, which may lie outside the box.
     """
     ctx = config.validate(problem)
     algo = ALGORITHMS[config.algorithm]
@@ -593,7 +603,8 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     stat_tol, feas_tol = config.stop.stat_tol, config.stop.feas_tol
     quad = problem.quadratic_terms() if problem.composite else None
     r, c = (None, None) if quad is None else quad[1:]
-    prox_value = problem.prox_part.value
+    prox_value = None if ctx.bounds is not None else problem.prox_part.value
+    h_value = problem.smooth.value if problem.composite else None
     steps, keep, clock = rows.steps, rows.steps.append, time.perf_counter
     t0 = clock()
 
@@ -611,10 +622,11 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
             stat = best_measure
 
         x, grad_h, lam = new_state.x, new_state.grad_h, new_state.lam
+        g = 0.0 if prox_value is None else prox_value(x)     # 0.0 on a box or Zero
         if quad is None or grad_h is None:
-            f = problem.objective_value(x)
+            f = float(g if h_value is None else g + h_value(x))
         else:
-            f = float(prox_value(x) + 0.5 * x.dot(grad_h + r) + c)
+            f = float(g + 0.5 * x.dot(grad_h + r) + c)
         lam_norm = math.sqrt(lam.dot(lam))
         keep((x, new_state.z, lam, new_state.residual, raw, report.inner_iterations,
               f, report.feasibility, lam_norm, stat, clock() - t0))

@@ -245,6 +245,157 @@ class TestProxIALMStep:
         np.testing.assert_allclose(new.x, x_next, atol=1e-12)
 
 
+    @staticmethod
+    def _printed_step(ctx, state):
+        """x' and the stationarity norm of the docstring's printed scheme,
+        with the product with H taken as `H_matvec` and h's gradient
+        evaluated at x and at x'."""
+        prob = ctx.problem
+        A, b = prob.constraint.A, prob.constraint.b
+        gamma, beta = ctx.plan.gamma, ctx.beta
+        s = 1.0 / (2.0 * (prob.L_h + 1.0 / gamma + beta * ctx.A_norm2))
+        x, z, lam = state.x, state.z, state.lam
+        grad = prob.smooth.gradient(x)
+        xbar = ctx.H_matvec(x) + grad + A.T @ lam - z / gamma - ctx.beta_Atb
+        x_new = np.clip(x - s * xbar, *ctx.bounds)
+        v = (x - x_new) / s + (prob.smooth.gradient(x_new) - grad) \
+            + beta * A.T @ (A @ (x_new - x)) - (x - z) / gamma
+        gl = A @ x_new - b
+        return x_new, math.sqrt(v @ v + gl @ gl)
+
+    @staticmethod
+    def _algebra_cases():
+        from mealopt.experiments import exp2_configs
+
+        exp2 = m.build_exp2(42, 5, 20)
+        cases = [(exp2, dict(exp2_configs(exp2))["ialm"].plan)]
+        for seed in range(4):
+            prob = make_box_qp(seed, n=6, mcon=3)
+            gamma = 0.5 / np.linalg.norm(prob.smooth.Q, 2)
+            cases.append((prob, m.PenaltyPlan.fixed(50.0, gamma, 0.5)))
+        return cases
+
+    def test_steps_follow_the_printed_scheme(self):
+        """Over 200 chained steps each x' and stationarity norm is the
+        printed scheme's from the same state, to 1e-12 relative, although
+        the step forms its products with A from the carried residual."""
+        for prob, plan in self._algebra_cases():
+            ctx = EnvelopeContext(prob, plan)
+            state = m.IterateState(np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
+            for _ in range(200):
+                x_want, norm_want = self._printed_step(ctx, state)
+                state, rep = prox_ialm_step(ctx, state)
+                assert np.abs(state.x - x_want).max() <= 1e-12 * max(
+                    1.0, np.abs(x_want).max())
+                assert abs(rep.stationarity_norm - norm_want) <= 1e-12 * norm_want
+
+    def test_a_step_makes_three_products_with_A(self):
+        """From a state that carries its residual and h's gradient, a step
+        calls ndarray.dot four times: A'(lam + beta res), A x' - b,
+        A'(A x' - b - res) and `_advance`'s ||A x' - b||^2."""
+        import sys
+
+        for prob, plan in self._algebra_cases():
+            ctx = EnvelopeContext(prob, plan)
+            state, _ = prox_ialm_step(ctx, m.IterateState(
+                np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m)))
+            assert state.residual is not None and state.grad_h is not None
+            dots = []
+
+            def count(frame, event, arg):
+                if event == "c_call" and getattr(arg, "__name__", None) == "dot" \
+                        and isinstance(getattr(arg, "__self__", None), np.ndarray):
+                    dots.append(arg)
+            sys.setprofile(count)
+            try:
+                prox_ialm_step(ctx, state)
+            finally:
+                sys.setprofile(None)
+            assert len(dots) == 4
+
+
+def _box_invariant_cases():
+    """(id, problem, config) for every algorithm and every subproblem spec
+    it takes, on a box QP and on exp1's one-sided box."""
+    from mealopt.experiments import EXP1_INIT
+
+    problems = [("boxqp", make_box_qp(3, n=5, mcon=2), None),
+                ("exp1", m.build_exp1(), EXP1_INIT)]
+    stop = m.StopRule(max_iters=30, stat_tol=1e-15, feas_tol=1e-15)
+    cases = []
+    for pname, prob, init in problems:
+        gamma = 0.5 / max(prob.rho_total, 1.0)
+        for name, algo in ALGORITHMS.items():
+            plan = m.PenaltyPlan.fixed(50.0, gamma, 1.0 if name == "alm" else 0.5)
+            for spec in ("auto",) + tuple(cls() for cls in algo.accepts):
+                label = spec if spec == "auto" else type(spec).__name__
+                cases.append(pytest.param(
+                    prob, m.SolverConfig(name, plan, subproblem=spec, stop=stop), init,
+                    id=f"{pname}-{name}-{label}"))
+    return cases
+
+
+class TestBoxIterates:
+    """`run` takes g(x) as 0 at every step's x when the prox part is a box,
+    since every step ends with a clip onto it; these tests hold it to that."""
+
+    @staticmethod
+    def _objective(prob, state):
+        """`Problem.objective_value` at the state's x, with h(x) in the form
+        the run's rows take it, x'(grad h(x) + r)/2 + c, when the state
+        carries h's gradient: g's value is taken at x either way."""
+        if state.grad_h is None:
+            return prob.objective_value(state.x)
+        _, r, c = prob.quadratic_terms()
+        x = state.x
+        return float(prob.prox_part.value(x) + 0.5 * x.dot(state.grad_h + r) + c)
+
+    @staticmethod
+    def _recorded_run(prob, cfg, init, monkeypatch):
+        """The run's trace and the state each of its steps made."""
+        from dataclasses import replace
+
+        from mealopt import solvers
+
+        algo, made = ALGORITHMS[cfg.algorithm], []
+
+        def step(ctx, state, config):
+            new, report = algo.step(ctx, state, config)
+            made.append(new)
+            return new, report
+        monkeypatch.setitem(solvers.ALGORITHMS, cfg.algorithm, replace(algo, step=step))
+        return m.run(prob, cfg, init=init), made
+
+    @pytest.mark.parametrize("prob, cfg, init", _box_invariant_cases())
+    def test_each_step_lands_in_the_box_and_rows_hold_f(self, prob, cfg, init, monkeypatch):
+        """Every step's x lies in [lo, hi], and each row's objective is g(x)
+        + h(x) at its state's x, bit for bit, g's value taken by the box."""
+        tr, made = self._recorded_run(prob, cfg, init, monkeypatch)
+        assert tr.status in ("MaxIters", "Converged") and tr.n_rows - 1 == len(made) >= 5
+        lo, hi = prob.box_bounds()
+        for state in made:
+            assert np.all(lo <= state.x) and np.all(state.x <= hi)
+        want = np.array([self._objective(prob, state) for state in made])
+        assert tr.column("objective")[1:].tobytes() == want.tobytes()
+
+    def test_an_l1_prox_part_is_still_evaluated(self, monkeypatch):
+        """With an L1 prox part LiMEAL's rows call g's `value` at every state,
+        and hold g(x) + h(x) bit for bit."""
+        box = make_box_qp(3, n=5, mcon=2)
+        prob = m.Problem(box.constraint, m.L1(weight=0.3), box.smooth)
+        calls = []
+        value = prob.prox_part.value
+        monkeypatch.setattr(prob.prox_part, "value",
+                            lambda x: calls.append(1) or value(x))
+        cfg = m.SolverConfig("limeal", m.PenaltyPlan.fixed(50.0, 0.1, 0.5),
+                             stop=m.StopRule(max_iters=30, stat_tol=1e-15, feas_tol=1e-15))
+        tr, made = self._recorded_run(prob, cfg, None, monkeypatch)
+        assert tr.n_rows - 1 == len(made) == 30
+        assert len(calls) == tr.n_rows          # row 0's and every step's
+        want = np.array([self._objective(prob, state) for state in made])
+        assert tr.column("objective")[1:].tobytes() == want.tobytes()
+        assert any(value(state.x) != 0.0 for state in made)
+
 class TestRun:
     def test_trivial_converges_at_zero(self):
         prob = identity_problem(2)
@@ -1179,10 +1330,11 @@ def _face_solvers():
 
 @pytest.mark.parametrize("fn", _face_solvers(), ids=lambda fn: fn.__qualname__)
 def test_face_solves_skip_the_np_linalg_solve_wrapper(fn):
-    """The box-QP face steps solve through `envelope._face_solve`, the
-    gufunc under np.linalg.solve, not through its Python wrapper, which
-    costs more than the solve at the face blocks' sizes. Read from the
-    source, so the check is the same on every platform."""
+    """The box-QP face steps solve through `envelope._System.solve`, one
+    LAPACK `potrs` on a kept Cholesky factor, not through numpy.linalg's
+    Python wrappers, which cost more than the solve at the face blocks'
+    sizes. Read from the source, so the check is the same on every
+    platform."""
     import ast
     import inspect
     import textwrap
@@ -1191,7 +1343,7 @@ def test_face_solves_skip_the_np_linalg_solve_wrapper(fn):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and "linalg" in ast.unparse(node.func)]
     assert lines == [], (f"{fn.__qualname__} calls numpy.linalg at line(s) {lines} "
-                         "of its source; use envelope._face_solve")
+                         "of its source; use envelope._System.solve")
 
 
 @st.composite
