@@ -11,7 +11,8 @@ ALGORITHMS is the one table of algorithms: the only place an algorithm name
 is looked up. An entry holds the step call, the weak-convexity modulus that
 gamma must stay below the inverse of, whether the stationarity column is a
 running minimum, the energy recorded in the `lyapunov` column (a Lyapunov
-family, the augmented Lagrangian or the potential P), the tuple of subproblem
+family, the augmented Lagrangian or the potential P), the envelope gradient's
+z-block that the stationarity norm is formed from, the tuple of subproblem
 spec types it accepts (empty for the two algorithms that solve no envelope
 subproblem), and its own check on the config and context. A run is set up
 once: `SolverConfig.validate` builds the context that `run` steps with.
@@ -77,8 +78,9 @@ class IterateState:
     """Primal iterate, envelope center and multiplier after k steps, as
     finite float vectors. A step's state carries A x - b as `residual`, and
     h's gradient at x as `grad_h` when the step evaluated it (LiMEAL and
-    Prox-iALM); the energies and the next step read them. Each is None
-    otherwise, and for a state built from an init.
+    Prox-iALM); the energies, the stationarity and the next step read them.
+    Each is None otherwise, and for a state built from an init until a step
+    (or `run`, for the residual) forms it there and keeps it on the state.
 
     One finiteness rule, `_of_step`'s, covers every state: x, z, lam and the
     carried grad_h and residual must be finite, else NonFiniteValue. The
@@ -111,12 +113,32 @@ class IterateState:
         return state
 
 
+class _FormedOnFirstAccess:
+    """A step report's stationarity norm, sqrt(||G||^2 + ||A x' - b||^2) with
+    G the algorithm's `stationarity` at the step's two states, formed on
+    first access and kept in the report's __dict__, which later reads find
+    first. Read on the class it raises AttributeError: the field has no
+    default."""
+
+    def __get__(self, report, owner=None):
+        form, ctx, prev, new = report.__dict__.pop("_formed_from")
+        G, R = form(ctx, prev, new), new.residual
+        # np.add.reduce(v * v) is np.sum(v ** 2) bit for bit; v.dot(v) sums in another order
+        norm = math.sqrt(np.add.reduce(G * G) + np.add.reduce(R * R))
+        report.__dict__["stationarity_norm"] = norm
+        return norm
+
+
 @dataclass
 class StepReport:
     """Per-step byproducts: envelope gradient and residual norms, and the
-    subproblem solve's inner iterations (0 for steps with no inner loop)."""
+    subproblem solve's inner iterations (0 for steps with no inner loop).
+    A step's report forms its stationarity norm on first access; `run` asks
+    for it only where row k's feasibility is <= feas_tol, where a Converged
+    test reads it, and `_RowBlock` forms the other steps' norms.
+    """
 
-    stationarity_norm: float
+    stationarity_norm: float = _FormedOnFirstAccess()
     feasibility: float
     inexact_residual_norm: Optional[float] = None
     inner_budget_exhausted: bool = False
@@ -208,14 +230,15 @@ class SolverConfig:
 
 
 def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
-             grad_z: Optional[np.ndarray], sub=None, grad_h=None,
+             stationarity: Optional[Callable], sub=None, grad_h=None,
              gl=None) -> tuple[IterateState, StepReport]:
     """The shared z and lam updates to x_new (dual step beta, the plan's
-    eta) and the step's report. grad_z is the z-block of the
-    envelope gradient; None means zero, so the stationarity norm is the
-    feasibility. gl is A x_new - b when the step already formed it, else
-    None and it is formed here. The report carries the subproblem result's
-    inexactness and inner iterations; the new state carries grad_h and gl.
+    eta) and the step's report. `stationarity` is the algorithm's table
+    entry, from which the report forms its norm on first access; None
+    means a zero z-block, so the norm is the feasibility. gl is A x_new - b
+    when the step already formed it, else None and it is formed here. The
+    report carries the subproblem result's inexactness and inner
+    iterations; the new state carries grad_h and gl.
     """
     constraint, c = ctx.problem.constraint, ctx.factors
     if gl is None:
@@ -223,11 +246,13 @@ def _advance(ctx: EnvelopeContext, state: IterateState, x_new: np.ndarray,
     new = IterateState._of_step(x_new, c.one_minus_eta * state.z + c.eta * x_new,
                                 state.lam + c.beta * gl, state.k + 1, grad_h, gl)
     feas = math.sqrt(gl.dot(gl))
-    # np.add.reduce(v * v) is np.sum(v ** 2) bit for bit; v.dot(v) sums in another order
-    norm = feas if grad_z is None else math.sqrt(
-        np.add.reduce(grad_z * grad_z) + np.add.reduce(gl * gl))
-    return new, StepReport(norm, feas, None, False, 0) if sub is None else StepReport(
-        norm, feas, sub.residual_norm, sub.budget_exhausted, sub.inner_iterations)
+    report = object.__new__(StepReport)     # no __init__ call: an unset field reads its default
+    report.__dict__ = {"feasibility": feas, "stationarity_norm": feas} if stationarity is None \
+        else {"feasibility": feas, "_formed_from": (stationarity, ctx, state, new)}
+    if sub is not None:
+        report.inexact_residual_norm, report.inner_budget_exhausted, report.inner_iterations = (
+            sub.residual_norm, sub.budget_exhausted, sub.inner_iterations)
+    return new, report
 
 
 def meal_step(ctx: EnvelopeContext, state: IterateState,
@@ -239,7 +264,7 @@ def meal_step(ctx: EnvelopeContext, state: IterateState,
     """
     # the module global, which the benchmark wraps to count inner iterations
     sub = solve_subproblem(ctx, state.z, state.lam, tol=tol, warm_start=state.x)
-    return _advance(ctx, state, sub.x, (state.z - sub.x) / ctx.factors.gamma, sub=sub)
+    return _advance(ctx, state, sub.x, _meal_stationarity, sub=sub)
 
 
 def imeal_step(ctx: EnvelopeContext, state: IterateState,
@@ -252,17 +277,19 @@ def limeal_step(ctx: EnvelopeContext,
                 state: IterateState) -> tuple[IterateState, StepReport]:
     """Prox-linear step: h is replaced by its first-order model at x^k.
 
-    Solved from state.x. h's gradient at x^k is the state's carried one when
-    it has one; the step evaluates it once, at x^{k+1}, and carries it on.
+    Solved from state.x. h's gradient at x^k is the state's carried one;
+    for a state that carries none (one built from an init) the step forms
+    it and keeps it on the state. The step evaluates it once more, at
+    x^{k+1}, and carries it on.
     """
     if not ctx.problem.composite:
         raise NotComposite("limeal_step needs a composite objective")
-    grad = ctx.h_gradient(state.x) if state.grad_h is None else state.grad_h
+    if state.grad_h is None:
+        state.__dict__["grad_h"] = ctx.h_gradient(state.x)
     # the module global, which the benchmark wraps to count inner iterations
-    sub = solve_subproblem(ctx, state.z, state.lam, grad_h=grad, warm_start=state.x)
-    grad_new = ctx.h_gradient(sub.x)
-    gz = (state.z - sub.x) / ctx.factors.gamma + (grad_new - grad)
-    return _advance(ctx, state, sub.x, gz, sub=sub, grad_h=grad_new)
+    sub = solve_subproblem(ctx, state.z, state.lam, grad_h=state.grad_h, warm_start=state.x)
+    return _advance(ctx, state, sub.x, _limeal_stationarity, sub=sub,
+                    grad_h=ctx.h_gradient(sub.x))
 
 
 def alm_step(ctx: EnvelopeContext,
@@ -310,28 +337,26 @@ def prox_ialm_step(ctx: EnvelopeContext,
     the context's `_prox_ialm_s`.
 
     The step forms xbar from the residual res = A x - b that the state
-    carries (formed here for a state built from an init), as
-    A'(lam + beta res) + grad h(x) + p (x - z), forms A x' - b once for
-    `_advance`, and takes beta A'A (x' - x) as beta A'(A x' - b - res):
-    three products with A a step. grad h(x) is the state's carried
-    gradient when it has one, and the step evaluates h's gradient once, at
-    x', and carries it on: one product with Q a step.
+    carries, as A'(lam + beta res) + grad h(x) + p (x - z), and forms
+    A x' - b once for `_advance`: two products with A a step, and a third,
+    beta A'(A x' - b - res) for beta A'A (x' - x), where the stationarity
+    is formed. grad h(x) is the state's carried gradient, and the step
+    evaluates h's gradient once, at x', and carries it on: one product with
+    Q a step. For a state that carries no residual or gradient (one built
+    from an init) the step forms them and keeps them on the state.
     """
     c, s, (lo, hi) = ctx.factors, ctx._prox_ialm_s, ctx.bounds
     A, b = ctx.problem.constraint.A, ctx.problem.constraint.b
-    x = state.x
-    grad = ctx.h_gradient(x) if state.grad_h is None else state.grad_h
-    res = A.dot(x) - b if state.residual is None else state.residual
+    x, grad, res = state.x, state.grad_h, state.residual
+    if grad is None:
+        grad = state.__dict__["grad_h"] = ctx.h_gradient(x)
+    if res is None:
+        res = state.__dict__["residual"] = A.dot(x) - b
 
-    d = c.inv_gamma * (x - state.z)
-    xbar = A.T.dot(state.lam + c.beta * res) + grad + d
+    xbar = A.T.dot(state.lam + c.beta * res) + grad + c.inv_gamma * (x - state.z)
     x_new = np.minimum(np.maximum(x - s * xbar, lo), hi)     # np.clip's bits
-    grad_new = ctx.h_gradient(x_new)
-    gl = A.dot(x_new) - b
-
-    # projected-gradient mapping residual: lies in grad h(x') + A'lam' + N_C(x')
-    v = (x - x_new) / s + (grad_new - grad) + c.beta * A.T.dot(gl - res) - d
-    return _advance(ctx, state, x_new, v, grad_h=grad_new, gl=gl)
+    return _advance(ctx, state, x_new, _prox_ialm_stationarity,
+                    grad_h=ctx.h_gradient(x_new), gl=A.dot(x_new) - b)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +382,28 @@ def _check_prox_ialm(config, ctx) -> None:
         raise ValueError("prox_ialm needs a box (or absent) prox part")
 
 
+def _meal_stationarity(ctx, prev, new):
+    """MEAL's and iMEAL's envelope gradient z-block, (z_prev - x) / gamma."""
+    return (prev.z - new.x) / ctx.factors.gamma
+
+
+def _limeal_stationarity(ctx, prev, new):
+    """LiMEAL's: MEAL's plus the change in h's gradient."""
+    return (prev.z - new.x) / ctx.factors.gamma + (new.grad_h - prev.grad_h)
+
+
+def _prox_ialm_stationarity(ctx, prev, new):
+    """Prox-iALM's projected-gradient mapping residual, which lies in
+    grad h(x') + A'lam' + N_C(x'): (x_prev - x) / s + (grad h(x) -
+    grad h(x_prev)) + beta A'(res - res_prev) - (x_prev - z_prev) / gamma.
+    The product with A' is a stacked np.matmul, whose bits are A.T.dot's
+    for one state and for each row of a block."""
+    c, At = ctx.factors, ctx.problem.constraint.A.T
+    return ((prev.x - new.x) / ctx._prox_ialm_s + (new.grad_h - prev.grad_h)
+            + c.beta * np.matmul(At, (new.residual - prev.residual)[..., None])[..., 0]
+            - c.inv_gamma * (prev.x - prev.z))
+
+
 def _lyapunov_case(problem) -> str:
     return "s2" if problem.prox_part.implicit_class.kind == "bounded" else "s1"
 
@@ -375,7 +422,12 @@ class Algorithm:
     """One entry of the algorithm table.
 
     Its callables look the step and energy functions up as module globals
-    when called, so a wrapper set on this module sees every call.
+    when called, so a wrapper set on this module sees every call. Its
+    `stationarity` forms the envelope gradient's z-block G for one state or
+    a block of states, and the raw stationarity norm is
+    sqrt(||G||^2 + ||A x' - b||^2); None (ALM) means G = 0. `run` forms a
+    step's norm only where row k's feasibility is <= feas_tol, and
+    `_RowBlock` the rest.
     """
 
     step: Callable          # (ctx, state, config) -> (IterateState, StepReport)
@@ -383,6 +435,7 @@ class Algorithm:
     running_min: bool       # stationarity column is the running minimum
     energy: Callable        # (ctx, state, new, f(new.x)) -> the lyapunov column value;
                             # for blocks of states, one value per row
+    stationarity: Optional[Callable]   # (ctx, prev, new) -> envelope gradient z-block(s)
     # subproblem spec types it takes; "auto" is InnerProxGradient
     accepts: tuple = (InnerProxGradient,)
     check: Callable = lambda config, ctx: None  # raises when a requirement is unmet
@@ -392,24 +445,25 @@ class Algorithm:
 ALGORITHMS = {
     "meal": Algorithm(
         lambda ctx, st, cfg: meal_step(ctx, st),
-        lambda p: p.rho_total, True, _lyapunov_energy("meal"), progress_monitor=True),
+        lambda p: p.rho_total, True, _lyapunov_energy("meal"), _meal_stationarity,
+        progress_monitor=True),
     "imeal": Algorithm(
         lambda ctx, st, cfg: imeal_step(ctx, st, cfg.epsilon_schedule(st.k)),
-        lambda p: p.rho_total, True, _lyapunov_energy("imeal")),
+        lambda p: p.rho_total, True, _lyapunov_energy("imeal"), _meal_stationarity),
     # the linearized updates only see g's curvature
     "limeal": Algorithm(
         lambda ctx, st, cfg: limeal_step(ctx, st),
-        lambda p: p.rho_g, False, _lyapunov_energy("limeal"),
+        lambda p: p.rho_g, False, _lyapunov_energy("limeal"), _limeal_stationarity,
         accepts=(InnerProxGradient, Paper72FastPath), check=_check_limeal),
     # no proximal term: the global-min oracle handles any curvature
     "alm": Algorithm(
         lambda ctx, st, cfg: alm_step(ctx, st), lambda p: 0.0, False,
-        lambda ctx, st, new, f: augmented_lagrangian(ctx, new, f),
+        lambda ctx, st, new, f: augmented_lagrangian(ctx, new, f), None,
         accepts=(), check=_check_alm),
     "prox_ialm": Algorithm(
         lambda ctx, st, cfg: prox_ialm_step(ctx, st),
         lambda p: p.rho_g, False,
-        lambda ctx, st, new, f: potential_P(ctx, new, f),
+        lambda ctx, st, new, f: potential_P(ctx, new, f), _prox_ialm_stationarity,
         accepts=(), check=_check_prox_ialm),
 }
 
@@ -455,60 +509,81 @@ class Trace:
 
 
 class _States(NamedTuple):
-    """A block of states, one per row of each field: what the energies read."""
+    """A block of states, one per row of each field: what the energies and
+    the stationarity read."""
 
     x: np.ndarray
     z: np.ndarray
     lam: np.ndarray
-    residual: Optional[np.ndarray]
+    residual: np.ndarray
+    grad_h: np.ndarray      # with no columns where the states carry none
 
 
 class _RowBlock:
     """The trace's columns, formed from the steps' records a block of up to
     ROW_BLOCK steps at a time, and the values that no stopping rule reads:
-    the energies (the `lyapunov` column from row 1 on), the xz_gap values,
-    the oscillation flag and the monitor entries.
+    the energies (the `lyapunov` column from row 1 on), the stationarity
+    norms `run` did not form (row k's feasibility above feas_tol) and the
+    stationarity column, the xz_gap values, the oscillation flag and the
+    monitor entries.
 
-    A step's record is one tuple: its new state's x, z, lam and residual
-    (never grad_h), its raw stationarity norm and inner iterations, the new
-    state's objective, feasibility and multiplier norm, and its stationarity
-    column value and wall time. `run` appends it to `steps` and flushes a
-    full block; flush extends the columns from the records, keeps the
-    records of the last two states in `head` (the initial state's at the
-    start) and empties `steps` in place, so an append bound once per run
-    stays valid. Each value is the one its step would give alone, bit for
-    bit: the energies take the block through the module globals, and the
-    row norms are `_rowdot` and `np.add.reduce(..., axis=-1)`.
+    A step's record is one tuple: its new state, its raw stationarity norm
+    (None where `run` did not form it) and inner iterations, the new
+    state's objective, feasibility and multiplier norm, and its wall time.
+    `run` appends it to `steps`; flush extends the columns from the
+    records, keeps the records of the last two states in `head` (the
+    initial state's at the start) and empties `steps` in place, so an
+    append bound once per run stays valid. Each value is the one its step
+    would give alone, bit for bit: the energies take the block through the
+    module globals, and the row norms are `_rowdot` and
+    `np.add.reduce(..., axis=-1)`. `best` is the stationarity column's
+    last value, from which a running minimum goes on.
     """
 
     def __init__(self, ctx: EnvelopeContext, algo: Algorithm, flags: MonitorFlags,
-                 record: tuple):
+                 state: IterateState, f: float, feas: float, lam_norm: float):
         self.ctx, self.algo, self.flags = ctx, algo, flags
         self.L_f = ctx.problem.implicit_lipschitz_constant() if flags.dual_by_primal else None
-        self.head, self.steps = [record], []
+        # the initial state's record: no step left it, so its step values are None
+        self.head, self.steps = [(state, None, None, f, feas, lam_norm, None)], []
         self.k0 = 0                 # the state of head's first record
         # row 0's objective, feasibility and multiplier norm are the initial
         # record's; its stationarity and wall time are step 0's
-        f, feas, lam_norm = record[6:9]
         self.columns = {"objective": [f], "feasibility": [feas], "lambda_norm": [lam_norm],
-                        "stationarity": [], "wall_time": []}   # in the records' order
+                        "wall_time": [], "stationarity": []}   # in the records' order
         self.inner, self.energies, self.gaps = [], [], []
         self.monitors = {"one_step_progress": [], "dual_by_primal": []}
-        self.osc_streak, self.oscillating = 0, False
+        self.osc_streak, self.oscillating, self.best = 0, False, np.inf
 
-    def flush(self) -> None:
-        """Form the rows of the block's steps, and keep its last two records."""
+    def flush(self) -> float:
+        """Form the rows of the block's steps, and keep its last two records.
+        Returns `best`."""
         if not self.steps:
-            return
-        ctx, flags, h = self.ctx, self.flags, len(self.head)
+            return self.best
+        ctx, algo, flags, h = self.ctx, self.algo, self.flags, len(self.head)
         records = self.head + self.steps
-        xs, zs, lams, residuals, raws, inner, *values = zip(*records)
-        X, Z, Lam = np.array(xs), np.array(zs), np.array(lams)
-        prev = _States(X[h - 1:-1], Z[h - 1:-1], Lam[h - 1:-1], None)
-        new = _States(X[h:], Z[h:], Lam[h:], np.array(residuals[h:]))
-        E = self.algo.energy(ctx, prev, new, np.array(values[0][h:]))
+        states, raws, inner, *values = zip(*records)
+        xs, zs, lams, residuals, grads = zip(*[(s.x, s.z, s.lam, s.residual, s.grad_h)
+                                               for s in states])
+        X, Z, Lam, Res = map(np.array, (xs, zs, lams, residuals))
+        Grad = np.array(grads) if grads[0] is not None else np.empty((len(grads), 0))
+        prev = _States(X[h - 1:-1], Z[h - 1:-1], Lam[h - 1:-1], Res[h - 1:-1], Grad[h - 1:-1])
+        new = _States(X[h:], Z[h:], Lam[h:], Res[h:], Grad[h:])
+        E = algo.energy(ctx, prev, new, np.array(values[0][h:]))
         gap = new.x - prev.z
         self.gaps.extend(np.sqrt(_rowdot(gap, gap)).tolist())
+
+        # the raw norms, NaN where run formed none; ALM's are the feasibility
+        raw = np.array(values[1][h:] if algo.stationarity is None else raws[h:], dtype=float)
+        if np.logical_or.reduce(lazy := np.isnan(raw)):
+            if not np.logical_and.reduce(lazy):     # the rows of those steps alone
+                prev, new = _States(*[v[lazy] for v in prev]), _States(*[v[lazy] for v in new])
+            G, R = algo.stationarity(ctx, prev, new), new.residual
+            raw[lazy] = np.sqrt(np.add.reduce(G * G, axis=-1) + np.add.reduce(R * R, axis=-1))
+        # a running minimum by fmin, which passes over a NaN as run's raw < best does
+        stat = np.fmin(np.fmin.accumulate(raw), self.best) if algo.running_min else raw
+        self.best = stat[-1]
+        self.columns["stationarity"].extend(stat.tolist())
 
         # the checks of the steps k >= 1, which leave rows 2, 3, ...
         ks = range(self.k0 + 1, self.k0 + len(X) - 1)
@@ -523,7 +598,8 @@ class _RowBlock:
             E_run = np.concatenate((self.energies[-1:], E))
             lhs = E_run[:-1] - E_run[1:]
             # Python's raw ** 2: the array's ** 2 may differ in the last bit
-            rhs = (gamma * eta * (2.0 - eta) / 4.0) * np.array([raw ** 2 for raw in raws[2:]])
+            rhs = (gamma * eta * (2.0 - eta) / 4.0) * np.array(
+                [r ** 2 for r in raw[2 - h:].tolist()])
             self.monitors["one_step_progress"].extend(
                 zip(ks, lhs.tolist(), rhs.tolist(), (lhs >= rhs - 1e-9).tolist()))
         if flags.dual_by_primal:
@@ -543,6 +619,7 @@ class _RowBlock:
         self.k0 += len(X) - 2
         self.head = records[-2:]
         self.steps.clear()
+        return self.best
 
 
 def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
@@ -554,10 +631,10 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     first of these that holds sets the status: InnerBudgetExhausted when
     the inner solver ran out of iterations, DivergenceDetected when the
     new multiplier norm or objective magnitude passes DIVERGENCE_LIMIT,
-    Converged (converged_at = k) when the stationarity column and row k's
-    feasibility are both below their tolerances. With none of them the run
-    ends at max_iters (or the horizon K) as MaxIters. A step that meets a
-    non-finite iterate, carried gradient or residual, or prox input
+    Converged (converged_at = k) when row k's feasibility and the
+    stationarity column are both below their tolerances. With none of them
+    the run ends at max_iters (or the horizon K) as MaxIters. A step that
+    meets a non-finite iterate, carried gradient or residual, or prox input
     (NonFiniteValue) ends the run as NonFinite, with the last finite state
     as the terminal state. A terminal row holds the final state, so the
     trace has a row for every state. `config.validate` sets the run up.
@@ -566,14 +643,19 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     of ROW_BLOCK steps at a time. The record's objective and multiplier
     norm are computed once, at the step, for the status checks; each row's
     energy, xz_gap, oscillation and monitor values are computed once too, in
-    the block, since no status reads them. The objective is g(x) + h(x).
+    the block, since no status reads them. So is a step's stationarity norm,
+    unless row k's feasibility is <= feas_tol, where the Converged test
+    reads it: only there does `run` ask the step's report to form it, and a
+    running-min run first flushes the block, so that its running minimum
+    covers every earlier norm. The objective is g(x) + h(x).
     g is 0 at every step's x when the prox part is a box or Zero: each step
     of every algorithm ends with a clip onto the box, and the new state is
     finite, so the row takes g(x) as 0.0 with no box test; other prox parts
     are evaluated. For a quadratic h = x'Qx/2 + r'x + c and a state that
     carries grad h(x) = Qx + r, h(x) is x'(grad h(x) + r)/2 + c, with no
     product with Q; otherwise it is h's value. Row 0's objective is
-    `Problem.objective_value` at the init, which may lie outside the box.
+    `Problem.objective_value` at the init, which may lie outside the box;
+    its feasibility is the norm of A x0 - b, which the initial state keeps.
     """
     ctx = config.validate(problem)
     algo = ALGORITHMS[config.algorithm]
@@ -592,20 +674,19 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     if config.plan.mode == "horizon":
         budget = min(budget, config.plan.K)
 
-    # the initial state's record: no step left it, so its step values are None
-    feas = problem.constraint.residual(state.x)
-    rows = _RowBlock(ctx, algo, config.monitors, (
-        state.x, state.z, state.lam, None, None, None, problem.objective_value(state.x),
-        feas, math.sqrt(state.lam.dot(state.lam)), None, None))
+    res = state.__dict__["residual"] = problem.constraint.A.dot(state.x) - problem.constraint.b
+    feas = math.sqrt(res.dot(res))
+    rows = _RowBlock(ctx, algo, config.monitors, state, problem.objective_value(state.x),
+                     feas, math.sqrt(state.lam.dot(state.lam)))
     status, converged_at = "MaxIters", None
-    best_measure, stat = np.inf, np.nan     # stat: the last stationarity column value
+    best_measure, pending = np.inf, False   # pending: raws the running minimum misses
     step, running_min = algo.step, algo.running_min
     stat_tol, feas_tol = config.stop.stat_tol, config.stop.feas_tol
     quad = problem.quadratic_terms() if problem.composite else None
     r, c = (None, None) if quad is None else quad[1:]
     prox_value = None if ctx.bounds is not None else problem.prox_part.value
     h_value = problem.smooth.value if problem.composite else None
-    steps, keep, clock = rows.steps, rows.steps.append, time.perf_counter
+    keep, clock = rows.steps.append, time.perf_counter
     t0 = clock()
 
     for k in range(budget):
@@ -615,12 +696,6 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
             status = "NonFinite"
             break
 
-        raw = stat = report.stationarity_norm
-        if running_min:
-            if raw < best_measure:      # min(best_measure, raw)
-                best_measure = raw
-            stat = best_measure
-
         x, grad_h, lam = new_state.x, new_state.grad_h, new_state.lam
         g = 0.0 if prox_value is None else prox_value(x)     # 0.0 on a box or Zero
         if quad is None or grad_h is None:
@@ -628,17 +703,27 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
         else:
             f = float(g + 0.5 * x.dot(grad_h + r) + c)
         lam_norm = math.sqrt(lam.dot(lam))
-        keep((x, new_state.z, lam, new_state.residual, raw, report.inner_iterations,
-              f, report.feasibility, lam_norm, stat, clock() - t0))
-        if len(steps) == ROW_BLOCK:
+        # `feas` is row k's: the state's before the step
+        if feas <= feas_tol:
+            if pending:     # the running minimum must cover every earlier norm
+                best_measure, pending = rows.flush(), False
+            raw = stat = report.stationarity_norm
+            if running_min:
+                if raw < best_measure:      # min(best_measure, raw)
+                    best_measure = raw
+                stat = best_measure
+        else:
+            raw, pending = None, running_min
+        keep((new_state, raw, report.inner_iterations, f, report.feasibility, lam_norm,
+              clock() - t0))
+        if k % ROW_BLOCK == ROW_BLOCK - 1:     # the block is full (or flushed sooner)
             rows.flush()
 
-        # `feas` is row k's: the state's before the step
         if report.inner_budget_exhausted:
             status = "InnerBudgetExhausted"
         elif lam_norm > DIVERGENCE_LIMIT or abs(f) > DIVERGENCE_LIMIT:
             status = "DivergenceDetected"
-        elif stat <= stat_tol and feas <= feas_tol:
+        elif feas <= feas_tol and stat <= stat_tol:
             status, converged_at = "Converged", k
 
         state, feas = new_state, report.feasibility
@@ -650,7 +735,7 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     wall_time = clock() - t0
     rows.flush()
     cols = rows.columns
-    cols["stationarity"].append(stat)
+    cols["stationarity"].append(cols["stationarity"][-1] if cols["stationarity"] else np.nan)
     cols["wall_time"].append(wall_time)
     cols["k"] = range(len(cols["objective"]))
     cols["lyapunov"] = [np.nan] + rows.energies

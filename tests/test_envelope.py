@@ -997,9 +997,14 @@ def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
     bit, and a stacked product with A gives each row's A @ x. The steps'
     ndarray.dot gives @'s bits (a[i].dot(b[i]), A.dot(x), A.T.dot(lam) on
     the transposed view, (0.5 * x).dot(Q)), and a vector times or over a
-    0-d float64 array gives the Python float's bits. `run` forms its
-    energies and row norms a block at a time on this; a numpy or BLAS whose
-    kernels break it fails here, not as a logic bug in the golden traces."""
+    0-d float64 array gives the Python float's bits. The stationarity's
+    stacked product with A', np.matmul(A.T, V[..., None])[..., 0], gives
+    each row's A.T.dot(v) for m in {1, 2, 5}, on a block, on its row-slice
+    and row-mask copies and on one vector, and so do the row norms formed
+    from it; the gemm V @ A may not, and no row value uses it. `run` forms
+    its energies, stationarity and row norms a block at a time on this; a
+    numpy or BLAS whose kernels break it fails here, not as a logic bug in
+    the golden traces."""
     rng = np.random.default_rng(n)
     X = rng.standard_normal((65, n)) * rng.uniform(1e-3, 1e3, size=(65, 1))
     Y = rng.standard_normal((65, n))
@@ -1031,6 +1036,25 @@ def test_block_kernels_match_the_vector_kernels_bit_for_bit(n):
             f"np.array(c) * v differs from c * v, {where}"
         assert (y / np.array(c)).tobytes() == (y / c).tobytes(), \
             f"v / np.array(c) differs from v / c, {where}"
+
+    # the stationarity's product with A' and its row norms
+    mask = rng.uniform(size=64) < 0.5
+    for m in (1, 2, 5):
+        At = rng.standard_normal((m, n)).T
+        V = rng.standard_normal((65, m)) * rng.uniform(1e-3, 1e3, size=(65, 1))
+        for block in (V, V[1:], V[:-1][mask]):
+            stacked = np.matmul(At, block[..., None])[..., 0]
+            G = stacked + X[:len(block)]
+            norms = np.sqrt(np.add.reduce(G * G, axis=-1) + np.add.reduce(block * block, axis=-1))
+            for i, v in enumerate(block):
+                assert stacked[i].tobytes() == At.dot(v).tobytes(), \
+                    f"np.matmul(A.T, V[..., None]) differs from A.T.dot(v), m={m}, {where}"
+                g = At.dot(v) + X[i]
+                assert norms[i] == math.sqrt(np.add.reduce(g * g) + np.add.reduce(v * v)), \
+                    f"a block's row norm differs from the 1-D one, m={m}, {where}"
+        one = np.matmul(At, V[0][..., None])[..., 0]
+        assert one.tobytes() == At.dot(V[0]).tobytes(), \
+            f"np.matmul(A.T, v[..., None]) differs from A.T.dot(v), m={m}, {where}"
 
 
 def _block_face(M, free):

@@ -291,8 +291,10 @@ class TestProxIALMStep:
 
     def test_a_step_makes_three_products_with_A(self):
         """From a state that carries its residual and h's gradient, a step
-        calls ndarray.dot four times: A'(lam + beta res), A x' - b,
-        A'(A x' - b - res) and `_advance`'s ||A x' - b||^2."""
+        calls ndarray.dot three times: A'(lam + beta res), A x' - b and
+        `_advance`'s ||A x' - b||^2. The third product with A,
+        A'(A x' - b - res), is the stationarity's: the step's report forms
+        it on first access, with np.matmul and no ndarray.dot call."""
         import sys
 
         for prob, plan in self._algebra_cases():
@@ -308,10 +310,12 @@ class TestProxIALMStep:
                     dots.append(arg)
             sys.setprofile(count)
             try:
-                prox_ialm_step(ctx, state)
+                _, report = prox_ialm_step(ctx, state)
+                stepped = len(dots)
+                report.stationarity_norm
             finally:
                 sys.setprofile(None)
-            assert len(dots) == 4
+            assert stepped == 3 and len(dots) == 3
 
 
 def _box_invariant_cases():
@@ -1491,6 +1495,29 @@ def test_a_limeal_run_on_a_quadratic_h_skips_problem_smooth_gradient(spec, monke
     assert len(grads) == 30 + 1 and wrapped == []
 
 
+@pytest.mark.parametrize("name", ["limeal_beta50_eta1", "ialm"])
+def test_the_row_block_reads_the_gradients_the_steps_formed(name, monkeypatch):
+    """A LiMEAL or Prox-iALM run on exp2 evaluates h's gradient once at the
+    init and once a step, at a feas_tol that leaves about half the steps'
+    stationarity norms, row 0's among them, to the row block: the block
+    reads the gradients the states carry, the init state's included, and
+    forms none of its own."""
+    from dataclasses import replace
+
+    from mealopt.experiments import exp2_configs
+
+    prob = m.build_exp2(42, 5, 20)
+    cfg = dict(exp2_configs(prob, m.StopRule(max_iters=100, stat_tol=1e-300)))[name]
+    feasibility = m.run(prob, cfg).column("feasibility")[:-1]
+    cfg = replace(cfg, stop=replace(cfg.stop, feas_tol=float(np.median(feasibility))))
+    grads, gradient = [], prob.smooth.gradient
+    monkeypatch.setattr(prob.smooth, "gradient", lambda x: grads.append(1) or gradient(x))
+    tr = m.run(prob, cfg)
+    inline = feasibility <= cfg.stop.feas_tol
+    assert not inline[0] and inline.any() and tr.n_rows - 1 == 100
+    assert len(grads) == 100 + 1
+
+
 def _context_attribute_cases():
     from dataclasses import replace
 
@@ -1716,3 +1743,208 @@ def test_an_unknown_algorithm_is_rejected():
     cfg = m.SolverConfig("sgd", m.PenaltyPlan.fixed(1.0, 0.5, 1.0))
     with pytest.raises(ValueError, match="algorithm must be one of .*'meal'"):
         cfg.validate(prob)
+
+
+# ---------------------------------------------------------------------------
+# the stationarity: formed inline where a Converged test reads it, else in
+# the row block
+# ---------------------------------------------------------------------------
+
+
+def _chained_stationarity(prob, cfg, init, objective):
+    """The stationarity column, status and converged_at of chained public
+    step calls, each step's norm read from its report, under `run`'s
+    status rules. `objective` is the run's objective column, which the
+    divergence test reads."""
+    from mealopt.solvers import DIVERGENCE_LIMIT
+
+    ctx, algo = cfg.validate(prob), ALGORITHMS[cfg.algorithm]
+    state = m.IterateState(*(init or (np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))))
+    feas = prob.constraint.residual(state.x)
+    best, column, status, converged_at = math.inf, [], "MaxIters", None
+    for k in range(cfg.stop.max_iters):
+        try:
+            new, report = algo.step(ctx, state, cfg)
+        except NonFiniteValue:
+            status = "NonFinite"
+            break
+        stat = report.stationarity_norm
+        if algo.running_min:
+            best = stat = min(best, stat)
+        column.append(stat)
+        lam_norm = math.sqrt(new.lam.dot(new.lam))
+        if report.inner_budget_exhausted:
+            status = "InnerBudgetExhausted"
+        elif lam_norm > DIVERGENCE_LIMIT or abs(objective[k + 1]) > DIVERGENCE_LIMIT:
+            status = "DivergenceDetected"
+        elif stat <= cfg.stop.stat_tol and feas <= cfg.stop.feas_tol:
+            status, converged_at = "Converged", k
+        state, feas = new, report.feasibility
+        if status != "MaxIters":
+            break
+    return column + [column[-1] if column else math.nan], status, converged_at
+
+
+def _assert_run_forms_the_chained_stationarity(make, cfg, init):
+    """`make()` builds the problem afresh (a problem with a counting
+    gradient restarts its count). The run's stationarity column, status and
+    converged_at are the chained steps', bit for bit, and neither raises a
+    RuntimeWarning. Returns the run's trace."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = m.run(make(), cfg, init=init)
+        column, status, converged_at = _chained_stationarity(
+            make(), cfg, init, tr.column("objective"))
+    assert (tr.status, tr.converged_at) == (status, converged_at)
+    assert tr.column("stationarity").tobytes() == np.array(column).tobytes()
+    return tr
+
+
+def _crossing_tolerance(feasibility, q, most_crossings):
+    """A feas_tol that row feasibility `feasibility` crosses: the level it
+    crosses most often, or its q-quantile."""
+    levels = np.unique(feasibility)
+    if most_crossings:
+        crossings = [np.count_nonzero(np.diff(feasibility <= t)) for t in levels]
+        level = levels[int(np.argmax(crossings))]
+    else:
+        level = np.quantile(feasibility, q)
+    return max(float(level), 1e-300)
+
+
+@pytest.mark.parametrize("algorithm, spec", list(_algorithm_specs()))
+@settings(max_examples=12)
+@given(seed=st.integers(0, 3), box=st.booleans(), beta=st.sampled_from((1.0, 2.0, 10.0)),
+       eta=st.sampled_from((0.5, 1.0, 1.5, 1.9)), q=st.floats(0.0, 1.0),
+       most_crossings=st.booleans(), stat_q=st.none() | st.floats(0.0, 1.0))
+def test_a_run_forms_the_stationarity_of_chained_steps(algorithm, spec, seed, box, beta,
+                                                       eta, q, most_crossings, stat_q):
+    """For every algorithm and spec it takes, at a feas_tol that row
+    feasibility crosses (so `run` forms some steps' norms inline and leaves
+    the rest to the row block) and a stat_tol that may stop it, a run's
+    stationarity column, status and converged_at are those of chained
+    public step calls that read each report's norm, bit for bit."""
+    from dataclasses import replace
+
+    prob = (make_box_qp if box else make_convex_qp)(seed, n=4, mcon=2)
+    gamma = 0.5 / max(ALGORITHMS[algorithm].modulus(prob), 1.0)
+    plan = m.PenaltyPlan.fixed(beta, gamma, 1.0 if algorithm == "alm" else eta)
+    cfg = m.SolverConfig(algorithm, plan, subproblem=spec,
+                         stop=m.StopRule(max_iters=100, stat_tol=1e-300, feas_tol=1e-300))
+    init = (np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m))
+    probe = m.run(prob, cfg, init=init)
+    feas_tol = _crossing_tolerance(probe.column("feasibility")[:-1], q, most_crossings)
+    stat_tol = 1e-300 if stat_q is None else max(
+        float(np.quantile(probe.column("stationarity"), stat_q)), 1e-300)
+    cfg = replace(cfg, stop=replace(cfg.stop, stat_tol=stat_tol, feas_tol=feas_tol))
+    _assert_run_forms_the_chained_stationarity(lambda: prob, cfg, init)
+
+
+@pytest.mark.parametrize("algorithm", ("meal", "imeal"))
+@pytest.mark.parametrize("beta, eta, feas_tol", [(2.0, 1.9, 0.05), (10.0, 1.5, 0.01)])
+def test_inline_and_block_formed_norms_interleave_in_a_running_min(algorithm, beta, eta,
+                                                                  feas_tol):
+    """A MEAL or iMEAL run whose row feasibility crosses feas_tol many
+    times, in the first two blocks of 64 rows (and, in the second case,
+    between rows 63 and 64): its running-min stationarity column is the
+    chained steps' bit for bit, although the run forms the inline steps'
+    norms one at a time and the rest a block at a time."""
+    prob = make_box_qp(1)
+    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(beta, 0.5 / prob.rho_total, eta),
+                         stop=m.StopRule(max_iters=200, stat_tol=1e-300, feas_tol=feas_tol))
+    tr = _assert_run_forms_the_chained_stationarity(
+        lambda: prob, cfg, (np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.m)))
+    inline = tr.column("feasibility")[:-1] <= feas_tol
+    assert tr.status == "MaxIters" and np.count_nonzero(np.diff(inline)) >= 15
+    for block in (inline[:64], inline[64:128]):
+        assert block.any() and not block.all()
+
+
+def _ending_cases():
+    """(id, make, config, init) for runs that end InnerBudgetExhausted,
+    DivergenceDetected and NonFinite; the id ends with the status."""
+    from mealopt.experiments import exp2_configs
+
+    stop = m.StopRule(max_iters=300, stat_tol=1e-300, feas_tol=1e-300)
+
+    def fixed(algorithm, beta, gamma, **kwargs):
+        return m.SolverConfig(algorithm, m.PenaltyPlan.fixed(beta, gamma, 1.0), stop=stop,
+                              **kwargs)
+
+    def convex_l1():
+        base = make_convex_qp(0)
+        return m.Problem(base.constraint, m.L1(weight=0.5), base.smooth)
+
+    def concave():
+        return m.Problem(m.LinearConstraint([[1.0]], [0.0]), m.QuadraticForm(Q=[[-0.5]]))
+
+    def limeal_diverging():
+        return m.Problem(m.LinearConstraint([[1.0, 1.0]], [1.0]), m.Zero(),
+                         m.QuadraticSmooth(np.diag([1.0, -30.0])))
+
+    def nan_gradient_from(turn, base, quadratic=False):
+        """`base()` with h's gradient NaN from its `turn`-th call: h is kept
+        quadratic, or made a general SmoothFunction that every step calls."""
+        def make():
+            prob, calls = base(), []
+            real = prob.smooth.gradient
+
+            def gradient(x):
+                calls.append(1)
+                g = real(x)
+                return np.full_like(g, np.nan) if len(calls) >= turn else g
+            if quadratic:
+                prob.smooth.gradient = gradient
+                return prob
+            return m.Problem(prob.constraint, prob.prox_part,
+                             m.SmoothFunction(prob.smooth.value, gradient, prob.L_h))
+        return make
+
+    exp2 = m.build_exp2(42, 5, 20)
+    paper = dict(exp2_configs(exp2, stop))
+    zeros = (np.zeros(exp2.n), np.zeros(exp2.n), np.zeros(exp2.m))
+    return [pytest.param(make, cfg, init, id=name) for name, make, cfg, init in [
+        ("imeal-InnerBudgetExhausted", convex_l1,
+         fixed("imeal", 100.0, 0.25 / make_convex_qp(0).rho_total,
+               subproblem=m.InnerProxGradient(tol=1e-12, max_inner=20),
+               epsilon_schedule=m.EpsilonSchedule(0.1)), None),
+        ("meal-DivergenceDetected", concave, fixed("meal", 0.1, 1.0),
+         (np.ones(1), np.ones(1), np.zeros(1))),
+        ("imeal-DivergenceDetected", concave, fixed("imeal", 0.1, 1.0),
+         (np.ones(1), np.ones(1), np.zeros(1))),
+        ("limeal-DivergenceDetected", limeal_diverging, fixed("limeal", 1.0, 0.5), None),
+        ("meal-NonFinite", nan_gradient_from(3000, lambda: make_convex_qp(2)),
+         fixed("meal", 10.0, 0.2), None),
+        ("imeal-NonFinite", nan_gradient_from(3000, lambda: make_convex_qp(2)),
+         fixed("imeal", 10.0, 0.2), None),
+        ("limeal-NonFinite", nan_gradient_from(150, lambda: make_convex_qp(2)),
+         fixed("limeal", 10.0, 0.2), None),
+        ("limeal-exp2-NonFinite",
+         nan_gradient_from(100, lambda: m.build_exp2(42, 5, 20), quadratic=True),
+         paper["limeal_beta50_eta1"], zeros),
+        ("prox_ialm-exp2-NonFinite",
+         nan_gradient_from(100, lambda: m.build_exp2(42, 5, 20), quadratic=True),
+         paper["ialm"], zeros),
+    ]]
+
+
+@pytest.mark.parametrize("make, cfg, init", _ending_cases())
+def test_a_run_that_ends_early_forms_the_stationarity_of_chained_steps(make, cfg, init,
+                                                                      request):
+    """Runs that end InnerBudgetExhausted, DivergenceDetected or NonFinite,
+    at a feas_tol that half their rows meet, have the stationarity column,
+    status and converged_at of chained public step calls, bit for bit, and
+    raise no RuntimeWarning."""
+    from dataclasses import replace
+
+    probe = m.run(make(), cfg, init=init)
+    feasibility = probe.column("feasibility")[:-1]
+    feas_tol = max(float(np.median(feasibility)), 1e-300)
+    cfg = replace(cfg, stop=replace(cfg.stop, feas_tol=feas_tol))
+    tr = _assert_run_forms_the_chained_stationarity(make, cfg, init)
+    assert tr.status == request.node.callspec.id.rsplit("-", 1)[1]
+    assert tr.n_rows > 5
+    inline = feasibility <= feas_tol
+    assert inline.any() and not inline.all()
