@@ -38,7 +38,7 @@ from .errors import (
     SubproblemNonconvexUnsupported,
     WindowTooShort,
 )
-from .oracle import ACTIVE_SET_MAX_N, BoxFaces, check_free_curvature
+from .oracle import box_qp_faces
 from .problem import (
     BoxIndicator,
     Problem,
@@ -608,19 +608,15 @@ class EnvelopeContext:
         """ALM's box faces of H = Q + beta A'A, h's linear term r, and the
         minimizers of the last two distinct linear terms its steps solved for.
         SubproblemNonconvexUnsupported unless the objective is a quadratic over
-        a box at enumeration scale whose subproblems are bounded below."""
+        a box; `box_qp_faces` raises it too, above its enumeration scale or
+        where the subproblems are unbounded below."""
         p, bounds = self.problem, self.bounds
         terms = p.quadratic_terms()
         if terms is None or bounds is None:
             raise SubproblemNonconvexUnsupported(
                 "alm global minimization supports quadratic objectives over a box")
-        if p.n > ACTIVE_SET_MAX_N:
-            raise SubproblemNonconvexUnsupported(
-                f"alm enumerates box faces only up to n={ACTIVE_SET_MAX_N}, got n={p.n}")
         A = p.constraint.A
-        H = terms[0] + self.beta * (A.T @ A)
-        check_free_curvature(H, *bounds)
-        return BoxFaces(H, None, *bounds), terms[1], {}
+        return box_qp_faces(terms[0] + self.beta * (A.T @ A), *bounds), terms[1], {}
 
     @cached_property
     def _prox_ialm_s(self) -> np.ndarray:

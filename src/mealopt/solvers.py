@@ -113,18 +113,24 @@ class IterateState:
         return state
 
 
+def _raw_norms(form, ctx, prev, new):
+    """The stationarity norm sqrt(||G||^2 + ||A x' - b||^2), with G =
+    form(ctx, prev, new) the algorithm's `stationarity`: a 0-d array for
+    one step's two states, one norm a row for a block of them. The rows are
+    independent, so each has the bits its step's states alone give."""
+    G, R = form(ctx, prev, new), new.residual
+    # np.add.reduce(v * v) is np.sum(v ** 2) bit for bit; v.dot(v) sums in another order
+    return np.sqrt(np.add.reduce(G * G, axis=-1) + np.add.reduce(R * R, axis=-1))
+
+
 class _FormedOnFirstAccess:
-    """A step report's stationarity norm, sqrt(||G||^2 + ||A x' - b||^2) with
-    G the algorithm's `stationarity` at the step's two states, formed on
-    first access and kept in the report's __dict__, which later reads find
-    first. Read on the class it raises AttributeError: the field has no
-    default."""
+    """A step report's stationarity norm, `_raw_norms` at the step's two
+    states, formed on first access and kept in the report's __dict__, which
+    later reads find first. Read on the class it raises AttributeError: the
+    field has no default."""
 
     def __get__(self, report, owner=None):
-        form, ctx, prev, new = report.__dict__.pop("_formed_from")
-        G, R = form(ctx, prev, new), new.residual
-        # np.add.reduce(v * v) is np.sum(v ** 2) bit for bit; v.dot(v) sums in another order
-        norm = math.sqrt(np.add.reduce(G * G) + np.add.reduce(R * R))
+        norm = float(_raw_norms(*report.__dict__.pop("_formed_from")))
         report.__dict__["stationarity_norm"] = norm
         return norm
 
@@ -576,10 +582,7 @@ class _RowBlock:
         # the raw norms, NaN where run formed none; ALM's are the feasibility
         raw = np.array(values[1][h:] if algo.stationarity is None else raws[h:], dtype=float)
         if np.logical_or.reduce(lazy := np.isnan(raw)):
-            if not np.logical_and.reduce(lazy):     # the rows of those steps alone
-                prev, new = _States(*[v[lazy] for v in prev]), _States(*[v[lazy] for v in new])
-            G, R = algo.stationarity(ctx, prev, new), new.residual
-            raw[lazy] = np.sqrt(np.add.reduce(G * G, axis=-1) + np.add.reduce(R * R, axis=-1))
+            raw[lazy] = _raw_norms(algo.stationarity, ctx, prev, new)[lazy]
         # a running minimum by fmin, which passes over a NaN as run's raw < best does
         stat = np.fmin(np.fmin.accumulate(raw), self.best) if algo.running_min else raw
         self.best = stat[-1]
@@ -626,12 +629,14 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     """Iterate from init, None (zeros) or (x0, z0, lam0), until the tolerances are met.
 
     Row k holds the objective, feasibility and multiplier norm of the state
-    after k steps; its stationarity, xz_gap and (from k >= 1) lyapunov
-    columns come from step k, which leaves that state. After each step the
-    first of these that holds sets the status: InnerBudgetExhausted when
-    the inner solver ran out of iterations, DivergenceDetected when the
-    new multiplier norm or objective magnitude passes DIVERGENCE_LIMIT,
-    Converged (converged_at = k) when row k's feasibility and the
+    after k steps and, from k >= 1, its lyapunov energy, which step k - 1
+    (steps count from 0) forms as it leaves that state; the row's
+    stationarity and xz_gap columns come from step k, which starts from
+    that state. After each step the first of these that holds sets the
+    status: InnerBudgetExhausted when the inner solver ran out of
+    iterations, DivergenceDetected when the new multiplier norm or
+    objective magnitude passes DIVERGENCE_LIMIT, Converged
+    (converged_at = k) when row k's feasibility and the
     stationarity column are both below their tolerances. With none of them
     the run ends at max_iters (or the horizon K) as MaxIters. A step that
     meets a non-finite iterate, carried gradient or residual, or prox input

@@ -472,11 +472,11 @@ class TestCLI:
 
     def test_solve_sets_the_run_up_once(self, tmp_path, monkeypatch):
         # one context, and one check of ALM's free-block curvature, in validate
-        from mealopt import envelope, solvers
+        from mealopt import oracle, solvers
 
         save_problem(m.build_exp1(), tmp_path / "exp1.json")
         calls = {"contexts": 0, "curvature": 0}
-        real_context, real_check = solvers.EnvelopeContext, envelope.check_free_curvature
+        real_context, real_check = solvers.EnvelopeContext, oracle.check_free_curvature
 
         def context(*args):
             calls["contexts"] += 1
@@ -487,7 +487,7 @@ class TestCLI:
             return real_check(*args)
 
         monkeypatch.setattr(solvers, "EnvelopeContext", context)
-        monkeypatch.setattr(envelope, "check_free_curvature", check)
+        monkeypatch.setattr(oracle, "check_free_curvature", check)
         code = main(["solve", "--input", str(tmp_path / "exp1.json"), "--algorithm", "alm",
                      "--beta", "50", "--max-iters", "5", "--output-dir", str(tmp_path)])
         assert code == 3

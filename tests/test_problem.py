@@ -640,3 +640,22 @@ class TestImplicitClassProbe:
     def test_l1_probe_bounded(self):
         est = m.probe_implicit_class(m.L1(weight=0.7), gamma=1.0, n_samples=100)
         assert est["bounded_estimate"] <= 0.7 + 1e-9
+
+    @pytest.mark.parametrize("g, gamma", [
+        (m.L1(weight=0.7), 1.0), (m.SCAD(), 0.3), (m.MCP(), 0.5),
+        (m.BoxIndicator([-1.0], [2.0]), 0.9), (m.Zero(), 1.0),
+    ], ids=["l1", "scad", "mcp", "box", "zero"])
+    def test_probe_matches_a_per_sample_loop_bit_for_bit(self, g, gamma):
+        # the reference: each sample's ratios against every sample, one row at a time
+        ws = np.random.default_rng(0).uniform(-10.0, 10.0, size=(200, 1))
+        _, grads, us = map(np.array, zip(*[moreau_value_grad(g, gamma, w) for w in ws]))
+        best = 0.0
+        for i in range(len(ws)):
+            du = np.linalg.norm(us - us[i], axis=1)
+            dg = np.linalg.norm(grads - grads[i], axis=1)
+            mask = du > 1e-9
+            if mask.any():
+                best = max(best, float((dg[mask] / du[mask]).max()))
+        assert m.probe_implicit_class(g, gamma) == {
+            "bounded_estimate": float(np.linalg.norm(grads, axis=1).max()),
+            "lipschitz_estimate": best}

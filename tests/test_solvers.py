@@ -878,13 +878,13 @@ def test_alm_prepares_its_faces_once_per_run(monkeypatch):
     # the subproblem's Hessian and box are fixed for the run: a 5-step and a
     # 200-step run make one face preparation and one free-block curvature
     # check, both in validate's context
-    from mealopt import envelope
+    from mealopt import oracle
     from mealopt.experiments import EXP1_INIT
 
     problems = {steps: m.build_exp1() for steps in (5, 200)}
     gram = problems[5].constraint.A @ problems[5].constraint.A.T
     counts = {}
-    real_faces, real_eigvalsh = envelope.BoxFaces, np.linalg.eigvalsh
+    real_faces, real_eigvalsh = oracle.BoxFaces, np.linalg.eigvalsh
 
     def faces(*args):
         counts["faces"] += 1
@@ -894,7 +894,7 @@ def test_alm_prepares_its_faces_once_per_run(monkeypatch):
         counts["free_blocks"] += not np.array_equal(M, gram)
         return real_eigvalsh(M)
 
-    monkeypatch.setattr(envelope, "BoxFaces", faces)
+    monkeypatch.setattr(oracle, "BoxFaces", faces)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     for steps, prob in problems.items():
         counts.update(faces=0, free_blocks=0)
@@ -1229,6 +1229,37 @@ def test_validated_run_ends_in_a_status(algorithm, spec, prob, frac, horizon):
     np.testing.assert_array_equal(tr.column("k"), np.arange(tr.n_rows))
     assert len(tr.inner_iterations) == tr.n_rows - 1
     assert tr.terminal.k == tr.n_rows - 1
+
+
+def _row_scaling_cases():
+    for kind, make in (("boxqp", make_box_qp), ("convexqp", make_convex_qp)):
+        for seed in range(6):
+            for name in ALGORITHMS:
+                yield pytest.param(make(seed), name, id=f"{kind}{seed}-{name}")
+
+
+@pytest.mark.parametrize("prob, algorithm", list(_row_scaling_cases()))
+def test_doubled_rows_keep_x_and_z_and_halve_lam_bit_for_bit(prob, algorithm):
+    """(A, b) -> 2 (A, b), beta -> beta / 4 and lam0 -> lam0 / 2 leave
+    beta A'A, A'lam and beta A'(A x - b) as they were, each by a power of
+    two, so after a fixed budget of steps x and z keep their bits and lam
+    is halved bit for bit. The stopping test is not scale-free (README), so
+    the tolerances are 1e-300: only an exact zero stops a run before 60
+    steps, and then both runs stop at the same row."""
+    A, b = prob.constraint.A, prob.constraint.b
+    doubled = m.Problem(m.LinearConstraint(2.0 * A, 2.0 * b), prob.prox_part, prob.smooth)
+    lam0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=prob.m)
+    gamma = 0.5 / max(ALGORITHMS[algorithm].modulus(prob), 1.0)
+    eta = 1.0 if algorithm == "alm" else 0.7
+    stop = m.StopRule(max_iters=60, stat_tol=1e-300, feas_tol=1e-300)
+    base, scaled = (
+        m.run(p, m.SolverConfig(algorithm, m.PenaltyPlan.fixed(beta, gamma, eta), stop=stop),
+              (np.zeros(p.n), np.zeros(p.n), lam))
+        for p, beta, lam in ((prob, 8.0, lam0), (doubled, 2.0, 0.5 * lam0)))
+    assert (scaled.status, scaled.n_rows) == (base.status, base.n_rows)
+    np.testing.assert_array_equal(scaled.terminal.x, base.terminal.x, strict=True)
+    np.testing.assert_array_equal(scaled.terminal.z, base.terminal.z, strict=True)
+    np.testing.assert_array_equal(scaled.terminal.lam, 0.5 * base.terminal.lam, strict=True)
 
 
 def _wrapper_free_cases():
