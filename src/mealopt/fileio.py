@@ -53,8 +53,16 @@ CSV_HEADER = ",".join(TRACE_COLUMNS)
 # ---------------------------------------------------------------------------
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
+def _object(value, where: str) -> dict:
+    """`value`, the node at field `where`, if it is an object."""
+    if not isinstance(value, dict):
+        raise SchemaError(where, f"must be an object, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _need(obj, key: str, where: str):
+    """obj[key], where obj is the node at field `where`, which must be an object."""
+    if key not in _object(obj, where):
         raise SchemaError(f"{where}.{key}", "missing field")
     return obj[key]
 
@@ -92,7 +100,7 @@ def _implicit_in(obj, where: str) -> ImplicitClass:
     constant = _need(obj, "constant", where)
     try:
         return ImplicitClass(kind, float(constant))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(where, str(exc)) from None
 
 
@@ -139,7 +147,7 @@ def _prox_in(obj: dict, where: str):
             return PointwiseMin(pieces=tuple(pieces))
     except SchemaError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(where, str(exc)) from None
     raise SchemaError(f"{where}.kind", f"unknown prox kind {kind!r}")
 
@@ -178,10 +186,10 @@ def load_problem(path) -> Problem:
     try:
         constraint = LinearConstraint(_need(cons, "A", "constraint"),
                                       _need(cons, "b", "constraint"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError("constraint", str(exc)) from None
 
-    obj = _need(data, "objective", "problem")
+    obj = _object(_need(data, "objective", "problem"), "objective")
     smooth_obj = obj.get("smooth")
     smooth = None
     if smooth_obj is not None:
@@ -191,7 +199,7 @@ def load_problem(path) -> Problem:
                               f"only 'quadratic' is serializable, got {kind!r}")
         try:
             smooth = QuadraticSmooth(*_quadratic_in(smooth_obj, "objective.smooth"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError("objective.smooth", str(exc)) from None
 
     prox_part = _prox_in(_need(obj, "prox", "objective"), "objective.prox")

@@ -77,6 +77,8 @@ class LinearConstraint:
         b = _vec(self.b)
         if A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError("A must be at least 1x1")
+        if b.ndim != 1:
+            raise ValueError(f"b must be a vector, got an array of shape {b.shape}")
         if b.shape[0] != A.shape[0]:
             raise ValueError(f"b has {b.shape[0]} rows, A has {A.shape[0]}")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):

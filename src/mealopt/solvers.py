@@ -80,7 +80,7 @@ class IterateState:
     h's gradient at x as `grad_h` when the step evaluated it (LiMEAL and
     Prox-iALM); the energies, the stationarity and the next step read them.
     Each is None otherwise, and for a state built from an init until a step
-    (or `run`, for the residual) forms it there and keeps it on the state.
+    (or `_RowBlock`, for the residual) forms it there and keeps it on the state.
 
     One finiteness rule, `_of_step`'s, covers every state: x, z, lam and the
     carried grad_h and residual must be finite, else NonFiniteValue. The
@@ -139,9 +139,8 @@ class _FormedOnFirstAccess:
 class StepReport:
     """Per-step byproducts: envelope gradient and residual norms, and the
     subproblem solve's inner iterations (0 for steps with no inner loop).
-    A step's report forms its stationarity norm on first access; `run` asks
-    for it only where row k's feasibility is <= feas_tol, where a Converged
-    test reads it, and `_RowBlock` forms the other steps' norms.
+    A step's report forms its stationarity norm on first access; when a run
+    asks for it is `_RowBlock`'s lazy-norm rule.
     """
 
     stationarity_norm: float = _FormedOnFirstAccess()
@@ -416,10 +415,8 @@ def _lyapunov_case(problem) -> str:
 
 def _lyapunov_energy(family: str):
     """The family's Lyapunov value at the new state (usable from k + 1 >= 1)."""
-    variants = {case: f"{family}-{case}" for case in ("s1", "s2")}
-
     def energy(ctx, state, new, f):
-        return lyapunov(ctx, variants[_lyapunov_case(ctx.problem)], new, state, f=f)
+        return lyapunov(ctx, f"{family}-{_lyapunov_case(ctx.problem)}", new, state, f=f)
     return energy
 
 
@@ -431,9 +428,8 @@ class Algorithm:
     when called, so a wrapper set on this module sees every call. Its
     `stationarity` forms the envelope gradient's z-block G for one state or
     a block of states, and the raw stationarity norm is
-    sqrt(||G||^2 + ||A x' - b||^2); None (ALM) means G = 0. `run` forms a
-    step's norm only where row k's feasibility is <= feas_tol, and
-    `_RowBlock` the rest.
+    sqrt(||G||^2 + ||A x' - b||^2); None (ALM) means G = 0. Where a run
+    forms it is `_RowBlock`'s lazy-norm rule.
     """
 
     step: Callable          # (ctx, state, config) -> (IterateState, StepReport)
@@ -526,47 +522,107 @@ class _States(NamedTuple):
 
 
 class _RowBlock:
-    """The trace's columns, formed from the steps' records a block of up to
-    ROW_BLOCK steps at a time, and the values that no stopping rule reads:
-    the energies (the `lyapunov` column from row 1 on), the stationarity
-    norms `run` did not form (row k's feasibility above feas_tol) and the
-    stationarity column, the xz_gap values, the oscillation flag and the
-    monitor entries.
+    """A run's rows and its status: row 0 from the initial state, then one
+    record a step, which `record` forms and appends and from which it
+    decides the status the step ends the run with; `finish` builds the
+    Trace. Built once per run, from the validated context, the run's
+    algorithm and config, and the initial state, on which it sets A x0 - b.
+
+    The objective rule. Row 0's objective is `Problem.objective_value` at
+    the init, which may lie outside the box, and its feasibility is the norm
+    of A x0 - b. A step's objective is g(x) + h(x). g is 0 at every step's x
+    when the prox part is a box or Zero: each step of every algorithm ends
+    with a clip onto the box, and the new state is finite, so the row takes
+    g(x) as 0.0 with no box test; other prox parts are evaluated. For a
+    quadratic h = x'Qx/2 + r'x + c and a state that carries grad h(x) = Qx +
+    r, h(x) is x'(grad h(x) + r)/2 + c, with no product with Q; otherwise it
+    is h's value. A step's objective and multiplier norm are formed at the
+    step, since the status reads them.
+
+    The lazy-norm rule. A step's stationarity norm is formed at the step
+    only where row k's feasibility is <= feas_tol, where the Converged test
+    reads it: only there does `record` ask the step's report for it, and a
+    running-min run first flushes the block if norms are pending, so that
+    `best`, the running minimum, covers every earlier norm. flush forms the
+    other norms, and each row's energy, xz_gap, oscillation and monitor
+    values, none of which a status reads, a block of up to ROW_BLOCK steps
+    at a time.
 
     A step's record is one tuple: its new state, its raw stationarity norm
-    (None where `run` did not form it) and inner iterations, the new
+    (None where `record` did not form it) and inner iterations, the new
     state's objective, feasibility and multiplier norm, and its wall time.
-    `run` appends it to `steps`; flush extends the columns from the
+    `record` appends it to `steps`; flush extends the columns from the
     records, keeps the records of the last two states in `head` (the
-    initial state's at the start) and empties `steps` in place, so an
-    append bound once per run stays valid. Each value is the one its step
-    would give alone, bit for bit: the energies take the block through the
-    module globals, and the row norms are `_rowdot` and
-    `np.add.reduce(..., axis=-1)`. `best` is the stationarity column's
-    last value, from which a running minimum goes on.
+    initial state's at the start) and empties `steps`. Each value is the
+    one its step would give alone, bit for bit: the energies take the block
+    through the module globals, and the row norms are `_rowdot` and
+    `np.add.reduce(..., axis=-1)`.
     """
 
-    def __init__(self, ctx: EnvelopeContext, algo: Algorithm, flags: MonitorFlags,
-                 state: IterateState, f: float, feas: float, lam_norm: float):
-        self.ctx, self.algo, self.flags = ctx, algo, flags
-        self.L_f = ctx.problem.implicit_lipschitz_constant() if flags.dual_by_primal else None
+    def __init__(self, ctx: EnvelopeContext, algo: Algorithm, config: SolverConfig,
+                 state: IterateState):
+        self.ctx, self.algo, self.config = ctx, algo, config
+        problem, flags = ctx.problem, config.monitors
+        self.L_f = problem.implicit_lipschitz_constant() if flags.dual_by_primal else None
+        res = state.__dict__["residual"] = problem.constraint.A.dot(state.x) - problem.constraint.b
+        feas = self.feas = math.sqrt(res.dot(res))     # row k's, for step k's record
+        f, lam_norm = problem.objective_value(state.x), math.sqrt(state.lam.dot(state.lam))
         # the initial state's record: no step left it, so its step values are None
         self.head, self.steps = [(state, None, None, f, feas, lam_norm, None)], []
-        self.k0 = 0                 # the state of head's first record
         # row 0's objective, feasibility and multiplier norm are the initial
         # record's; its stationarity and wall time are step 0's
         self.columns = {"objective": [f], "feasibility": [feas], "lambda_norm": [lam_norm],
                         "wall_time": [], "stationarity": []}   # in the records' order
         self.inner, self.energies, self.gaps = [], [], []
         self.monitors = {"one_step_progress": [], "dual_by_primal": []}
-        self.osc_streak, self.oscillating, self.best = 0, False, np.inf
+        self.osc_streak, self.oscillating = 0, False
+        self.best, self.pending = np.inf, False    # pending: norms `best` misses
+        self.quad = problem.quadratic_terms() if problem.composite else None
+        self.prox_value = None if ctx.bounds is not None else problem.prox_part.value
+        self.h_value = problem.smooth.value if problem.composite else None
+        self.t0 = time.perf_counter()
 
-    def flush(self) -> float:
-        """Form the rows of the block's steps, and keep its last two records.
-        Returns `best`."""
+    def record(self, k: int, new: IterateState, report: StepReport) -> Optional[str]:
+        """Append step k's record, from its new state and report, and flush
+        a full block. Returns the status the step ends the run with, or
+        None; the statuses are tested in `run`'s order."""
+        x, grad_h, lam = new.x, new.grad_h, new.lam
+        g = 0.0 if self.prox_value is None else self.prox_value(x)     # 0.0 on a box or Zero
+        if self.quad is None or grad_h is None:
+            f = float(g if self.h_value is None else g + self.h_value(x))
+        else:
+            f = float(g + 0.5 * x.dot(grad_h + self.quad[1]) + self.quad[2])
+        lam_norm = math.sqrt(lam.dot(lam))
+        feas = self.feas        # row k's: the state's before the step
+        if feas <= self.config.stop.feas_tol:
+            if self.pending:     # the running minimum must cover every earlier norm
+                self.flush()
+            raw = report.stationarity_norm
+            if self.algo.running_min and raw < self.best:      # min(best, raw)
+                self.best = raw
+            stat = self.best if self.algo.running_min else raw
+        else:
+            raw, self.pending = None, self.algo.running_min
+        self.steps.append((new, raw, report.inner_iterations, f, report.feasibility, lam_norm,
+                           time.perf_counter() - self.t0))
+        if k % ROW_BLOCK == ROW_BLOCK - 1:     # the block is full (or flushed sooner)
+            self.flush()
+        self.feas = report.feasibility
+
+        if report.inner_budget_exhausted:
+            return "InnerBudgetExhausted"
+        if lam_norm > DIVERGENCE_LIMIT or abs(f) > DIVERGENCE_LIMIT:
+            return "DivergenceDetected"
+        if feas <= self.config.stop.feas_tol and stat <= self.config.stop.stat_tol:
+            return "Converged"
+        return None
+
+    def flush(self) -> None:
+        """Form the rows of the block's steps, and keep its last two records;
+        `best` is then the stationarity column's last value."""
         if not self.steps:
-            return self.best
-        ctx, algo, flags, h = self.ctx, self.algo, self.flags, len(self.head)
+            return
+        ctx, algo, flags, h = self.ctx, self.algo, self.config.monitors, len(self.head)
         records = self.head + self.steps
         states, raws, inner, *values = zip(*records)
         xs, zs, lams, residuals, grads = zip(*[(s.x, s.z, s.lam, s.residual, s.grad_h)
@@ -579,17 +635,19 @@ class _RowBlock:
         gap = new.x - prev.z
         self.gaps.extend(np.sqrt(_rowdot(gap, gap)).tolist())
 
-        # the raw norms, NaN where run formed none; ALM's are the feasibility
+        # the raw norms, NaN where record formed none; ALM's are the feasibility
         raw = np.array(values[1][h:] if algo.stationarity is None else raws[h:], dtype=float)
         if np.logical_or.reduce(lazy := np.isnan(raw)):
             raw[lazy] = _raw_norms(algo.stationarity, ctx, prev, new)[lazy]
-        # a running minimum by fmin, which passes over a NaN as run's raw < best does
-        stat = np.fmin(np.fmin.accumulate(raw), self.best) if algo.running_min else raw
-        self.best = stat[-1]
-        self.columns["stationarity"].extend(stat.tolist())
+        # a running minimum by fmin, which passes over a NaN as record's raw < best does
+        column = self.columns["stationarity"]
+        stat = (np.fmin(np.fmin.accumulate(raw), column[-1] if column else np.inf)
+                if algo.running_min else raw)
+        column.extend(stat.tolist())
+        self.best, self.pending = column[-1], False
 
         # the checks of the steps k >= 1, which leave rows 2, 3, ...
-        ks = range(self.k0 + 1, self.k0 + len(X) - 1)
+        ks = range(states[0].k + 1, states[0].k + len(X) - 1)
         back2, back1 = Lam[2:] - Lam[:-2], Lam[2:] - Lam[1:-1]
         for hit in ((np.sqrt(_rowdot(back2, back2)) <= 1e-6)
                     & (np.sqrt(_rowdot(back1, back1)) >= 1e-3)).tolist():
@@ -619,10 +677,28 @@ class _RowBlock:
         for column, vals in zip(self.columns.values(), values):
             column.extend(vals[h:])
 
-        self.k0 += len(X) - 2
         self.head = records[-2:]
         self.steps.clear()
-        return self.best
+
+    def finish(self, status: str) -> Trace:
+        """The Trace of the run, ended with `status`: the last block flushed
+        and the terminal row, whose state's values are in its record; the
+        stationarity column repeats (NaN when no step finished)."""
+        wall_time = time.perf_counter() - self.t0
+        self.flush()
+        cols = self.columns
+        cols["stationarity"].append(cols["stationarity"][-1] if cols["stationarity"] else np.nan)
+        cols["wall_time"].append(wall_time)
+        cols["k"] = range(len(cols["objective"]))
+        cols["lyapunov"] = [np.nan] + self.energies
+        cols["xz_gap"] = self.gaps + [np.nan]
+
+        columns = {name: np.asarray(cols[name], dtype=float if name != "k" else int)
+                   for name in TRACE_COLUMNS}
+        terminal = self.head[-1][0]
+        return Trace(self.config.algorithm, columns, status,
+                     terminal.k - 1 if status == "Converged" else None,
+                     self.oscillating, self.monitors, terminal, self.inner)
 
 
 def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
@@ -642,25 +718,8 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     meets a non-finite iterate, carried gradient or residual, or prox input
     (NonFiniteValue) ends the run as NonFinite, with the last finite state
     as the terminal state. A terminal row holds the final state, so the
-    trace has a row for every state. `config.validate` sets the run up.
-
-    A step leaves one record, which `_RowBlock` turns into its row a block
-    of ROW_BLOCK steps at a time. The record's objective and multiplier
-    norm are computed once, at the step, for the status checks; each row's
-    energy, xz_gap, oscillation and monitor values are computed once too, in
-    the block, since no status reads them. So is a step's stationarity norm,
-    unless row k's feasibility is <= feas_tol, where the Converged test
-    reads it: only there does `run` ask the step's report to form it, and a
-    running-min run first flushes the block, so that its running minimum
-    covers every earlier norm. The objective is g(x) + h(x).
-    g is 0 at every step's x when the prox part is a box or Zero: each step
-    of every algorithm ends with a clip onto the box, and the new state is
-    finite, so the row takes g(x) as 0.0 with no box test; other prox parts
-    are evaluated. For a quadratic h = x'Qx/2 + r'x + c and a state that
-    carries grad h(x) = Qx + r, h(x) is x'(grad h(x) + r)/2 + c, with no
-    product with Q; otherwise it is h's value. Row 0's objective is
-    `Problem.objective_value` at the init, which may lie outside the box;
-    its feasibility is the norm of A x0 - b, which the initial state keeps.
+    trace has a row for every state. `config.validate` sets the run up, and
+    `_RowBlock` keeps the rows and decides the status.
     """
     ctx = config.validate(problem)
     algo = ALGORITHMS[config.algorithm]
@@ -679,74 +738,13 @@ def run(problem: Problem, config: SolverConfig, init=None) -> Trace:
     if config.plan.mode == "horizon":
         budget = min(budget, config.plan.K)
 
-    res = state.__dict__["residual"] = problem.constraint.A.dot(state.x) - problem.constraint.b
-    feas = math.sqrt(res.dot(res))
-    rows = _RowBlock(ctx, algo, config.monitors, state, problem.objective_value(state.x),
-                     feas, math.sqrt(state.lam.dot(state.lam)))
-    status, converged_at = "MaxIters", None
-    best_measure, pending = np.inf, False   # pending: raws the running minimum misses
-    step, running_min = algo.step, algo.running_min
-    stat_tol, feas_tol = config.stop.stat_tol, config.stop.feas_tol
-    quad = problem.quadratic_terms() if problem.composite else None
-    r, c = (None, None) if quad is None else quad[1:]
-    prox_value = None if ctx.bounds is not None else problem.prox_part.value
-    h_value = problem.smooth.value if problem.composite else None
-    keep, clock = rows.steps.append, time.perf_counter
-    t0 = clock()
-
+    rows = _RowBlock(ctx, algo, config, state)
     for k in range(budget):
         try:
-            new_state, report = step(ctx, state, config)
+            state, report = algo.step(ctx, state, config)
         except NonFiniteValue:
-            status = "NonFinite"
-            break
-
-        x, grad_h, lam = new_state.x, new_state.grad_h, new_state.lam
-        g = 0.0 if prox_value is None else prox_value(x)     # 0.0 on a box or Zero
-        if quad is None or grad_h is None:
-            f = float(g if h_value is None else g + h_value(x))
-        else:
-            f = float(g + 0.5 * x.dot(grad_h + r) + c)
-        lam_norm = math.sqrt(lam.dot(lam))
-        # `feas` is row k's: the state's before the step
-        if feas <= feas_tol:
-            if pending:     # the running minimum must cover every earlier norm
-                best_measure, pending = rows.flush(), False
-            raw = stat = report.stationarity_norm
-            if running_min:
-                if raw < best_measure:      # min(best_measure, raw)
-                    best_measure = raw
-                stat = best_measure
-        else:
-            raw, pending = None, running_min
-        keep((new_state, raw, report.inner_iterations, f, report.feasibility, lam_norm,
-              clock() - t0))
-        if k % ROW_BLOCK == ROW_BLOCK - 1:     # the block is full (or flushed sooner)
-            rows.flush()
-
-        if report.inner_budget_exhausted:
-            status = "InnerBudgetExhausted"
-        elif lam_norm > DIVERGENCE_LIMIT or abs(f) > DIVERGENCE_LIMIT:
-            status = "DivergenceDetected"
-        elif feas <= feas_tol and stat <= stat_tol:
-            status, converged_at = "Converged", k
-
-        state, feas = new_state, report.feasibility
-        if status != "MaxIters":
-            break
-
-    # terminal row: the final state's values are in its record; the
-    # stationarity column repeats (NaN when no step finished)
-    wall_time = clock() - t0
-    rows.flush()
-    cols = rows.columns
-    cols["stationarity"].append(cols["stationarity"][-1] if cols["stationarity"] else np.nan)
-    cols["wall_time"].append(wall_time)
-    cols["k"] = range(len(cols["objective"]))
-    cols["lyapunov"] = [np.nan] + rows.energies
-    cols["xz_gap"] = rows.gaps + [np.nan]
-
-    columns = {name: np.asarray(cols[name], dtype=float if name != "k" else int)
-               for name in TRACE_COLUMNS}
-    return Trace(config.algorithm, columns, status, converged_at, rows.oscillating,
-                 rows.monitors, state, rows.inner)
+            return rows.finish("NonFinite")
+        status = rows.record(k, state, report)
+        if status is not None:
+            return rows.finish(status)
+    return rows.finish("MaxIters")

@@ -470,6 +470,26 @@ class TestCLI:
         assert code == 2
         assert "schema error at objective.prox" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage, field", [
+        (lambda doc: doc.update(objective=0.0), "objective"),
+        (lambda doc: doc["objective"].update(smooth=1e-320), "objective.smooth"),
+        # a JSON integer beyond float range
+        (lambda doc: doc["constraint"]["b"].__setitem__(0, int("9" * 400)), "constraint"),
+        # b as a 1 x 1 matrix on a one-row constraint
+        (lambda doc: doc["constraint"].update(b=[doc["constraint"]["b"]]), "constraint"),
+    ], ids=["objective-number", "smooth-number", "b-beyond-float", "b-nested"])
+    def test_a_malformed_problem_file_exits_2_naming_its_field(self, damage, field,
+                                                               tmp_path, capsys):
+        save_problem(m.build_exp2(seed=3, m=1, n=6), tmp_path / "qp.json")
+        doc = json.loads((tmp_path / "qp.json").read_text())
+        damage(doc)
+        (tmp_path / "qp.json").write_text(json.dumps(doc))
+        code = main(["solve", "--input", str(tmp_path / "qp.json"), "--algorithm", "meal",
+                     "--gamma", "0.1", "--beta", "10", "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: schema error at {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_solve_sets_the_run_up_once(self, tmp_path, monkeypatch):
         # one context, and one check of ALM's free-block curvature, in validate
         from mealopt import oracle, solvers

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mealopt as m
-from mealopt.envelope import EnvelopeContext
+from mealopt.envelope import EnvelopeContext, SubproblemResult
 from mealopt.errors import (
     GammaTooLarge,
     MealoptError,
@@ -1381,6 +1381,14 @@ def test_face_solves_skip_the_np_linalg_solve_wrapper(fn):
                          "of its source; use envelope._System.solve")
 
 
+def test_the_row_record_multiplies_through_ndarray_dot():
+    """`_RowBlock.record` runs once a step, where a row's objective and
+    multiplier norm are formed, so the per-step product rule holds for it."""
+    from mealopt.solvers import _RowBlock
+
+    test_per_step_products_go_through_ndarray_dot(_RowBlock.record)
+
+
 @st.composite
 def _gradient_turns(draw):
     """A convex composite problem (n <= 6, a box, Zero or L1 prox part) whose
@@ -1979,3 +1987,46 @@ def test_a_run_that_ends_early_forms_the_stationarity_of_chained_steps(make, cfg
     assert tr.n_rows > 5
     inline = feasibility <= feas_tol
     assert inline.any() and not inline.all()
+
+
+# ---------------------------------------------------------------------------
+# the status order
+# ---------------------------------------------------------------------------
+
+
+class _ExhaustedAtTenMillion(m.InnerProxGradient):
+    """A solve that runs out of inner iterations at x = 1e7."""
+
+    def solve(self, ctx, z, lam, grad_h=None, tol=None, warm_start=None):
+        return SubproblemResult(np.full(z.shape[0], 1e7), None, None, self.max_inner,
+                                budget_exhausted=True)
+
+
+@pytest.mark.parametrize("algorithm, subproblem, want", [
+    *[(name, "auto", "DivergenceDetected") for name in ALGORITHMS],
+    *[(name, _ExhaustedAtTenMillion(), "InnerBudgetExhausted")
+      for name in ("meal", "imeal", "limeal")],
+], ids=[*(f"divergence-over-converged-{name}" for name in ALGORITHMS),
+        *(f"budget-over-divergence-{name}" for name in ("meal", "imeal", "limeal"))])
+def test_the_first_status_in_the_order_ends_the_run(algorithm, subproblem, want):
+    """After a step the statuses are tested in one order: InnerBudgetExhausted,
+    DivergenceDetected, then Converged. From zeros the problem is feasible
+    and stationary, and its objective h(0) = 2e12 passes DIVERGENCE_LIMIT,
+    so with its own subproblem solve every algorithm's first step meets both
+    DivergenceDetected and Converged. A solve that runs out of inner
+    iterations at x = 1e7, where the objective passes the limit too, meets
+    both InnerBudgetExhausted and DivergenceDetected."""
+    from mealopt.solvers import DIVERGENCE_LIMIT
+
+    prob = m.Problem(m.LinearConstraint([[1.0]], [0.0]), m.Zero(),
+                     m.QuadraticSmooth([[1.0]], c=2e12))
+    cfg = m.SolverConfig(algorithm, m.PenaltyPlan.fixed(beta=1.0, gamma=0.5, eta=1.0),
+                         subproblem=subproblem)
+    tr = m.run(prob, cfg)
+    assert (tr.status, tr.n_rows - 1) == (want, 1)
+    assert abs(tr.column("objective")[1]) > DIVERGENCE_LIMIT
+    if subproblem == "auto":     # the Converged test holds at row 0 too
+        assert tr.column("feasibility")[0] <= cfg.stop.feas_tol
+        assert tr.column("stationarity")[0] <= cfg.stop.stat_tol
+    else:
+        assert tr.inner_iterations == [subproblem.max_inner]
