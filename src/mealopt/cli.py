@@ -26,7 +26,6 @@ from .envelope import (
     Paper72FastPath,
     PenaltyPlan,
     alpha_cap,
-    beta_for_target_alpha,
 )
 from .errors import MealoptError
 from .experiments import (DEFAULT_SEED, DEFAULT_STOP, EXP2_STOP, ExperimentSpec,
@@ -123,12 +122,8 @@ def _out_dir(value) -> Path:
 
 
 def _cmd_solve(args) -> int:
-    # every penalty and schedule flag given must take effect
-    if args.epsilon0 is not None and args.algorithm != "imeal":
-        return _error(f"--epsilon0 sets imeal's schedule; {args.algorithm} has none")
-    if args.beta is not None and (args.horizon_k is not None
-                                  or args.alpha_target is not None):
-        return _error("--beta fixes the penalty; drop --horizon-K and --alpha-target")
+    # the plan and the config refuse a penalty or schedule setting they would
+    # not read; the CLI checks only its own --cap-variant and --output-dir
     if args.cap_variant is not None and (args.alpha_target is None
                                          or args.horizon_k is not None):
         return _error("--cap-variant caps --alpha-target with a fixed beta; "
@@ -139,24 +134,12 @@ def _cmd_solve(args) -> int:
         return _error(f"cannot make output directory {out}: {nearest} is not a directory")
     problem = load_problem(args.input)
     try:
-        if args.horizon_k is not None:
-            if args.alpha_target is None:
-                return _error("--horizon-K needs --alpha-target")
-            plan = PenaltyPlan.horizon(args.horizon_k, args.alpha_target,
-                                       gamma=args.gamma, eta=args.eta)
-        else:
-            beta = args.beta
-            if beta is None:
-                if args.alpha_target is None:
-                    return _error("choose a penalty: --beta, or --alpha-target "
-                                  "(optionally with --cap-variant)")
-                probe = PenaltyPlan.fixed(1.0, gamma=args.gamma, eta=args.eta)
-                target = args.alpha_target
-                if args.cap_variant is not None:
-                    target = min(target, alpha_cap(problem, probe, args.cap_variant))
-                c_gamma_A = probe.c_gamma_A(problem.constraint)
-                beta = beta_for_target_alpha(target, args.gamma, args.eta, c_gamma_A)
-            plan = PenaltyPlan.fixed(beta, gamma=args.gamma, eta=args.eta)
+        plan = PenaltyPlan("fixed" if args.horizon_k is None else "horizon",
+                           args.gamma, args.eta, beta=args.beta, K=args.horizon_k,
+                           alpha_target=args.alpha_target)
+        if args.cap_variant is not None:
+            plan = replace(plan, alpha_target=min(
+                args.alpha_target, alpha_cap(problem, plan, args.cap_variant)))
         sub = "auto" if args.subproblem_path is None else _SUBPROBLEMS[args.subproblem_path]()
         config = SolverConfig(
             args.algorithm, plan, subproblem=sub,

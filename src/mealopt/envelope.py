@@ -75,8 +75,12 @@ __all__ = [
 class PenaltyPlan:
     """Penalty schedule plus the proximal and primal step parameters.
 
-    mode "fixed": constant beta. mode "horizon": run exactly K iterations
-    with the constant beta_k that makes alpha_k == alpha_target / K.
+    mode "fixed": a constant beta, given in one of two shapes: `beta`
+    itself, or `alpha_target`, from which `beta_for` takes the smallest beta
+    whose alpha lies below it (`beta_for_target_alpha`, with its margin).
+    mode "horizon": run exactly K iterations with the constant beta_k that
+    makes alpha_k == alpha_target / K. A mode refuses the field it does not
+    read: K in fixed mode, beta in horizon mode.
     """
 
     mode: str
@@ -93,14 +97,17 @@ class PenaltyPlan:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if not (0.0 < self.eta < 2.0):
             raise ValueError("eta must lie in (0, 2)")
-        if self.mode == "fixed":
-            if self.beta is None or not 0 < self.beta < math.inf:
-                raise ValueError(f"fixed mode needs a finite beta > 0, got {self.beta}")
-        else:
-            if not isinstance(self.K, (int, np.integer)) or self.K < 1:
-                raise ValueError(f"horizon mode needs an integer K >= 1, got {self.K!r}")
-            if self.alpha_target is None or not 0 < self.alpha_target < math.inf:
-                raise ValueError("horizon mode needs a finite alpha_target > 0")
+        unread = "K" if self.mode == "fixed" else "beta"
+        if getattr(self, unread) is not None:
+            raise ValueError(f"{self.mode} mode reads no {unread}, got {getattr(self, unread)!r}")
+        if self.mode == "fixed" and (self.beta is None) == (self.alpha_target is None):
+            raise ValueError("fixed mode takes exactly one of beta and alpha_target")
+        if self.mode == "horizon" and not (isinstance(self.K, (int, np.integer)) and self.K >= 1):
+            raise ValueError(f"horizon mode needs an integer K >= 1, got {self.K!r}")
+        name = "alpha_target" if self.beta is None else "beta"
+        value = getattr(self, name)
+        if value is None or not 0 < value < math.inf:
+            raise ValueError(f"{self.mode} mode needs a finite {name} > 0, got {value}")
 
     @staticmethod
     def fixed(beta: float, gamma: float, eta: float) -> "PenaltyPlan":
@@ -116,9 +123,10 @@ class PenaltyPlan:
         return self.gamma ** 2 * constraint.gram_spectrum[1]
 
     def beta_for(self, constraint) -> float:
-        """The penalty the plan fixes on the constraint: beta, or in horizon
-        mode the constant that makes alpha equal alpha_target / K."""
-        if self.mode == "fixed":
+        """The penalty the plan fixes on the constraint: beta; for an
+        alpha_target, the fixed-mode beta of `beta_for_target_alpha`, or in
+        horizon mode the constant that makes alpha equal alpha_target / K."""
+        if self.beta is not None:
             return self.beta
         return beta_for_target_alpha(self.alpha_target, self.gamma, self.eta,
                                      self.c_gamma_A(constraint), horizon_K=self.K)

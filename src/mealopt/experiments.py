@@ -65,6 +65,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.id not in ("exp1", "exp2", "custom"):
             raise ValueError("id must be exp1, exp2 or custom")
+        # an id refuses the fields it does not read
+        if self.id != "exp2" and (self.seed, self.m, self.n) != (DEFAULT_SEED, None, None):
+            raise ValueError(f"{self.id} reads no seed, m or n; only exp2 draws an instance")
+        if self.id != "custom" and self.grid:
+            raise ValueError(f"{self.id} reads no grid; only custom runs one")
         if self.stop is None:
             object.__setattr__(self, "stop",
                                EXP2_STOP if self.id == "exp2" else DEFAULT_STOP)

@@ -60,6 +60,15 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _made(where: str, make, *args):
+    """make(*args), the value of field `where`; its conversion error is a
+    SchemaError at that field."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(where, str(exc)) from None
+
+
 def _need(obj, key: str, where: str):
     """obj[key], where obj is the node at field `where`, which must be an object."""
     if key not in _object(obj, where):
@@ -98,10 +107,7 @@ def _implicit_in(obj, where: str) -> ImplicitClass:
     if kind == "unknown":
         return ImplicitClass.unknown()
     constant = _need(obj, "constant", where)
-    try:
-        return ImplicitClass(kind, float(constant))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(where, str(exc)) from None
+    return _made(where, lambda: ImplicitClass(kind, float(constant)))
 
 
 def _implicit_out(cls: ImplicitClass) -> dict:
@@ -182,12 +188,13 @@ def load_problem(path) -> Problem:
     for key, value in data.items():
         _numbers_only(value, key)
 
+    # A and b are converted one by one, so an error in either names its field
     cons = _need(data, "constraint", "problem")
-    try:
-        constraint = LinearConstraint(_need(cons, "A", "constraint"),
-                                      _need(cons, "b", "constraint"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError("constraint", str(exc)) from None
+    A = _made("constraint.A", np.asarray, _need(cons, "A", "constraint"), float)
+    b = _made("constraint.b", np.asarray, _need(cons, "b", "constraint"), float)
+    if b.ndim > 1:
+        raise SchemaError("constraint.b", f"must be a flat array of numbers, got shape {b.shape}")
+    constraint = _made("constraint", LinearConstraint, A, b)
 
     obj = _object(_need(data, "objective", "problem"), "objective")
     smooth_obj = obj.get("smooth")
@@ -197,19 +204,14 @@ def load_problem(path) -> Problem:
         if kind != "quadratic":
             raise SchemaError("objective.smooth.kind",
                               f"only 'quadratic' is serializable, got {kind!r}")
-        try:
-            smooth = QuadraticSmooth(*_quadratic_in(smooth_obj, "objective.smooth"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError("objective.smooth", str(exc)) from None
+        smooth = _made("objective.smooth",
+                       lambda: QuadraticSmooth(*_quadratic_in(smooth_obj, "objective.smooth")))
 
     prox_part = _prox_in(_need(obj, "prox", "objective"), "objective.prox")
     cls = obj.get("implicit_class")
     if cls is not None:
         prox_part.implicit_class = _implicit_in(cls, "objective.implicit_class")
-    try:
-        return Problem(constraint, prox_part, smooth)
-    except ValueError as exc:
-        raise SchemaError("problem", str(exc)) from None
+    return _made("problem", Problem, constraint, prox_part, smooth)
 
 
 def save_problem(problem: Problem, path) -> None:

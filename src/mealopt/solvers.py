@@ -14,7 +14,8 @@ running minimum, the energy recorded in the `lyapunov` column (a Lyapunov
 family, the augmented Lagrangian or the potential P), the envelope gradient's
 z-block that the stationarity norm is formed from, the tuple of subproblem
 spec types it accepts (empty for the two algorithms that solve no envelope
-subproblem), and its own check on the config and context. A run is set up
+subproblem), its own check on the config and context, and whether its step
+reads the config's epsilon schedule (only imeal's does). A run is set up
 once: `SolverConfig.validate` builds the context that `run` steps with.
 """
 
@@ -197,12 +198,15 @@ class SolverConfig:
 
     def validate(self, problem: Problem) -> EnvelopeContext:
         """Check the config on the problem and return the context `run` steps
-        with, in order: the algorithm, the spec it takes, gamma < 1/modulus,
-        the context (PenaltyOutOfRange unless beta and alpha are positive and
-        finite; the spec's check), the algorithm's check on it, the monitors."""
+        with, in order: the algorithm, a schedule only where its step reads
+        one, the spec it takes, gamma < 1/modulus, the context
+        (PenaltyOutOfRange unless beta and alpha are positive and finite; the
+        spec's check), the algorithm's check on it, the monitors."""
         algo = ALGORITHMS.get(self.algorithm)
         if algo is None:
             raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
+        if not algo.reads_schedule and self.epsilon_schedule != EpsilonSchedule():
+            raise ValueError(f"{self.algorithm} reads no epsilon_schedule")
         if self.subproblem != "auto" and not isinstance(self.subproblem, algo.accepts):
             names = ", ".join(cls.__name__ for cls in algo.accepts) or "none"
             raise InvalidSubproblemPath(
@@ -442,6 +446,7 @@ class Algorithm:
     accepts: tuple = (InnerProxGradient,)
     check: Callable = lambda config, ctx: None  # raises when a requirement is unmet
     progress_monitor: bool = False  # the one-step progress monitor applies
+    reads_schedule: bool = False    # the step reads config.epsilon_schedule
 
 
 ALGORITHMS = {
@@ -451,7 +456,8 @@ ALGORITHMS = {
         progress_monitor=True),
     "imeal": Algorithm(
         lambda ctx, st, cfg: imeal_step(ctx, st, cfg.epsilon_schedule(st.k)),
-        lambda p: p.rho_total, True, _lyapunov_energy("imeal"), _meal_stationarity),
+        lambda p: p.rho_total, True, _lyapunov_energy("imeal"), _meal_stationarity,
+        reads_schedule=True),
     # the linearized updates only see g's curvature
     "limeal": Algorithm(
         lambda ctx, st, cfg: limeal_step(ctx, st),

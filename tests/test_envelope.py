@@ -847,9 +847,33 @@ class TestAlphaCap:
         assert caps == self.PINNED[name, gamma, eta]
 
 
+@pytest.mark.parametrize("prob", [m.build_exp1(), make_convex_qp(3), m.build_exp2(3, 2, 6)],
+                         ids=["exp1", "convex-qp", "exp2"])
+@pytest.mark.parametrize("target", [1e-3, 0.5, 10.0])
+def test_a_fixed_target_fixes_the_beta_of_beta_for_target_alpha(prob, target):
+    plan = m.PenaltyPlan("fixed", 0.05, 0.7, alpha_target=target)
+    want = beta_for_target_alpha(target, 0.05, 0.7, plan.c_gamma_A(prob.constraint))
+    ctx = EnvelopeContext(prob, plan)
+    assert ctx.beta.hex() == want.hex()
+    assert ctx.alpha < target      # the fixed mode's margin keeps alpha below it
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda prob: m.PenaltyPlan("adaptive", 0.1, 1.0, beta=1.0), ValueError,
      "unknown mode 'adaptive'"),
+    # a mode refuses the field it does not read, and fixed takes one penalty shape
+    (lambda prob: m.PenaltyPlan("fixed", 0.1, 1.0, beta=1.0, K=3), ValueError,
+     "fixed mode reads no K, got 3"),
+    (lambda prob: m.PenaltyPlan("fixed", 0.1, 1.0, beta=1.0, alpha_target=2.0), ValueError,
+     "exactly one of beta and alpha_target"),
+    (lambda prob: m.PenaltyPlan("fixed", 0.1, 1.0), ValueError,
+     "exactly one of beta and alpha_target"),
+    (lambda prob: m.PenaltyPlan("horizon", 0.5, 1.0, beta=50.0, K=3, alpha_target=2.0),
+     ValueError, "horizon mode reads no beta, got 50.0"),
+    (lambda prob: m.PenaltyPlan("horizon", 0.5, 1.0, K=3), ValueError,
+     "horizon mode needs a finite alpha_target > 0, got None"),
+    (lambda prob: m.PenaltyPlan("fixed", 0.1, 1.0, alpha_target=-1.0), ValueError,
+     "fixed mode needs a finite alpha_target > 0, got -1.0"),
     (lambda prob: alpha_cap(prob, m.PenaltyPlan.fixed(1.0, 0.1, 1.0), "meal-c"),
      ValueError, "variant must be one of"),
     # gamma = 0.5 = 1/rho
@@ -862,7 +886,8 @@ class TestAlphaCap:
     (lambda prob: lyapunov(EnvelopeContext(prob, m.PenaltyPlan.fixed(1.0, 0.1, 1.0)),
                            "limeal-s1", *[m.IterateState([0.0, 0.0], [0.0, 0.0], [0.0])] * 2),
      NotComposite, "composite"),
-], ids=["plan-mode", "cap-variant", "meal-gamma", "imeal-gamma", "lyapunov-variant",
+], ids=["plan-mode", "fixed-with-K", "fixed-with-both", "fixed-with-neither",
+        "horizon-with-beta", "horizon-without-target", "fixed-negative-target", "cap-variant", "meal-gamma", "imeal-gamma", "lyapunov-variant",
         "lyapunov-limeal-pure"])
 def test_calculus_rejects(call, error, match):
     # g = x^2 - y^2 and no h: a pure problem of modulus 2

@@ -203,6 +203,22 @@ def test_an_unknown_experiment_id_is_rejected():
         m.ExperimentSpec("exp3")
 
 
+_GRID = (("meal", m.build_exp1(), m.SolverConfig("meal", m.PenaltyPlan.fixed(50.0, 0.25, 1.0))),)
+
+
+@pytest.mark.parametrize("fields, match", [
+    (dict(id="exp1", seed=5), "exp1 reads no seed, m or n"),
+    (dict(id="exp1", seed=5, m=3, n=9), "exp1 reads no seed, m or n"),
+    (dict(id="custom", m=3), "custom reads no seed, m or n"),
+    (dict(id="custom", n=9, grid=_GRID), "custom reads no seed, m or n"),
+    (dict(id="exp2", grid=_GRID), "exp2 reads no grid"),
+    (dict(id="exp1", grid=_GRID), "exp1 reads no grid"),
+], ids=["exp1-seed", "exp1-sizes", "custom-m", "custom-n", "exp2-grid", "exp1-grid"])
+def test_a_spec_refuses_a_field_its_id_does_not_read(fields, match):
+    with pytest.raises(ValueError, match=match):
+        m.ExperimentSpec(**fields)
+
+
 def test_iterations_to_tol_of_an_unknown_label():
     bundle = m.ExperimentBundle(m.ExperimentSpec("exp1"),
                                 summary=[{"run": "meal", "iterations_to_tol": 7}])

@@ -173,10 +173,15 @@ class TestProblemRoundTrip:
     ("[1, 2]", None, "top level must be an object"),
     (json.dumps({"constraint": {"A": [[1.0, 2.0]], "b": [1.0, 2.0]},
                  "objective": {"prox": {"kind": "zero"}}}), "constraint", "b has 2 rows"),
+    # A and b are converted one by one, so an error in one names it
+    (json.dumps({"constraint": {"A": [[1.0], [1.0, 2.0]], "b": [0.0, 0.0]},
+                 "objective": {"prox": {"kind": "zero"}}}), "constraint.A", "sequence"),
+    (json.dumps({"constraint": {"A": [[1.0]], "b": [[0.0]]},
+                 "objective": {"prox": {"kind": "zero"}}}), "constraint.b", "flat array"),
     (json.dumps({"constraint": {"A": [[1.0]], "b": [0.0]},
                  "objective": {"smooth": {"kind": "logistic"}, "prox": {"kind": "zero"}}}),
      "objective.smooth.kind", "only 'quadratic'"),
-], ids=["top-level", "constraint", "smooth-kind"])
+], ids=["top-level", "constraint", "ragged-A", "nested-b", "smooth-kind"])
 def test_load_problem_rejects(tmp_path, text, field, match):
     path = tmp_path / "p.json"
     path.write_text(text)
@@ -340,6 +345,10 @@ class TestCLI:
         [*RUNS, "--horizon-K", "5", "--alpha-target", "1", "--cap-variant", "meal-b"],
         [*RUNS, "--beta", "1", "--epsilon0", "0.1"],
         ["solve", "--algorithm", "alm", "--beta", "1", "--max-iters", "5", "--eta", "0.5"],
+        # a penalty the plan cannot fix, and an eta outside (0, 2)
+        [*RUNS, "--horizon-K", "5"],
+        [*RUNS],
+        [*RUNS, "--beta", "1", "--eta", "2"],
         # penalties whose alpha is not a positive finite float
         [*PENALTY, "--beta", "1e300"],
         [*PENALTY, "--horizon-K", "3", "--alpha-target", "1e-300"],
@@ -360,7 +369,8 @@ class TestCLI:
     ], ids=["solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
             "cap-variant-with-beta", "cap-variant-with-horizon-k",
-            "epsilon0-without-imeal", "alm-eta-half", "beta-overflow",
+            "epsilon0-without-imeal", "alm-eta-half", "horizon-k-without-target",
+            "no-penalty", "eta-two", "beta-overflow",
             "horizon-beta-overflow", "gamma-underflow", "horizon-target-underflow",
             "target-underflow", "epsilon0-nan", "stat-tol-nan", "feas-tol-nan",
             "beta-inf", "gamma-inf", "alpha-target-inf", "tolerances-inf", "epsilon0-inf"])
@@ -474,9 +484,9 @@ class TestCLI:
         (lambda doc: doc.update(objective=0.0), "objective"),
         (lambda doc: doc["objective"].update(smooth=1e-320), "objective.smooth"),
         # a JSON integer beyond float range
-        (lambda doc: doc["constraint"]["b"].__setitem__(0, int("9" * 400)), "constraint"),
+        (lambda doc: doc["constraint"]["b"].__setitem__(0, int("9" * 400)), "constraint.b"),
         # b as a 1 x 1 matrix on a one-row constraint
-        (lambda doc: doc["constraint"].update(b=[doc["constraint"]["b"]]), "constraint"),
+        (lambda doc: doc["constraint"].update(b=[doc["constraint"]["b"]]), "constraint.b"),
     ], ids=["objective-number", "smooth-number", "b-beyond-float", "b-nested"])
     def test_a_malformed_problem_file_exits_2_naming_its_field(self, damage, field,
                                                                tmp_path, capsys):
@@ -570,6 +580,48 @@ class TestCLI:
                      "--cap-variant", "meal-a", "--output-dir", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("build, algorithm, gamma, penalty", [
+        (m.build_exp1, "meal", 0.25, ["--alpha-target", "1", "--cap-variant", "meal-a"]),
+        (lambda: m.build_exp2(3, 2, 6), "limeal", 0.05, ["--alpha-target", "0.01"]),
+        (lambda: m.build_exp2(3, 2, 6), "meal", 0.05,
+         ["--horizon-K", "40", "--alpha-target", "0.5"]),
+    ], ids=["exp1-meal-capped", "qp-limeal-target", "qp-meal-horizon"])
+    def test_an_alpha_target_solves_as_the_library_at_the_hand_made_beta(
+            self, build, algorithm, gamma, penalty, tmp_path, monkeypatch):
+        """The plan the CLI builds from its penalty flags fixes the beta
+        that was once formed by hand from a probe plan: c_gamma_A, the
+        capped target, then beta_for_target_alpha."""
+        from mealopt.envelope import alpha_cap, beta_for_target_alpha
+
+        save_problem(build(), tmp_path / "p.json")
+        problem = load_problem(tmp_path / "p.json")
+        flags = dict(zip(penalty[::2], penalty[1::2]))
+        target = float(flags["--alpha-target"])
+        if "--horizon-K" in flags:
+            plan = m.PenaltyPlan.horizon(int(flags["--horizon-K"]), target, gamma, 1.0)
+        else:
+            probe = m.PenaltyPlan.fixed(1.0, gamma, 1.0)
+            if "--cap-variant" in flags:
+                target = min(target, alpha_cap(problem, probe, flags["--cap-variant"]))
+            plan = m.PenaltyPlan.fixed(beta_for_target_alpha(
+                target, gamma, 1.0, probe.c_gamma_A(problem.constraint)), gamma, 1.0)
+        stop = m.StopRule(300, 1e-6, 1e-6)
+        save_trace(m.run(problem, m.SolverConfig(algorithm, plan, stop=stop)),
+                   tmp_path / "library.csv")
+        configs, real_run = [], cli.run
+        monkeypatch.setattr(cli, "run", lambda p, c: configs.append(c) or real_run(p, c))
+        code = main(["solve", "--input", str(tmp_path / "p.json"), "--algorithm", algorithm,
+                     "--gamma", str(gamma), *penalty, "--max-iters", "300",
+                     "--output-dir", str(tmp_path / "cli")])
+        assert code in (0, 3)
+        assert configs[0].validate(problem).beta == plan.beta_for(problem.constraint)
+        want = load_trace_columns(tmp_path / "library.csv")
+        got = load_trace_columns(tmp_path / "cli" / f"{algorithm}_trace.csv")
+        assert len(got["k"]) >= 2
+        for name in CSV_HEADER.split(","):
+            if name != "wall_time":
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
     def test_alpha_target_makes_one_gram_eigendecomposition(self, tmp_path,
                                                             monkeypatch):
         prob_path = tmp_path / "p.json"
@@ -589,6 +641,36 @@ class TestCLI:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
+
+    def test_check_fails_on_a_wrong_closed_form(self, capsys, monkeypatch):
+        # an L1 prox that forgets to shrink: the grid oracle tells it apart
+        monkeypatch.setattr(m.L1, "prox", lambda self, gamma, v: np.asarray(v, dtype=float))
+        assert main(["check"]) == 1
+        out, err = capsys.readouterr()
+        failed = [line.split(" (")[0] for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == ["[FAIL] prox[l1] vs grid oracle",
+                          "[FAIL] envelope gradient[l1] finite differences"]
+        assert err == "2 check(s) failed\n" and "all checks passed" not in out
+
+    @pytest.mark.parametrize("argv, label", [
+        (["exp1", "--max-iters", "5"], "alm_beta50"),
+        (["exp2", "--m", "2", "--n", "6", "--max-iters", "5"], "ialm"),
+    ], ids=["exp1", "exp2"])
+    def test_a_failed_experiment_run_is_reported_and_exits_3(self, argv, label, tmp_path,
+                                                            capsys, monkeypatch):
+        from mealopt import experiments
+
+        def run(problem, config, init=None):
+            if config.algorithm in ("alm", "prox_ialm") and config.plan.eta == 1.0:
+                raise ValueError("no run here")
+            return real(problem, config, init=init)
+
+        real = experiments.run
+        monkeypatch.setattr(experiments, "run", run)
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert err == f"{label}: ERROR ValueError: no run here\n"
+        assert f"{label}:" not in out and out.endswith(f"under {tmp_path / argv[0]}\n")
 
     def test_subproblem_path_flag_paper72(self, tmp_path):
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
@@ -636,6 +718,9 @@ class TestCLI:
         done = run_module("prox-table", "--kind", "l1", *grid, "--output", str(out))
         assert done.returncode == 2
         assert done.stderr.startswith("error:")
+        assert not out.exists()
+        # and in process, once the module run has shown that it ends
+        assert main(["prox-table", "--kind", "l1", *grid, "--output", str(out)]) == 2
         assert not out.exists()
 
     def test_prox_table_bad_parameter_exits_2(self, capsys):

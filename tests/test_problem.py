@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import mealopt as m
 from mealopt.errors import AllZeroMatrix, GammaTooLarge, MissingMetadata
 from mealopt.oracle import finite_diff_check, grid_prox_oracle
-from mealopt.problem import moreau_value_grad
+from mealopt.problem import _vec, moreau_value_grad
 from mealopt.rng import SplitMix64
 from tests.conftest import new_memory_peak
 
@@ -427,6 +427,19 @@ class TestObjectiveValue:
 
     def test_outside_domain_is_inf(self, exp1_problem):
         assert exp1_problem.objective_value([2.0, 2.0]) == np.inf
+
+
+@pytest.mark.parametrize("call, arg", [
+    (_vec, 2.5),
+    (m.QuadraticForm(Q=[[2.0, 0.5], [0.5, 1.0]], r=[1.0, 0.0]).gradient, [1.0, 3.0]),
+    (m.build_exp1().smooth_gradient, [1.0, 3.0]),
+    (lambda x: m.objective_value(m.build_exp1(), x), [0.5, -0.25]),
+], ids=["vec-of-a-scalar", "quadratic-form-gradient", "smooth-gradient",
+        "module-objective-value"])
+def test_a_list_or_scalar_reads_as_its_float_vector(call, arg):
+    got, want = call(arg), call(np.atleast_1d(np.asarray(arg, dtype=float)))
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == float
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestSmallestPositiveEigenvalue:

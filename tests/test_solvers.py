@@ -815,7 +815,12 @@ def test_chained_steps_are_the_run(algorithm, step):
     (L1_PROBLEM, m.SolverConfig(
         "meal", m.PenaltyPlan.fixed(5.0, 0.3, 1.0),
         monitors=m.MonitorFlags(one_step_progress=True)), "s1 Lyapunov"),
-], ids=["alm-eta-half", "progress-monitor-bounded-class"])
+    # only imeal's step reads a schedule
+    *[(m.build_exp1(), m.SolverConfig(name, m.PenaltyPlan.fixed(50.0, 0.25, 1.0),
+                                      epsilon_schedule=m.EpsilonSchedule(0.5)),
+       f"{name} reads no epsilon_schedule") for name in ALGORITHMS if name != "imeal"],
+], ids=["alm-eta-half", "progress-monitor-bounded-class",
+        *[f"{name}-schedule" for name in ALGORITHMS if name != "imeal"]])
 def test_validate_rejects_a_setting_the_run_cannot_honour(prob, cfg, match):
     with pytest.raises(ValueError, match=match):
         cfg.validate(prob)
