@@ -4,6 +4,10 @@ Subcommands: solve (run one algorithm on a problem file), exp1/exp2 (the two
 scripted benchmarks), check (self-certification suite), prox-table (dump prox
 values over a grid, e.g. for golden-file regeneration).
 
+Flags are parsed as plain numbers: the library object that reads a value
+refuses it, and the CLI checks only its own --cap-variant, --output-dir and
+prox-table's grid.
+
 Exit codes: 0 success, 2 usage, schema or unwritable-output error, 3 solver
 non-convergence (traces are still written). Default output directory comes
 from the MEALOPT_OUT_DIR environment variable, falling back to ./runs.
@@ -41,22 +45,6 @@ _SUBPROBLEMS = {
 PROX_TABLE_MAX_POINTS = 10 ** 6   # prox-table's largest grid
 
 
-def _positive(flag: str, kind=float):
-    def parse(text: str):
-        val = kind(text)
-        if not val > 0:
-            raise argparse.ArgumentTypeError(f"{flag} must be positive, got {text}")
-        return val
-    return parse
-
-
-def _eta(text: str) -> float:
-    val = float(text)
-    if not (0.0 < val < 2.0):
-        raise argparse.ArgumentTypeError(f"--eta must lie in (0, 2), got {text}")
-    return val
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mealopt",
                                      description="Envelope-smoothed augmented "
@@ -71,46 +59,46 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the trace path.")
     solve.add_argument("--input", required=True, help="problem JSON path")
     solve.add_argument("--algorithm", required=True, choices=tuple(ALGORITHMS))
-    solve.add_argument("--beta", type=_positive("--beta"))
-    solve.add_argument("--gamma", type=_positive("--gamma"), default=0.5)
-    solve.add_argument("--eta", type=_eta, default=1.0)
-    solve.add_argument("--horizon-K", type=_positive("--horizon-K", int), dest="horizon_k")
-    solve.add_argument("--alpha-target", type=_positive("--alpha-target"),
-                       dest="alpha_target")
+    solve.add_argument("--beta", type=float)
+    solve.add_argument("--gamma", type=float, default=0.5)
+    solve.add_argument("--eta", type=float, default=1.0)
+    solve.add_argument("--horizon-K", type=int, dest="horizon_k")
+    solve.add_argument("--alpha-target", type=float, dest="alpha_target")
     solve.add_argument("--cap-variant", default=None, choices=_VARIANTS,
                        help="with --alpha-target and a fixed beta: use the "
-                            "smaller of the target and this variant's "
-                            "admissible cap")
-    solve.add_argument("--epsilon0", type=_positive("--epsilon0"))
-    solve.add_argument("--max-iters", type=_positive("--max-iters", int), default=2000)
-    solve.add_argument("--stat-tol", type=_positive("--stat-tol"), default=1e-6)
-    solve.add_argument("--feas-tol", type=_positive("--feas-tol"), default=1e-6)
+                            "smaller of the target and the admissible cap of "
+                            "this variant, one of --algorithm's own")
+    solve.add_argument("--epsilon0", type=float)
+    solve.add_argument("--max-iters", type=int, default=2000)
+    solve.add_argument("--stat-tol", type=float, default=1e-6)
+    solve.add_argument("--feas-tol", type=float, default=1e-6)
     solve.add_argument("--subproblem-path", choices=tuple(_SUBPROBLEMS), default=None)
     solve.add_argument("--output-dir", default=None)
 
     for name in ("exp1", "exp2"):
         p = sub.add_parser(name, help=f"reproduce benchmark {name}")
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--max-iters", type=_positive("--max-iters", int),
+        p.add_argument("--max-iters", type=int,
                        default=(EXP2_STOP if name == "exp2" else DEFAULT_STOP).max_iters)
         if name == "exp2":
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-            p.add_argument("--m", type=_positive("--m", int))
-            p.add_argument("--n", type=_positive("--n", int))
+            p.add_argument("--m", type=int)
+            p.add_argument("--n", type=int)
 
     sub.add_parser("check", help="run the oracle certification suite")
 
     prox = sub.add_parser("prox-table", help="dump prox values over a 1-D grid")
     prox.add_argument("--kind", required=True, choices=(*_PROX_KINDS, "box"))
-    prox.add_argument("--gamma", type=_positive("--gamma"), default=0.5)
-    prox.add_argument("--lam", type=_positive("--lam"), default=1.0)
-    prox.add_argument("--a", type=_positive("--a"), default=3.7)
-    prox.add_argument("--weight", type=_positive("--weight"), default=1.0)
+    prox.add_argument("--gamma", type=float, default=0.5)
+    prox.add_argument("--lam", type=float, default=1.0)
+    prox.add_argument("--a", type=float, default=3.7,
+                      help="SCAD's or MCP's a; %(default)s is SCAD's default (MCP's own is 3.0)")
+    prox.add_argument("--weight", type=float, default=1.0)
     prox.add_argument("--lower", type=float, default=-1.0)
     prox.add_argument("--upper", type=float, default=1.0)
     prox.add_argument("--lo", type=float, default=-3.0)
     prox.add_argument("--hi", type=float, default=3.0)
-    prox.add_argument("--step", type=_positive("--step"), default=0.25)
+    prox.add_argument("--step", type=float, default=0.25)
     prox.add_argument("--output", default=None, help="write here instead of stdout")
     return parser
 
@@ -122,12 +110,13 @@ def _out_dir(value) -> Path:
 
 
 def _cmd_solve(args) -> int:
-    # the plan and the config refuse a penalty or schedule setting they would
-    # not read; the CLI checks only its own --cap-variant and --output-dir
-    if args.cap_variant is not None and (args.alpha_target is None
-                                         or args.horizon_k is not None):
-        return _error("--cap-variant caps --alpha-target with a fixed beta; "
-                      "it needs --alpha-target and no --horizon-K")
+    # the library objects refuse every other flag's value; the CLI checks only
+    # its own --cap-variant and --output-dir
+    if args.cap_variant is not None and (
+            args.cap_variant.split("-")[0] != args.algorithm
+            or args.alpha_target is None or args.horizon_k is not None):
+        return _error(f"--cap-variant caps --alpha-target with a fixed beta; it needs "
+                      f"--alpha-target, no --horizon-K and a variant of {args.algorithm}")
     out = _out_dir(args.output_dir)     # checked before the run, made after it
     nearest = next(p for p in (out, *out.parents) if p.exists())
     if not nearest.is_dir():
@@ -246,12 +235,14 @@ def _cmd_check(_args) -> int:
 def _cmd_prox_table(args) -> int:
     """A header, then a `v prox(v)` row of plain floats for v = lo + i*step up
     to hi (+1e-12), from one prox call; exit 2 before it on a grid that is not
-    finite or holds more than PROX_TABLE_MAX_POINTS points."""
+    finite, has a step that is not > 0 or holds more than PROX_TABLE_MAX_POINTS
+    points. The prox object refuses its own parameters and gamma."""
     g = _prox_in({"kind": args.kind, "lower": [args.lower], "upper": [args.upper],
                   "weight": args.weight, "lam": args.lam, "a": args.a}, "prox-table")
-    last = (args.hi + 1e-12 - args.lo) / args.step    # the last index, before rounding down
-    if not (last < PROX_TABLE_MAX_POINTS and args.step < np.inf):
-        return _error(f"the grid must be finite, of at most {PROX_TABLE_MAX_POINTS} points")
+    # last: the last index, before rounding down
+    if not (0 < args.step < np.inf
+            and (last := (args.hi + 1e-12 - args.lo) / args.step) < PROX_TABLE_MAX_POINTS):
+        return _error(f"a grid must be finite, of step > 0 and <= {PROX_TABLE_MAX_POINTS} points")
     grid = args.lo + np.arange(int(max(last, -1.0)) + 2) * args.step
     grid = grid[grid <= args.hi + 1e-12]
     lines = [f"# kind={args.kind} gamma={args.gamma!r}",

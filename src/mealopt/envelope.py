@@ -96,7 +96,7 @@ class PenaltyPlan:
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if not (0.0 < self.eta < 2.0):
-            raise ValueError("eta must lie in (0, 2)")
+            raise ValueError(f"eta must lie in (0, 2), got {self.eta}")
         unread = "K" if self.mode == "fixed" else "beta"
         if getattr(self, unread) is not None:
             raise ValueError(f"{self.mode} mode reads no {unread}, got {getattr(self, unread)!r}")

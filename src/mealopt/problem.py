@@ -183,10 +183,11 @@ class ProxFunction:
 
     def prox(self, gamma: float, v) -> np.ndarray:
         """Unique minimizer of g(x) + ||x - v||^2 / (2 gamma); GammaTooLarge
-        unless 0 < gamma < 1/rho, NonFiniteValue unless v is finite."""
+        unless 0 < gamma < 1/rho and gamma is finite, NonFiniteValue unless v
+        is finite."""
         rho = self.weak_convexity_modulus
-        if not gamma > 0:
-            raise GammaTooLarge(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < _INF:
+            raise GammaTooLarge(f"gamma must be positive and finite, got {gamma}")
         if rho > 0 and gamma >= 1.0 / rho:
             raise GammaTooLarge(
                 f"gamma={gamma} >= 1/rho={1.0 / rho:.6g}; prox may be set-valued"
@@ -340,7 +341,7 @@ class L1(ProxFunction):
 
     def __post_init__(self):
         if not 0 <= self.weight < _INF:
-            raise ValueError("weight must be finite and nonnegative")
+            raise ValueError(f"weight must be finite and nonnegative, got {self.weight}")
         if self.implicit_class.kind == "unknown":
             self.implicit_class = ImplicitClass.bounded(self.weight)
 
@@ -371,7 +372,8 @@ class SCAD(ProxFunction):
 
     def __post_init__(self):
         if not (0 < self.lam < _INF and 2 < self.a < _INF):
-            raise ValueError("SCAD needs finite lam > 0 and a > 2")
+            raise ValueError(f"SCAD needs finite lam > 0 and a > 2, got lam={self.lam}, "
+                             f"a={self.a}")
         self.weak_convexity_modulus = 1.0 / (self.a - 1.0)
         if self.implicit_class.kind == "unknown":
             self.implicit_class = ImplicitClass.bounded(self.lam)
@@ -414,7 +416,8 @@ class MCP(ProxFunction):
 
     def __post_init__(self):
         if not (0 < self.lam < _INF and 0 < self.a < _INF):
-            raise ValueError("MCP needs finite lam > 0 and a > 0")
+            raise ValueError(f"MCP needs finite lam > 0 and a > 0, got lam={self.lam}, "
+                             f"a={self.a}")
         self.weak_convexity_modulus = 1.0 / self.a
         if self.implicit_class.kind == "unknown":
             self.implicit_class = ImplicitClass.bounded(self.lam)

@@ -174,8 +174,9 @@ class StopRule:
     def __post_init__(self):
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (0 < self.stat_tol < math.inf and 0 < self.feas_tol < math.inf):
-            raise ValueError("tolerances must be finite and positive")
+        for name, tol in (("stat_tol", self.stat_tol), ("feas_tol", self.feas_tol)):
+            if not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)

@@ -329,7 +329,7 @@ class TestCLI:
         code = main(["solve", "--input", str(prob_path), "--algorithm", "meal",
                      "--beta", "-1"])
         assert code == 2
-        assert "--beta" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: fixed mode needs a finite beta > 0, got -1.0\n"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--algorithm", "meal", "--beta", "1", "--max-iters", "0"],
@@ -366,6 +366,28 @@ class TestCLI:
         [*PENALTY, "--horizon-K", "5", "--alpha-target", "inf"],
         [*NAN_RUNS, "--stat-tol", "inf", "--feas-tol", "inf"],
         [*NAN_RUNS, "--epsilon0", "inf"],
+        # values out of range, each refused by the library object that reads it
+        [*PENALTY, "--beta", "1", "--gamma", "0"],
+        [*PENALTY, "--alpha-target", "0"],
+        [*NAN_RUNS, "--epsilon0", "0"],
+        [*NAN_RUNS, "--stat-tol", "0"],
+        [*NAN_RUNS, "--feas-tol", "-1"],
+        [*RUNS, "--beta", "1", "--eta", "0"],
+        ["exp2", "--n", "0"],
+        ["prox-table", "--kind", "l1", "--gamma", "0"],
+        ["prox-table", "--kind", "l1", "--weight", "0", "--gamma", "inf"],
+        ["prox-table", "--kind", "scad", "--lam", "0"],
+        ["prox-table", "--kind", "scad", "--a", "2"],
+        ["prox-table", "--kind", "mcp", "--a", "0"],
+        ["prox-table", "--kind", "l1", "--weight", "-1"],
+        ["prox-table", "--kind", "l1", "--step", "0"],
+        ["prox-table", "--kind", "l1", "--step", "-1"],
+        # a cap variant of another algorithm's family (alm and prox_ialm have
+        # none), on exp1, where each command would otherwise run to a status
+        *(["solve", "--input", "{exp1}", "--algorithm", algorithm, "--gamma", "0.1",
+           "--alpha-target", "1", "--cap-variant", variant]
+          for algorithm, variant in [("limeal", "meal-a"), ("alm", "imeal-b"),
+                                     ("prox_ialm", "meal-a")]),
     ], ids=["solve-max-iters", "horizon-k", "exp1-max-iters",
             "exp2-n", "exp2-m", "beta-and-alpha-target", "beta-and-horizon-k",
             "cap-variant-with-beta", "cap-variant-with-horizon-k",
@@ -373,13 +395,23 @@ class TestCLI:
             "no-penalty", "eta-two", "beta-overflow",
             "horizon-beta-overflow", "gamma-underflow", "horizon-target-underflow",
             "target-underflow", "epsilon0-nan", "stat-tol-nan", "feas-tol-nan",
-            "beta-inf", "gamma-inf", "alpha-target-inf", "tolerances-inf", "epsilon0-inf"])
+            "beta-inf", "gamma-inf", "alpha-target-inf", "tolerances-inf", "epsilon0-inf",
+            "gamma-zero", "alpha-target-zero", "epsilon0-zero", "stat-tol-zero",
+            "feas-tol-negative", "eta-zero", "exp2-n-zero", "prox-gamma-zero", "prox-gamma-inf",
+            "prox-lam-zero", "prox-scad-a-two", "prox-mcp-a-zero", "prox-weight-negative",
+            "prox-step-zero", "prox-step-negative", "limeal-cap-meal-a",
+            "alm-cap-imeal-b", "prox-ialm-cap-meal-a"])
     def test_usage_errors_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
+        """The CLI's own `error:` line, not argparse's usage, and no output."""
         save_problem(m.build_exp2(seed=3, m=2, n=6), tmp_path / "qp.json")
-        if argv[0] == "solve":
+        save_problem(m.build_exp1(), tmp_path / "exp1.json")
+        argv = [arg.format(exp1=tmp_path / "exp1.json") for arg in argv]
+        if argv[0] == "solve" and "--input" not in argv:
             argv = argv + ["--input", str(tmp_path / "qp.json")]
-        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
-        assert "error:" in capsys.readouterr().err
+        out_flag = "--output" if argv[0] == "prox-table" else "--output-dir"
+        assert main(argv + [out_flag, str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("horizon", [[], ["--horizon-K", "3"]])
@@ -707,6 +739,12 @@ class TestCLI:
         assert capsys.readouterr().out == SCAD_README_TABLE
         assert main(["prox-table", "--kind", "l1", "--lo", "1", "--hi", "-1"]) == 0
         assert capsys.readouterr().out == "# kind=l1 gamma=0.5\n"
+
+    def test_prox_table_takes_a_zero_l1_weight(self, capsys):
+        # L1(weight=0) is the zero function, so its prox is the identity
+        assert main(["prox-table", "--kind", "l1", "--weight", "0"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 25 and all(len(row) == 2 and row[0] == row[1] for row in rows)
 
     @pytest.mark.parametrize("grid", [["--lo=-1e300", "--hi", "1e300", "--step", "1"],
                                       ["--hi", "inf"], ["--step", "inf"]],

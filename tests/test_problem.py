@@ -68,7 +68,7 @@ class TestProxExamples:
         g = m.SCAD(lam=1.0, a=3.7)
         assert g.prox(0.5, [1.4])[0] == pytest.approx(0.9, abs=1e-3)
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("g", [m.L1(weight=1.0), m.SCAD(lam=1.0, a=3.7)], ids=["l1", "scad"])
     def test_gamma_not_positive_rejected(self, g, gamma):
         with pytest.raises(GammaTooLarge, match="gamma must be positive"):
